@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import spaces
-from .errors import ConstructionError
+from .errors import ConstructionError, json_fields
 from .spaces import (
     Cone,
     Interval,
@@ -222,75 +223,112 @@ def compose(space, g, h):
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
-    """Explicit finite isometry group for a fixed base descriptor."""
+    """Explicit finite isometry group for a fixed base descriptor.
+
+    `generators` is what serialization stores; it defaults to every
+    non-identity element, so a hand-built element list round-trips as is.
+    """
 
     space: object
     elements: tuple
     name: str = ""
+    generators: tuple | None = None
 
     def __post_init__(self):
         if not self.elements:
             raise ConstructionError("group action needs at least the identity element")
         object.__setattr__(self, "elements", tuple(self.elements))
+        gens = self.elements[1:] if self.generators is None else tuple(self.generators)
+        object.__setattr__(self, "generators", gens)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def rotation_order(self) -> int | None:
+        """m if this is the Z_m that `cyclic_approximation` builds, on unit-radius factors.
+
+        Such an action admits the closed-form orbit minimum of
+        `spaces.rotation_quotient_distance`.  The single generator must equal
+        the cyclic generator for (space, m) bit for bit; anything else
+        (other radii, reflections, hand-built lists) returns None.
+        """
+        m = self.order
+        if len(self.generators) != 1 or m < 2 or not spaces.unit_rotation_factors(self.space):
+            return None
+        try:
+            gen = _cyclic_generator(self.space, m)
+        except ConstructionError:
+            return None
+        return m if iso_to_json(self.space, gen) == iso_to_json(self.space, self.generators[0]) else None
+
 
 def group_from_generators(space, generators, name: str = "", max_order: int = 4096) -> GroupAction:
-    """Close a generator list under composition (numeric equality on samples)."""
+    """Close a generator list under composition (numeric equality on samples).
+
+    The elements start with the identity and the distinct generators in the
+    given order, as the exact objects passed in.  The closure multiplies only
+    by generators not already generated by the earlier ones, so a cyclic
+    group costs O(m) compositions, also when every element is listed.
+    """
     from .nets import random_points  # local import: sampling lives with net plumbing
 
     rng = np.random.default_rng(20231115)
-    probes = random_points(space, 32, rng)
+    probes = spaces.pack_points(space, random_points(space, 32, rng))
 
     def signature(iso):
-        imgs = [_flatten_point(space, iso.apply_point(p)) for p in probes]
-        return np.round(np.concatenate(imgs), 9).tobytes()
+        return np.round(_flatten_coords(apply_isometry(space, iso, probes)), 9).tobytes()
 
+    gens = tuple(generators)
+    gen_sigs = [signature(h) for h in gens]
     ident = identity_for(space)
-    elements = [ident]
-    seen = {signature(ident)}
-    frontier = [ident]
-    gens = list(generators)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                comp = compose(space, h, g)
+    ident_sig = signature(ident)
+    known = {ident_sig: ident}  # signature -> element, in element order
+    for h, sig in zip(gens, gen_sigs):
+        known.setdefault(sig, h)
+
+    # `members` is the subgroup generated by `basis`; adding a generator h
+    # left-multiplies the old subgroup by h once, and each new element by
+    # every basis generator.
+    basis = []
+    reached = {ident_sig}
+    members = [ident]
+    for h, h_sig in zip(gens, gen_sigs):
+        if h_sig in reached:
+            continue
+        basis.append(h)
+        frontier = [(h, g) for g in members]
+        while frontier:
+            nxt = []
+            for left, g in frontier:
+                comp = compose(space, left, g)
                 sig = signature(comp)
-                if sig not in seen:
-                    seen.add(sig)
-                    elements.append(comp)
-                    nxt.append(comp)
-                    if len(elements) > max_order:
-                        raise ConstructionError(
-                            f"generator closure exceeded {max_order} elements; not a small finite group?"
-                        )
-        frontier = nxt
-    return GroupAction(space=space, elements=tuple(elements), name=name)
+                if sig in reached:
+                    continue
+                elem = known.setdefault(sig, comp)
+                reached.add(sig)
+                members.append(elem)
+                if len(members) > max_order:
+                    raise ConstructionError(
+                        f"generator closure exceeded {max_order} elements; not a small finite group?"
+                    )
+                nxt.extend((b, elem) for b in basis)
+            frontier = nxt
+    return GroupAction(space=space, elements=tuple(known.values()), name=name, generators=gens)
 
 
-def _flatten_point(space, p) -> np.ndarray:
-    if isinstance(space, Sphere):
-        return np.asarray(p, dtype=float).ravel()
-    if isinstance(space, Interval):
-        return np.array([float(p)])
-    if isinstance(space, Join):
-        x, t, y = p
-        return np.concatenate([_flatten_point(space.left, x), [t], _flatten_point(space.right, y)])
-    if isinstance(space, Cone):
-        t, y = p
-        return np.concatenate([[t], _flatten_point(space.base, y)])
-    if isinstance(space, Suspension):
-        u, y = p
-        return np.concatenate([[u], _flatten_point(space.base, y)])
-    if isinstance(space, Lens):
-        return _flatten_point(space.as_join(), p)
-    if isinstance(space, ModelBall):
-        return _flatten_point(space.as_cone(), p)
-    raise ConstructionError(f"unknown descriptor {space!r}")
+def _flatten_coords(coords) -> np.ndarray:
+    """Packed coordinates as one flat array, for comparing isometries on probes."""
+    if isinstance(coords, spaces.JoinCoords):
+        parts = (coords.left, coords.t, coords.right)
+    elif isinstance(coords, spaces.ConeCoords):
+        parts = (coords.t, coords.base)
+    elif isinstance(coords, spaces.SuspCoords):
+        parts = (coords.u, coords.base)
+    else:
+        return np.asarray(coords, dtype=float).ravel()
+    return np.concatenate([_flatten_coords(c) for c in parts])
 
 
 @dataclass
@@ -315,10 +353,10 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     from .nets import random_points
 
     rng = np.random.default_rng(seed)
-    probes = random_points(space, 16, rng)
+    probes = spaces.pack_points(space, random_points(space, 16, rng))
 
     def table(iso):
-        return np.concatenate([_flatten_point(space, iso.apply_point(p)) for p in probes])
+        return _flatten_coords(apply_isometry(space, iso, probes))
 
     tables = [table(g) for g in action.elements]
     ident_tab = table(identity_for(space))
@@ -369,33 +407,34 @@ def cyclic_approximation(space, m: int) -> GroupAction:
     if int(m) != m or m < 2:
         raise ConstructionError(f"cyclic order must be an integer >= 2, got {m}")
     m = int(m)
-
-    def generator(desc):
-        if isinstance(desc, Sphere):
-            if desc.dim == 3:
-                return OrthogonalMap(hopf_rotation_matrix(2.0 * PI / m))
-            if desc.dim == 1:
-                return OrthogonalMap(rotation_matrix(2.0 * PI / m))
-            raise ConstructionError(
-                f"no cyclic circle action on Sphere(dim={desc.dim}); need dim 1 or 3"
-            )
-        if isinstance(desc, Cone):
-            return ConeMap(generator(desc.base))
-        if isinstance(desc, ModelBall):
-            return ConeMap(generator(Sphere(desc.dim - 1, 1.0)))
-        if isinstance(desc, Join):
-            return JoinMap(generator(desc.left), generator(desc.right))
-        if isinstance(desc, Suspension):
-            return SuspensionMap(False, generator(desc.base))
-        raise ConstructionError(f"no cyclic approximation for {type(desc).__name__}")
-
-    gen = generator(space)
+    gen = _cyclic_generator(space, m)
     elements = [identity_for(space)]
     g = gen
     for _ in range(m - 1):
         elements.append(g)
         g = compose(space, gen, g)
-    return GroupAction(space=space, elements=tuple(elements), name=f"Z_{m}")
+    return GroupAction(space=space, elements=tuple(elements), name=f"Z_{m}", generators=(gen,))
+
+
+def _cyclic_generator(desc, m: int):
+    """The rotation by 2*pi/m that generates `cyclic_approximation(desc, m)`."""
+    if isinstance(desc, Sphere):
+        if desc.dim == 3:
+            return OrthogonalMap(hopf_rotation_matrix(2.0 * PI / m))
+        if desc.dim == 1:
+            return OrthogonalMap(rotation_matrix(2.0 * PI / m))
+        raise ConstructionError(
+            f"no cyclic circle action on Sphere(dim={desc.dim}); need dim 1 or 3"
+        )
+    if isinstance(desc, Cone):
+        return ConeMap(_cyclic_generator(desc.base, m))
+    if isinstance(desc, ModelBall):
+        return ConeMap(_cyclic_generator(Sphere(desc.dim - 1, 1.0), m))
+    if isinstance(desc, Join):
+        return JoinMap(_cyclic_generator(desc.left, m), _cyclic_generator(desc.right, m))
+    if isinstance(desc, Suspension):
+        return SuspensionMap(False, _cyclic_generator(desc.base, m))
+    raise ConstructionError(f"no cyclic approximation for {type(desc).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +450,15 @@ def action_from_json(space, payload: dict) -> GroupAction:
     leaf spec with an optional "factor" shorthand ("left", "right", "base",
     possibly dotted) that wraps it in identity maps along that path.
     """
-    gens = [_iso_from_json(space, g) for g in payload.get("generators", [])]
+    with json_fields("action"):
+        gens = [_iso_from_json(space, g) for g in payload.get("generators", [])]
+        name = str(payload.get("name", ""))
+        declared = payload.get("order")
+        declared = None if declared is None else int(declared)
     if not gens:
         raise ConstructionError("action payload needs a nonempty generator list")
-    action = group_from_generators(space, gens, name=payload.get("name", ""))
-    declared = payload.get("order")
-    if declared is not None and int(declared) != action.order:
+    action = group_from_generators(space, gens, name=name)
+    if declared is not None and declared != action.order:
         raise ConstructionError(
             f"declared group order {declared} does not match closure order {action.order}"
         )
@@ -529,7 +571,7 @@ def action_to_json(action: GroupAction) -> dict:
     return {
         "name": action.name,
         "order": action.order,
-        "generators": [iso_to_json(action.space, g) for g in action.elements[1:]] or [
+        "generators": [iso_to_json(action.space, g) for g in action.generators] or [
             {"type": "identity"}
         ],
     }

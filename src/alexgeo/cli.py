@@ -21,13 +21,20 @@ from . import comparison as cmp
 from . import harness, invariants as inv
 from . import nets as nets_mod
 from . import serialize
-from .errors import AlexgeoError
+from .errors import AlexgeoError, ConstructionError
 from .spaces import Cone, ModelBall, HALF_PI, Sphere
 
 
+def _read_descriptor(path) -> object:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConstructionError(f"{path} is not valid JSON: {exc}") from None
+    return serialize.space_from_json(payload)
+
+
 def _cmd_construct(args) -> int:
-    payload = json.loads(Path(args.space).read_text())
-    space = serialize.space_from_json(payload)
+    space = _read_descriptor(args.space)
     net = nets_mod.epsilon_net(
         space, args.epsilon, args.seed, budget=args.budget, allow_degrade=args.allow_degrade
     )
@@ -60,7 +67,7 @@ def _cmd_verify(args) -> int:
         )
         return 0 if audit.passed else 1
     if args.check == "convexity":
-        space = serialize.space_from_json(json.loads(Path(args.space).read_text()))
+        space = _read_descriptor(args.space)
         rep = cmp.convexity_check(space, args.lambda0, probes=args.probes, seed=args.seed)
         print(
             f"[verify:convexity] lambda0={args.lambda0:g} worst_ratio={rep.worst_ratio:.3e} "

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class AlexgeoError(Exception):
     """Base class for all package errors."""
@@ -36,3 +38,16 @@ class SingularityError(AlexgeoError, ArithmeticError):
     def __init__(self, message: str, location: float):
         super().__init__(message)
         self.location = location
+
+
+@contextmanager
+def json_fields(what: str):
+    """Report a missing or mistyped field of a decoded JSON payload as a ConstructionError."""
+    try:
+        yield
+    except AlexgeoError:
+        raise
+    except KeyError as exc:
+        raise ConstructionError(f"{what} JSON is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConstructionError(f"{what} JSON has a mistyped field: {exc}") from None

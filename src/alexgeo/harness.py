@@ -542,12 +542,12 @@ def _ex3_8(cfg: ExperimentConfig) -> list:
     E = Sphere(3, 1.0)
     cap = Cone(1.0, Sphere(1, 1.0), 1.0)
     X = Join(E, cap)
-    action = actions_mod.cyclic_approximation(X, m)
+    QX = Quotient(X, actions_mod.cyclic_approximation(X, m))
     rng = np.random.default_rng(cfg.seed)
     pts = nets_mod.random_points(X, 300, rng)
 
     def qdist(x, y):
-        return spaces.quotient_distance(lambda a, b: spaces.distance(X, a, b), action, x, y)
+        return spaces.distance(QX, x, y)
 
     worst_pair = 0.0
     worst_decomp = 0.0
@@ -627,13 +627,11 @@ def _ex3_9(cfg: ExperimentConfig) -> list:
     worst_mono = -math.inf
     worst_defect = -math.inf
     for m_small in (m // 4, m // 2):
-        a_small = actions_mod.cyclic_approximation(S3, m_small)
-        a_big = actions_mod.cyclic_approximation(S3, 2 * m_small)
+        q_small = Quotient(S3, actions_mod.cyclic_approximation(S3, m_small))
+        q_big = Quotient(S3, actions_mod.cyclic_approximation(S3, 2 * m_small))
         for x, y in pairs:
-            d_small = spaces.quotient_distance(
-                lambda a, b: spaces.distance(S3, a, b), a_small, x, y
-            )
-            d_big = spaces.quotient_distance(lambda a, b: spaces.distance(S3, a, b), a_big, x, y)
+            d_small = spaces.distance(q_small, x, y)
+            d_big = spaces.distance(q_big, x, y)
             worst_mono = max(worst_mono, d_big - d_small)
             worst_defect = max(worst_defect, d_small - d_big)
     recs.append(

@@ -513,7 +513,7 @@ def ellipsoid_distance(p, q, a: float, b: float, c: float, epsilon: float = 0.05
 
 
 def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGET,
-                allow_degrade: bool = False, dedupe_tol: float = 1e-9) -> FiniteNet:
+                allow_degrade: bool = False, dedupe_tol: float = 1e-7) -> FiniteNet:
     """Build a deterministic epsilon-net with its full distance matrix.
 
     The construction targets covering radius <= epsilon.  If that would
@@ -582,6 +582,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
     D = self_distance_matrix(space, coords)
 
     if isinstance(space, Quotient):
+        # orbit copies read up to ~1.5e-8 apart (arccos resolution near 0), so tol must sit above that
         keep = _dedupe_indices(D, dedupe_tol)
         if keep.shape[0] < n:
             coords = coords_take(space, coords, keep)

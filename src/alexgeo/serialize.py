@@ -1,7 +1,9 @@
 """JSON and CSV interchange for descriptors and nets.
 
 Descriptors serialize to tagged JSON objects; quotient actions carry their
-generator list and optional declared order.  Nets export as a CSV distance
+generators (one for a cyclic surrogate, not every element) and declared
+order, and are re-closed on load.  Older files that list every element as
+a generator still load, to the same elements.  Nets export as a CSV distance
 matrix alongside a JSON metadata file (descriptor, resolution, seed,
 boundary flags, coordinates).  Serialization is byte-stable: identical
 inputs produce identical bytes.
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import actions as actions_mod
 from . import spaces
-from .errors import ConstructionError
+from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
 from .spaces import (
     Cone,
@@ -61,6 +63,12 @@ def space_to_json(space) -> dict:
 
 
 def space_from_json(payload: dict):
+    """Descriptor from its JSON object; a missing or mistyped field is a ConstructionError."""
+    with json_fields("descriptor"):
+        return _space_from_json(payload)
+
+
+def _space_from_json(payload: dict):
     kind = payload.get("kind")
     if kind == "sphere":
         return Sphere(int(payload["dim"]), float(payload.get("radius", 1.0)))

@@ -523,7 +523,12 @@ def distance(space, p, q) -> float:
     if isinstance(space, Suspension):
         return suspension_distance(p, q, lambda a, b: distance(space.base, a, b))
     if isinstance(space, Quotient):
-        return quotient_distance(lambda a, b: distance(space.base, a, b), space.action, p, q)
+        if _rotation_order(space) is None:
+            return quotient_distance(lambda a, b: distance(space.base, a, b), space.action, p, q)
+        validate_point(space.base, p)
+        validate_point(space.base, q)
+        A, B = pack_points(space.base, [p]), pack_points(space.base, [q])
+        return float(rotation_quotient_distance(space, A, B, cross=False)[0])
     if isinstance(space, Lens):
         return lens_distance(space.dim, space.alpha, p, q)
     if isinstance(space, ModelBall):
@@ -798,7 +803,7 @@ def cross_distance(space, A, B) -> np.ndarray:
         return clamped_arccos(c)
     if isinstance(space, Cone):
         ctheta = np.cos(np.minimum(cross_distance(space.base, A.base, B.base), PI))
-        return _cone_law_array(space.k, A.t, B.t, ctheta)
+        return _cone_law_array(space.k, A.t[:, None], B.t[None, :], ctheta)
     if isinstance(space, Suspension):
         ctheta = np.cos(np.minimum(cross_distance(space.base, A.base, B.base), PI))
         c = np.cos(A.u)[:, None] * np.cos(B.u)[None, :] + np.sin(A.u)[:, None] * np.sin(B.u)[
@@ -819,44 +824,133 @@ def cross_distance(space, A, B) -> np.ndarray:
 
 
 def _cone_law_array(k: float, ta, tb, ctheta) -> np.ndarray:
-    ta = np.asarray(ta, dtype=float)
-    tb = np.asarray(tb, dtype=float)
+    """Curvature-k law of cosines; ta and tb broadcast against ctheta."""
     if k == 0.0:
-        v = ta[:, None] ** 2 + tb[None, :] ** 2 - 2.0 * (ta[:, None] * tb[None, :]) * ctheta
+        v = ta**2 + tb**2 - 2.0 * (ta * tb) * ctheta
         return np.sqrt(np.maximum(v, 0.0))
     if k > 0.0:
         s = math.sqrt(k)
-        c = np.cos(s * ta)[:, None] * np.cos(s * tb)[None, :] + np.sin(s * ta)[:, None] * np.sin(
-            s * tb
-        )[None, :] * ctheta
+        c = np.cos(s * ta) * np.cos(s * tb) + np.sin(s * ta) * np.sin(s * tb) * ctheta
         return clamped_arccos(c) / s
     s = math.sqrt(-k)
-    c = np.cosh(s * ta)[:, None] * np.cosh(s * tb)[None, :] - np.sinh(s * ta)[:, None] * np.sinh(
-        s * tb
-    )[None, :] * ctheta
+    c = np.cosh(s * ta) * np.cosh(s * tb) - np.sinh(s * ta) * np.sinh(s * tb) * ctheta
     return clamped_arccosh(c) / s
 
 
 def _quotient_cross(space: Quotient, A, B) -> np.ndarray:
+    if _rotation_order(space) is not None:
+        return rotation_quotient_distance(space, A, B, cross=True)
     from .actions import apply_isometry  # local import to avoid a cycle
 
-    base = space.base
-    elements = space.action.elements
-    # Spheres admit a fast path: min distance = radius * arccos(max cos).
-    if isinstance(base, Sphere):
-        A2 = np.atleast_2d(np.asarray(A, dtype=float))
-        best = None
-        for g in elements:
-            gB = np.atleast_2d(np.asarray(apply_isometry(base, g, B), dtype=float))
-            dots = A2 @ gB.T
-            best = dots if best is None else np.maximum(best, dots)
-        return base.radius * clamped_arccos(best)
     best = None
-    for g in elements:
-        gB = apply_isometry(base, g, B)
-        d = cross_distance(base, A, gB)
+    for g in space.action.elements:
+        d = cross_distance(space.base, A, apply_isometry(space.base, g, B))
         best = d if best is None else np.minimum(best, d)
     return best
+
+
+# ---------------------------------------------------------------------------
+# closed-form orbit minimum for cyclic rotation actions
+#
+# Rotating the unit circle S^1, or S^3 by the Hopf phase, by theta turns
+# <x, g y> into Re(e^{i theta} H), H = sum_k conj(x_k) y_k over the complex
+# coordinates.  Joins, k = 1 cones and suspensions mix the cosines of their
+# factors linearly with nonnegative weights, so the cosine term of the whole
+# tree is C + Re(e^{i theta} H) = C + |H| cos(theta - psi), and a cone of any
+# k at the root is monotone in its base's term.  Over theta in 2 pi Z / m the
+# best term is C + |H| cos(delta), delta the distance from psi to the lattice.
+# ---------------------------------------------------------------------------
+
+
+def unit_rotation_factors(space, nested: bool = False) -> bool:
+    """Whether every factor a cyclic rotation moves keeps that cosine term affine.
+
+    Sphere factors need radius 1, and cones below the root need k = 1, whose
+    distance cosine is the law-of-cosines term itself.
+    """
+    if isinstance(space, Sphere):
+        return space.radius == 1.0
+    if isinstance(space, Cone):
+        return (not nested or space.k == 1.0) and unit_rotation_factors(space.base, True)
+    if isinstance(space, ModelBall):
+        return not nested or space.k == 1.0
+    if isinstance(space, Join):
+        return unit_rotation_factors(space.left, True) and unit_rotation_factors(space.right, True)
+    if isinstance(space, Suspension):
+        return unit_rotation_factors(space.base, True)
+    return False
+
+
+def _rotation_order(space: Quotient):
+    """m when the quotient's action is a closed-form Z_m rotation, else None."""
+    action = space.action
+    m = getattr(action, "rotation_order", None)
+    if m is None or action.space != space.base:
+        return None
+    return m
+
+
+def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray:
+    """Orbit-minimal distances of a Z_m rotation quotient in one evaluation.
+
+    The quotient's action must have a `rotation_order` (see
+    `actions.GroupAction.rotation_order`).  `cross` gives the (len(A),
+    len(B)) matrix, otherwise the distances of paired rows.
+    """
+    base = space.base
+    cone = base.as_cone() if isinstance(base, ModelBall) else base if isinstance(base, Cone) else None
+    if cone is None:
+        C, Hr, Hi = _rotation_terms(base, A, B, cross)
+    else:
+        C, Hr, Hi = _rotation_terms(cone.base, A.base, B.base, cross)
+    # C + |H| cos(delta) = C + Re(e^{i theta_k} H) at the lattice angle
+    # theta_k = k * step nearest to -arg H, with cos/sin of theta_k from a table
+    m = space.action.rotation_order
+    step = 2.0 * PI / m
+    half = m // 2 + 1
+    angles = np.arange(-half, half + 1) * step
+    k = np.arctan2(Hi, Hr)
+    k *= -1.0 / step
+    k = np.rint(k, out=k).astype(np.intp)
+    k += half
+    best = np.take(np.cos(angles), k)
+    best *= Hr
+    sin_part = np.take(np.sin(angles), k, out=Hr)  # Hr's buffer is free now
+    sin_part *= Hi
+    best -= sin_part
+    best += C
+    if cone is None:
+        return clamped_arccos(best)
+    ta, tb = (A.t[:, None], B.t[None, :]) if cross else (A.t, B.t)
+    np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
+    return _cone_law_array(cone.k, ta, tb, best)
+
+
+def _rotation_terms(space, A, B, cross: bool):
+    """(C, Hr, Hi): the cosine term of `space` is C + Re(e^{i theta} (Hr + i Hi))."""
+    pair = np.multiply.outer if cross else np.multiply
+    if isinstance(space, Sphere):
+        A2, B2 = np.atleast_2d(A), np.atleast_2d(B)
+        Bi = np.empty_like(B2)  # Im(conj(a) b) = <a, Bi> for each complex coordinate
+        Bi[:, 0::2] = B2[:, 1::2]
+        Bi[:, 1::2] = -B2[:, 0::2]
+        if cross:
+            return 0.0, A2 @ B2.T, A2 @ Bi.T
+        return 0.0, np.einsum("ij,ij->i", A2, B2), np.einsum("ij,ij->i", A2, Bi)
+    if isinstance(space, Join):
+        CL, HrL, HiL = _rotation_terms(space.left, A.left, B.left, cross)
+        CR, HrR, HiR = _rotation_terms(space.right, A.right, B.right, cross)
+        cc = pair(np.cos(A.t), np.cos(B.t))
+        ss = pair(np.sin(A.t), np.sin(B.t))
+        return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
+    if isinstance(space, ModelBall):
+        return _rotation_terms(space.as_cone(), A, B, cross)
+    if isinstance(space, (Cone, Suspension)):  # k = 1 cone or suspension: same law
+        u_a, u_b = (A.t, B.t) if isinstance(space, Cone) else (A.u, B.u)
+        Cb, Hr, Hi = _rotation_terms(space.base, A.base, B.base, cross)
+        ss = pair(np.sin(u_a), np.sin(u_b))
+        return pair(np.cos(u_a), np.cos(u_b)) + ss * Cb, ss * Hr, ss * Hi
+    raise ConstructionError(f"no closed-form rotation term for {type(space).__name__}")
 
 
 def elementwise_distance(space, A, B) -> np.ndarray:
@@ -873,22 +967,14 @@ def elementwise_distance(space, A, B) -> np.ndarray:
         return clamped_arccos(c)
     if isinstance(space, Cone):
         ct = np.cos(np.minimum(elementwise_distance(space.base, A.base, B.base), PI))
-        k = space.k
-        if k == 0.0:
-            v = A.t**2 + B.t**2 - 2.0 * A.t * B.t * ct
-            return np.sqrt(np.maximum(v, 0.0))
-        if k > 0.0:
-            s = math.sqrt(k)
-            c = np.cos(s * A.t) * np.cos(s * B.t) + np.sin(s * A.t) * np.sin(s * B.t) * ct
-            return clamped_arccos(c) / s
-        s = math.sqrt(-k)
-        c = np.cosh(s * A.t) * np.cosh(s * B.t) - np.sinh(s * A.t) * np.sinh(s * B.t) * ct
-        return clamped_arccosh(c) / s
+        return _cone_law_array(space.k, A.t, B.t, ct)
     if isinstance(space, Suspension):
         ct = np.cos(np.minimum(elementwise_distance(space.base, A.base, B.base), PI))
         c = np.cos(A.u) * np.cos(B.u) + np.sin(A.u) * np.sin(B.u) * ct
         return clamped_arccos(c)
     if isinstance(space, Quotient):
+        if _rotation_order(space) is not None:
+            return rotation_quotient_distance(space, A, B, cross=False)
         from .actions import apply_isometry
 
         best = None

@@ -89,6 +89,12 @@ class TestCompositeNets:
         net = epsilon_net(Quotient(base, act), 0.05, 42)
         assert net.dist[np.triu_indices(net.n, 1)].min() > 1e-9
 
+    def test_cap_quotient_net_keeps_no_orbit_duplicates(self):
+        # orbit copies read up to ~1.5e-8 apart, above the old 1e-9 tolerance
+        cap = Cone(1.0, Sphere(1, 1.0), 1.0)
+        net = epsilon_net(Quotient(cap, actions.cyclic_approximation(cap, 8)), 0.05, 42)
+        assert net.dist[np.triu_indices(net.n, 1)].min() > 1e-7
+
     def test_model_ball(self):
         net = epsilon_net(ModelBall(0.0, 1.0, 2), 0.05, 42)
         assert nets.covering_check(net, 4000) <= net.epsilon_effective

@@ -1,0 +1,126 @@
+"""Descriptor JSON: stored generators, old element-list files, malformed payloads."""
+
+import json
+
+import numpy as np
+import pytest
+
+from alexgeo import actions, cli, nets, serialize
+from alexgeo.errors import ConstructionError
+from alexgeo.spaces import Cone, Quotient, Sphere
+
+
+def _bits(iso):
+    return iso.matrix.tobytes() if isinstance(iso, actions.OrthogonalMap) else _bits(iso.base)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("base", [Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0)])
+    def test_cyclic_action_stores_one_generator(self, base):
+        cyc = actions.cyclic_approximation(base, 64)
+        payload = serialize.space_to_json(Quotient(base, cyc))
+        assert payload["action"]["order"] == 64
+        assert len(payload["action"]["generators"]) == 1
+        reloaded = serialize.space_from_json(json.loads(json.dumps(payload))).action
+        assert [_bits(g) for g in reloaded.elements[1:]] == [_bits(g) for g in cyc.elements[1:]]
+        assert len(reloaded.generators) == 1
+
+    def test_hand_built_action_stores_every_element(self):
+        base = Sphere(1, 1.0)
+        elements = actions.cyclic_approximation(base, 4).elements
+        payload = actions.action_to_json(actions.GroupAction(base, elements))
+        assert len(payload["generators"]) == 3
+
+    def test_old_format_with_every_element_loads(self, tmp_path):
+        base = Sphere(3, 1.0)
+        cyc = actions.cyclic_approximation(base, 64)
+        # an element list serializes every element, as files written before
+        # actions kept their generators do
+        old = Quotient(base, actions.GroupAction(base, cyc.elements, name=cyc.name))
+        assert len(serialize.space_to_json(old)["action"]["generators"]) == 63
+        net = nets.epsilon_net(old, 0.35, 3)
+        csv = tmp_path / "old.csv"
+        serialize.write_net(net, csv)
+        loaded = serialize.read_net(csv)
+        assert [_bits(g) for g in loaded.space.action.elements[1:]] == [
+            _bits(g) for g in cyc.elements[1:]
+        ]
+        assert serialize.net_to_bytes(loaded) == serialize.net_to_bytes(net)
+
+    def test_cyclic_net_round_trips_byte_for_byte(self, tmp_path):
+        base = Cone(1.0, Sphere(1, 1.0), 1.0)
+        net = nets.epsilon_net(Quotient(base, actions.cyclic_approximation(base, 64)), 0.08, 3)
+        csv = tmp_path / "new.csv"
+        serialize.write_net(net, csv)
+        assert serialize.net_to_bytes(serialize.read_net(csv)) == serialize.net_to_bytes(net)
+
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_reload_closes_in_linear_compositions(self, monkeypatch, listed):
+        base = Sphere(3, 1.0)
+        m = 256
+        cyc = actions.cyclic_approximation(base, m)
+        action = actions.GroupAction(base, cyc.elements) if listed else cyc
+        payload = serialize.space_to_json(Quotient(base, action))
+        calls = []
+        compose = actions.compose
+
+        def counting(*args):
+            calls.append(1)
+            return compose(*args)
+
+        monkeypatch.setattr(actions, "compose", counting)
+        reloaded = serialize.space_from_json(payload)
+        assert reloaded.action.order == m
+        assert len(calls) <= 2 * m
+
+    def test_closure_of_two_generators(self):
+        base = Sphere(1, 1.0)
+        rot = actions.OrthogonalMap(actions.rotation_matrix(np.pi / 3.0))
+        refl = actions.OrthogonalMap(actions.circle_reflection_matrix())
+        action = actions.group_from_generators(base, [rot, refl])
+        assert action.order == 12  # the dihedral group of the hexagon
+        assert action.generators == (rot, refl)
+        assert action.elements[1:3] == (rot, refl)
+        assert actions.validate_action(base, action, n_pairs=50).passed
+
+
+class TestMalformed:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "sphere"},
+            {"kind": "sphere", "dim": "two"},
+            {"kind": "cone", "k": 1.0, "r0": 1.0},
+            {"kind": "join", "left": {"kind": "sphere", "dim": 1}, "right": [1]},
+            {"kind": "quotient", "base": {"kind": "sphere", "dim": 1},
+             "action": {"generators": [{"type": "rotation"}]}},
+            {"kind": "quotient", "base": {"kind": "sphere", "dim": 1},
+             "action": {"generators": [{"type": "rotation", "order": 4}], "order": "four"}},
+            ["sphere"],
+        ],
+    )
+    def test_descriptor_raises_construction_error(self, payload):
+        with pytest.raises(ConstructionError):
+            serialize.space_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"generators": [{"type": "rotation"}]},
+            {"generators": [{"type": "hopf", "order": None}]},
+            {"generators": [{"type": "orthogonal"}]},
+            {"generators": "rotation"},
+        ],
+    )
+    def test_action_raises_construction_error(self, payload):
+        base = Sphere(3, 1.0) if "hopf" in json.dumps(payload) else Sphere(1, 1.0)
+        with pytest.raises(ConstructionError):
+            actions.action_from_json(base, payload)
+
+    @pytest.mark.parametrize("text", ['{"kind": "sphere"}', '{"kind": '])
+    def test_cli_exits_2_with_a_message(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
