@@ -523,6 +523,8 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
     """
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not budget >= 1:
+        raise DomainError(f"budget must be at least 1 point, got {budget}")
     if epsilon >= diameter_bound(space):
         raise DomainError(
             f"epsilon {epsilon} is not below the diameter bound {diameter_bound(space)}"
@@ -658,7 +660,14 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     n = D.shape[0]
     if n == 0:
         raise PreconditionError("empty net")
-    sym = float(np.max(np.abs(D - D.T))) if n > 1 else 0.0
+    # compare D[i, j] with D[j, i] over self_distance_matrix's row blocks
+    # (j from the start of i's block on), with no n x n temporary;
+    # np.maximum, unlike Python's max, keeps a NaN
+    sym = 0.0
+    for s in range(0, n, spaces.ROW_BLOCK):
+        e = min(s + spaces.ROW_BLOCK, n)
+        sym = np.maximum(sym, np.max(np.abs(D[s:e, s:] - D[s:, s:e].T)))
+    sym = float(sym)
     diag = float(np.max(np.abs(np.diag(D))))
 
     best = -math.inf

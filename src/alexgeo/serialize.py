@@ -200,10 +200,23 @@ def read_net(csv_path) -> FiniteNet:
     meta = json.loads(meta_path.read_text())
     space = space_from_json(meta["space"])
     coords = coords_from_json(space, meta["coords"]) if "coords" in meta else None
+    with json_fields("net metadata"):
+        n = int(meta["n"])
+        is_boundary = np.asarray(meta["is_boundary"], dtype=bool)
+    # the matrix, flags and coordinates must all describe the same n points
+    if D.shape != (n, n):
+        raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
+    if is_boundary.shape != (n,):
+        raise ConstructionError(f"net metadata has {is_boundary.size} boundary flags for n = {n}")
+    n_coords = n if coords is None else spaces.coords_len(space, coords)
+    if n_coords != n:
+        raise ConstructionError(f"net metadata has {n_coords} coordinates for n = {n}")
+    if not np.all(np.isfinite(D)):
+        raise ConstructionError(f"net matrix {csv_path} has non-finite entries")
     net = FiniteNet(
         space=space,
         coords=coords,
-        is_boundary=np.asarray(meta["is_boundary"], dtype=bool),
+        is_boundary=is_boundary,
         dist=D,
         epsilon=float(meta["epsilon"]),
         epsilon_effective=float(meta["epsilon_effective"]),

@@ -118,10 +118,10 @@ class Sphere:
     radius: float = 1.0
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 0:
+        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 0:
             raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim}")
-        if not self.radius > 0.0:
-            raise ConstructionError(f"sphere radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -153,8 +153,10 @@ class Ellipsoid:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = float(getattr(self, name))
-            if not v > 0.0:
-                raise ConstructionError(f"ellipsoid semi-axis {name} must be positive, got {v}")
+            if not 0.0 < v < math.inf:
+                raise ConstructionError(
+                    f"ellipsoid semi-axis {name} must be positive and finite, got {v}"
+                )
             object.__setattr__(self, name, v)
 
     @property
@@ -185,8 +187,10 @@ class Cone:
     def __post_init__(self):
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "r0", float(self.r0))
-        if not self.r0 > 0.0:
-            raise ConstructionError(f"cone cap r0 must be positive, got {self.r0}")
+        if not math.isfinite(self.k):
+            raise ConstructionError(f"cone curvature k must be finite, got {self.k}")
+        if not 0.0 < self.r0 < math.inf:
+            raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0}")
         if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
             raise ConstructionError(
                 f"cone with k={self.k} requires r0 <= pi/(2*sqrt(k)) = "
@@ -231,7 +235,7 @@ class Lens:
     alpha: float
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
+        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 2:
             raise ConstructionError(f"lens dimension must be an integer >= 2, got {self.dim}")
         if not (0.0 < self.alpha <= PI + 1e-12):
             raise DomainError(f"lens angle must lie in (0, pi], got {self.alpha}")
@@ -253,11 +257,13 @@ class ModelBall:
     def __post_init__(self):
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "r0", float(self.r0))
-        if int(self.dim) != self.dim or self.dim < 1:
+        if not math.isfinite(self.k):
+            raise ConstructionError(f"model ball curvature k must be finite, got {self.k}")
+        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 1:
             raise ConstructionError(f"model ball dimension must be an integer >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
-        if not self.r0 > 0.0:
-            raise ConstructionError(f"model ball radius must be positive, got {self.r0}")
+        if not 0.0 < self.r0 < math.inf:
+            raise ConstructionError(f"model ball radius must be positive and finite, got {self.r0}")
         if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
             raise ConstructionError(
                 f"model ball with k={self.k} requires r0 <= pi/(2*sqrt(k)), got r0={self.r0}"
@@ -400,7 +406,7 @@ def sphere_distance(u, v, radius: float = 1.0) -> float:
     v = np.asarray(v, dtype=float)
     for name, w in (("u", u), ("v", v)):
         nrm = float(np.linalg.norm(w))
-        if abs(nrm - 1.0) > _UNIT_TOL:
+        if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
     if not radius > 0.0:
         raise DomainError(f"sphere radius must be positive, got {radius}")
@@ -552,7 +558,7 @@ def validate_point(space, p):
         v = np.asarray(p, dtype=float)
         if v.shape != (space.ambient_dim,):
             raise DomainError(f"sphere point must have {space.ambient_dim} components, got {v.shape}")
-        if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_TOL:
+        if not abs(float(np.linalg.norm(v)) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {v.tolist()} is not a unit vector")
     elif isinstance(space, Interval):
         if not (-1e-12 <= p <= space.length + 1e-12):
@@ -560,7 +566,7 @@ def validate_point(space, p):
     elif isinstance(space, Ellipsoid):
         v = np.asarray(p, dtype=float)
         lvl = float(np.sum((v / space.axes) ** 2))
-        if abs(lvl - 1.0) > 1e-9:
+        if not abs(lvl - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"point {v.tolist()} is off the ellipsoid surface (level {lvl!r})")
     elif isinstance(space, Join):
         x, t, y = p
@@ -989,16 +995,31 @@ def elementwise_distance(space, A, B) -> np.ndarray:
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
-def self_distance_matrix(space, coords, block: int = 512) -> np.ndarray:
-    """Full symmetric distance matrix, computed in row blocks to cap memory."""
+# rows per block of the n x n matrix builder and of the metric audit's symmetry scan
+ROW_BLOCK = 512
+
+
+def self_distance_matrix(space, coords, block: int = ROW_BLOCK) -> np.ndarray:
+    """Full symmetric distance matrix, each unordered pair evaluated once.
+
+    Row block [s, e) is evaluated against the columns s: only, written to
+    D[s:e, s:] and mirrored into D[s:, s:e], so the kernel sees about
+    n(n + block)/2 pairs and memory stays at the n x n result.
+    """
     n = coords_len(space, coords)
     D = np.empty((n, n), dtype=float)
-    for start in range(0, n, block):
-        idx = np.arange(start, min(start + block, n))
-        D[idx] = cross_distance(space, coords_take(space, coords, idx), coords)
-    # canonicalize: the true matrix is symmetric with a zero diagonal, but
-    # quotient factors may round differently across the diagonal (d(x, gy)
-    # vs d(y, g^-1 x) evaluate in different orders)
-    np.minimum(D, D.T, out=D)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        R = cross_distance(
+            space, coords_take(space, coords, slice(s, e)), coords_take(space, coords, slice(s, n))
+        )
+        # canonicalize the square diagonal block, the only place where both
+        # orientations are evaluated: quotient factors may round differently
+        # across the diagonal (d(x, gy) vs d(y, g^-1 x) evaluate in different
+        # orders), and the true matrix is symmetric with a zero diagonal
+        sq = R[:, : e - s]
+        sq[...] = np.minimum(sq, sq.T)
+        D[s:e, s:] = R
+        D[s:, s:e] = R.T
     np.fill_diagonal(D, 0.0)
     return D

@@ -118,6 +118,15 @@ class TestBudget:
         with pytest.raises(DomainError):
             epsilon_net(Interval(1.0), 2.0, 0)
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected_before_generation(self, monkeypatch, budget):
+        def no_grid(*args):
+            raise AssertionError("grid generated")
+
+        monkeypatch.setattr(nets, "_gen", no_grid)
+        with pytest.raises(DomainError, match="budget"):
+            epsilon_net(Sphere(2, 1.0), 0.1, 1, budget=budget, allow_degrade=True)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -180,6 +189,23 @@ class TestVerifyMetric:
         audit = verify_metric(D, 1e-9)
         assert audit.symmetry_defect == pytest.approx(0.5)
         assert not audit.passed
+
+    @pytest.mark.parametrize("i,j", [(1100, 3), (600, 599), (1023, 512), (1199, 0)])
+    def test_asymmetry_in_lower_left_tile_reported_exactly(self, i, j):
+        net = epsilon_net(Sphere(2, 1.0), 0.08, 42)
+        assert net.n > 1024  # three row blocks of 512
+        D = net.dist.copy()
+        D[i, j] += 0.25  # lower triangle only, outside the row block of i's upper strip
+        audit = verify_metric(D, 1e-9)
+        assert audit.symmetry_defect == abs(D[i, j] - D[j, i])
+        assert audit.symmetry_defect == float(np.max(np.abs(D - D.T)))
+        assert not audit.passed
+
+    @pytest.mark.parametrize("i,j", [(5, 5), (700, 40), (40, 700)])
+    def test_one_nan_fails_the_audit(self, i, j):
+        D = epsilon_net(Sphere(2, 1.0), 0.08, 42).dist.copy()
+        D[i, j] = np.nan
+        assert not verify_metric(D, 1e-9).passed
 
 
 class TestEllipsoid:

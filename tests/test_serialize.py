@@ -1,4 +1,5 @@
-"""Descriptor JSON: stored generators, old element-list files, malformed payloads."""
+"""Descriptor JSON: stored generators, old element-list files, malformed payloads;
+stored nets whose matrix and metadata disagree."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from alexgeo import actions, cli, nets, serialize
 from alexgeo.errors import ConstructionError
-from alexgeo.spaces import Cone, Quotient, Sphere
+from alexgeo.spaces import Cone, Lens, Quotient, Sphere
 
 
 def _bits(iso):
@@ -123,4 +124,73 @@ class TestMalformed:
         bad.write_text(text)
         rc = cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestReadNetValidation:
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        net = nets.epsilon_net(Lens(2, 1.0), 0.3, 42)
+        csv = tmp_path / "net.csv"
+        serialize.write_net(net, csv)
+        return net, csv
+
+    def _edit_meta(self, csv, edit):
+        meta_path = csv.with_suffix(".csv.json")
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+
+    def test_valid_net_loads(self, stored):
+        net, csv = stored
+        assert np.array_equal(serialize.read_net(csv).dist, net.dist)
+
+    def test_matrix_smaller_than_metadata_n(self, stored):
+        net, csv = stored
+        np.savetxt(csv, net.dist[:3, :3], delimiter=",", fmt="%.17g")
+        with pytest.raises(ConstructionError, match="shape"):
+            serialize.read_net(csv)
+
+    def test_non_square_matrix(self, stored):
+        net, csv = stored
+        np.savetxt(csv, net.dist[:, :-1], delimiter=",", fmt="%.17g")
+        with pytest.raises(ConstructionError, match="shape"):
+            serialize.read_net(csv)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix(self, stored, bad):
+        net, csv = stored
+        np.savetxt(csv, np.full_like(net.dist, bad), delimiter=",", fmt="%.17g")
+        with pytest.raises(ConstructionError, match="non-finite"):
+            serialize.read_net(csv)
+        D = net.dist.copy()
+        D[2, 5] = bad
+        np.savetxt(csv, D, delimiter=",", fmt="%.17g")
+        with pytest.raises(ConstructionError, match="non-finite"):
+            serialize.read_net(csv)
+
+    def test_boundary_flag_count(self, stored):
+        _, csv = stored
+        self._edit_meta(csv, lambda m: m["is_boundary"].pop())
+        with pytest.raises(ConstructionError, match="boundary flags"):
+            serialize.read_net(csv)
+
+    def test_coordinate_count(self, stored):
+        _, csv = stored
+        self._edit_meta(csv, lambda m: m["coords"]["t"].pop())
+        with pytest.raises(ConstructionError, match="coordinates"):
+            serialize.read_net(csv)
+
+    def test_missing_n(self, stored):
+        _, csv = stored
+        self._edit_meta(csv, lambda m: m.pop("n"))
+        with pytest.raises(ConstructionError, match="'n'"):
+            serialize.read_net(csv)
+
+    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    def test_cli_exits_2_on_a_mismatched_matrix(self, stored, capsys, command):
+        net, csv = stored
+        np.savetxt(csv, net.dist[:3, :3], delimiter=",", fmt="%.17g")
+        argv = [command, "--net", str(csv)] + (["--check", "metric"] if command == "verify" else [])
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")

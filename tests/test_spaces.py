@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from alexgeo import actions, harness, nets, spaces
 from alexgeo import embeddings as emb
-from alexgeo import nets, spaces
 from alexgeo.errors import ConstructionError, DomainError, UnsupportedConstructionError
 from alexgeo.spaces import (
     Cone,
@@ -15,6 +15,7 @@ from alexgeo.spaces import (
     Join,
     Lens,
     ModelBall,
+    Quotient,
     Sphere,
     Suspension,
     cone_distance,
@@ -24,6 +25,7 @@ from alexgeo.spaces import (
     join_distance,
     lens_distance,
     points_equal,
+    self_distance_matrix,
     sphere_distance,
     suspension_distance,
     track_clamping,
@@ -368,6 +370,41 @@ class TestValidation:
         with pytest.raises(ConstructionError):
             ModelBall(1.0, 2.0, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Sphere(2, x),
+            lambda x: Sphere(x),
+            lambda x: Interval(x),
+            lambda x: Ellipsoid(x, 1.0, 1.0),
+            lambda x: Ellipsoid(1.0, 1.0, x),
+            lambda x: Cone(x, Sphere(1, 1.0), 1.0),
+            lambda x: Cone(-1.0, Sphere(1, 1.0), x),
+            lambda x: Lens(x, 1.0),
+            lambda x: ModelBall(x, 1.0, 2),
+            lambda x: ModelBall(0.0, x, 2),
+            lambda x: ModelBall(0.0, 1.0, x),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make, bad):
+        with pytest.raises(ConstructionError):
+            make(bad)
+
+    @pytest.mark.parametrize("space", [Sphere(2, 1.0), Ellipsoid(0.6, 1.0 / 3.0, 0.25)])
+    def test_validate_point_rejects_nan(self, space):
+        with pytest.raises(DomainError):
+            validate_point(space, np.array([math.nan, 0.0, 0.0]))
+
+    def test_scalar_distance_rejects_nan_point(self):
+        bad, e1 = np.array([math.nan, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            distance(Sphere(2), bad, e1)
+        with pytest.raises(DomainError):
+            distance(Sphere(2), e1, bad)
+        with pytest.raises(DomainError):
+            distance(Join(Sphere(2), Interval(1.0)), (bad, 0.5, 0.2), (e1, 0.5, 0.2))
+
 
 class TestClampInstrumentation:
     def test_valid_inputs_clamp_below_1e_12(self):
@@ -399,3 +436,91 @@ class TestBoundaryDistance:
             d = spaces.cross_distance(lens, pk, net.coords)[0]
             observed = float(d[bdry].min())
             assert observed == pytest.approx(analytic, abs=2.0 * net.epsilon_effective)
+
+
+def _matrix_spaces():
+    cap = Cone(1.0, Sphere(1, 1.0), 1.0)
+    cap075 = Cone(1.0, Sphere(1, 0.75), HALF_PI)
+    s3 = Sphere(3, 1.0)
+    return {
+        "sphere_half": Sphere(2, 0.5),
+        "lens3": Lens(3, 1.0),
+        "cone_k-1": Cone(-1.0, Sphere(1, 1.0), 1.0),
+        "suspension_s1": Suspension(Sphere(1, 1.0)),
+        "model_ball": ModelBall(1.0, PI / 4.0, 3),
+        "reflection_z2": harness.spine_example_quotient(reflect=True),
+        "cap075_z8": Quotient(cap075, actions.cyclic_approximation(cap075, 8)),
+        "s3_z8": Quotient(s3, actions.cyclic_approximation(s3, 8)),
+        "cap_z8": Quotient(cap, actions.cyclic_approximation(cap, 8)),
+    }
+
+
+MATRIX_SPACES = _matrix_spaces()
+
+
+def _packed(space, n, seed=5):
+    return spaces.pack_points(space, nets.random_points(space, n, np.random.default_rng(seed)))
+
+
+def _assert_matches_cross(space, C, D):
+    # each pair is evaluated in one orientation only, and the two orientations
+    # may round apart near 0, where arccos resolves about 1.5e-8; the diagonal
+    # is zero by definition (arccosh reads up to ~3e-8 at d(x, x))
+    full = spaces.cross_distance(space, C, C)
+    np.fill_diagonal(full, 0.0)
+    far = full > 1e-6
+    assert np.abs(D - full)[far].max(initial=0.0) <= 1e-12
+    assert np.abs(D - full)[~far].max(initial=0.0) <= 2e-8
+
+
+def _assert_exact_structure(D):
+    assert np.array_equal(D, D.T)
+    assert not np.diag(D).any()
+
+
+class TestSelfDistanceMatrix:
+    @pytest.mark.parametrize("name", list(MATRIX_SPACES))
+    @pytest.mark.parametrize("n,block", [(20, 7), (90, 512)])
+    def test_agrees_with_cross_distance(self, name, n, block):
+        space = MATRIX_SPACES[name]
+        C = _packed(space, n)
+        D = self_distance_matrix(space, C, block=block)
+        assert D.shape == (n, n)
+        _assert_exact_structure(D)
+        _assert_matches_cross(space, C, D)
+
+    @pytest.mark.parametrize("name", ["sphere_half", "cap075_z8"])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    def test_block_edges(self, name, n):
+        space = MATRIX_SPACES[name]
+        C = _packed(space, n)
+        D = self_distance_matrix(space, C)
+        assert D.shape == (n, n)
+        _assert_exact_structure(D)
+        _assert_matches_cross(space, C, D)
+
+    def test_net_orbit_copies_stay_symmetric(self):
+        # orbit copies of one point read ~1e-8 in one orientation and 0 in
+        # the other; the diagonal-block min must still leave D exactly symmetric
+        space = MATRIX_SPACES["cap_z8"]
+        base_net = nets.epsilon_net(space.base, 0.1, 42)
+        D = self_distance_matrix(space, base_net.coords, block=64)
+        _assert_exact_structure(D)
+        _assert_matches_cross(space, base_net.coords, D)
+
+    @pytest.mark.parametrize("name", ["sphere_half", "lens3", "s3_z8", "cap075_z8"])
+    @pytest.mark.parametrize("n,block", [(20, 7), (513, 512), (300, 64)])
+    def test_kernel_sees_each_unordered_pair_once(self, monkeypatch, name, n, block):
+        space = MATRIX_SPACES[name]
+        C = _packed(space, n)
+        inner = spaces.cross_distance
+        seen = []
+
+        def counting(sp, A, B):
+            if sp is space:  # nested factor and base calls are not the matrix's own
+                seen.append(spaces.coords_len(sp, A) * spaces.coords_len(sp, B))
+            return inner(sp, A, B)
+
+        monkeypatch.setattr(spaces, "cross_distance", counting)
+        self_distance_matrix(space, C, block=block)
+        assert sum(seen) <= n * (n + block) / 2
