@@ -37,9 +37,12 @@ def diameter(net: FiniteNet) -> DiameterResult:
     D = net.dist
     if D.shape[0] == 0:
         raise PreconditionError("empty net")
-    flat = int(np.argmax(D))
-    i, j = np.unravel_index(flat, D.shape)
-    return DiameterResult(float(D[i, j]), (int(i), int(j)))
+    # the first row holding the maximum, then its first column: the flat
+    # argmax's witness, without the copy np.argmax makes of a read-only
+    # (frozen) matrix
+    i = int(np.argmax(D.max(axis=1)))
+    j = int(np.argmax(D[i]))
+    return DiameterResult(float(D[i, j]), (i, j))
 
 
 def radius(net: FiniteNet) -> RadiusResult:

@@ -673,9 +673,12 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     best = -math.inf
     witness = (0, 0, 0)
     if n <= full_threshold:
+        # one n x n buffer for every j; (D - col) - row, as D - col - row evaluates
+        M = np.empty(D.shape, dtype=D.dtype)
         for j in range(n):
-            M = D - D[:, j][:, None] - D[j, :][None, :]
-            i, k = np.unravel_index(int(np.argmax(M)), M.shape)
+            np.subtract(D, D[:, j][:, None], out=M)
+            M -= D[j, :][None, :]
+            i, k = divmod(int(np.argmax(M)), M.shape[1])
             if M[i, k] > best:
                 best = float(M[i, k])
                 witness = (int(i), int(j), int(k))

@@ -23,6 +23,18 @@ Point conventions per kind:
 Degenerate coordinates compare equal through the distance function: the
 cone apex ignores its base coordinate, a join point at latitude 0 ignores
 its right coordinate, and so on.
+
+Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
+suspensions and k = 1 cones built from them (so lenses and k = 1 model
+balls too) are convex pieces of one unit sphere, since S^p * S^q =
+S^(p+q+1).  `gram_embedding` maps their packed points to unit rows E(x)
+with cos d(x, y) = <E(x), E(y)>, and `cross_distance` and
+`elementwise_distance` evaluate such a tree as one product of those rows
+and one arccos.  A quotient of such a tree by an element list takes the
+largest product over the group, then one arccos.  Any other tree (a sphere
+factor of radius other than 1, a cone with k != 1, a quotient used as a
+factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
+scalar `distance` always evaluates factor by factor.
 """
 
 from __future__ import annotations
@@ -83,7 +95,7 @@ def _record_excess(excess: float):
 
 def clamped_arccos(x):
     """arccos with the argument clamped to [-1, 1] (tracked when enabled)."""
-    if np.isscalar(x) or isinstance(x, float):
+    if isinstance(x, float) or np.isscalar(x):
         if clamp_stats.enabled:
             _record_excess(abs(float(x)) - 1.0)
         return math.acos(min(1.0, max(-1.0, float(x))))
@@ -93,9 +105,17 @@ def clamped_arccos(x):
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
+def _arccos_in_place(c: np.ndarray) -> np.ndarray:
+    """`clamped_arccos` of a float array the caller owns, written over it."""
+    if clamp_stats.enabled and c.size:
+        _record_excess(float(np.max(np.abs(c))) - 1.0)
+    np.clip(c, -1.0, 1.0, out=c)
+    return np.arccos(c, out=c)
+
+
 def clamped_arccosh(x):
     """arccosh with the argument clamped to [1, inf) (tracked when enabled)."""
-    if np.isscalar(x) or isinstance(x, float):
+    if isinstance(x, float) or np.isscalar(x):
         if clamp_stats.enabled:
             _record_excess(1.0 - float(x))
         return math.acosh(max(1.0, float(x)))
@@ -405,7 +425,7 @@ def sphere_distance(u, v, radius: float = 1.0) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     for name, w in (("u", u), ("v", v)):
-        nrm = float(np.linalg.norm(w))
+        nrm = math.sqrt(float(w.dot(w)))  # np.linalg.norm's own 1-D formula, without its overhead
         if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
     if not radius > 0.0:
@@ -558,7 +578,7 @@ def validate_point(space, p):
         v = np.asarray(p, dtype=float)
         if v.shape != (space.ambient_dim,):
             raise DomainError(f"sphere point must have {space.ambient_dim} components, got {v.shape}")
-        if not abs(float(np.linalg.norm(v)) - 1.0) <= _UNIT_TOL:  # NaN fails too
+        if not abs(math.sqrt(float(v.dot(v))) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {v.tolist()} is not a unit vector")
     elif isinstance(space, Interval):
         if not (-1e-12 <= p <= space.length + 1e-12):
@@ -791,7 +811,20 @@ def unpack_point(space, coords, i: int):
 
 
 def cross_distance(space, A, B) -> np.ndarray:
-    """Pairwise distance matrix (len(A), len(B)) between packed coordinate sets."""
+    """Pairwise distance matrix (len(A), len(B)) between packed coordinate sets.
+
+    A composite tree whose every node is `gram_embeddable` is one matrix
+    product and one arccos; any other tree goes factor by factor.
+    """
+    if isinstance(space, Quotient):
+        return _quotient_cross(space, A, B)
+    if _gram_root(space):
+        return _arccos_in_place(gram_embedding(space, A) @ gram_embedding(space, B).T)
+    return _formula_cross(space, A, B)
+
+
+def _formula_cross(space, A, B) -> np.ndarray:
+    """`cross_distance` by the per-factor laws of cosines, at every level."""
     if isinstance(space, Sphere):
         A2 = np.atleast_2d(np.asarray(A, dtype=float))
         B2 = np.atleast_2d(np.asarray(B, dtype=float))
@@ -801,27 +834,27 @@ def cross_distance(space, A, B) -> np.ndarray:
         b = np.asarray(B, dtype=float)
         return np.abs(a[:, None] - b[None, :])
     if isinstance(space, Join):
-        cl = np.cos(np.minimum(cross_distance(space.left, A.left, B.left), PI))
-        cr = np.cos(np.minimum(cross_distance(space.right, A.right, B.right), PI))
+        cl = np.cos(np.minimum(_formula_cross(space.left, A.left, B.left), PI))
+        cr = np.cos(np.minimum(_formula_cross(space.right, A.right, B.right), PI))
         ca, sa = np.cos(A.t), np.sin(A.t)
         cb, sb = np.cos(B.t), np.sin(B.t)
         c = (ca[:, None] * cb[None, :]) * cl + (sa[:, None] * sb[None, :]) * cr
         return clamped_arccos(c)
     if isinstance(space, Cone):
-        ctheta = np.cos(np.minimum(cross_distance(space.base, A.base, B.base), PI))
+        ctheta = np.cos(np.minimum(_formula_cross(space.base, A.base, B.base), PI))
         return _cone_law_array(space.k, A.t[:, None], B.t[None, :], ctheta)
     if isinstance(space, Suspension):
-        ctheta = np.cos(np.minimum(cross_distance(space.base, A.base, B.base), PI))
+        ctheta = np.cos(np.minimum(_formula_cross(space.base, A.base, B.base), PI))
         c = np.cos(A.u)[:, None] * np.cos(B.u)[None, :] + np.sin(A.u)[:, None] * np.sin(B.u)[
             None, :
         ] * ctheta
         return clamped_arccos(c)
     if isinstance(space, Quotient):
-        return _quotient_cross(space, A, B)
+        return _quotient_cross(space, A, B, gram=False)
     if isinstance(space, Lens):
-        return cross_distance(space.as_join(), A, B)
+        return _formula_cross(space.as_join(), A, B)
     if isinstance(space, ModelBall):
-        return cross_distance(space.as_cone(), A, B)
+        return _formula_cross(space.as_cone(), A, B)
     if isinstance(space, Ellipsoid):
         raise UnsupportedConstructionError(
             "ellipsoid distances require a net-backed geodesic engine, not a closed form"
@@ -843,16 +876,111 @@ def _cone_law_array(k: float, ta, tb, ctheta) -> np.ndarray:
     return clamped_arccosh(c) / s
 
 
-def _quotient_cross(space: Quotient, A, B) -> np.ndarray:
+def _quotient_cross(space: Quotient, A, B, gram: bool = True) -> np.ndarray:
+    """`cross_distance` of a quotient; perfbench's quotient-kernel span wraps this name."""
+    return _orbit_minimum(space, A, B, cross=True, gram=gram)
+
+
+def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray:
+    """min over the group of d(x, g y): the (len(A), len(B)) matrix when `cross`,
+    else the distances of paired rows.
+
+    With `gram` and a `gram_embeddable` base, the largest product
+    <E(x), E(g y)> is taken first and its arccos once; otherwise each
+    element's distances come from the per-factor formulas.
+    """
     if _rotation_order(space) is not None:
-        return rotation_quotient_distance(space, A, B, cross=True)
+        return rotation_quotient_distance(space, A, B, cross=cross)
     from .actions import apply_isometry  # local import to avoid a cycle
 
+    base = space.base
+    moved = (apply_isometry(base, g, B) for g in space.action.elements)
+    if gram and gram_embeddable(base):
+        EA = gram_embedding(base, A)
+        best = None
+        for gB in moved:
+            EB = gram_embedding(base, gB)
+            c = EA @ EB.T if cross else np.einsum("ij,ij->i", EA, EB)
+            best = c if best is None else np.maximum(best, c, out=best)
+        return _arccos_in_place(best)
+    formula = _formula_cross if cross else _formula_elementwise
     best = None
-    for g in space.action.elements:
-        d = cross_distance(space.base, A, apply_isometry(space.base, g, B))
-        best = d if best is None else np.minimum(best, d)
+    for gB in moved:
+        d = formula(base, A, gB)
+        best = d if best is None else np.minimum(best, d, out=best)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Gram embedding
+#
+# A unit sphere (x -> x), an interval of length <= pi (a -> (cos a, sin a)),
+# joins (cos t E_L, sin t E_R), and suspensions and k = 1 cones over such
+# pieces (cos u, sin u E_B) sit isometrically in one unit sphere, because
+# S^p * S^q = S^(p+q+1): each law of cosines above is the inner product of
+# the embedded points.  On such a tree cos d(x, y) = <E(x), E(y)> exactly in
+# real arithmetic, so a distance block is one matrix product and one arccos
+# in place of an arccos and a cosine per level.  A radius other than 1, a
+# k != 1 cone or a quotient factor has no such form and keeps the formulas.
+# ---------------------------------------------------------------------------
+
+
+def gram_embeddable(space) -> bool:
+    """Whether every node of `space` has a unit Gram embedding (see `gram_embedding`)."""
+    if isinstance(space, Sphere):
+        return space.radius == 1.0
+    if isinstance(space, Interval):
+        return space.length <= PI  # |a - b| <= pi, so arccos(cos |a - b|) gives it back
+    if isinstance(space, Join):
+        return gram_embeddable(space.left) and gram_embeddable(space.right)
+    if isinstance(space, Suspension):
+        return gram_embeddable(space.base)
+    if isinstance(space, Cone):
+        return space.k == 1.0 and gram_embeddable(space.base)
+    if isinstance(space, ModelBall):
+        return space.k == 1.0
+    return isinstance(space, Lens)
+
+
+def _gram_root(space) -> bool:
+    """Whether `cross_distance`/`elementwise_distance` take the Gram kernel at `space`.
+
+    A bare sphere already is one product and an interval one subtraction,
+    so only composite trees change path.
+    """
+    return not isinstance(space, (Sphere, Interval)) and gram_embeddable(space)
+
+
+def gram_embedding(space, coords) -> np.ndarray:
+    """Unit rows E(x), one per packed point, with cos d(x, y) = <E(x), E(y)>.
+
+    `space` must be `gram_embeddable`.
+    """
+    if isinstance(space, Sphere):
+        return np.atleast_2d(np.asarray(coords, dtype=float))
+    if isinstance(space, Interval):
+        a = np.asarray(coords, dtype=float)
+        return np.stack([np.cos(a), np.sin(a)], axis=1)
+    if isinstance(space, Lens):
+        return gram_embedding(space.as_join(), coords)
+    if isinstance(space, ModelBall):
+        return gram_embedding(space.as_cone(), coords)
+    if isinstance(space, Join):
+        return _latitude_join(
+            coords.t, gram_embedding(space.left, coords.left), gram_embedding(space.right, coords.right)
+        )
+    # a k = 1 cone or a suspension is the join of a point with its base
+    u = coords.t if isinstance(space, Cone) else coords.u
+    return _latitude_join(u, np.ones((u.shape[0], 1)), gram_embedding(space.base, coords.base))
+
+
+def _latitude_join(t, EL, ER) -> np.ndarray:
+    """Rows (cos t EL, sin t ER)."""
+    w = EL.shape[1]
+    out = np.empty((t.shape[0], w + ER.shape[1]))
+    np.multiply(np.cos(t)[:, None], EL, out=out[:, :w])
+    np.multiply(np.sin(t)[:, None], ER, out=out[:, w:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -961,37 +1089,39 @@ def _rotation_terms(space, A, B, cross: bool):
 
 def elementwise_distance(space, A, B) -> np.ndarray:
     """Distances between paired packed coordinates (equal lengths)."""
+    if isinstance(space, Quotient):
+        return _orbit_minimum(space, A, B, cross=False, gram=True)
+    if _gram_root(space):
+        EA, EB = gram_embedding(space, A), gram_embedding(space, B)
+        return _arccos_in_place(np.einsum("ij,ij->i", EA, EB))
+    return _formula_elementwise(space, A, B)
+
+
+def _formula_elementwise(space, A, B) -> np.ndarray:
+    """`elementwise_distance` by the per-factor laws of cosines, at every level."""
     if isinstance(space, Sphere):
         dots = np.einsum("ij,ij->i", np.atleast_2d(A), np.atleast_2d(B))
         return space.radius * clamped_arccos(dots)
     if isinstance(space, Interval):
         return np.abs(np.asarray(A, dtype=float) - np.asarray(B, dtype=float))
     if isinstance(space, Join):
-        cl = np.cos(np.minimum(elementwise_distance(space.left, A.left, B.left), PI))
-        cr = np.cos(np.minimum(elementwise_distance(space.right, A.right, B.right), PI))
+        cl = np.cos(np.minimum(_formula_elementwise(space.left, A.left, B.left), PI))
+        cr = np.cos(np.minimum(_formula_elementwise(space.right, A.right, B.right), PI))
         c = np.cos(A.t) * np.cos(B.t) * cl + np.sin(A.t) * np.sin(B.t) * cr
         return clamped_arccos(c)
     if isinstance(space, Cone):
-        ct = np.cos(np.minimum(elementwise_distance(space.base, A.base, B.base), PI))
+        ct = np.cos(np.minimum(_formula_elementwise(space.base, A.base, B.base), PI))
         return _cone_law_array(space.k, A.t, B.t, ct)
     if isinstance(space, Suspension):
-        ct = np.cos(np.minimum(elementwise_distance(space.base, A.base, B.base), PI))
+        ct = np.cos(np.minimum(_formula_elementwise(space.base, A.base, B.base), PI))
         c = np.cos(A.u) * np.cos(B.u) + np.sin(A.u) * np.sin(B.u) * ct
         return clamped_arccos(c)
     if isinstance(space, Quotient):
-        if _rotation_order(space) is not None:
-            return rotation_quotient_distance(space, A, B, cross=False)
-        from .actions import apply_isometry
-
-        best = None
-        for g in space.action.elements:
-            d = elementwise_distance(space.base, A, apply_isometry(space.base, g, B))
-            best = d if best is None else np.minimum(best, d)
-        return best
+        return _orbit_minimum(space, A, B, cross=False, gram=False)
     if isinstance(space, Lens):
-        return elementwise_distance(space.as_join(), A, B)
+        return _formula_elementwise(space.as_join(), A, B)
     if isinstance(space, ModelBall):
-        return elementwise_distance(space.as_cone(), A, B)
+        return _formula_elementwise(space.as_cone(), A, B)
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 

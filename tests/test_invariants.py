@@ -23,6 +23,28 @@ class TestDiameterRadius:
         i, j = diam.witness
         assert net.dist[i, j] == diam.value
 
+    @pytest.mark.parametrize("case", ["ties", "nan"])
+    def test_diameter_witness_is_the_flat_argmax_without_a_copy(self, case):
+        import tracemalloc
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(3)
+        D = rng.integers(0, 5, (700, 700)).astype(float)  # many entries tie at the maximum
+        D = np.maximum(D, D.T)
+        if case == "nan":
+            D[300, 12] = D[12, 300] = np.nan
+        D.setflags(write=False)  # as epsilon_net freezes its matrix
+        tracemalloc.start()
+        try:
+            diam = inv.diameter(SimpleNamespace(dist=D))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        flat = np.unravel_index(int(np.argmax(D)), D.shape)
+        assert diam.witness == (int(flat[0]), int(flat[1]))
+        assert diam.value == D[flat] or (case == "nan" and math.isnan(diam.value))
+        assert peak < D.nbytes / 10
+
     def test_half_radius_sphere_radius(self):
         net = epsilon_net(Sphere(2, 0.5), 0.05, 42)
         rad = inv.radius(net)

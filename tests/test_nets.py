@@ -207,6 +207,39 @@ class TestVerifyMetric:
         D[i, j] = np.nan
         assert not verify_metric(D, 1e-9).passed
 
+    @pytest.mark.parametrize("case", ["planted_violation", "tied_maxima", "subtraction_order"])
+    def test_exhaustive_defect_and_witness_match_a_plain_loop(self, case):
+        rng = np.random.default_rng(31)
+        n = 40
+        if case == "planted_violation":
+            X = rng.standard_normal((n, 3))
+            X /= np.linalg.norm(X, axis=1)[:, None]
+            D = np.arccos(np.clip(X @ X.T, -1.0, 1.0))
+            D[7, 29] = D[29, 7] = D[7, 29] + 0.3
+        elif case == "tied_maxima":
+            # small integers: many triples share the largest defect, so the
+            # witness is decided by the scan order alone
+            D = rng.integers(0, 4, (n, n)).astype(float)
+            D = np.maximum(D, D.T)
+        else:
+            # (0.2 - 0.1) - 0.05 and (0.2 - 0.05) - 0.1 round apart, so this
+            # pins d(i, j) as the first term subtracted
+            D = np.zeros((3, 3))
+            D[0, 1], D[0, 2], D[1, 2] = 0.1, 0.2, 0.05
+            n = 3
+        np.fill_diagonal(D, 0.0)
+        best, witness = -math.inf, (0, 0, 0)
+        for j in range(n):
+            for i in range(n):
+                for k in range(n):
+                    v = float(D[i, k] - D[i, j] - D[j, k])
+                    if v > best:
+                        best, witness = v, (i, j, k)
+        audit = verify_metric(D, 1e-9)
+        assert audit.exhaustive
+        assert audit.triangle_defect == best
+        assert audit.witness == witness
+
 
 class TestEllipsoid:
     def test_round_limit_antipodal(self):
