@@ -278,7 +278,7 @@ def group_from_generators(space, generators, name: str = "", max_order: int = 40
     probes = spaces.pack_points(space, random_points(space, 32, rng))
 
     def signature(iso):
-        return np.round(_flatten_coords(apply_isometry(space, iso, probes)), 9).tobytes()
+        return np.round(spaces.coords_flat(apply_isometry(space, iso, probes)), 9).tobytes()
 
     gens = tuple(generators)
     gen_sigs = [signature(h) for h in gens]
@@ -318,19 +318,6 @@ def group_from_generators(space, generators, name: str = "", max_order: int = 40
     return GroupAction(space=space, elements=tuple(known.values()), name=name, generators=gens)
 
 
-def _flatten_coords(coords) -> np.ndarray:
-    """Packed coordinates as one flat array, for comparing isometries on probes."""
-    if isinstance(coords, spaces.JoinCoords):
-        parts = (coords.left, coords.t, coords.right)
-    elif isinstance(coords, spaces.ConeCoords):
-        parts = (coords.t, coords.base)
-    elif isinstance(coords, spaces.SuspCoords):
-        parts = (coords.u, coords.base)
-    else:
-        return np.asarray(coords, dtype=float).ravel()
-    return np.concatenate([_flatten_coords(c) for c in parts])
-
-
 @dataclass
 class ActionAudit:
     has_identity: bool
@@ -356,7 +343,7 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     probes = spaces.pack_points(space, random_points(space, 16, rng))
 
     def table(iso):
-        return _flatten_coords(apply_isometry(space, iso, probes))
+        return spaces.coords_flat(apply_isometry(space, iso, probes))
 
     tables = [table(g) for g in action.elements]
     ident_tab = table(identity_for(space))

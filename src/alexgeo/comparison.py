@@ -31,6 +31,7 @@ from .spaces import (
     boundary_distance,
     clamped_arccos,
     distance,
+    vector_norm,
 )
 
 _CANONICAL_K = (-1.0, 0.0, 1.0)
@@ -284,7 +285,7 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
 
         def at(s):
             v = rho * e1 + s * e2
-            t = float(np.linalg.norm(v))
+            t = vector_norm(v)
             return (t, v / t)
 
     elif k > 0.0:
@@ -296,7 +297,7 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
         def at(s):
             t = clamped_arccos(math.cos(sq * s) * math.cos(sq * rho)) / sq
             v = math.cos(sq * s) * math.sin(sq * rho) * e1 + math.sin(sq * s) * e2
-            n = float(np.linalg.norm(v))
+            n = vector_norm(v)
             return (t, v / n if n > 0 else e1)
 
     else:
@@ -306,7 +307,7 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
         def at(s):
             t = math.acosh(max(1.0, math.cosh(sq * s) * math.cosh(sq * rho))) / sq
             v = math.cosh(sq * s) * math.sinh(sq * rho) * e1 + math.sinh(sq * s) * e2
-            n = float(np.linalg.norm(v))
+            n = vector_norm(v)
             return (t, v / n if n > 0 else e1)
 
     n_steps = int(math.floor(2.0 * s_exit / step)) + 1
@@ -401,8 +402,8 @@ def comparison_trace(space, lambda0: float, k: float, path, step: float) -> Comp
         raise PreconditionError("path needs at least three samples")
     pk = spaces.pack_points(space, list(path))
     n = len(path)
-    head = spaces.coords_take(space, pk, np.arange(0, n - 1))
-    tail = spaces.coords_take(space, pk, np.arange(1, n))
+    head = spaces.coords_take(pk, np.arange(0, n - 1))
+    tail = spaces.coords_take(pk, np.arange(1, n))
     gaps = spaces.elementwise_distance(space, head, tail)
     worst = float(np.max(np.abs(gaps - step)))
     if worst > 1e-6:
@@ -528,7 +529,7 @@ def _convexity_probe_lens(space: Lens, lambda0: float, probes: int, scale: float
         normal[-2] = -math.sin(alpha / 2.0)
         normal[-1] = math.cos(alpha / 2.0)
         foot = x_emb - float(x_emb @ normal) * normal
-        nf = float(np.linalg.norm(foot))
+        nf = vector_norm(foot)
         if nf < 1e-9:
             continue
         foot /= nf
@@ -536,14 +537,14 @@ def _convexity_probe_lens(space: Lens, lambda0: float, probes: int, scale: float
         w = rng.standard_normal(n + 1)
         w -= float(w @ foot) * foot
         w -= float(w @ normal) * normal
-        wn = float(np.linalg.norm(w))
+        wn = vector_norm(w)
         if wn < 1e-9:
             continue
         w /= wn
         q = math.cos(scale) * foot + math.sin(scale) * w
         d_px = clamped_arccos(float(x_emb @ foot))
         u_x = x_emb - math.cos(d_px) * foot
-        u_x /= np.linalg.norm(u_x)
+        u_x /= vector_norm(u_x)
         cosang = float(u_x @ w)
         defect = scale * cosang - 0.5 * lambda0 * scale**2
         vals[got] = defect / scale**2
@@ -552,7 +553,7 @@ def _convexity_probe_lens(space: Lens, lambda0: float, probes: int, scale: float
 
 
 def _unit(v):
-    return v / np.linalg.norm(v)
+    return v / vector_norm(v)
 
 
 def _lens_embed(n: int, alpha: float, x_sphere, t: float, s: float) -> np.ndarray:

@@ -79,7 +79,7 @@ class FiniteNet:
     def point(self, i: int):
         if self.coords is None:
             raise PreconditionError("net was loaded without coordinates")
-        return unpack_point(self.space, self.coords, i)
+        return unpack_point(self.coords, i)
 
     def boundary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.is_boundary)
@@ -208,7 +208,7 @@ def _gen(space, eps, rng, phase: float = 0.0):
         flags[0] = flags[-1] = True
         return grid, flags
     if isinstance(space, Join):
-        return _gen_join(space.left, space.right, eps, rng, lens_like=False)
+        return _gen_join(space.left, space.right, eps, rng)
     if isinstance(space, Cone):
         return _gen_cone(space, eps, rng)
     if isinstance(space, Suspension):
@@ -216,7 +216,7 @@ def _gen(space, eps, rng, phase: float = 0.0):
     if isinstance(space, Quotient):
         return _gen(space.base, eps, rng, phase)
     if isinstance(space, Lens):
-        return _gen_join(Sphere(space.dim - 2, 1.0), Interval(space.alpha), eps, rng, lens_like=True)
+        return _gen_join(Sphere(space.dim - 2, 1.0), Interval(space.alpha), eps, rng)
     if isinstance(space, ModelBall):
         return _gen_cone(space.as_cone(), eps, rng)
     if isinstance(space, Ellipsoid):
@@ -277,15 +277,14 @@ def _gen_sphere3(space: Sphere, eps):
     return pts, np.zeros(pts.shape[0], dtype=bool)
 
 
-def _gen_join(left, right, eps, rng, lens_like: bool):
+def _gen_join(left, right, eps, rng):
     dt = 1.10 * eps
     cov = 0.55 * eps
     n_t = max(2, math.ceil(HALF_PI / dt) + 1)
     ts = np.linspace(0.0, HALF_PI, n_t)
     diam_l = diameter_bound(left)
     diam_r = diameter_bound(right)
-    part_coords, part_flags, part_ts = [], [], []
-    join_desc = Join(left, right)
+    part_coords, part_flags = [], []
     for j, t in enumerate(ts):
         ct, st = math.cos(t), math.sin(t)
         if ct * diam_l <= 2.0 * cov:
@@ -298,8 +297,8 @@ def _gen_join(left, right, eps, rng, lens_like: bool):
             rf = np.zeros(1, dtype=bool)
         else:
             rc, rf = _gen(right, cov / st, rng, phase=j * _GOLDEN * _GOLDEN)
-        nl = coords_len(left, lc)
-        nr = coords_len(right, rc)
+        nl = coords_len(lc)
+        nr = coords_len(rc)
         li = np.repeat(np.arange(nl), nr)
         ri = np.tile(np.arange(nr), nl)
         flags = lf[li] | rf[ri]
@@ -307,12 +306,9 @@ def _gen_join(left, right, eps, rng, lens_like: bool):
             flags = np.ones(nl * nr, dtype=bool)
         if t == ts[-1] and has_boundary(left):
             flags = np.ones(nl * nr, dtype=bool)
-        part_coords.append(
-            JoinCoords(coords_take(left, lc, li), np.full(nl * nr, t), coords_take(right, rc, ri))
-        )
+        part_coords.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
         part_flags.append(flags)
-        part_ts.append(t)
-    coords = coords_concat(join_desc, part_coords)
+    coords = coords_concat(part_coords)
     return coords, np.concatenate(part_flags)
 
 
@@ -331,7 +327,7 @@ def _gen_cone(space: Cone, eps, rng):
             bf = np.zeros(1, dtype=bool)
         else:
             bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
-        nb = coords_len(space.base, bc)
+        nb = coords_len(bc)
         flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
         if t == ts[-1]:
             flags = np.ones(nb, dtype=bool)  # the cap t = r0
@@ -339,7 +335,7 @@ def _gen_cone(space: Cone, eps, rng):
             flags = np.ones(nb, dtype=bool)
         part_coords.append(ConeCoords(np.full(nb, t), bc))
         part_flags.append(flags)
-    coords = coords_concat(space, part_coords)
+    coords = coords_concat(part_coords)
     return coords, np.concatenate(part_flags)
 
 
@@ -358,13 +354,13 @@ def _gen_suspension(space: Suspension, eps, rng):
             bf = np.zeros(1, dtype=bool)
         else:
             bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
-        nb = coords_len(space.base, bc)
+        nb = coords_len(bc)
         flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
         if (u == 0.0 or u == us[-1]) and base_has_bdry:
             flags = np.ones(nb, dtype=bool)  # poles lie in the closure of the boundary
         part_coords.append(SuspCoords(np.full(nb, u), bc))
         part_flags.append(flags)
-    coords = coords_concat(space, part_coords)
+    coords = coords_concat(part_coords)
     return coords, np.concatenate(part_flags)
 
 
@@ -557,7 +553,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
     rng = np.random.default_rng(seed)
     eff = float(epsilon)
     coords, flags = _gen(space, eff, rng)
-    n = coords_len(space, coords)
+    n = coords_len(coords)
     if n > budget:
         if not allow_degrade:
             raise CapacityError(
@@ -571,7 +567,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
             eff *= 1.03 * (n / budget) ** (1.0 / dim)
             rng = np.random.default_rng(seed)
             coords, flags = _gen(space, eff, rng)
-            n = coords_len(space, coords)
+            n = coords_len(coords)
             if n <= budget:
                 break
         else:
@@ -587,7 +583,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         # orbit copies read up to ~1.5e-8 apart (arccos resolution near 0), so tol must sit above that
         keep = _dedupe_indices(D, dedupe_tol)
         if keep.shape[0] < n:
-            coords = coords_take(space, coords, keep)
+            coords = coords_take(coords, keep)
             flags = flags[keep]
             D = D[np.ix_(keep, keep)]
             n = keep.shape[0]
@@ -723,7 +719,7 @@ def covering_check(net: FiniteNet, n_probes: int = 10_000, seed: int = 1234) -> 
     block = max(1, 2_000_000 // max(net.n, 1))
     for start in range(0, n_probes, block):
         idx = np.arange(start, min(start + block, n_probes))
-        d = cross_distance(net.space, coords_take(net.space, pk, idx), net.coords)
+        d = cross_distance(net.space, coords_take(pk, idx), net.coords)
         worst = max(worst, float(np.max(np.min(d, axis=1))))
     return worst
 

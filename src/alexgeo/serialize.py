@@ -12,6 +12,7 @@ inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,28 +94,11 @@ def _space_from_json(payload: dict):
     raise ConstructionError(f"unknown descriptor kind {kind!r}")
 
 
-def coords_to_json(space, coords):
-    if isinstance(space, (Sphere, Ellipsoid)):
+def coords_to_json(coords):
+    """Packed coordinates as JSON: nested lists, a record as an object keyed by its fields."""
+    if not is_dataclass(coords):
         return np.asarray(coords).tolist()
-    if isinstance(space, Interval):
-        return np.asarray(coords).tolist()
-    if isinstance(space, Join):
-        return {
-            "left": coords_to_json(space.left, coords.left),
-            "t": coords.t.tolist(),
-            "right": coords_to_json(space.right, coords.right),
-        }
-    if isinstance(space, Cone):
-        return {"t": coords.t.tolist(), "base": coords_to_json(space.base, coords.base)}
-    if isinstance(space, Suspension):
-        return {"u": coords.u.tolist(), "base": coords_to_json(space.base, coords.base)}
-    if isinstance(space, Quotient):
-        return coords_to_json(space.base, coords)
-    if isinstance(space, Lens):
-        return coords_to_json(space.as_join(), coords)
-    if isinstance(space, ModelBall):
-        return coords_to_json(space.as_cone(), coords)
-    raise ConstructionError(f"cannot serialize coordinates for {space!r}")
+    return {f.name: coords_to_json(getattr(coords, f.name)) for f in fields(coords)}
 
 
 def coords_from_json(space, payload):
@@ -126,14 +110,10 @@ def coords_from_json(space, payload):
             np.asarray(payload["t"], dtype=float),
             coords_from_json(space.right, payload["right"]),
         )
-    if isinstance(space, Cone):
-        return ConeCoords(
-            np.asarray(payload["t"], dtype=float), coords_from_json(space.base, payload["base"])
-        )
-    if isinstance(space, Suspension):
-        return SuspCoords(
-            np.asarray(payload["u"], dtype=float), coords_from_json(space.base, payload["base"])
-        )
+    if isinstance(space, (Cone, Suspension)):
+        record, radial = (ConeCoords, "t") if isinstance(space, Cone) else (SuspCoords, "u")
+        base = coords_from_json(space.base, payload["base"])
+        return record(np.asarray(payload[radial], dtype=float), base)
     if isinstance(space, Quotient):
         return coords_from_json(space.base, payload)
     if isinstance(space, Lens):
@@ -172,7 +152,7 @@ def net_metadata(net: FiniteNet) -> dict:
         "seed": net.seed,
         "n": net.n,
         "is_boundary": [int(b) for b in net.is_boundary],
-        "coords": coords_to_json(net.space, net.coords),
+        "coords": coords_to_json(net.coords),
         "meta": net.meta,
     }
 
@@ -199,8 +179,8 @@ def read_net(csv_path) -> FiniteNet:
     meta_path = csv_path.with_suffix(csv_path.suffix + ".json")
     meta = json.loads(meta_path.read_text())
     space = space_from_json(meta["space"])
-    coords = coords_from_json(space, meta["coords"]) if "coords" in meta else None
     with json_fields("net metadata"):
+        coords = coords_from_json(space, meta["coords"]) if "coords" in meta else None
         n = int(meta["n"])
         is_boundary = np.asarray(meta["is_boundary"], dtype=bool)
     # the matrix, flags and coordinates must all describe the same n points
@@ -208,7 +188,7 @@ def read_net(csv_path) -> FiniteNet:
         raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
     if is_boundary.shape != (n,):
         raise ConstructionError(f"net metadata has {is_boundary.size} boundary flags for n = {n}")
-    n_coords = n if coords is None else spaces.coords_len(space, coords)
+    n_coords = n if coords is None else spaces.coords_len(coords)
     if n_coords != n:
         raise ConstructionError(f"net metadata has {n_coords} coordinates for n = {n}")
     if not np.all(np.isfinite(D)):

@@ -35,13 +35,23 @@ largest product over the group, then one arccos.  Any other tree (a sphere
 factor of radius other than 1, a cone with k != 1, a quotient used as a
 factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
 scalar `distance` always evaluates factor by factor.
+
+Packed coordinates.  `pack_points` turns a list of points into packed
+coordinates, one entry per point along the first axis.  A leaf is an
+ndarray: 1-D for interval values, 2-D with one row per point for sphere and
+ellipsoid points.  A record (`JoinCoords`, `ConeCoords`, `SuspCoords`) is a
+dataclass whose fields are packed coordinates of one common length, in the
+order of the point tuple.  Lenses, model balls and quotients reuse the
+records of their join, cone or base.  Since each record carries its own
+layout, `coords_len`, `coords_take`, `coords_concat`, `unpack_point` and
+`coords_flat` recurse on the coordinates alone and need no descriptor.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -420,12 +430,17 @@ def diameter_bound(space) -> float:
 _UNIT_TOL = 1e-12
 
 
+def vector_norm(v) -> float:
+    """Euclidean norm of a 1-D float array: np.linalg.norm's own formula, without its overhead."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def sphere_distance(u, v, radius: float = 1.0) -> float:
     """Great-circle distance radius * arccos(<u, v>) between unit vectors."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     for name, w in (("u", u), ("v", v)):
-        nrm = math.sqrt(float(w.dot(w)))  # np.linalg.norm's own 1-D formula, without its overhead
+        nrm = vector_norm(w)
         if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
     if not radius > 0.0:
@@ -578,7 +593,7 @@ def validate_point(space, p):
         v = np.asarray(p, dtype=float)
         if v.shape != (space.ambient_dim,):
             raise DomainError(f"sphere point must have {space.ambient_dim} components, got {v.shape}")
-        if not abs(math.sqrt(float(v.dot(v))) - 1.0) <= _UNIT_TOL:  # NaN fails too
+        if not abs(vector_norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {v.tolist()} is not a unit vector")
     elif isinstance(space, Interval):
         if not (-1e-12 <= p <= space.length + 1e-12):
@@ -679,135 +694,92 @@ class SuspCoords:
 
 def pack_points(space, points):
     """Pack a list of scalar points into column arrays for vectorized work."""
-    if isinstance(space, Sphere):
-        return np.asarray([np.asarray(p, dtype=float) for p in points], dtype=float).reshape(
-            len(points), space.ambient_dim
-        )
+    if isinstance(space, (Sphere, Ellipsoid)):
+        width = space.ambient_dim if isinstance(space, Sphere) else 3
+        rows = [np.asarray(p, dtype=float) for p in points]
+        return np.asarray(rows, dtype=float).reshape(len(points), width)
     if isinstance(space, Interval):
         return np.asarray([float(p) for p in points], dtype=float)
-    if isinstance(space, Ellipsoid):
-        return np.asarray([np.asarray(p, dtype=float) for p in points], dtype=float).reshape(
-            len(points), 3
-        )
     if isinstance(space, Join):
         return JoinCoords(
             left=pack_points(space.left, [p[0] for p in points]),
             t=np.asarray([float(p[1]) for p in points], dtype=float),
             right=pack_points(space.right, [p[2] for p in points]),
         )
-    if isinstance(space, Cone):
-        return ConeCoords(
-            t=np.asarray([float(p[0]) for p in points], dtype=float),
-            base=pack_points(space.base, [p[1] for p in points]),
-        )
-    if isinstance(space, Suspension):
-        return SuspCoords(
-            u=np.asarray([float(p[0]) for p in points], dtype=float),
-            base=pack_points(space.base, [p[1] for p in points]),
-        )
+    if isinstance(space, (Cone, Suspension)):
+        record = ConeCoords if isinstance(space, Cone) else SuspCoords
+        radial = np.asarray([float(p[0]) for p in points], dtype=float)
+        return record(radial, pack_points(space.base, [p[1] for p in points]))
     if isinstance(space, Quotient):
         return pack_points(space.base, points)
     if isinstance(space, Lens):
-        j = space.as_join()
-        return pack_points(j, points)
+        return pack_points(space.as_join(), points)
     if isinstance(space, ModelBall):
         return pack_points(space.as_cone(), points)
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
-def coords_len(space, coords) -> int:
-    if isinstance(space, (Sphere, Interval, Ellipsoid)):
+def _parts(coords) -> list:
+    """The fields of a coordinate record, in the order of the point tuple."""
+    return [getattr(coords, f.name) for f in fields(coords)]
+
+
+def coords_len(coords) -> int:
+    """Number of packed points; the fields of a record must agree on it."""
+    if not is_dataclass(coords):
         return int(np.asarray(coords).shape[0])
-    if isinstance(space, Join):
-        return coords.t.shape[0]
-    if isinstance(space, Cone):
-        return coords.t.shape[0]
-    if isinstance(space, Suspension):
-        return coords.u.shape[0]
-    if isinstance(space, Quotient):
-        return coords_len(space.base, coords)
-    if isinstance(space, Lens):
-        return coords.t.shape[0]
-    if isinstance(space, ModelBall):
-        return coords.t.shape[0]
-    raise ConstructionError(f"unknown descriptor {space!r}")
+    lengths = {coords_len(part) for part in _parts(coords)}
+    if len(lengths) != 1:
+        raise ConstructionError(
+            f"packed {type(coords).__name__} coordinates disagree in length: {sorted(lengths)}"
+        )
+    return lengths.pop()
 
 
-def coords_take(space, coords, idx):
+def coords_take(coords, idx):
     """Sub-select packed coordinates by an index array or slice."""
-    if isinstance(space, (Sphere, Interval, Ellipsoid)):
+    if not is_dataclass(coords):
         return np.asarray(coords)[idx]
-    if isinstance(space, Join):
-        return JoinCoords(
-            coords_take(space.left, coords.left, idx),
-            coords.t[idx],
-            coords_take(space.right, coords.right, idx),
-        )
-    if isinstance(space, Cone):
-        return ConeCoords(coords.t[idx], coords_take(space.base, coords.base, idx))
-    if isinstance(space, Suspension):
-        return SuspCoords(coords.u[idx], coords_take(space.base, coords.base, idx))
-    if isinstance(space, Quotient):
-        return coords_take(space.base, coords, idx)
-    if isinstance(space, Lens):
-        j = space.as_join()
-        return coords_take(j, coords, idx)
-    if isinstance(space, ModelBall):
-        return coords_take(space.as_cone(), coords, idx)
-    raise ConstructionError(f"unknown descriptor {space!r}")
+    return type(coords)(*(coords_take(part, idx) for part in _parts(coords)))
 
 
-def coords_concat(space, parts):
-    if isinstance(space, (Sphere, Interval, Ellipsoid)):
+def coords_concat(parts):
+    """Packed coordinates of `parts`, one after the other."""
+    first = parts[0]
+    if not is_dataclass(first):
         return np.concatenate([np.asarray(p) for p in parts], axis=0)
-    if isinstance(space, Join):
-        return JoinCoords(
-            coords_concat(space.left, [p.left for p in parts]),
-            np.concatenate([p.t for p in parts]),
-            coords_concat(space.right, [p.right for p in parts]),
-        )
-    if isinstance(space, Cone):
-        return ConeCoords(
-            np.concatenate([p.t for p in parts]),
-            coords_concat(space.base, [p.base for p in parts]),
-        )
-    if isinstance(space, Suspension):
-        return SuspCoords(
-            np.concatenate([p.u for p in parts]),
-            coords_concat(space.base, [p.base for p in parts]),
-        )
-    if isinstance(space, Quotient):
-        return coords_concat(space.base, parts)
-    if isinstance(space, Lens):
-        return coords_concat(space.as_join(), parts)
-    if isinstance(space, ModelBall):
-        return coords_concat(space.as_cone(), parts)
-    raise ConstructionError(f"unknown descriptor {space!r}")
+    return type(first)(*(coords_concat([getattr(p, f.name) for p in parts]) for f in fields(first)))
 
 
-def unpack_point(space, coords, i: int):
-    if isinstance(space, (Sphere, Ellipsoid)):
-        return np.asarray(coords)[i]
-    if isinstance(space, Interval):
-        return float(np.asarray(coords)[i])
-    if isinstance(space, Join):
-        return (
-            unpack_point(space.left, coords.left, i),
-            float(coords.t[i]),
-            unpack_point(space.right, coords.right, i),
-        )
-    if isinstance(space, Cone):
-        return (float(coords.t[i]), unpack_point(space.base, coords.base, i))
-    if isinstance(space, Suspension):
-        return (float(coords.u[i]), unpack_point(space.base, coords.base, i))
-    if isinstance(space, Quotient):
-        return unpack_point(space.base, coords, i)
-    if isinstance(space, Lens):
-        x, t, s = unpack_point(space.as_join(), coords, i)
-        return (x, t, s)
-    if isinstance(space, ModelBall):
-        return unpack_point(space.as_cone(), coords, i)
-    raise ConstructionError(f"unknown descriptor {space!r}")
+def unpack_point(coords, i: int):
+    """Point i as `pack_points` takes it: a float, a row, or a tuple of its record's fields."""
+    if is_dataclass(coords):
+        return tuple(unpack_point(part, i) for part in _parts(coords))
+    return float(coords[i]) if coords.ndim == 1 else coords[i]
+
+
+def coords_flat(coords) -> np.ndarray:
+    """Packed coordinates as one flat array, the fields of a record in order."""
+    if not is_dataclass(coords):
+        return np.asarray(coords, dtype=float).ravel()
+    return np.concatenate([coords_flat(part) for part in _parts(coords)])
+
+
+def _pairs(a, b, cross: bool):
+    """(a[:, None], b[None, :]) for a cross block, else (a, b) for paired rows."""
+    return (a[:, None], b[None, :]) if cross else (a, b)
+
+
+def _inner(A, B, cross: bool) -> np.ndarray:
+    """Inner products of rows: the block A B^T when `cross`, else of paired rows."""
+    return A @ B.T if cross else np.einsum("ij,ij->i", A, B)
+
+
+def _trig_pairs(a, b, cross: bool):
+    """(cos a cos b, sin a sin b), paired as `_pairs` pairs them."""
+    ca, cb = _pairs(np.cos(a), np.cos(b), cross)
+    sa, sb = _pairs(np.sin(a), np.sin(b), cross)
+    return ca * cb, sa * sb
 
 
 def cross_distance(space, A, B) -> np.ndarray:
@@ -816,45 +788,54 @@ def cross_distance(space, A, B) -> np.ndarray:
     A composite tree whose every node is `gram_embeddable` is one matrix
     product and one arccos; any other tree goes factor by factor.
     """
+    return _distance(space, A, B, cross=True)
+
+
+def elementwise_distance(space, A, B) -> np.ndarray:
+    """Distances between paired packed coordinates (equal lengths)."""
+    return _distance(space, A, B, cross=False)
+
+
+def _distance(space, A, B, cross: bool) -> np.ndarray:
+    """`cross_distance` when `cross`, else `elementwise_distance`: the Gram
+    kernel at the root only, so that subtrees keep their formulas."""
     if isinstance(space, Quotient):
-        return _quotient_cross(space, A, B)
+        if cross:
+            return _quotient_cross(space, A, B)
+        return _orbit_minimum(space, A, B, cross=False, gram=True)
     if _gram_root(space):
-        return _arccos_in_place(gram_embedding(space, A) @ gram_embedding(space, B).T)
-    return _formula_cross(space, A, B)
+        return _arccos_in_place(_inner(gram_embedding(space, A), gram_embedding(space, B), cross))
+    return _formula(space, A, B, cross)
 
 
-def _formula_cross(space, A, B) -> np.ndarray:
-    """`cross_distance` by the per-factor laws of cosines, at every level."""
+def _formula(space, A, B, cross: bool) -> np.ndarray:
+    """`_distance` by the per-factor laws of cosines, at every level.
+
+    A suspension is the k = 1 cone law in its colatitude, since
+    cos u1 cos u2 + sin u1 sin u2 cos theta is that law with sqrt(k) = 1.
+    """
     if isinstance(space, Sphere):
-        A2 = np.atleast_2d(np.asarray(A, dtype=float))
-        B2 = np.atleast_2d(np.asarray(B, dtype=float))
-        return space.radius * clamped_arccos(A2 @ B2.T)
+        return space.radius * clamped_arccos(_inner(np.atleast_2d(A), np.atleast_2d(B), cross))
     if isinstance(space, Interval):
-        a = np.asarray(A, dtype=float)
-        b = np.asarray(B, dtype=float)
-        return np.abs(a[:, None] - b[None, :])
+        a, b = _pairs(np.asarray(A, dtype=float), np.asarray(B, dtype=float), cross)
+        return np.abs(a - b)
     if isinstance(space, Join):
-        cl = np.cos(np.minimum(_formula_cross(space.left, A.left, B.left), PI))
-        cr = np.cos(np.minimum(_formula_cross(space.right, A.right, B.right), PI))
-        ca, sa = np.cos(A.t), np.sin(A.t)
-        cb, sb = np.cos(B.t), np.sin(B.t)
-        c = (ca[:, None] * cb[None, :]) * cl + (sa[:, None] * sb[None, :]) * cr
-        return clamped_arccos(c)
-    if isinstance(space, Cone):
-        ctheta = np.cos(np.minimum(_formula_cross(space.base, A.base, B.base), PI))
-        return _cone_law_array(space.k, A.t[:, None], B.t[None, :], ctheta)
-    if isinstance(space, Suspension):
-        ctheta = np.cos(np.minimum(_formula_cross(space.base, A.base, B.base), PI))
-        c = np.cos(A.u)[:, None] * np.cos(B.u)[None, :] + np.sin(A.u)[:, None] * np.sin(B.u)[
-            None, :
-        ] * ctheta
-        return clamped_arccos(c)
+        cl = np.cos(np.minimum(_formula(space.left, A.left, B.left, cross), PI))
+        cr = np.cos(np.minimum(_formula(space.right, A.right, B.right, cross), PI))
+        cc, ss = _trig_pairs(A.t, B.t, cross)
+        return clamped_arccos(cc * cl + ss * cr)
+    if isinstance(space, (Cone, Suspension)):
+        ctheta = np.cos(np.minimum(_formula(space.base, A.base, B.base, cross), PI))
+        k, ta, tb = (space.k, A.t, B.t) if isinstance(space, Cone) else (1.0, A.u, B.u)
+        return _cone_law_array(k, *_pairs(ta, tb, cross), ctheta)
     if isinstance(space, Quotient):
-        return _quotient_cross(space, A, B, gram=False)
+        if cross:
+            return _quotient_cross(space, A, B, gram=False)
+        return _orbit_minimum(space, A, B, cross=False, gram=False)
     if isinstance(space, Lens):
-        return _formula_cross(space.as_join(), A, B)
+        return _formula(space.as_join(), A, B, cross)
     if isinstance(space, ModelBall):
-        return _formula_cross(space.as_cone(), A, B)
+        return _formula(space.as_cone(), A, B, cross)
     if isinstance(space, Ellipsoid):
         raise UnsupportedConstructionError(
             "ellipsoid distances require a net-backed geodesic engine, not a closed form"
@@ -899,14 +880,12 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray
         EA = gram_embedding(base, A)
         best = None
         for gB in moved:
-            EB = gram_embedding(base, gB)
-            c = EA @ EB.T if cross else np.einsum("ij,ij->i", EA, EB)
+            c = _inner(EA, gram_embedding(base, gB), cross)
             best = c if best is None else np.maximum(best, c, out=best)
         return _arccos_in_place(best)
-    formula = _formula_cross if cross else _formula_elementwise
     best = None
     for gB in moved:
-        d = formula(base, A, gB)
+        d = _formula(base, A, gB, cross)
         best = d if best is None else np.minimum(best, d, out=best)
     return best
 
@@ -1055,74 +1034,31 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     best += C
     if cone is None:
         return clamped_arccos(best)
-    ta, tb = (A.t[:, None], B.t[None, :]) if cross else (A.t, B.t)
     np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
-    return _cone_law_array(cone.k, ta, tb, best)
+    return _cone_law_array(cone.k, *_pairs(A.t, B.t, cross), best)
 
 
 def _rotation_terms(space, A, B, cross: bool):
     """(C, Hr, Hi): the cosine term of `space` is C + Re(e^{i theta} (Hr + i Hi))."""
-    pair = np.multiply.outer if cross else np.multiply
     if isinstance(space, Sphere):
         A2, B2 = np.atleast_2d(A), np.atleast_2d(B)
         Bi = np.empty_like(B2)  # Im(conj(a) b) = <a, Bi> for each complex coordinate
         Bi[:, 0::2] = B2[:, 1::2]
         Bi[:, 1::2] = -B2[:, 0::2]
-        if cross:
-            return 0.0, A2 @ B2.T, A2 @ Bi.T
-        return 0.0, np.einsum("ij,ij->i", A2, B2), np.einsum("ij,ij->i", A2, Bi)
+        return 0.0, _inner(A2, B2, cross), _inner(A2, Bi, cross)
     if isinstance(space, Join):
         CL, HrL, HiL = _rotation_terms(space.left, A.left, B.left, cross)
         CR, HrR, HiR = _rotation_terms(space.right, A.right, B.right, cross)
-        cc = pair(np.cos(A.t), np.cos(B.t))
-        ss = pair(np.sin(A.t), np.sin(B.t))
+        cc, ss = _trig_pairs(A.t, B.t, cross)
         return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
     if isinstance(space, ModelBall):
         return _rotation_terms(space.as_cone(), A, B, cross)
     if isinstance(space, (Cone, Suspension)):  # k = 1 cone or suspension: same law
-        u_a, u_b = (A.t, B.t) if isinstance(space, Cone) else (A.u, B.u)
+        ua, ub = (A.t, B.t) if isinstance(space, Cone) else (A.u, B.u)
         Cb, Hr, Hi = _rotation_terms(space.base, A.base, B.base, cross)
-        ss = pair(np.sin(u_a), np.sin(u_b))
-        return pair(np.cos(u_a), np.cos(u_b)) + ss * Cb, ss * Hr, ss * Hi
+        cc, ss = _trig_pairs(ua, ub, cross)
+        return cc + ss * Cb, ss * Hr, ss * Hi
     raise ConstructionError(f"no closed-form rotation term for {type(space).__name__}")
-
-
-def elementwise_distance(space, A, B) -> np.ndarray:
-    """Distances between paired packed coordinates (equal lengths)."""
-    if isinstance(space, Quotient):
-        return _orbit_minimum(space, A, B, cross=False, gram=True)
-    if _gram_root(space):
-        EA, EB = gram_embedding(space, A), gram_embedding(space, B)
-        return _arccos_in_place(np.einsum("ij,ij->i", EA, EB))
-    return _formula_elementwise(space, A, B)
-
-
-def _formula_elementwise(space, A, B) -> np.ndarray:
-    """`elementwise_distance` by the per-factor laws of cosines, at every level."""
-    if isinstance(space, Sphere):
-        dots = np.einsum("ij,ij->i", np.atleast_2d(A), np.atleast_2d(B))
-        return space.radius * clamped_arccos(dots)
-    if isinstance(space, Interval):
-        return np.abs(np.asarray(A, dtype=float) - np.asarray(B, dtype=float))
-    if isinstance(space, Join):
-        cl = np.cos(np.minimum(_formula_elementwise(space.left, A.left, B.left), PI))
-        cr = np.cos(np.minimum(_formula_elementwise(space.right, A.right, B.right), PI))
-        c = np.cos(A.t) * np.cos(B.t) * cl + np.sin(A.t) * np.sin(B.t) * cr
-        return clamped_arccos(c)
-    if isinstance(space, Cone):
-        ct = np.cos(np.minimum(_formula_elementwise(space.base, A.base, B.base), PI))
-        return _cone_law_array(space.k, A.t, B.t, ct)
-    if isinstance(space, Suspension):
-        ct = np.cos(np.minimum(_formula_elementwise(space.base, A.base, B.base), PI))
-        c = np.cos(A.u) * np.cos(B.u) + np.sin(A.u) * np.sin(B.u) * ct
-        return clamped_arccos(c)
-    if isinstance(space, Quotient):
-        return _orbit_minimum(space, A, B, cross=False, gram=False)
-    if isinstance(space, Lens):
-        return _formula_elementwise(space.as_join(), A, B)
-    if isinstance(space, ModelBall):
-        return _formula_elementwise(space.as_cone(), A, B)
-    raise ConstructionError(f"unknown descriptor {space!r}")
 
 
 # rows per block of the n x n matrix builder and of the metric audit's symmetry scan
@@ -1136,13 +1072,11 @@ def self_distance_matrix(space, coords, block: int = ROW_BLOCK) -> np.ndarray:
     D[s:e, s:] and mirrored into D[s:, s:e], so the kernel sees about
     n(n + block)/2 pairs and memory stays at the n x n result.
     """
-    n = coords_len(space, coords)
+    n = coords_len(coords)
     D = np.empty((n, n), dtype=float)
     for s in range(0, n, block):
         e = min(s + block, n)
-        R = cross_distance(
-            space, coords_take(space, coords, slice(s, e)), coords_take(space, coords, slice(s, n))
-        )
+        R = cross_distance(space, coords_take(coords, slice(s, e)), coords_take(coords, slice(s, n)))
         # canonicalize the square diagonal block, the only place where both
         # orientations are evaluated: quotient factors may round differently
         # across the diagonal (d(x, gy) vs d(y, g^-1 x) evaluate in different

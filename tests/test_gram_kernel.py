@@ -103,7 +103,7 @@ class TestAgreementWithFormulas:
     def test_cross_and_elementwise(self, monkeypatch, name):
         space = UNIT_TREES[name]
         A, B = _packed(space, 150, 1), _packed(space, 120, 2)
-        B_pairs = spaces.coords_take(space, A, np.arange(149, -1, -1))
+        B_pairs = spaces.coords_take(A, np.arange(149, -1, -1))
         gram_cross = spaces.cross_distance(space, A, B)
         gram_pairs = spaces.elementwise_distance(space, A, B_pairs)
         _formula_only(monkeypatch)
@@ -156,7 +156,7 @@ class TestFallbackTreesUnchanged:
     def test_bit_identical_to_formula_path(self, monkeypatch, name):
         space = FALLBACK_TREES[name]
         A, B = _packed(space, 60, 5), _packed(space, 50, 6)
-        A_pairs = spaces.coords_take(space, A, slice(0, 50))
+        A_pairs = spaces.coords_take(A, slice(0, 50))
         cross = spaces.cross_distance(space, A, B)
         pairs = spaces.elementwise_distance(space, A_pairs, B)
         matrix = self_distance_matrix(space, A, block=16)

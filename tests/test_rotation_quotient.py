@@ -74,7 +74,7 @@ def test_net_keeps_the_loops_points(name, m, monkeypatch):
     monkeypatch.setattr(spaces, "_rotation_order", lambda space: None)
     loop = nets.epsilon_net(Q, eps, 5, budget=NET_BUDGET, allow_degrade=True)
     assert closed.n == loop.n
-    assert serialize.coords_to_json(base, closed.coords) == serialize.coords_to_json(base, loop.coords)
+    assert serialize.coords_to_json(closed.coords) == serialize.coords_to_json(loop.coords)
     far = loop.dist > 1e-6
     tol = _tolerance(m, loop.dist[far])
     assert np.all(np.abs(closed.dist - loop.dist)[far] <= tol)

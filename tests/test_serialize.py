@@ -181,6 +181,24 @@ class TestReadNetValidation:
         with pytest.raises(ConstructionError, match="coordinates"):
             serialize.read_net(csv)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_coordinate_fields_disagree(self, stored, side):
+        # `t` still counts n points, so only the record's own length check catches this
+        _, csv = stored
+        self._edit_meta(csv, lambda m: m["coords"][side].pop())
+        with pytest.raises(ConstructionError, match="coordinates"):
+            serialize.read_net(csv)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: m["coords"].pop("left"), "missing field 'left'"),
+        (lambda m: m.__setitem__("coords", [1.0, 2.0]), "mistyped"),
+    ])
+    def test_malformed_coordinates(self, stored, edit, match):
+        _, csv = stored
+        self._edit_meta(csv, edit)
+        with pytest.raises(ConstructionError, match=match):
+            serialize.read_net(csv)
+
     def test_missing_n(self, stored):
         _, csv = stored
         self._edit_meta(csv, lambda m: m.pop("n"))
