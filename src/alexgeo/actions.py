@@ -21,8 +21,6 @@ from .spaces import (
     Cone,
     Interval,
     Join,
-    Lens,
-    ModelBall,
     Quotient,
     Sphere,
     Suspension,
@@ -140,10 +138,6 @@ def identity_for(space) -> object:
         return ConeMap(identity_for(space.base))
     if isinstance(space, Suspension):
         return SuspensionMap(False, identity_for(space.base))
-    if isinstance(space, Lens):
-        return identity_for(space.as_join())
-    if isinstance(space, ModelBall):
-        return identity_for(space.as_cone())
     if isinstance(space, Quotient):
         raise ConstructionError("nested quotients are not supported")
     return Identity()
@@ -183,10 +177,6 @@ def apply_isometry(space, iso, coords):
             u = PI - coords.u if iso.flip else coords.u
             return spaces.SuspCoords(u, apply_isometry(space.base, iso.base, coords.base))
         raise ConstructionError(f"{type(iso).__name__} cannot act on a suspension")
-    if isinstance(space, Lens):
-        return apply_isometry(space.as_join(), iso, coords)
-    if isinstance(space, ModelBall):
-        return apply_isometry(space.as_cone(), iso, coords)
     raise ConstructionError(f"cannot apply {type(iso).__name__} to {type(space).__name__}")
 
 
@@ -209,10 +199,6 @@ def compose(space, g, h):
         return ConeMap(compose(space.base, g.base, h.base))
     if isinstance(space, Suspension):
         return SuspensionMap(g.flip != h.flip, compose(space.base, g.base, h.base))
-    if isinstance(space, Lens):
-        return compose(space.as_join(), g, h)
-    if isinstance(space, ModelBall):
-        return compose(space.as_cone(), g, h)
     raise ConstructionError(f"cannot compose isometries over {type(space).__name__}")
 
 
@@ -365,7 +351,7 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
             d0 = spaces.distance(space, x, y)
             d1 = spaces.distance(space, g.apply_point(x), g.apply_point(y))
             isometry_defect = max(isometry_defect, abs(d0 - d1))
-            if isinstance(space, (Join, Lens)):
+            if isinstance(space, Join):
                 latitude_defect = max(latitude_defect, abs(g.apply_point(x)[1] - x[1]))
     passed = has_identity and closure_defect <= tol and isometry_defect <= tol
     return ActionAudit(
@@ -415,8 +401,6 @@ def _cyclic_generator(desc, m: int):
         )
     if isinstance(desc, Cone):
         return ConeMap(_cyclic_generator(desc.base, m))
-    if isinstance(desc, ModelBall):
-        return ConeMap(_cyclic_generator(Sphere(desc.dim - 1, 1.0), m))
     if isinstance(desc, Join):
         return JoinMap(_cyclic_generator(desc.left, m), _cyclic_generator(desc.right, m))
     if isinstance(desc, Suspension):
@@ -460,15 +444,13 @@ def _iso_from_json(space, spec: dict):
         inner_spec = dict(spec)
         if rest:
             inner_spec["factor"] = rest
-        if isinstance(space, (Join, Lens)):
-            j = space.as_join() if isinstance(space, Lens) else space
+        if isinstance(space, Join):
             if head == "left":
-                return JoinMap(_iso_from_json(j.left, inner_spec), identity_for(j.right))
+                return JoinMap(_iso_from_json(space.left, inner_spec), identity_for(space.right))
             if head == "right":
-                return JoinMap(identity_for(j.left), _iso_from_json(j.right, inner_spec))
-        if isinstance(space, (Cone, Suspension, ModelBall)) and head == "base":
-            base = space.base if isinstance(space, (Cone, Suspension)) else Sphere(space.dim - 1, 1.0)
-            inner = _iso_from_json(base, inner_spec)
+                return JoinMap(identity_for(space.left), _iso_from_json(space.right, inner_spec))
+        if isinstance(space, (Cone, Suspension)) and head == "base":
+            inner = _iso_from_json(space.base, inner_spec)
             if isinstance(space, Suspension):
                 return SuspensionMap(False, inner)
             return ConeMap(inner)
@@ -478,13 +460,10 @@ def _iso_from_json(space, spec: dict):
     if kind == "identity":
         return identity_for(space)
     if kind == "join_map":
-        j = space.as_join() if isinstance(space, Lens) else space
-        if not isinstance(j, Join):
+        if not isinstance(space, Join):
             raise ConstructionError("join_map generator on a non-join descriptor")
-        return JoinMap(_iso_from_json(j.left, spec["left"]), _iso_from_json(j.right, spec["right"]))
+        return JoinMap(_iso_from_json(space.left, spec["left"]), _iso_from_json(space.right, spec["right"]))
     if kind == "cone_map":
-        if isinstance(space, ModelBall):
-            return ConeMap(_iso_from_json(Sphere(space.dim - 1, 1.0), spec["base"]))
         if not isinstance(space, Cone):
             raise ConstructionError("cone_map generator on a non-cone descriptor")
         return ConeMap(_iso_from_json(space.base, spec["base"]))
@@ -536,15 +515,13 @@ def iso_to_json(space, iso) -> dict:
     if isinstance(iso, IntervalReflection):
         return {"type": "reflection"}
     if isinstance(iso, JoinMap):
-        j = space.as_join() if isinstance(space, Lens) else space
         return {
             "type": "join_map",
-            "left": iso_to_json(j.left, iso.left),
-            "right": iso_to_json(j.right, iso.right),
+            "left": iso_to_json(space.left, iso.left),
+            "right": iso_to_json(space.right, iso.right),
         }
     if isinstance(iso, ConeMap):
-        base = space.base if isinstance(space, Cone) else Sphere(space.dim - 1, 1.0)
-        return {"type": "cone_map", "base": iso_to_json(base, iso.base)}
+        return {"type": "cone_map", "base": iso_to_json(space.base, iso.base)}
     if isinstance(iso, SuspensionMap):
         return {
             "type": "suspension_map",

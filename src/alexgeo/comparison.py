@@ -461,7 +461,7 @@ def convexity_check(space, lambda0: float, probes: int = 1000, h: float = 1e-2,
     worst = []
     for scale in scales:
         rng = np.random.default_rng(seed)
-        if isinstance(space, (ModelBall, Cone)):
+        if isinstance(space, Cone):
             vals = _convexity_probe_cone(space, lambda0, probes, scale, rng)
         elif isinstance(space, Lens):
             vals = _convexity_probe_lens(space, lambda0, probes, scale, rng)
@@ -476,12 +476,11 @@ def convexity_check(space, lambda0: float, probes: int = 1000, h: float = 1e-2,
     )
 
 
-def _convexity_probe_cone(space, lambda0: float, probes: int, scale: float, rng):
-    cone = space.as_cone() if isinstance(space, ModelBall) else space
-    if spaces.has_boundary(cone.base):
+def _convexity_probe_cone(space: Cone, lambda0: float, probes: int, scale: float, rng):
+    if spaces.has_boundary(space.base):
         raise PreconditionError("convexity probes need a boundaryless cone base")
-    k, r0 = cone.k, cone.r0
-    sn = _sn_value(k, r0)
+    k, r0 = space.k, space.r0
+    sn = spaces.sn_k(k, r0)
     delta = scale / sn
     theta = rng.uniform(0.5 * delta, 1.5 * delta, probes)  # base angle between p and q
     # triangle apex-p-q in the developed sector: side |pq| and angle at p
@@ -502,16 +501,6 @@ def _convexity_probe_cone(space, lambda0: float, probes: int, scale: float, rng)
         cosb = cr * (cc - 1.0) / np.maximum(sr * np.sinh(s * c), 1e-300)
     defect = c * cosb - 0.5 * lambda0 * c**2
     return defect / c**2
-
-
-def _sn_value(k: float, t: float) -> float:
-    if k == 0.0:
-        return t
-    if k > 0.0:
-        s = math.sqrt(k)
-        return math.sin(s * t) / s
-    s = math.sqrt(-k)
-    return math.sinh(s * t) / s
 
 
 def _convexity_probe_lens(space: Lens, lambda0: float, probes: int, scale: float, rng):

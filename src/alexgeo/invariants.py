@@ -19,7 +19,7 @@ import numpy as np
 from . import spaces
 from .errors import PreconditionError, UnsupportedConstructionError
 from .nets import FiniteNet
-from .spaces import Cone, Lens, ModelBall, PI, HALF_PI, Sphere, clamped_arccos
+from .spaces import Cone, Lens, PI, HALF_PI, Sphere, clamped_arccos
 
 
 class DiameterResult(NamedTuple):
@@ -169,8 +169,8 @@ class VolumeEstimate:
 def boundary_volume(space, samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo (n-1)-volume of the boundary, deterministic given seed.
 
-    Supported: lenses (two totally geodesic faces), model balls, and cones
-    over boundaryless spheres (distance spheres of radius sn_k(r0)).
+    Supported: lenses (two totally geodesic faces) and cones over
+    boundaryless spheres, so model balls (distance spheres of radius sn_k(r0)).
     """
     rng = np.random.default_rng(seed)
     if isinstance(space, Lens):
@@ -179,8 +179,6 @@ def boundary_volume(space, samples: int, seed: int) -> VolumeEstimate:
         t = rng.uniform(0.0, HALF_PI, samples)
         vals = 2.0 * unit_sphere_volume(d) * HALF_PI * np.cos(t) ** d
         return _mc_summary(vals)
-    if isinstance(space, ModelBall):
-        return _sphere_area_mc(space.dim - 1, _sn_scalar(space.k, space.r0), samples, rng)
     if isinstance(space, Cone):
         if spaces.has_boundary(space.base):
             raise UnsupportedConstructionError(
@@ -190,21 +188,11 @@ def boundary_volume(space, samples: int, seed: int) -> VolumeEstimate:
             raise UnsupportedConstructionError(
                 "boundary volume for cones needs a sphere base (analytic area)"
             )
-        scale = _sn_scalar(space.k, space.r0) * space.base.radius
+        scale = spaces.sn_k(space.k, space.r0) * space.base.radius
         return _sphere_area_mc(space.base.dim, scale, samples, rng)
     raise PreconditionError(
         f"{type(space).__name__} has no supported analytic boundary parameterization"
     )
-
-
-def _sn_scalar(k: float, t: float) -> float:
-    if k == 0.0:
-        return t
-    if k > 0.0:
-        s = math.sqrt(k)
-        return math.sin(s * t) / s
-    s = math.sqrt(-k)
-    return math.sinh(s * t) / s
 
 
 def _sphere_area_mc(d: int, rho: float, samples: int, rng) -> VolumeEstimate:

@@ -32,8 +32,6 @@ from .spaces import (
     Interval,
     Join,
     JoinCoords,
-    Lens,
-    ModelBall,
     PI,
     HALF_PI,
     Quotient,
@@ -123,10 +121,6 @@ def random_points(space, n: int, rng: np.random.Generator):
         return [(float(us[i]), bs[i]) for i in range(n)]
     if isinstance(space, Quotient):
         return random_points(space.base, n, rng)
-    if isinstance(space, Lens):
-        return random_points(space.as_join(), n, rng)
-    if isinstance(space, ModelBall):
-        return random_points(space.as_cone(), n, rng)
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
@@ -183,10 +177,6 @@ def canonical_point(space):
         return (0.0, canonical_point(space.base))
     if isinstance(space, Quotient):
         return canonical_point(space.base)
-    if isinstance(space, Lens):
-        return canonical_point(space.as_join())
-    if isinstance(space, ModelBall):
-        return canonical_point(space.as_cone())
     if isinstance(space, Ellipsoid):
         return np.array([space.a, 0.0, 0.0])
     raise ConstructionError(f"unknown descriptor {space!r}")
@@ -215,10 +205,6 @@ def _gen(space, eps, rng, phase: float = 0.0):
         return _gen_suspension(space, eps, rng)
     if isinstance(space, Quotient):
         return _gen(space.base, eps, rng, phase)
-    if isinstance(space, Lens):
-        return _gen_join(Sphere(space.dim - 2, 1.0), Interval(space.alpha), eps, rng)
-    if isinstance(space, ModelBall):
-        return _gen_cone(space.as_cone(), eps, rng)
     if isinstance(space, Ellipsoid):
         raise ConstructionError("ellipsoid nets are built by farthest-point sampling; internal error")
     raise ConstructionError(f"unknown descriptor {space!r}")

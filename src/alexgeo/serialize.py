@@ -38,6 +38,11 @@ from .spaces import (
 
 
 def space_to_json(space) -> dict:
+    # a lens is a join and a model ball a cone: their own kinds come first
+    if isinstance(space, Lens):
+        return {"kind": "lens", "dim": space.dim, "alpha": space.alpha}
+    if isinstance(space, ModelBall):
+        return {"kind": "model_ball", "k": space.k, "r0": space.r0, "dim": space.dim}
     if isinstance(space, Sphere):
         return {"kind": "sphere", "dim": space.dim, "radius": space.radius}
     if isinstance(space, Interval):
@@ -56,10 +61,6 @@ def space_to_json(space) -> dict:
             "base": space_to_json(space.base),
             "action": actions_mod.action_to_json(space.action),
         }
-    if isinstance(space, Lens):
-        return {"kind": "lens", "dim": space.dim, "alpha": space.alpha}
-    if isinstance(space, ModelBall):
-        return {"kind": "model_ball", "k": space.k, "r0": space.r0, "dim": space.dim}
     raise ConstructionError(f"cannot serialize {space!r}")
 
 
@@ -102,25 +103,44 @@ def coords_to_json(coords):
 
 
 def coords_from_json(space, payload):
-    if isinstance(space, (Sphere, Ellipsoid, Interval)):
-        return np.asarray(payload, dtype=float)
+    """Packed coordinates of `space` from JSON, each leaf checked against the descriptor.
+
+    A leaf of the wrong shape, or a sphere row off the unit sphere (as
+    `spaces.pack_points` rejects it), is a ConstructionError.
+    """
+    if isinstance(space, Sphere):
+        rows = _leaf(payload, "sphere", space.ambient_dim)
+        spaces.check_unit_rows(rows, ConstructionError)
+        return rows
+    if isinstance(space, Ellipsoid):
+        return _leaf(payload, "ellipsoid", 3)
+    if isinstance(space, Interval):
+        return _leaf(payload, "interval")
     if isinstance(space, Join):
         return JoinCoords(
             coords_from_json(space.left, payload["left"]),
-            np.asarray(payload["t"], dtype=float),
+            _leaf(payload["t"], "join latitude"),
             coords_from_json(space.right, payload["right"]),
         )
     if isinstance(space, (Cone, Suspension)):
-        record, radial = (ConeCoords, "t") if isinstance(space, Cone) else (SuspCoords, "u")
+        record, radial, what = (
+            (ConeCoords, "t", "cone radial") if isinstance(space, Cone)
+            else (SuspCoords, "u", "suspension colatitude")
+        )
         base = coords_from_json(space.base, payload["base"])
-        return record(np.asarray(payload[radial], dtype=float), base)
+        return record(_leaf(payload[radial], what), base)
     if isinstance(space, Quotient):
         return coords_from_json(space.base, payload)
-    if isinstance(space, Lens):
-        return coords_from_json(space.as_join(), payload)
-    if isinstance(space, ModelBall):
-        return coords_from_json(space.as_cone(), payload)
     raise ConstructionError(f"cannot deserialize coordinates for {space!r}")
+
+
+def _leaf(payload, what: str, width: int | None = None) -> np.ndarray:
+    """A coordinate leaf: a list of numbers, or with `width` a list of rows of that many numbers."""
+    leaf = np.asarray(payload, dtype=float)
+    if leaf.ndim != (1 if width is None else 2) or (width is not None and leaf.shape[1] != width):
+        wanted = "a list of numbers" if width is None else f"rows of {width} numbers"
+        raise ConstructionError(f"{what} coordinates must be {wanted}, got shape {leaf.shape}")
+    return leaf
 
 
 def stable_dumps(obj) -> str:

@@ -3,9 +3,11 @@
 A descriptor is an immutable, recursive description of a metric space:
 primitive factors (round spheres, intervals, ellipsoid surfaces) and
 composite constructions (spherical join, curvature-k cone, suspension,
-finite isometric quotient, lens, model ball).  Every descriptor except
-the ellipsoid evaluates distances by an explicit formula; the ellipsoid
-is handled by a graph geodesic engine built on a surface net (see
+finite isometric quotient).  A lens is a join and a model ball a cone, so
+they share every formula, sampler and codec of their construction; only
+their boundary faces and their JSON kind are their own.  Every descriptor
+except the ellipsoid evaluates distances by an explicit formula; the
+ellipsoid is handled by a graph geodesic engine built on a surface net (see
 ``alexgeo.nets``).
 
 Point conventions per kind:
@@ -17,8 +19,9 @@ Point conventions per kind:
 * ``Cone``            -- pair ``(t, base_point)``, t in [0, r0]; t = 0 is the apex.
 * ``Suspension``      -- pair ``(u, base_point)``, colatitude u in [0, pi].
 * ``Quotient``        -- a point of the base (an orbit representative).
-* ``Lens(n, alpha)``  -- join coordinates over Sphere(n-2) * Interval(alpha).
-* ``ModelBall``       -- pair ``(t, direction)``, polar coordinates about the center.
+* ``Lens(n, alpha)``  -- a ``Join`` of Sphere(n-2) and Interval(alpha): ``(x, t, s)``.
+* ``ModelBall(k, r0, d)`` -- a ``Cone`` over Sphere(d-1): ``(t, direction)``,
+  polar coordinates about the center.
 
 Degenerate coordinates compare equal through the distance function: the
 cone apex ignores its base coordinate, a join point at latitude 0 ignores
@@ -39,12 +42,14 @@ scalar `distance` always evaluates factor by factor.
 Packed coordinates.  `pack_points` turns a list of points into packed
 coordinates, one entry per point along the first axis.  A leaf is an
 ndarray: 1-D for interval values, 2-D with one row per point for sphere and
-ellipsoid points.  A record (`JoinCoords`, `ConeCoords`, `SuspCoords`) is a
-dataclass whose fields are packed coordinates of one common length, in the
-order of the point tuple.  Lenses, model balls and quotients reuse the
-records of their join, cone or base.  Since each record carries its own
-layout, `coords_len`, `coords_take`, `coords_concat`, `unpack_point` and
-`coords_flat` recurse on the coordinates alone and need no descriptor.
+ellipsoid points.  Sphere rows must be unit vectors to within 1e-12, the
+test `validate_point` applies.  A record (`JoinCoords`, `ConeCoords`,
+`SuspCoords`) is a dataclass whose fields are packed coordinates of one
+common length, in the order of the point tuple.  Lenses and model balls
+are joins and cones, so they pack as `JoinCoords` and `ConeCoords`;
+quotients reuse the coordinates of their base.  Since each record carries
+its own layout, `coords_len`, `coords_take`, `coords_concat`, `unpack_point`
+and `coords_flat` recurse on the coordinates alone and need no descriptor.
 """
 
 from __future__ import annotations
@@ -252,60 +257,56 @@ class Quotient:
             raise ConstructionError("quotient requires a group action with a nonempty element list")
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(Join):
     """Lens of dihedral angle alpha in S^dim, stored with a half-angle interval.
 
-    Join coordinates over Sphere(dim-2, 1) * Interval(alpha); the interval
-    coordinate s runs over [0, alpha] and the two bounding faces sit at
-    s = 0 and s = alpha.  alpha = pi gives exactly the closed hemisphere.
+    The join Sphere(dim-2, 1) * Interval(alpha); the interval coordinate s
+    runs over [0, alpha] and the two bounding faces sit at s = 0 and
+    s = alpha.  alpha = pi gives exactly the closed hemisphere.
     """
 
-    dim: int
-    alpha: float
+    def __init__(self, dim: int, alpha: float):
+        if not math.isfinite(dim) or int(dim) != dim or dim < 2:
+            raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim}")
+        if not (0.0 < alpha <= PI + 1e-12):
+            raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
+        super().__init__(Sphere(int(dim) - 2, 1.0), Interval(float(alpha)))
 
-    def __post_init__(self):
-        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 2:
-            raise ConstructionError(f"lens dimension must be an integer >= 2, got {self.dim}")
-        if not (0.0 < self.alpha <= PI + 1e-12):
-            raise DomainError(f"lens angle must lie in (0, pi], got {self.alpha}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "alpha", float(min(self.alpha, PI)))
+    @property
+    def dim(self) -> int:
+        return self.left.dim + 2
 
-    def as_join(self) -> Join:
-        return Join(Sphere(self.dim - 2, 1.0), Interval(self.alpha))
+    @property
+    def alpha(self) -> float:
+        return self.right.length
 
 
-@dataclass(frozen=True)
-class ModelBall:
-    """Closed ball of radius r0 in the constant-curvature-k space form."""
+class ModelBall(Cone):
+    """Closed ball of radius r0 in the constant-curvature-k space form.
 
-    k: float
-    r0: float
-    dim: int
+    The curvature-k cone over the unit sphere S^(dim-1), capped at r0.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "r0", float(self.r0))
-        if not math.isfinite(self.k):
-            raise ConstructionError(f"model ball curvature k must be finite, got {self.k}")
-        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 1:
-            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-        if not 0.0 < self.r0 < math.inf:
-            raise ConstructionError(f"model ball radius must be positive and finite, got {self.r0}")
-        if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
+    def __init__(self, k: float, r0: float, dim: int):
+        k, r0 = float(k), float(r0)
+        if not math.isfinite(k):
+            raise ConstructionError(f"model ball curvature k must be finite, got {k}")
+        if not math.isfinite(dim) or int(dim) != dim or dim < 1:
+            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {dim}")
+        if not 0.0 < r0 < math.inf:
+            raise ConstructionError(f"model ball radius must be positive and finite, got {r0}")
+        if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
             raise ConstructionError(
-                f"model ball with k={self.k} requires r0 <= pi/(2*sqrt(k)), got r0={self.r0}"
+                f"model ball with k={k} requires r0 <= pi/(2*sqrt(k)), got r0={r0}"
             )
+        super().__init__(k, Sphere(int(dim) - 1, 1.0), r0)
 
-    def as_cone(self) -> Cone:
-        return Cone(self.k, Sphere(self.dim - 1, 1.0), self.r0)
+    @property
+    def dim(self) -> int:
+        return self.base.dim + 1
 
 
-SpaceDescriptor = (
-    Sphere | Interval | Ellipsoid | Join | Cone | Suspension | Quotient | Lens | ModelBall
-)
+SpaceDescriptor = Sphere | Interval | Ellipsoid | Join | Cone | Suspension | Quotient
 
 
 def _validate_join_factor(desc, side: str):
@@ -316,20 +317,13 @@ def _validate_join_factor(desc, side: str):
                 f"{side} factor sphere radius must lie in [1/2, 1] for a curv >= 1 join, "
                 f"got {desc.radius}"
             )
-    elif isinstance(desc, (Interval, Lens)):
-        pass
-    elif isinstance(desc, Join):
-        pass  # factors were validated on construction
-    elif isinstance(desc, Suspension):
-        pass
+    elif isinstance(desc, (Interval, Join, Suspension)):
+        pass  # join and suspension factors were validated on construction
     elif isinstance(desc, Cone):
         if abs(desc.k - 1.0) > 1e-12 or desc.r0 > HALF_PI + 1e-12:
             raise ConstructionError(
                 f"{side} factor cone must have k = 1 and r0 <= pi/2 to sit in a curv >= 1 join"
             )
-    elif isinstance(desc, ModelBall):
-        if abs(desc.k - 1.0) > 1e-12:
-            raise ConstructionError(f"{side} factor model ball must have k = 1")
     elif isinstance(desc, Quotient):
         _validate_join_factor(desc.base, side)
     elif isinstance(desc, Ellipsoid):
@@ -346,13 +340,13 @@ def _validate_cone_base(desc):
             raise ConstructionError(
                 f"cone base sphere radius must be <= 1 (diameter <= pi), got {desc.radius}"
             )
-    elif isinstance(desc, (Interval, Join, Suspension, Lens)):
+    elif isinstance(desc, (Interval, Join, Suspension)):
         pass
     elif isinstance(desc, Quotient):
         _validate_cone_base(desc.base)
     elif isinstance(desc, Ellipsoid):
         raise UnsupportedConstructionError("ellipsoid cone bases are not supported")
-    elif isinstance(desc, (Cone, ModelBall)):
+    elif isinstance(desc, Cone):
         raise UnsupportedConstructionError("iterated cones are not supported")
     else:
         raise ConstructionError(f"unsupported cone base: {desc!r}")
@@ -377,10 +371,6 @@ def space_dim(space) -> int:
         return space_dim(space.base) + 1
     if isinstance(space, Quotient):
         return space_dim(space.base)
-    if isinstance(space, Lens):
-        return space.dim
-    if isinstance(space, ModelBall):
-        return space.dim
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
@@ -397,8 +387,6 @@ def has_boundary(space) -> bool:
         return has_boundary(space.base)
     if isinstance(space, Quotient):
         return has_boundary(space.base)
-    if isinstance(space, (Lens, ModelBall)):
-        return True
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
@@ -410,16 +398,12 @@ def diameter_bound(space) -> float:
         return space.length
     if isinstance(space, Ellipsoid):
         return PI * max(space.a, space.b, space.c)
-    if isinstance(space, (Join, Suspension, Lens)):
+    if isinstance(space, (Join, Suspension)):
         return PI
     if isinstance(space, Cone):
-        if space.k > 0:
-            return PI / math.sqrt(space.k)
-        return 2.0 * space.r0 if space.k == 0 else 2.0 * space.r0
+        return PI / math.sqrt(space.k) if space.k > 0 else 2.0 * space.r0
     if isinstance(space, Quotient):
         return diameter_bound(space.base)
-    if isinstance(space, ModelBall):
-        return diameter_bound(space.as_cone())
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
@@ -433,6 +417,29 @@ _UNIT_TOL = 1e-12
 def vector_norm(v) -> float:
     """Euclidean norm of a 1-D float array: np.linalg.norm's own formula, without its overhead."""
     return math.sqrt(float(v.dot(v)))
+
+
+def check_unit_rows(rows, error=DomainError):
+    """Raise `error` unless every row is a unit vector to within `_UNIT_TOL`.
+
+    A loop: most packs are one row (scalar queries), where numpy's per-call
+    overhead costs several times `vector_norm`.
+    """
+    for row in rows:
+        nrm = vector_norm(row)
+        if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
+            raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
+
+
+def sn_k(k: float, t: float) -> float:
+    """The curvature-k sine: sin(sqrt(k) t)/sqrt(k), t for k = 0, sinh(sqrt(-k) t)/sqrt(-k)."""
+    if k == 0.0:
+        return t
+    if k > 0.0:
+        s = math.sqrt(k)
+        return math.sin(s * t) / s
+    s = math.sqrt(-k)
+    return math.sinh(s * t) / s
 
 
 def sphere_distance(u, v, radius: float = 1.0) -> float:
@@ -521,14 +528,7 @@ def quotient_distance(base_metric, action, x, y) -> float:
 
 def lens_distance(n: int, alpha: float, p, q) -> float:
     """Distance in the lens L_alpha^n via its join coordinates."""
-    lens = Lens(n, alpha)
-    sphere = Sphere(lens.dim - 2, 1.0)
-    return join_distance(
-        p,
-        q,
-        lambda a, b: sphere_distance(a, b, sphere.radius),
-        lambda a, b: interval_distance(a, b, lens.alpha),
-    )
+    return distance(Lens(n, alpha), p, q)
 
 
 def double_join(space):
@@ -540,8 +540,6 @@ def double_join(space):
     """
     if isinstance(space, Interval):
         return Sphere(1, space.length / PI)
-    if isinstance(space, Lens):
-        space = space.as_join()
     if isinstance(space, Join) and isinstance(space.right, Interval):
         return Join(space.left, Sphere(1, space.right.length / PI))
     raise UnsupportedConstructionError(
@@ -570,11 +568,6 @@ def distance(space, p, q) -> float:
         validate_point(space.base, q)
         A, B = pack_points(space.base, [p]), pack_points(space.base, [q])
         return float(rotation_quotient_distance(space, A, B, cross=False)[0])
-    if isinstance(space, Lens):
-        return lens_distance(space.dim, space.alpha, p, q)
-    if isinstance(space, ModelBall):
-        cone = space.as_cone()
-        return cone_distance(cone.k, p, q, lambda a, b: distance(cone.base, a, b), cone.r0)
     if isinstance(space, Ellipsoid):
         from .nets import ellipsoid_distance
 
@@ -593,8 +586,7 @@ def validate_point(space, p):
         v = np.asarray(p, dtype=float)
         if v.shape != (space.ambient_dim,):
             raise DomainError(f"sphere point must have {space.ambient_dim} components, got {v.shape}")
-        if not abs(vector_norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
-            raise DomainError(f"sphere point {v.tolist()} is not a unit vector")
+        check_unit_rows([v])
     elif isinstance(space, Interval):
         if not (-1e-12 <= p <= space.length + 1e-12):
             raise DomainError(f"interval coordinate {p} outside [0, {space.length}]")
@@ -621,27 +613,12 @@ def validate_point(space, p):
         validate_point(space.base, y)
     elif isinstance(space, Quotient):
         validate_point(space.base, p)
-    elif isinstance(space, Lens):
-        x, t, s = p
-        if not (-1e-12 <= t <= HALF_PI + 1e-12):
-            raise DomainError(f"lens latitude {t} outside [0, pi/2]")
-        validate_point(Sphere(space.dim - 2, 1.0), x)
-        if not (-1e-12 <= s <= space.alpha + 1e-12):
-            raise DomainError(f"lens interval coordinate {s} outside [0, {space.alpha}]")
-    elif isinstance(space, ModelBall):
-        t, u = p
-        if not (-1e-12 <= t <= space.r0 + 1e-12):
-            raise DomainError(f"ball radial coordinate {t} outside [0, {space.r0}]")
-        validate_point(Sphere(space.dim - 1, 1.0), u)
     else:
         raise ConstructionError(f"unknown descriptor {space!r}")
 
 
 def boundary_distance(space, p) -> float:
-    """Analytic distance to the boundary (model ball, cone, lens only)."""
-    if isinstance(space, ModelBall):
-        t, _ = p
-        return space.r0 - float(t)
+    """Analytic distance to the boundary (cones, so model balls, and lenses only)."""
     if isinstance(space, Cone):
         if has_boundary(space.base):
             raise UnsupportedConstructionError(
@@ -697,7 +674,10 @@ def pack_points(space, points):
     if isinstance(space, (Sphere, Ellipsoid)):
         width = space.ambient_dim if isinstance(space, Sphere) else 3
         rows = [np.asarray(p, dtype=float) for p in points]
-        return np.asarray(rows, dtype=float).reshape(len(points), width)
+        packed = np.asarray(rows, dtype=float).reshape(len(points), width)
+        if isinstance(space, Sphere):
+            check_unit_rows(packed)
+        return packed
     if isinstance(space, Interval):
         return np.asarray([float(p) for p in points], dtype=float)
     if isinstance(space, Join):
@@ -712,10 +692,6 @@ def pack_points(space, points):
         return record(radial, pack_points(space.base, [p[1] for p in points]))
     if isinstance(space, Quotient):
         return pack_points(space.base, points)
-    if isinstance(space, Lens):
-        return pack_points(space.as_join(), points)
-    if isinstance(space, ModelBall):
-        return pack_points(space.as_cone(), points)
     raise ConstructionError(f"unknown descriptor {space!r}")
 
 
@@ -832,10 +808,6 @@ def _formula(space, A, B, cross: bool) -> np.ndarray:
         if cross:
             return _quotient_cross(space, A, B, gram=False)
         return _orbit_minimum(space, A, B, cross=False, gram=False)
-    if isinstance(space, Lens):
-        return _formula(space.as_join(), A, B, cross)
-    if isinstance(space, ModelBall):
-        return _formula(space.as_cone(), A, B, cross)
     if isinstance(space, Ellipsoid):
         raise UnsupportedConstructionError(
             "ellipsoid distances require a net-backed geodesic engine, not a closed form"
@@ -916,9 +888,7 @@ def gram_embeddable(space) -> bool:
         return gram_embeddable(space.base)
     if isinstance(space, Cone):
         return space.k == 1.0 and gram_embeddable(space.base)
-    if isinstance(space, ModelBall):
-        return space.k == 1.0
-    return isinstance(space, Lens)
+    return False
 
 
 def _gram_root(space) -> bool:
@@ -940,10 +910,6 @@ def gram_embedding(space, coords) -> np.ndarray:
     if isinstance(space, Interval):
         a = np.asarray(coords, dtype=float)
         return np.stack([np.cos(a), np.sin(a)], axis=1)
-    if isinstance(space, Lens):
-        return gram_embedding(space.as_join(), coords)
-    if isinstance(space, ModelBall):
-        return gram_embedding(space.as_cone(), coords)
     if isinstance(space, Join):
         return _latitude_join(
             coords.t, gram_embedding(space.left, coords.left), gram_embedding(space.right, coords.right)
@@ -985,8 +951,6 @@ def unit_rotation_factors(space, nested: bool = False) -> bool:
         return space.radius == 1.0
     if isinstance(space, Cone):
         return (not nested or space.k == 1.0) and unit_rotation_factors(space.base, True)
-    if isinstance(space, ModelBall):
-        return not nested or space.k == 1.0
     if isinstance(space, Join):
         return unit_rotation_factors(space.left, True) and unit_rotation_factors(space.right, True)
     if isinstance(space, Suspension):
@@ -1011,7 +975,7 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     len(B)) matrix, otherwise the distances of paired rows.
     """
     base = space.base
-    cone = base.as_cone() if isinstance(base, ModelBall) else base if isinstance(base, Cone) else None
+    cone = base if isinstance(base, Cone) else None
     if cone is None:
         C, Hr, Hi = _rotation_terms(base, A, B, cross)
     else:
@@ -1051,8 +1015,6 @@ def _rotation_terms(space, A, B, cross: bool):
         CR, HrR, HiR = _rotation_terms(space.right, A.right, B.right, cross)
         cc, ss = _trig_pairs(A.t, B.t, cross)
         return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
-    if isinstance(space, ModelBall):
-        return _rotation_terms(space.as_cone(), A, B, cross)
     if isinstance(space, (Cone, Suspension)):  # k = 1 cone or suspension: same law
         ua, ub = (A.t, B.t) if isinstance(space, Cone) else (A.u, B.u)
         Cb, Hr, Hi = _rotation_terms(space.base, A.base, B.base, cross)

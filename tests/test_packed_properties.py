@@ -68,10 +68,6 @@ def _reflection(space):
         return actions.antipodal_map(space)
     if isinstance(space, Interval):
         return actions.IntervalReflection(space.length)
-    if isinstance(space, Lens):
-        return _reflection(space.as_join())
-    if isinstance(space, ModelBall):
-        return _reflection(space.as_cone())
     if isinstance(space, Join):
         return actions.JoinMap(_reflection(space.left), _reflection(space.right))
     if isinstance(space, Cone):

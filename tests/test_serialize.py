@@ -8,7 +8,7 @@ import pytest
 
 from alexgeo import actions, cli, nets, serialize
 from alexgeo.errors import ConstructionError
-from alexgeo.spaces import Cone, Lens, Quotient, Sphere
+from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
 
 
 def _bits(iso):
@@ -199,6 +199,26 @@ class TestReadNetValidation:
         with pytest.raises(ConstructionError, match=match):
             serialize.read_net(csv)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda c: c.__setitem__("t", 0.5), "join latitude coordinates must be a list of numbers"),
+        (lambda c: c.__setitem__("right", [[s] for s in c["right"]]), "interval coordinates must be a list"),
+        (lambda c: c["left"].__setitem__(0, [2.0]), "not a unit vector"),
+    ], ids=["scalar-latitude", "interval-rows", "non-unit-sphere-row"])
+    def test_coordinate_leaf_shapes(self, stored, edit, match):
+        _, csv = stored
+        self._edit_meta(csv, lambda m: edit(m["coords"]))
+        with pytest.raises(ConstructionError, match=match):
+            serialize.read_net(csv)
+
+    def test_sphere_rows_one_entry_too_wide(self, tmp_path):
+        # the extra entry would leave net.point(0) off the lens's S^1 factor
+        net = nets.epsilon_net(Lens(3, 1.0), 0.3, 42)
+        csv = tmp_path / "lens3.csv"
+        serialize.write_net(net, csv)
+        self._edit_meta(csv, lambda m: [row.append(0.0) for row in m["coords"]["left"]])
+        with pytest.raises(ConstructionError, match="sphere coordinates must be rows of 2 numbers"):
+            serialize.read_net(csv)
+
     def test_missing_n(self, stored):
         _, csv = stored
         self._edit_meta(csv, lambda m: m.pop("n"))
@@ -212,3 +232,50 @@ class TestReadNetValidation:
         argv = [command, "--net", str(csv)] + (["--check", "metric"] if command == "verify" else [])
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+LENS, BALL = Lens(3, 1.0), ModelBall(1.0, 1.0, 2)
+
+
+def _ball_quotient():
+    return Quotient(BALL, actions.cyclic_approximation(BALL, 8))
+
+
+class TestKindBoundary:
+    """A lens is a join and a model ball a cone, but each keeps its own JSON kind."""
+
+    @pytest.mark.parametrize("make, path", [
+        (lambda: LENS, ()),
+        (lambda: BALL, ()),
+        (lambda: Join(LENS, Sphere(1, 0.75)), ("left",)),
+        (lambda: Cone(1.0, LENS, 1.0), ("base",)),
+        (lambda: Suspension(LENS), ("base",)),
+        (_ball_quotient, ("base",)),
+    ], ids=["lens", "model-ball", "join-factor", "cone-base", "suspension-base", "quotient-base"])
+    def test_round_trip_keeps_class_and_kind(self, make, path):
+        space = make()
+        payload = json.loads(json.dumps(serialize.space_to_json(space)))
+        reloaded = serialize.space_from_json(payload)
+        node, again, node_payload = space, reloaded, payload
+        for name in path:
+            node, again, node_payload = getattr(node, name), getattr(again, name), node_payload[name]
+        assert type(again) is type(node)
+        assert node_payload["kind"] == {Lens: "lens", ModelBall: "model_ball"}[type(node)]
+        assert serialize.space_to_json(reloaded) == payload
+        if isinstance(space, Quotient):
+            assert reloaded.action.rotation_order == 8
+        else:
+            assert reloaded == space
+
+    def test_subclass_but_not_equal_to_the_plain_construction(self):
+        assert isinstance(LENS, Join)
+        assert LENS != Join(Sphere(1, 1.0), Interval(1.0))
+        assert isinstance(BALL, Cone)
+        assert BALL != Cone(1.0, Sphere(1, 1.0), 1.0)
+
+    def test_parameters_are_read_only(self):
+        assert (LENS.dim, LENS.alpha, BALL.dim) == (3, 1.0, 2)
+        with pytest.raises(AttributeError):
+            LENS.alpha = 2.0
+        with pytest.raises(AttributeError):
+            BALL.dim = 3

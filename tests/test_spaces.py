@@ -418,6 +418,27 @@ class TestClampInstrumentation:
         assert stats.max_excess <= 1e-12
 
 
+class TestPackPoints:
+    @pytest.mark.parametrize(
+        "space, point",
+        [
+            (Sphere(2, 1.0), [2.0, 0.0, 0.0]),
+            (Lens(3, 1.0), ([0.6, 0.6], 0.3, 0.5)),
+            (ModelBall(0.0, 1.0, 2), (0.5, [1.0, 1e-5])),
+        ],
+        ids=["sphere", "lens-factor", "ball-direction"],
+    )
+    def test_non_unit_sphere_row_rejected(self, space, point):
+        # the kernels would read such a row by its direction alone
+        with pytest.raises(DomainError, match="not a unit vector"):
+            spaces.pack_points(space, [point])
+
+    def test_unit_rows_within_tolerance_pack(self):
+        row = np.array([1.0 + 5e-13, 0.0, 0.0])
+        validate_point(Sphere(2, 1.0), row)
+        assert np.array_equal(spaces.pack_points(Sphere(2, 1.0), [row]), row[None, :])
+
+
 class TestBoundaryDistance:
     def test_ball_and_cone_are_radial(self):
         ball = ModelBall(1.0, 1.2, 2)

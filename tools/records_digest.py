@@ -1,0 +1,73 @@
+"""Print sha256 digests of the catalogue records and of a fixed set of nets.
+
+Two checkouts whose digests agree produce byte-identical `run_all` records
+(wall time removed) and byte-identical `net_to_bytes` output, so a refactor
+that should not move any number can be checked by running this script on
+both sides and comparing the output.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tools/records_digest.py
+
+It takes no options.  The catalogue is run with one worker at seeds 42, 1
+and 7; each net is built at epsilon 0.1, seed 1.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from alexgeo import actions, harness, nets, serialize
+from alexgeo.spaces import Cone, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+
+SEEDS = (42, 1, 7)
+NET_EPSILON = 0.1
+NET_SEED = 1
+
+
+def _quotient(base, m):
+    return Quotient(base, actions.cyclic_approximation(base, m))
+
+
+def net_cases():
+    """(label, descriptor) for every net whose bytes are digested."""
+    return [
+        ("Lens(3, 1)", Lens(3, 1.0)),
+        ("ModelBall(1, 1, 3)", ModelBall(1.0, 1.0, 3)),
+        ("ModelBall(0, 1, 2)", ModelBall(0.0, 1.0, 2)),
+        ("Cone(-1, S1, 1)", Cone(-1.0, Sphere(1, 1.0), 1.0)),
+        ("Suspension(S1(0.75))", Suspension(Sphere(1, 0.75))),
+        ("S3/Z8", _quotient(Sphere(3, 1.0), 8)),
+        ("ModelBall(1, 1, 2)/Z8", _quotient(ModelBall(1.0, 1.0, 2), 8)),
+        ("Join(Lens(3, 1), S1(0.75))", Join(Lens(3, 1.0), Sphere(1, 0.75))),
+    ]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def records_digest(seed: int) -> str:
+    reports = harness.run_all(seed=seed, workers=1)
+    docs = []
+    for report in reports:
+        doc = report.to_json()
+        doc.pop("wall_time_s", None)
+        docs.append(doc)
+    return _sha(serialize.stable_dumps(docs).encode())
+
+
+def net_digest(space) -> str:
+    net = nets.epsilon_net(space, NET_EPSILON, NET_SEED, allow_degrade=True)
+    return _sha(serialize.net_to_bytes(net))
+
+
+def main():
+    for seed in SEEDS:
+        print(f"run_all seed={seed}  {records_digest(seed)}")
+    for label, space in net_cases():
+        print(f"net {label}  {net_digest(space)}")
+
+
+if __name__ == "__main__":
+    main()
