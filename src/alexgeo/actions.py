@@ -2,9 +2,14 @@
 
 An isometry is a coordinate map mirroring the descriptor tree: orthogonal
 maps on sphere factors, the midpoint reflection on intervals, pole swaps on
-suspensions, and componentwise (diagonal) maps on joins and cones.  A
-GroupAction is an explicit element list; validation checks the group laws
-and the isometry property numerically on sampled points.
+suspensions, and componentwise (diagonal) maps on joins and cones.  Each
+node carries its own packed action (`apply`), composition (`after`), JSON
+(`to_json`) and shape test (`fits`), so only `fits` reads the descriptor;
+`Identity()` is the identity of every descriptor.  Whether a node fits its
+descriptor is checked once, where an action meets one: in `GroupAction`,
+`spaces.Quotient` and `group_from_generators`.  A GroupAction is an
+explicit element list; validation checks the group laws and the isometry
+property numerically on sampled points.
 """
 
 from __future__ import annotations
@@ -17,16 +22,11 @@ import numpy as np
 
 from . import spaces
 from .errors import ConstructionError, json_fields
-from .spaces import (
-    Cone,
-    Interval,
-    Join,
-    Quotient,
-    Sphere,
-    Suspension,
-)
+from .spaces import Cone, Interval, Join, Sphere, Suspension
 
 PI = math.pi
+# closure size at which `group_from_generators` gives up on a generator list
+MAX_ORDER = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -36,8 +36,22 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class Identity:
+    """The identity of any descriptor."""
+
     def apply_point(self, p):
         return p
+
+    def apply(self, coords):
+        return coords
+
+    def after(self, h):
+        return h
+
+    def to_json(self) -> dict:
+        return {"type": "identity"}
+
+    def fits(self, space) -> bool:
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +73,18 @@ class OrthogonalMap:
     def apply_point(self, p):
         return self.matrix @ np.asarray(p, dtype=float)
 
+    def apply(self, coords):
+        return np.asarray(coords, dtype=float) @ self.matrix.T
+
+    def after(self, h):
+        return OrthogonalMap(self.matrix @ h.matrix)
+
+    def to_json(self) -> dict:
+        return {"type": "orthogonal", "matrix": self.matrix.tolist()}
+
+    def fits(self, space) -> bool:
+        return isinstance(space, Sphere) and self.matrix.shape[0] == space.ambient_dim
+
 
 @dataclass(frozen=True)
 class IntervalReflection:
@@ -68,6 +94,18 @@ class IntervalReflection:
 
     def apply_point(self, p):
         return self.length - float(p)
+
+    def apply(self, coords):
+        return self.length - np.asarray(coords, dtype=float)
+
+    def after(self, h):
+        return Identity()  # h is this reflection too: two midpoint reflections cancel
+
+    def to_json(self) -> dict:
+        return {"type": "reflection"}
+
+    def fits(self, space) -> bool:
+        return isinstance(space, Interval) and self.length == space.length
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +119,18 @@ class JoinMap:
         x, t, y = p
         return (self.left.apply_point(x), t, self.right.apply_point(y))
 
+    def apply(self, coords):
+        return spaces.JoinCoords(self.left.apply(coords.left), coords.t, self.right.apply(coords.right))
+
+    def after(self, h):
+        return JoinMap(compose(self.left, h.left), compose(self.right, h.right))
+
+    def to_json(self) -> dict:
+        return {"type": "join_map", "left": self.left.to_json(), "right": self.right.to_json()}
+
+    def fits(self, space) -> bool:
+        return isinstance(space, Join) and self.left.fits(space.left) and self.right.fits(space.right)
+
 
 @dataclass(frozen=True, eq=False)
 class ConeMap:
@@ -91,6 +141,18 @@ class ConeMap:
     def apply_point(self, p):
         t, y = p
         return (t, self.base.apply_point(y))
+
+    def apply(self, coords):
+        return spaces.ConeCoords(coords.t, self.base.apply(coords.base))
+
+    def after(self, h):
+        return ConeMap(compose(self.base, h.base))
+
+    def to_json(self) -> dict:
+        return {"type": "cone_map", "base": self.base.to_json()}
+
+    def fits(self, space) -> bool:
+        return isinstance(space, Cone) and self.base.fits(space.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +166,24 @@ class SuspensionMap:
         u, y = p
         u2 = PI - u if self.flip else u
         return (u2, self.base.apply_point(y))
+
+    def apply(self, coords):
+        u = PI - coords.u if self.flip else coords.u
+        return spaces.SuspCoords(u, self.base.apply(coords.base))
+
+    def after(self, h):
+        return SuspensionMap(self.flip != h.flip, compose(self.base, h.base))
+
+    def to_json(self) -> dict:
+        return {"type": "suspension_map", "flip": self.flip, "base": self.base.to_json()}
+
+    def fits(self, space) -> bool:
+        return isinstance(space, Suspension) and self.base.fits(space.base)
+
+
+def compose(g, h):
+    """The composition g o h of two isometries that fit one descriptor."""
+    return g if isinstance(h, Identity) else g.after(h)
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -126,80 +206,6 @@ def hopf_rotation_matrix(angle: float) -> np.ndarray:
 
 def antipodal_map(space: Sphere) -> OrthogonalMap:
     return OrthogonalMap(-np.eye(space.ambient_dim))
-
-
-def identity_for(space) -> object:
-    """Structured identity element matching the descriptor tree."""
-    if isinstance(space, (Sphere, Interval)):
-        return Identity()
-    if isinstance(space, Join):
-        return JoinMap(identity_for(space.left), identity_for(space.right))
-    if isinstance(space, Cone):
-        return ConeMap(identity_for(space.base))
-    if isinstance(space, Suspension):
-        return SuspensionMap(False, identity_for(space.base))
-    if isinstance(space, Quotient):
-        raise ConstructionError("nested quotients are not supported")
-    return Identity()
-
-
-# ---------------------------------------------------------------------------
-# vectorized application on packed coordinates
-# ---------------------------------------------------------------------------
-
-
-def apply_isometry(space, iso, coords):
-    """Apply an isometry to packed coordinates (see spaces.pack_points)."""
-    if isinstance(iso, Identity):
-        return coords
-    if isinstance(space, Sphere):
-        if isinstance(iso, OrthogonalMap):
-            return np.asarray(coords, dtype=float) @ iso.matrix.T
-        raise ConstructionError(f"{type(iso).__name__} cannot act on a sphere factor")
-    if isinstance(space, Interval):
-        if isinstance(iso, IntervalReflection):
-            return iso.length - np.asarray(coords, dtype=float)
-        raise ConstructionError(f"{type(iso).__name__} cannot act on an interval factor")
-    if isinstance(space, Join):
-        if isinstance(iso, JoinMap):
-            return spaces.JoinCoords(
-                apply_isometry(space.left, iso.left, coords.left),
-                coords.t,
-                apply_isometry(space.right, iso.right, coords.right),
-            )
-        raise ConstructionError(f"{type(iso).__name__} cannot act on a join")
-    if isinstance(space, Cone):
-        if isinstance(iso, ConeMap):
-            return spaces.ConeCoords(coords.t, apply_isometry(space.base, iso.base, coords.base))
-        raise ConstructionError(f"{type(iso).__name__} cannot act on a cone")
-    if isinstance(space, Suspension):
-        if isinstance(iso, SuspensionMap):
-            u = PI - coords.u if iso.flip else coords.u
-            return spaces.SuspCoords(u, apply_isometry(space.base, iso.base, coords.base))
-        raise ConstructionError(f"{type(iso).__name__} cannot act on a suspension")
-    raise ConstructionError(f"cannot apply {type(iso).__name__} to {type(space).__name__}")
-
-
-def compose(space, g, h):
-    """Composition g o h as a structured isometry for the given descriptor."""
-    if isinstance(g, Identity):
-        return h
-    if isinstance(h, Identity):
-        return g
-    if isinstance(space, Sphere):
-        return OrthogonalMap(g.matrix @ h.matrix)
-    if isinstance(space, Interval):
-        # two midpoint reflections cancel
-        if isinstance(g, IntervalReflection) and isinstance(h, IntervalReflection):
-            return Identity()
-        raise ConstructionError("interval factors support only the midpoint reflection")
-    if isinstance(space, Join):
-        return JoinMap(compose(space.left, g.left, h.left), compose(space.right, g.right, h.right))
-    if isinstance(space, Cone):
-        return ConeMap(compose(space.base, g.base, h.base))
-    if isinstance(space, Suspension):
-        return SuspensionMap(g.flip != h.flip, compose(space.base, g.base, h.base))
-    raise ConstructionError(f"cannot compose isometries over {type(space).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +232,7 @@ class GroupAction:
         object.__setattr__(self, "elements", tuple(self.elements))
         gens = self.elements[1:] if self.generators is None else tuple(self.generators)
         object.__setattr__(self, "generators", gens)
+        spaces.check_fits(self.space, self.elements + gens)
 
     @property
     def order(self) -> int:
@@ -238,19 +245,23 @@ class GroupAction:
         Such an action admits the closed-form orbit minimum of
         `spaces.rotation_quotient_distance`.  The single generator must equal
         the cyclic generator for (space, m) bit for bit; anything else
-        (other radii, reflections, hand-built lists) returns None.
+        (other radii, reflections, hand-built lists) returns None.  The
+        rotated tree (the base of a root cone of any k, else the whole space)
+        must be `gram_embeddable`: unit spheres and k = 1 cones keep the
+        rotated cosine term affine.
         """
         m = self.order
-        if len(self.generators) != 1 or m < 2 or not spaces.unit_rotation_factors(self.space):
+        moved = self.space.base if isinstance(self.space, Cone) else self.space
+        if len(self.generators) != 1 or m < 2 or not spaces.gram_embeddable(moved):
             return None
         try:
             gen = _cyclic_generator(self.space, m)
         except ConstructionError:
             return None
-        return m if iso_to_json(self.space, gen) == iso_to_json(self.space, self.generators[0]) else None
+        return m if gen.to_json() == self.generators[0].to_json() else None
 
 
-def group_from_generators(space, generators, name: str = "", max_order: int = 4096) -> GroupAction:
+def group_from_generators(space, generators, name: str = "") -> GroupAction:
     """Close a generator list under composition (numeric equality on samples).
 
     The elements start with the identity and the distinct generators in the
@@ -264,11 +275,12 @@ def group_from_generators(space, generators, name: str = "", max_order: int = 40
     probes = spaces.pack_points(space, random_points(space, 32, rng))
 
     def signature(iso):
-        return np.round(spaces.coords_flat(apply_isometry(space, iso, probes)), 9).tobytes()
+        return np.round(spaces.coords_flat(iso.apply(probes)), 9).tobytes()
 
     gens = tuple(generators)
+    spaces.check_fits(space, gens)
     gen_sigs = [signature(h) for h in gens]
-    ident = identity_for(space)
+    ident = Identity()
     ident_sig = signature(ident)
     known = {ident_sig: ident}  # signature -> element, in element order
     for h, sig in zip(gens, gen_sigs):
@@ -288,16 +300,16 @@ def group_from_generators(space, generators, name: str = "", max_order: int = 40
         while frontier:
             nxt = []
             for left, g in frontier:
-                comp = compose(space, left, g)
+                comp = compose(left, g)
                 sig = signature(comp)
                 if sig in reached:
                     continue
                 elem = known.setdefault(sig, comp)
                 reached.add(sig)
                 members.append(elem)
-                if len(members) > max_order:
+                if len(members) > MAX_ORDER:
                     raise ConstructionError(
-                        f"generator closure exceeded {max_order} elements; not a small finite group?"
+                        f"generator closure exceeded {MAX_ORDER} elements; not a small finite group?"
                     )
                 nxt.extend((b, elem) for b in basis)
             frontier = nxt
@@ -329,16 +341,16 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     probes = spaces.pack_points(space, random_points(space, 16, rng))
 
     def table(iso):
-        return spaces.coords_flat(apply_isometry(space, iso, probes))
+        return spaces.coords_flat(iso.apply(probes))
 
     tables = [table(g) for g in action.elements]
-    ident_tab = table(identity_for(space))
+    ident_tab = table(Identity())
     has_identity = any(np.max(np.abs(t - ident_tab)) <= tol for t in tables)
 
     closure_defect = 0.0
     for g in action.elements:
         for h in action.elements:
-            tab = table(compose(space, g, h))
+            tab = table(compose(g, h))
             best = min(float(np.max(np.abs(tab - t))) for t in tables)
             closure_defect = max(closure_defect, best)
 
@@ -381,11 +393,11 @@ def cyclic_approximation(space, m: int) -> GroupAction:
         raise ConstructionError(f"cyclic order must be an integer >= 2, got {m}")
     m = int(m)
     gen = _cyclic_generator(space, m)
-    elements = [identity_for(space)]
+    elements = [Identity()]
     g = gen
     for _ in range(m - 1):
         elements.append(g)
-        g = compose(space, gen, g)
+        g = compose(gen, g)
     return GroupAction(space=space, elements=tuple(elements), name=f"Z_{m}", generators=(gen,))
 
 
@@ -437,105 +449,56 @@ def action_from_json(space, payload: dict) -> GroupAction:
 
 
 def _iso_from_json(space, spec: dict):
+    """The isometry node a generator spec describes; `space` sizes its leaves.
+
+    A spec addressed to the wrong kind of descriptor fails here on a field
+    that descriptor lacks, or at the fit check of `group_from_generators`.
+    """
     spec = dict(spec)
     factor = spec.pop("factor", None)
     if factor:
         head, _, rest = str(factor).partition(".")
-        inner_spec = dict(spec)
         if rest:
-            inner_spec["factor"] = rest
-        if isinstance(space, Join):
-            if head == "left":
-                return JoinMap(_iso_from_json(space.left, inner_spec), identity_for(space.right))
-            if head == "right":
-                return JoinMap(identity_for(space.left), _iso_from_json(space.right, inner_spec))
+            spec["factor"] = rest
+        if isinstance(space, Join) and head in ("left", "right"):
+            inner = _iso_from_json(getattr(space, head), spec)
+            return JoinMap(inner, Identity()) if head == "left" else JoinMap(Identity(), inner)
         if isinstance(space, (Cone, Suspension)) and head == "base":
-            inner = _iso_from_json(space.base, inner_spec)
-            if isinstance(space, Suspension):
-                return SuspensionMap(False, inner)
-            return ConeMap(inner)
+            inner = _iso_from_json(space.base, spec)
+            return ConeMap(inner) if isinstance(space, Cone) else SuspensionMap(False, inner)
         raise ConstructionError(f"factor {factor!r} does not address {type(space).__name__}")
 
     kind = spec.get("type")
     if kind == "identity":
-        return identity_for(space)
+        return Identity()
     if kind == "join_map":
-        if not isinstance(space, Join):
-            raise ConstructionError("join_map generator on a non-join descriptor")
         return JoinMap(_iso_from_json(space.left, spec["left"]), _iso_from_json(space.right, spec["right"]))
     if kind == "cone_map":
-        if not isinstance(space, Cone):
-            raise ConstructionError("cone_map generator on a non-cone descriptor")
         return ConeMap(_iso_from_json(space.base, spec["base"]))
     if kind == "suspension_map":
-        if not isinstance(space, Suspension):
-            raise ConstructionError("suspension_map generator on a non-suspension descriptor")
-        base_spec = spec.get("base", {"type": "identity"})
-        return SuspensionMap(bool(spec.get("flip", False)), _iso_from_json(space.base, base_spec))
+        base = _iso_from_json(space.base, spec.get("base", {"type": "identity"}))
+        return SuspensionMap(bool(spec.get("flip", False)), base)
     if kind == "pole_swap":
-        if not isinstance(space, Suspension):
-            raise ConstructionError("pole_swap applies to suspensions only")
-        return SuspensionMap(True, identity_for(space.base))
+        return SuspensionMap(True, Identity())
     if kind == "antipodal":
-        if not isinstance(space, Sphere):
-            raise ConstructionError("antipodal applies to sphere factors only")
         return antipodal_map(space)
     if kind == "reflection":
         if isinstance(space, Interval):
             return IntervalReflection(space.length)
-        if isinstance(space, Sphere):
-            m = np.eye(space.ambient_dim)
-            m[-1, -1] = -1.0
-            return OrthogonalMap(m)
-        raise ConstructionError("reflection applies to interval or sphere factors")
-    if kind == "rotation":
-        order = int(spec["order"])
-        times = int(spec.get("times", 1))
-        if not isinstance(space, Sphere) or space.dim != 1:
-            raise ConstructionError("rotation applies to circle factors (Sphere dim 1)")
-        return OrthogonalMap(rotation_matrix(2.0 * PI * times / order))
-    if kind == "hopf":
-        order = int(spec["order"])
-        times = int(spec.get("times", 1))
-        if not isinstance(space, Sphere) or space.dim != 3:
-            raise ConstructionError("hopf rotation applies to Sphere(dim=3) factors")
-        return OrthogonalMap(hopf_rotation_matrix(2.0 * PI * times / order))
+        m = np.eye(space.ambient_dim)
+        m[-1, -1] = -1.0
+        return OrthogonalMap(m)
+    if kind in ("rotation", "hopf"):
+        angle = 2.0 * PI * int(spec.get("times", 1)) / int(spec["order"])
+        return OrthogonalMap(rotation_matrix(angle) if kind == "rotation" else hopf_rotation_matrix(angle))
     if kind == "orthogonal":
-        if not isinstance(space, Sphere):
-            raise ConstructionError("orthogonal matrices act on sphere factors only")
         return OrthogonalMap(np.asarray(spec["matrix"], dtype=float))
     raise ConstructionError(f"unknown generator type {kind!r}")
-
-
-def iso_to_json(space, iso) -> dict:
-    if isinstance(iso, Identity):
-        return {"type": "identity"}
-    if isinstance(iso, OrthogonalMap):
-        return {"type": "orthogonal", "matrix": iso.matrix.tolist()}
-    if isinstance(iso, IntervalReflection):
-        return {"type": "reflection"}
-    if isinstance(iso, JoinMap):
-        return {
-            "type": "join_map",
-            "left": iso_to_json(space.left, iso.left),
-            "right": iso_to_json(space.right, iso.right),
-        }
-    if isinstance(iso, ConeMap):
-        return {"type": "cone_map", "base": iso_to_json(space.base, iso.base)}
-    if isinstance(iso, SuspensionMap):
-        return {
-            "type": "suspension_map",
-            "flip": iso.flip,
-            "base": iso_to_json(space.base, iso.base),
-        }
-    raise ConstructionError(f"cannot serialize isometry {type(iso).__name__}")
 
 
 def action_to_json(action: GroupAction) -> dict:
     return {
         "name": action.name,
         "order": action.order,
-        "generators": [iso_to_json(action.space, g) for g in action.generators] or [
-            {"type": "identity"}
-        ],
+        "generators": [g.to_json() for g in action.generators] or [Identity().to_json()],
     }

@@ -182,10 +182,7 @@ def projective_lens_quotient(dim: int, length: float) -> Quotient:
         )
     else:
         raise ConstructionError(f"projective lens quotient supports dim 2 and 3, got {dim}")
-    action = actions_mod.GroupAction(
-        space=base, elements=(actions_mod.identity_for(base), g), name="Z_2"
-    )
-    return Quotient(base, action)
+    return Quotient(base, actions_mod.GroupAction(base, (actions_mod.Identity(), g), name="Z_2"))
 
 
 def spine_example_quotient(reflect: bool, rho: float = 1.0) -> Quotient:
@@ -200,10 +197,7 @@ def spine_example_quotient(reflect: bool, rho: float = 1.0) -> Quotient:
         else actions_mod.OrthogonalMap(actions_mod.rotation_matrix(PI))
     )
     g = actions_mod.JoinMap(rot, actions_mod.ConeMap(cap_part))
-    action = actions_mod.GroupAction(
-        space=base, elements=(actions_mod.identity_for(base), g), name="Z_2"
-    )
-    return Quotient(base, action)
+    return Quotient(base, actions_mod.GroupAction(base, (actions_mod.Identity(), g), name="Z_2"))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +479,7 @@ def _spine_records(cfg: ExperimentConfig, reflect: bool) -> list:
     if reflect:
         coords = net.coords
         g = Q.action.elements[1]
-        gcoords = actions_mod.apply_isometry(Q.base, g, coords)
+        gcoords = g.apply(coords)
         move = spaces.elementwise_distance(Q.base, coords, gcoords)
         fixed = np.flatnonzero(move <= 2.0 * eff)
         gap = float(net.dist[s_idx, fixed].min()) if fixed.size else math.inf

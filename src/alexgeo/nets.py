@@ -50,6 +50,9 @@ from .spaces import (
 )
 
 DEFAULT_BUDGET = 5000
+# Quotient net points closer than this are one orbit point.  Orbit copies
+# read up to ~1.5e-8 apart (arccos resolution near 0), so it must sit above that.
+DEDUPE_TOL = 1e-7
 
 # Fibonacci-lattice covering radius is about _FIB_C / sqrt(N) on the unit
 # 2-sphere; calibrated by probe measurement.
@@ -495,7 +498,7 @@ def ellipsoid_distance(p, q, a: float, b: float, c: float, epsilon: float = 0.05
 
 
 def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGET,
-                allow_degrade: bool = False, dedupe_tol: float = 1e-7) -> FiniteNet:
+                allow_degrade: bool = False) -> FiniteNet:
     """Build a deterministic epsilon-net with its full distance matrix.
 
     The construction targets covering radius <= epsilon.  If that would
@@ -566,12 +569,11 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
     D = self_distance_matrix(space, coords)
 
     if isinstance(space, Quotient):
-        # orbit copies read up to ~1.5e-8 apart (arccos resolution near 0), so tol must sit above that
-        keep = _dedupe_indices(D, dedupe_tol)
+        keep = _dedupe_indices(D, DEDUPE_TOL)
         if keep.shape[0] < n:
             coords = coords_take(coords, keep)
             flags = flags[keep]
-            D = D[np.ix_(keep, keep)]
+            D = _compact(D, keep)
             n = keep.shape[0]
 
     net = FiniteNet(
@@ -597,6 +599,22 @@ def _dedupe_indices(D: np.ndarray, tol: float) -> np.ndarray:
             dup[: i + 1] = False
             keep[dup] = False
     return np.flatnonzero(keep)
+
+
+def _compact(D: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """D[np.ix_(keep, keep)], written over D's own buffer, which then shrinks.
+
+    Kept row r comes from row keep[r] >= r and lands on the flat range
+    [r m, (r + 1) m), which ends before any row still to be read starts,
+    so no second n x n matrix is needed.
+    """
+    m = keep.shape[0]
+    flat = D.reshape(-1)
+    for r, i in enumerate(keep):
+        flat[r * m : (r + 1) * m] = D[i, keep]
+    del flat
+    D.resize((m, m), refcheck=False)  # no view of D is left
+    return D
 
 
 def _freeze(net: FiniteNet):

@@ -255,6 +255,14 @@ class Quotient:
         elements = getattr(self.action, "elements", None)
         if not elements:
             raise ConstructionError("quotient requires a group action with a nonempty element list")
+        check_fits(self.base, elements)
+
+
+def check_fits(space, isometries):
+    """Raise ConstructionError unless every isometry node (see `actions`) fits `space`."""
+    for g in isometries:
+        if not g.fits(space):
+            raise ConstructionError(f"isometry {type(g).__name__} does not fit {space!r}")
 
 
 class Lens(Join):
@@ -844,10 +852,8 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray
     """
     if _rotation_order(space) is not None:
         return rotation_quotient_distance(space, A, B, cross=cross)
-    from .actions import apply_isometry  # local import to avoid a cycle
-
     base = space.base
-    moved = (apply_isometry(base, g, B) for g in space.action.elements)
+    moved = (g.apply(B) for g in space.action.elements)
     if gram and gram_embeddable(base):
         EA = gram_embedding(base, A)
         best = None
@@ -941,30 +947,10 @@ def _latitude_join(t, EL, ER) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def unit_rotation_factors(space, nested: bool = False) -> bool:
-    """Whether every factor a cyclic rotation moves keeps that cosine term affine.
-
-    Sphere factors need radius 1, and cones below the root need k = 1, whose
-    distance cosine is the law-of-cosines term itself.
-    """
-    if isinstance(space, Sphere):
-        return space.radius == 1.0
-    if isinstance(space, Cone):
-        return (not nested or space.k == 1.0) and unit_rotation_factors(space.base, True)
-    if isinstance(space, Join):
-        return unit_rotation_factors(space.left, True) and unit_rotation_factors(space.right, True)
-    if isinstance(space, Suspension):
-        return unit_rotation_factors(space.base, True)
-    return False
-
-
 def _rotation_order(space: Quotient):
     """m when the quotient's action is a closed-form Z_m rotation, else None."""
-    action = space.action
-    m = getattr(action, "rotation_order", None)
-    if m is None or action.space != space.base:
-        return None
-    return m
+    m = space.action.rotation_order
+    return None if m is None or space.action.space != space.base else m
 
 
 def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray:

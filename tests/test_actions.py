@@ -16,7 +16,7 @@ HALF_PI = math.pi / 2.0
 def _z2_join(length=1.0):
     base = Join(Sphere(1, 1.0), Interval(length))
     g = actions.JoinMap(actions.antipodal_map(Sphere(1, 1.0)), actions.IntervalReflection(length))
-    return base, actions.GroupAction(space=base, elements=(actions.identity_for(base), g))
+    return base, actions.GroupAction(space=base, elements=(actions.Identity(), g))
 
 
 class TestValidation:
@@ -36,7 +36,7 @@ class TestValidation:
     def test_non_closed_list_fails(self):
         base = Sphere(1, 1.0)
         rot = actions.OrthogonalMap(actions.rotation_matrix(2.0 * PI / 3.0))
-        act = actions.GroupAction(space=base, elements=(actions.identity_for(base), rot))
+        act = actions.GroupAction(space=base, elements=(actions.Identity(), rot))
         audit = actions.validate_action(base, act, n_pairs=50)
         assert not audit.passed  # missing rot^2
 
@@ -151,6 +151,53 @@ class TestConeActions:
     def test_cap_reflection_is_isometry(self):
         cap = Cone(1.0, Sphere(1, 1.0), 1.0)
         g = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
-        act = actions.GroupAction(space=cap, elements=(actions.identity_for(cap), g))
+        act = actions.GroupAction(space=cap, elements=(actions.Identity(), g))
         audit = actions.validate_action(cap, act, n_pairs=300)
         assert audit.passed
+
+
+CIRCLE = Sphere(1, 1.0)
+CAP = Cone(1.0, CIRCLE, 1.0)
+
+
+class TestFitCheck:
+    """A node of the wrong shape for its descriptor fails where the action meets it."""
+
+    @pytest.mark.parametrize("space, g", [
+        (Sphere(2, 1.0), actions.OrthogonalMap(np.eye(4))),
+        (CAP, actions.ConeMap(actions.OrthogonalMap(np.eye(3)))),
+        (CAP, actions.JoinMap(actions.Identity(), actions.Identity())),
+        (CIRCLE, actions.IntervalReflection(1.0)),
+        (Interval(1.0), actions.IntervalReflection(2.0)),
+        (Suspension(CIRCLE), actions.ConeMap(actions.Identity())),
+    ], ids=["matrix-size", "cone-base-matrix", "join-map-on-cone", "interval-reflection-on-sphere",
+            "reflection-length", "cone-map-on-suspension"])
+    def test_group_action_rejects_a_misfit(self, space, g):
+        with pytest.raises(ConstructionError, match="does not fit"):
+            actions.GroupAction(space, (actions.Identity(), g))
+        with pytest.raises(ConstructionError, match="does not fit"):
+            actions.group_from_generators(space, [g])
+
+    def test_quotient_rejects_an_action_for_another_base(self):
+        with pytest.raises(ConstructionError, match="does not fit"):
+            Quotient(Sphere(2, 1.0), actions.cyclic_approximation(Sphere(3, 1.0), 8))
+
+    @pytest.mark.parametrize("base, generator", [
+        ({"kind": "sphere", "dim": 1},
+         {"type": "join_map", "left": {"type": "identity"}, "right": {"type": "identity"}}),
+        ({"kind": "join", "left": {"kind": "sphere", "dim": 1}, "right": {"kind": "sphere", "dim": 1}},
+         {"type": "cone_map", "base": {"type": "identity"}}),
+        ({"kind": "cone", "k": 1.0, "base": {"kind": "sphere", "dim": 1}, "r0": 1.0},
+         {"type": "pole_swap"}),
+        ({"kind": "interval", "length": 1.0}, {"type": "antipodal"}),
+        ({"kind": "sphere", "dim": 3}, {"type": "rotation", "order": 4}),
+        ({"kind": "sphere", "dim": 1}, {"type": "hopf", "order": 4}),
+        ({"kind": "sphere", "dim": 1}, {"type": "orthogonal", "matrix": np.eye(3).tolist()}),
+    ], ids=["join-map-on-sphere", "cone-map-on-join", "pole-swap-on-cone", "antipodal-on-interval",
+            "rotation-on-s3", "hopf-on-circle", "orthogonal-3x3-on-circle"])
+    def test_json_generator_for_another_kind(self, base, generator):
+        from alexgeo import serialize
+
+        payload = {"kind": "quotient", "base": base, "action": {"generators": [generator]}}
+        with pytest.raises(ConstructionError):
+            serialize.space_from_json(payload)

@@ -286,7 +286,7 @@ class TestQuotientExamples:
             1.0, abs=2.0 * net.epsilon_effective
         )
         g = Q.action.elements[1]
-        moved = actions.apply_isometry(Q.base, g, net.coords)
+        moved = g.apply(net.coords)
         move = elementwise_distance(Q.base, net.coords, moved)
         fixed = np.flatnonzero(move <= 2.0 * net.epsilon_effective)
         assert fixed.size > 0

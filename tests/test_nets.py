@@ -1,12 +1,14 @@
 """Net construction: determinism, covering, boundary flags, metric audit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from alexgeo import actions, nets, serialize, spaces
 from alexgeo.errors import CapacityError, DomainError
+from alexgeo.harness import spine_example_quotient
 from alexgeo.nets import epsilon_net, verify_metric
 from alexgeo.spaces import (
     Cone,
@@ -94,6 +96,37 @@ class TestCompositeNets:
         cap = Cone(1.0, Sphere(1, 1.0), 1.0)
         net = epsilon_net(Quotient(cap, actions.cyclic_approximation(cap, 8)), 0.05, 42)
         assert net.dist[np.triu_indices(net.n, 1)].min() > 1e-7
+
+    def test_dedupe_keeps_no_second_matrix(self, monkeypatch):
+        # from the moment the full matrix exists, memory stays near the kept
+        # matrix: the kept rows and columns are compacted into its own buffer
+        build, raw = nets.self_distance_matrix, []
+
+        def built(*args, **kwargs):
+            D = build(*args, **kwargs)
+            raw.append(D.shape[0])
+            tracemalloc.reset_peak()
+            return D
+
+        monkeypatch.setattr(nets, "self_distance_matrix", built)
+        tracemalloc.start()
+        try:
+            net = epsilon_net(spine_example_quotient(True), 0.3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n < raw[0]
+        assert net.dist.shape == (net.n, net.n) and net.dist.flags.c_contiguous
+        assert peak < 1.2 * net.dist.nbytes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_compact_matches_fancy_indexing(self, seed):
+        rng = np.random.default_rng(seed)
+        D = rng.random((300, 300))
+        keep = np.flatnonzero(rng.random(300) < [0.3, 0.9, 0.99][seed])
+        expected = D[np.ix_(keep, keep)]
+        out = nets._compact(D, keep)
+        assert out.flags.c_contiguous and np.array_equal(out, expected)
 
     def test_model_ball(self):
         net = epsilon_net(ModelBall(0.0, 1.0, 2), 0.05, 42)

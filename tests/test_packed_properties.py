@@ -4,8 +4,9 @@ Leaves are unit and 0.75-radius spheres S^1..S^3, intervals, lenses and
 model balls; nodes are joins, cones with k in {1, 0, -1} and suspensions;
 the root may be a Z_2 reflection quotient or a `cyclic_approximation`
 quotient.  On each tree the cross and elementwise kernels agree on paired
-rows, the packed-coordinate helpers agree with `pack_points`, and packed
-coordinates survive a JSON round trip.
+rows, the packed-coordinate helpers agree with `pack_points`, packed
+coordinates survive a JSON round trip, and a quotient's group elements act
+on packed coordinates as they act on points.
 """
 
 import json
@@ -145,3 +146,19 @@ def test_coords_len_rejects_a_record_whose_fields_disagree():
     C.left = C.left[:3]
     with pytest.raises(ConstructionError, match="coordinates disagree in length"):
         spaces.coords_len(C)
+
+
+@SETTINGS
+@given(spaces_with_quotients().filter(lambda s: isinstance(s, Quotient)), SEEDS, st.data())
+def test_packed_action_matches_scalar_action(space, seed, data):
+    base, elements = space.base, space.action.elements
+    g, h = (elements[data.draw(st.integers(0, len(elements) - 1))] for _ in range(2))
+    P = _points(base, 6, seed)
+    C = spaces.pack_points(base, P)
+    packed = spaces.coords_flat(g.apply(C))
+    scalar = spaces.coords_flat(spaces.pack_points(base, [g.apply_point(p) for p in P]))
+    assert np.max(np.abs(packed - scalar)) <= 1e-14
+    composed = spaces.coords_flat(actions.compose(g, h).apply(C))
+    assert np.max(np.abs(composed - spaces.coords_flat(g.apply(h.apply(C))))) <= 1e-12
+    rebuilt = actions._iso_from_json(base, json.loads(json.dumps(g.to_json())))
+    assert _same(rebuilt.apply(C), g.apply(C))

@@ -101,7 +101,7 @@ class TestFallback:
             assert spaces.distance(Q, p, r) == _loop(base, action, p, r)
         A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
         loop_cross = np.min(
-            [spaces.cross_distance(base, A, actions.apply_isometry(base, g, B)) for g in action.elements],
+            [spaces.cross_distance(base, A, g.apply(B)) for g in action.elements],
             axis=0,
         )
         assert np.array_equal(spaces.cross_distance(Q, A, B), loop_cross)
@@ -135,7 +135,7 @@ class TestFallback:
         # a hand-built Z_2 whose element is the surrogate's generator is that surrogate
         base = Sphere(1, 1.0)
         g = actions.OrthogonalMap(actions.rotation_matrix(PI))
-        assert actions.GroupAction(base, (actions.identity_for(base), g)).rotation_order == 2
+        assert actions.GroupAction(base, (actions.Identity(), g)).rotation_order == 2
 
     def test_action_for_another_base_falls_back(self):
         action = actions.cyclic_approximation(Sphere(1, 1.0), 8)

@@ -241,19 +241,19 @@ class TestLensDistance:
 
 class TestQuotientDistance:
     def test_trivial_group(self):
-        from alexgeo.actions import GroupAction, identity_for
+        from alexgeo.actions import GroupAction, Identity
 
         base = Sphere(1, 1.0)
-        act = GroupAction(space=base, elements=(identity_for(base),))
+        act = GroupAction(space=base, elements=(Identity(),))
         Q = spaces.Quotient(base, act)
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert distance(Q, u, v) == pytest.approx(HALF_PI)
 
     def test_antipodal_identification(self):
-        from alexgeo.actions import GroupAction, antipodal_map, identity_for
+        from alexgeo.actions import GroupAction, Identity, antipodal_map
 
         base = Sphere(1, 1.0)
-        act = GroupAction(space=base, elements=(identity_for(base), antipodal_map(base)))
+        act = GroupAction(space=base, elements=(Identity(), antipodal_map(base)))
         Q = spaces.Quotient(base, act)
         u = np.array([1.0, 0.0])
         assert distance(Q, u, -u) == 0.0
