@@ -489,11 +489,24 @@ def _iso_from_json(space, spec: dict):
         m[-1, -1] = -1.0
         return OrthogonalMap(m)
     if kind in ("rotation", "hopf"):
-        angle = 2.0 * PI * int(spec.get("times", 1)) / int(spec["order"])
+        order, times = spec["order"], spec.get("times", 1)
+        if not (_is_integer(order) and order >= 1 and _is_integer(times)):
+            raise ConstructionError(
+                f"{kind} generator needs an integer order >= 1 and an integer times, "
+                f"got order {order!r}, times {times!r}"
+            )
+        angle = 2.0 * PI * int(times) / int(order)
         return OrthogonalMap(rotation_matrix(angle) if kind == "rotation" else hopf_rotation_matrix(angle))
     if kind == "orthogonal":
         return OrthogonalMap(np.asarray(spec["matrix"], dtype=float))
     raise ConstructionError(f"unknown generator type {kind!r}")
+
+
+def _is_integer(value) -> bool:
+    """A JSON number with an integral value (bool excluded)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
 
 
 def action_to_json(action: GroupAction) -> dict:

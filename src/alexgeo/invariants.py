@@ -22,6 +22,25 @@ from .nets import FiniteNet
 from .spaces import Cone, Lens, PI, HALF_PI, Sphere, clamped_arccos
 
 
+def _per_row(D, rows, cols, reduce) -> np.ndarray:
+    """reduce(D[rows][:, cols]) row by row, one row block at a time.
+
+    No len(rows) x len(cols) copy is made; `reduce` maps a block to one
+    value per row, and min and max are exact, so the result is bit-identical
+    to the unblocked one.
+    """
+    out = np.empty(len(rows))
+    step = spaces.row_block(len(cols))
+    for s in range(0, len(rows), step):
+        out[s : s + step] = reduce(D[np.ix_(rows[s : s + step], cols)])
+    return out
+
+
+def _min_to(D, cols) -> np.ndarray:
+    """Each row's minimum over the columns `cols`."""
+    return _per_row(D, np.arange(D.shape[0]), cols, lambda b: b.min(axis=1))
+
+
 class DiameterResult(NamedTuple):
     value: float
     witness: tuple
@@ -63,7 +82,7 @@ def soul(net: FiniteNet) -> int:
     interior = net.interior_indices()
     if interior.size == 0:
         raise PreconditionError("soul is undefined: every net point is boundary-flagged")
-    to_bdry = net.dist[:, bdry].min(axis=1)
+    to_bdry = _min_to(net.dist, bdry)
     masked = np.where(net.is_boundary, -np.inf, to_bdry)
     return int(np.argmax(masked))
 
@@ -109,7 +128,7 @@ def spine_set(net: FiniteNet, edge: np.ndarray, tol: float | None = None) -> np.
         raise PreconditionError("spine requires a nonempty edge set")
     if tol is None:
         tol = 2.0 * net.epsilon_effective
-    to_edge = net.dist[:, edge].min(axis=1)
+    to_edge = _min_to(net.dist, edge)
     return np.flatnonzero(to_edge >= HALF_PI - tol)
 
 
@@ -134,14 +153,19 @@ def dual_pair_check(net: FiniteNet, A, B, tol: float) -> DualPairResult:
         raise PreconditionError("dual pair check requires nonempty index sets")
     if np.intersect1d(A, B).size:
         raise PreconditionError("dual pair check requires disjoint index sets")
-    cross = np.abs(net.dist[np.ix_(A, B)] - HALF_PI)
-    ai, bi = np.unravel_index(int(np.argmax(cross)), cross.shape)
-    to_a = net.dist[:, A].min(axis=1)
-    to_b = net.dist[:, B].min(axis=1)
+    D = net.dist
+    # the first row of the |A| x |B| block holding its maximum, then that
+    # row's first: the flat argmax's witness, without the block's copy
+    row_max = _per_row(D, A, B, lambda b: np.abs(np.subtract(b, HALF_PI, out=b), out=b).max(axis=1))
+    ai = int(np.argmax(row_max))
+    cross = np.abs(D[A[ai], B] - HALF_PI)
+    bi = int(np.argmax(cross))
+    to_a = _min_to(D, A)
+    to_b = _min_to(D, B)
     decomp = np.abs(to_a + to_b - HALF_PI)
     x = int(np.argmax(decomp))
     return DualPairResult(
-        pair_defect=float(cross[ai, bi]),
+        pair_defect=float(cross[bi]),
         decomposition_defect=float(decomp[x]),
         pair_witness=(int(A[ai]), int(B[bi])),
         decomposition_witness=x,

@@ -664,8 +664,9 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     # (j from the start of i's block on), with no n x n temporary;
     # np.maximum, unlike Python's max, keeps a NaN
     sym = 0.0
-    for s in range(0, n, spaces.ROW_BLOCK):
-        e = min(s + spaces.ROW_BLOCK, n)
+    step = spaces.row_block(n)
+    for s in range(0, n, step):
+        e = min(s + step, n)
         sym = np.maximum(sym, np.max(np.abs(D[s:e, s:] - D[s:, s:e].T)))
     sym = float(sym)
     diag = float(np.max(np.abs(np.diag(D))))
@@ -720,7 +721,7 @@ def covering_check(net: FiniteNet, n_probes: int = 10_000, seed: int = 1234) -> 
         return float(np.max(d))
     pk = spaces.pack_points(net.space, probes)
     worst = 0.0
-    block = max(1, 2_000_000 // max(net.n, 1))
+    block = spaces.row_block(net.n)
     for start in range(0, n_probes, block):
         idx = np.arange(start, min(start + block, n_probes))
         d = cross_distance(net.space, coords_take(pk, idx), net.coords)

@@ -1009,18 +1009,28 @@ def _rotation_terms(space, A, B, cross: bool):
     raise ConstructionError(f"no closed-form rotation term for {type(space).__name__}")
 
 
-# rows per block of the n x n matrix builder and of the metric audit's symmetry scan
-ROW_BLOCK = 512
+# matrix entries per block of every pass over an n-column matrix: each row
+# block of `self_distance_matrix` and the kernel temporaries it spawns (a
+# dozen per block on the rotation-quotient path) stay a few MB, whatever n is
+BLOCK_ENTRIES = 2**17
 
 
-def self_distance_matrix(space, coords, block: int = ROW_BLOCK) -> np.ndarray:
+def row_block(n: int) -> int:
+    """Rows per block of a pass over a matrix with `n` columns."""
+    return max(1, BLOCK_ENTRIES // max(n, 1))
+
+
+def self_distance_matrix(space, coords, block: int | None = None) -> np.ndarray:
     """Full symmetric distance matrix, each unordered pair evaluated once.
 
     Row block [s, e) is evaluated against the columns s: only, written to
     D[s:e, s:] and mirrored into D[s:, s:e], so the kernel sees about
-    n(n + block)/2 pairs and memory stays at the n x n result.
+    n(n + block)/2 pairs and memory stays at the n x n result.  `block`
+    defaults to `row_block(n)` rows.
     """
     n = coords_len(coords)
+    if block is None:
+        block = row_block(n)
     D = np.empty((n, n), dtype=float)
     for s in range(0, n, block):
         e = min(s + block, n)

@@ -172,6 +172,59 @@ class TestEdgeSpine:
             inv.spine_set(net, np.array([], dtype=int))
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestScansWithoutColumnCopies:
+    # soul, spine and dual-pair scans take row-blocked minima and maxima of a
+    # frozen matrix: no n x |cols| copy, and the same answers as the copies gave
+    @pytest.fixture(scope="class")
+    def net(self):
+        rng = np.random.default_rng(11)
+        n = 2000
+        D = HALF_PI + 0.25 * rng.integers(-2, 3, (n, n))  # many ties in every scan
+        D = np.minimum(D, D.T)
+        np.fill_diagonal(D, 0.0)
+        D.setflags(write=False)
+        flags = rng.random(n) < 0.3  # far more than a tenth of the points
+        return nets.FiniteNet(Sphere(2, 1.0), None, flags, D, 0.05, 0.05, 0)
+
+    def test_soul(self, net):
+        D, bdry = net.dist, net.boundary_indices()
+        s, peak = _traced_peak(lambda: inv.soul(net))
+        assert s == int(np.argmax(np.where(net.is_boundary, -np.inf, D[:, bdry].min(axis=1))))
+        assert peak < D.nbytes / 10
+
+    def test_spine_set(self, net):
+        D, edge = net.dist, net.boundary_indices()
+        spine, peak = _traced_peak(lambda: inv.spine_set(net, edge, tol=0.6))
+        assert np.array_equal(spine, np.flatnonzero(D[:, edge].min(axis=1) >= HALF_PI - 0.6))
+        assert 0 < spine.size < net.n
+        assert peak < D.nbytes / 10
+
+    def test_dual_pair_check(self, net):
+        D = net.dist
+        A, B = net.boundary_indices(), net.interior_indices()[::2]
+        res, peak = _traced_peak(lambda: inv.dual_pair_check(net, A, B, tol=0.1))
+        cross = np.abs(D[np.ix_(A, B)] - HALF_PI)
+        ai, bi = np.unravel_index(int(np.argmax(cross)), cross.shape)
+        decomp = np.abs(D[:, A].min(axis=1) + D[:, B].min(axis=1) - HALF_PI)
+        assert res.pair_defect == cross[ai, bi]
+        assert res.pair_witness == (int(A[ai]), int(B[bi]))
+        assert res.decomposition_defect == decomp.max()
+        assert res.decomposition_witness == int(np.argmax(decomp))
+        assert peak < D.nbytes / 10
+
+
 class TestDualPair:
     def test_lens_edge_spine_dual(self):
         # the true edge and spine are the latitude-0 and latitude-pi/2 slices,

@@ -226,7 +226,7 @@ class TestVerifyMetric:
     @pytest.mark.parametrize("i,j", [(1100, 3), (600, 599), (1023, 512), (1199, 0)])
     def test_asymmetry_in_lower_left_tile_reported_exactly(self, i, j):
         net = epsilon_net(Sphere(2, 1.0), 0.08, 42)
-        assert net.n > 1024  # three row blocks of 512
+        assert net.n > 1024  # many row blocks of spaces.row_block(n) rows
         D = net.dist.copy()
         D[i, j] += 0.25  # lower triangle only, outside the row block of i's upper strip
         audit = verify_metric(D, 1e-9)

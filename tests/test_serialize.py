@@ -118,6 +118,25 @@ class TestMalformed:
         with pytest.raises(ConstructionError):
             actions.action_from_json(base, payload)
 
+    @pytest.mark.parametrize("order", [0, -4, 2.5, True, "4", float("inf")])
+    @pytest.mark.parametrize("kind,dim", [("rotation", 1), ("hopf", 3)])
+    def test_generator_order_must_be_a_positive_integer(self, tmp_path, capsys, kind, dim, order):
+        payload = {"kind": "quotient", "base": {"kind": "sphere", "dim": dim},
+                   "action": {"generators": [{"type": kind, "order": order}]}}
+        with pytest.raises(ConstructionError, match="integer order"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_generator_times_must_be_an_integer(self):
+        payload = {"kind": "quotient", "base": {"kind": "sphere", "dim": 1},
+                   "action": {"generators": [{"type": "rotation", "order": 4, "times": 1.5}]}}
+        with pytest.raises(ConstructionError, match="integer times"):
+            serialize.space_from_json(payload)
+
     @pytest.mark.parametrize("text", ['{"kind": "sphere"}', '{"kind": '])
     def test_cli_exits_2_with_a_message(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"

@@ -499,6 +499,19 @@ def _assert_exact_structure(D):
     assert not np.diag(D).any()
 
 
+def _block_edge_sizes():
+    """1 point (one row), then the first n past one row block of `row_block(n)`
+    rows that is one row short of, exactly at and one row over a multiple of it."""
+
+    def first(over):
+        return next(
+            n for n in range(2, 1 << 20)
+            if n > spaces.row_block(n) and (n - over) % spaces.row_block(n) == 0
+        )
+
+    return [1] + [first(over) for over in (-1, 0, 1)]
+
+
 class TestSelfDistanceMatrix:
     @pytest.mark.parametrize("name", list(MATRIX_SPACES))
     @pytest.mark.parametrize("n,block", [(20, 7), (90, 512)])
@@ -511,7 +524,7 @@ class TestSelfDistanceMatrix:
         _assert_matches_cross(space, C, D)
 
     @pytest.mark.parametrize("name", ["sphere_half", "cap075_z8"])
-    @pytest.mark.parametrize("n", [1, 511, 512, 513])
+    @pytest.mark.parametrize("n", _block_edge_sizes())
     def test_block_edges(self, name, n):
         space = MATRIX_SPACES[name]
         C = _packed(space, n)
@@ -519,6 +532,25 @@ class TestSelfDistanceMatrix:
         assert D.shape == (n, n)
         _assert_exact_structure(D)
         _assert_matches_cross(space, C, D)
+
+    @pytest.mark.parametrize(
+        "space",
+        [harness.spine_example_quotient(False), MATRIX_SPACES["cap075_z8"]],
+        ids=["rotation_kernel", "element_list"],
+    )
+    def test_working_set_stays_near_the_matrix(self, space):
+        # the kernel temporaries of a row block are bounded by BLOCK_ENTRIES,
+        # not by a fixed row count times n
+        import tracemalloc
+
+        C = _packed(space, 3200)
+        tracemalloc.start()
+        try:
+            D = self_distance_matrix(space, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * D.nbytes
 
     def test_net_orbit_copies_stay_symmetric(self):
         # orbit copies of one point read ~1e-8 in one orientation and 0 in
