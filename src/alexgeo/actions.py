@@ -252,7 +252,7 @@ class GroupAction:
         """
         m = self.order
         moved = self.space.base if isinstance(self.space, Cone) else self.space
-        if len(self.generators) != 1 or m < 2 or not spaces.gram_embeddable(moved):
+        if len(self.generators) != 1 or m < 2 or not moved.gram_embeddable():
             return None
         try:
             gen = _cyclic_generator(self.space, m)

@@ -455,7 +455,7 @@ def convexity_check(space, lambda0: float, probes: int = 1000, h: float = 1e-2,
     evaluated at h, h/2, h/4; the boundary is accepted as lambda0-convex if
     the worst ratio at the finest scale is >= -tol and did not worsen.
     """
-    if not spaces.has_boundary(space):
+    if not space.has_boundary():
         raise PreconditionError(f"{type(space).__name__} has no boundary to probe")
     scales = [h, h / 2.0, h / 4.0]
     worst = []
@@ -477,7 +477,7 @@ def convexity_check(space, lambda0: float, probes: int = 1000, h: float = 1e-2,
 
 
 def _convexity_probe_cone(space: Cone, lambda0: float, probes: int, scale: float, rng):
-    if spaces.has_boundary(space.base):
+    if space.base.has_boundary():
         raise PreconditionError("convexity probes need a boundaryless cone base")
     k, r0 = space.k, space.r0
     sn = spaces.sn_k(k, r0)

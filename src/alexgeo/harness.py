@@ -547,8 +547,8 @@ def _ex3_8(cfg: ExperimentConfig) -> list:
     worst_decomp = 0.0
     for x in pts:
         e_x, t, y_x = x
-        a = (e_x, 0.0, nets_mod.canonical_point(cap))
-        b = (nets_mod.canonical_point(E), HALF_PI, y_x)
+        a = (e_x, 0.0, cap.canonical_point())
+        b = (E.canonical_point(), HALF_PI, y_x)
         worst_pair = max(worst_pair, abs(qdist(a, b) - HALF_PI))
         worst_decomp = max(worst_decomp, abs(qdist(x, a) + qdist(x, b) - HALF_PI))
     recs.append(

@@ -204,7 +204,7 @@ def boundary_volume(space, samples: int, seed: int) -> VolumeEstimate:
         vals = 2.0 * unit_sphere_volume(d) * HALF_PI * np.cos(t) ** d
         return _mc_summary(vals)
     if isinstance(space, Cone):
-        if spaces.has_boundary(space.base):
+        if space.base.has_boundary():
             raise UnsupportedConstructionError(
                 "boundary volume for cones supports boundaryless sphere bases only"
             )

@@ -42,11 +42,9 @@ from .spaces import (
     coords_len,
     coords_take,
     cross_distance,
-    diameter_bound,
-    has_boundary,
     self_distance_matrix,
-    space_dim,
     unpack_point,
+    _sn,
 )
 
 DEFAULT_BUDGET = 5000
@@ -89,100 +87,9 @@ class FiniteNet:
         return np.flatnonzero(~self.is_boundary)
 
 
-# ---------------------------------------------------------------------------
-# random samplers (probe points, action validation, Monte Carlo)
-# ---------------------------------------------------------------------------
-
-
 def random_points(space, n: int, rng: np.random.Generator):
     """n independent sample points with full support in the space."""
-    if isinstance(space, Sphere):
-        v = rng.standard_normal((n, space.ambient_dim))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return [v[i] for i in range(n)]
-    if isinstance(space, Interval):
-        return [float(x) for x in rng.uniform(0.0, space.length, n)]
-    if isinstance(space, Ellipsoid):
-        v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return [v[i] * space.axes for i in range(n)]
-    if isinstance(space, Join):
-        dl, dr = space_dim(space.left), space_dim(space.right)
-        ts = _sample_latitudes(rng, n, dl, dr)
-        ls = random_points(space.left, n, rng)
-        rs = random_points(space.right, n, rng)
-        return [(ls[i], float(ts[i]), rs[i]) for i in range(n)]
-    if isinstance(space, Cone):
-        d = space_dim(space.base)
-        ts = _sample_radii(rng, n, space.k, space.r0, d)
-        bs = random_points(space.base, n, rng)
-        return [(float(ts[i]), bs[i]) for i in range(n)]
-    if isinstance(space, Suspension):
-        d = space_dim(space.base)
-        us = _rejection_sample(rng, n, 0.0, PI, lambda u: np.sin(u) ** d)
-        bs = random_points(space.base, n, rng)
-        return [(float(us[i]), bs[i]) for i in range(n)]
-    if isinstance(space, Quotient):
-        return random_points(space.base, n, rng)
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-def _rejection_sample(rng, n, lo, hi, weight):
-    out = np.empty(n)
-    got = 0
-    while got < n:
-        cand = rng.uniform(lo, hi, 2 * (n - got) + 8)
-        w = weight(cand)
-        keep = cand[rng.uniform(0.0, 1.0, cand.shape[0]) * 1.0 <= w]
-        take = min(n - got, keep.shape[0])
-        out[got : got + take] = keep[:take]
-        got += take
-    return out
-
-
-def _sample_latitudes(rng, n, dim_left, dim_right):
-    # density proportional to the join volume element cos^dl(t) sin^dr(t)
-    return _rejection_sample(
-        rng, n, 0.0, HALF_PI, lambda t: np.cos(t) ** dim_left * np.sin(t) ** dim_right
-    )
-
-
-def _sn(k: float, t):
-    if k == 0.0:
-        return np.asarray(t, dtype=float)
-    if k > 0.0:
-        s = math.sqrt(k)
-        return np.sin(s * np.asarray(t, dtype=float)) / s
-    s = math.sqrt(-k)
-    return np.sinh(s * np.asarray(t, dtype=float)) / s
-
-
-def _sample_radii(rng, n, k, r0, base_dim):
-    wmax = float(_sn(k, r0)) ** base_dim if base_dim > 0 else 1.0
-    return _rejection_sample(
-        rng, n, 0.0, r0, lambda t: (_sn(k, t) ** base_dim) / max(wmax, 1e-300)
-    )
-
-
-def canonical_point(space):
-    """A fixed valid point, used as the single representative of a collapsed factor."""
-    if isinstance(space, Sphere):
-        e = np.zeros(space.ambient_dim)
-        e[0] = 1.0
-        return e
-    if isinstance(space, Interval):
-        return space.length / 2.0
-    if isinstance(space, Join):
-        return (canonical_point(space.left), 0.0, canonical_point(space.right))
-    if isinstance(space, Cone):
-        return (0.0, canonical_point(space.base))
-    if isinstance(space, Suspension):
-        return (0.0, canonical_point(space.base))
-    if isinstance(space, Quotient):
-        return canonical_point(space.base)
-    if isinstance(space, Ellipsoid):
-        return np.array([space.a, 0.0, 0.0])
-    raise ConstructionError(f"unknown descriptor {space!r}")
+    return space.random_points(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +178,18 @@ def _gen_join(left, right, eps, rng):
     cov = 0.55 * eps
     n_t = max(2, math.ceil(HALF_PI / dt) + 1)
     ts = np.linspace(0.0, HALF_PI, n_t)
-    diam_l = diameter_bound(left)
-    diam_r = diameter_bound(right)
+    diam_l = left.diameter_bound()
+    diam_r = right.diameter_bound()
     part_coords, part_flags = [], []
     for j, t in enumerate(ts):
         ct, st = math.cos(t), math.sin(t)
         if ct * diam_l <= 2.0 * cov:
-            lc = spaces.pack_points(left, [canonical_point(left)])
+            lc = spaces.pack_points(left, [left.canonical_point()])
             lf = np.zeros(1, dtype=bool)
         else:
             lc, lf = _gen(left, cov / ct, rng, phase=j * _GOLDEN)
         if st * diam_r <= 2.0 * cov:
-            rc = spaces.pack_points(right, [canonical_point(right)])
+            rc = spaces.pack_points(right, [right.canonical_point()])
             rf = np.zeros(1, dtype=bool)
         else:
             rc, rf = _gen(right, cov / st, rng, phase=j * _GOLDEN * _GOLDEN)
@@ -291,9 +198,9 @@ def _gen_join(left, right, eps, rng):
         li = np.repeat(np.arange(nl), nr)
         ri = np.tile(np.arange(nr), nl)
         flags = lf[li] | rf[ri]
-        if t == 0.0 and has_boundary(right):
+        if t == 0.0 and right.has_boundary():
             flags = np.ones(nl * nr, dtype=bool)
-        if t == ts[-1] and has_boundary(left):
+        if t == ts[-1] and left.has_boundary():
             flags = np.ones(nl * nr, dtype=bool)
         part_coords.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
         part_flags.append(flags)
@@ -306,13 +213,13 @@ def _gen_cone(space: Cone, eps, rng):
     cov = 0.85 * eps
     n_t = max(2, math.ceil(space.r0 / dt) + 1)
     ts = np.linspace(0.0, space.r0, n_t)
-    diam_b = diameter_bound(space.base)
-    base_has_bdry = has_boundary(space.base)
+    diam_b = space.base.diameter_bound()
+    base_has_bdry = space.base.has_boundary()
     part_coords, part_flags = [], []
     for j, t in enumerate(ts):
         scale = float(_sn(space.k, t))
         if scale * diam_b <= 2.0 * cov:
-            bc = spaces.pack_points(space.base, [canonical_point(space.base)])
+            bc = spaces.pack_points(space.base, [space.base.canonical_point()])
             bf = np.zeros(1, dtype=bool)
         else:
             bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
@@ -333,13 +240,13 @@ def _gen_suspension(space: Suspension, eps, rng):
     cov = 0.85 * eps
     n_u = max(3, math.ceil(PI / dt) + 1)
     us = np.linspace(0.0, PI, n_u)
-    diam_b = diameter_bound(space.base)
-    base_has_bdry = has_boundary(space.base)
+    diam_b = space.base.diameter_bound()
+    base_has_bdry = space.base.has_boundary()
     part_coords, part_flags = [], []
     for j, u in enumerate(us):
         scale = math.sin(u)
         if scale * diam_b <= 2.0 * cov:
-            bc = spaces.pack_points(space.base, [canonical_point(space.base)])
+            bc = spaces.pack_points(space.base, [space.base.canonical_point()])
             bf = np.zeros(1, dtype=bool)
         else:
             bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
@@ -457,8 +364,7 @@ class EllipsoidEngine:
         return np.asarray(idx), w
 
     def distance(self, p, q) -> float:
-        spaces.validate_point(self.space, p)
-        spaces.validate_point(self.space, q)
+        spaces.pack_points(self.space, [p, q])
         ip, wp = self._attach(p)
         iq, wq = self._attach(q)
         through = float(np.min(wp[:, None] + self.dist[np.ix_(ip, iq)] + wq[None, :]))
@@ -510,9 +416,9 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if not budget >= 1:
         raise DomainError(f"budget must be at least 1 point, got {budget}")
-    if epsilon >= diameter_bound(space):
+    if epsilon >= space.diameter_bound():
         raise DomainError(
-            f"epsilon {epsilon} is not below the diameter bound {diameter_bound(space)}"
+            f"epsilon {epsilon} is not below the diameter bound {space.diameter_bound()}"
         )
 
     if isinstance(space, Ellipsoid):
@@ -551,7 +457,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
                 required=n,
                 budget=budget,
             )
-        dim = max(1, space_dim(space))
+        dim = max(1, space.dim)
         for _ in range(24):
             eff *= 1.03 * (n / budget) ** (1.0 / dim)
             rng = np.random.default_rng(seed)

@@ -18,50 +18,25 @@ from pathlib import Path
 import numpy as np
 
 from . import actions as actions_mod
-from . import spaces
 from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
 from .spaces import (
     Cone,
-    ConeCoords,
     Ellipsoid,
     Interval,
     Join,
-    JoinCoords,
     Lens,
     ModelBall,
     Quotient,
     Sphere,
-    SuspCoords,
     Suspension,
+    coords_len,
 )
 
 
 def space_to_json(space) -> dict:
-    # a lens is a join and a model ball a cone: their own kinds come first
-    if isinstance(space, Lens):
-        return {"kind": "lens", "dim": space.dim, "alpha": space.alpha}
-    if isinstance(space, ModelBall):
-        return {"kind": "model_ball", "k": space.k, "r0": space.r0, "dim": space.dim}
-    if isinstance(space, Sphere):
-        return {"kind": "sphere", "dim": space.dim, "radius": space.radius}
-    if isinstance(space, Interval):
-        return {"kind": "interval", "length": space.length}
-    if isinstance(space, Ellipsoid):
-        return {"kind": "ellipsoid", "a": space.a, "b": space.b, "c": space.c}
-    if isinstance(space, Join):
-        return {"kind": "join", "left": space_to_json(space.left), "right": space_to_json(space.right)}
-    if isinstance(space, Cone):
-        return {"kind": "cone", "k": space.k, "base": space_to_json(space.base), "r0": space.r0}
-    if isinstance(space, Suspension):
-        return {"kind": "suspension", "base": space_to_json(space.base)}
-    if isinstance(space, Quotient):
-        return {
-            "kind": "quotient",
-            "base": space_to_json(space.base),
-            "action": actions_mod.action_to_json(space.action),
-        }
-    raise ConstructionError(f"cannot serialize {space!r}")
+    """The descriptor's tagged JSON object."""
+    return space.to_json()
 
 
 def space_from_json(payload: dict):
@@ -103,44 +78,22 @@ def coords_to_json(coords):
 
 
 def coords_from_json(space, payload):
-    """Packed coordinates of `space` from JSON, each leaf checked against the descriptor.
+    """Packed coordinates of `space` from JSON, checked as `spaces.pack_points` checks them.
 
-    A leaf of the wrong shape, or a sphere row off the unit sphere (as
-    `spaces.pack_points` rejects it), is a ConstructionError.
+    The layout is that of an empty pack of `space`.  A leaf of the wrong
+    shape, a sphere row off the unit sphere or a value outside its
+    coordinate range is a ConstructionError.
     """
-    if isinstance(space, Sphere):
-        rows = _leaf(payload, "sphere", space.ambient_dim)
-        spaces.check_unit_rows(rows, ConstructionError)
-        return rows
-    if isinstance(space, Ellipsoid):
-        return _leaf(payload, "ellipsoid", 3)
-    if isinstance(space, Interval):
-        return _leaf(payload, "interval")
-    if isinstance(space, Join):
-        return JoinCoords(
-            coords_from_json(space.left, payload["left"]),
-            _leaf(payload["t"], "join latitude"),
-            coords_from_json(space.right, payload["right"]),
-        )
-    if isinstance(space, (Cone, Suspension)):
-        record, radial, what = (
-            (ConeCoords, "t", "cone radial") if isinstance(space, Cone)
-            else (SuspCoords, "u", "suspension colatitude")
-        )
-        base = coords_from_json(space.base, payload["base"])
-        return record(_leaf(payload[radial], what), base)
-    if isinstance(space, Quotient):
-        return coords_from_json(space.base, payload)
-    raise ConstructionError(f"cannot deserialize coordinates for {space!r}")
+    coords = _read_coords(space.pack([]), payload)
+    space.check_coords(coords, ConstructionError)
+    return coords
 
 
-def _leaf(payload, what: str, width: int | None = None) -> np.ndarray:
-    """A coordinate leaf: a list of numbers, or with `width` a list of rows of that many numbers."""
-    leaf = np.asarray(payload, dtype=float)
-    if leaf.ndim != (1 if width is None else 2) or (width is not None and leaf.shape[1] != width):
-        wanted = "a list of numbers" if width is None else f"rows of {width} numbers"
-        raise ConstructionError(f"{what} coordinates must be {wanted}, got shape {leaf.shape}")
-    return leaf
+def _read_coords(layout, payload):
+    """`payload` read into the records of `layout`, each leaf as a float array."""
+    if not is_dataclass(layout):
+        return np.asarray(payload, dtype=float)
+    return type(layout)(*(_read_coords(getattr(layout, f.name), payload[f.name]) for f in fields(layout)))
 
 
 def stable_dumps(obj) -> str:
@@ -208,7 +161,7 @@ def read_net(csv_path) -> FiniteNet:
         raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
     if is_boundary.shape != (n,):
         raise ConstructionError(f"net metadata has {is_boundary.size} boundary flags for n = {n}")
-    n_coords = n if coords is None else spaces.coords_len(coords)
+    n_coords = n if coords is None else coords_len(coords)
     if n_coords != n:
         raise ConstructionError(f"net metadata has {n_coords} coordinates for n = {n}")
     if not np.all(np.isfinite(D)):

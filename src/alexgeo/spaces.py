@@ -5,9 +5,9 @@ primitive factors (round spheres, intervals, ellipsoid surfaces) and
 composite constructions (spherical join, curvature-k cone, suspension,
 finite isometric quotient).  A lens is a join and a model ball a cone, so
 they share every formula, sampler and codec of their construction; only
-their boundary faces and their JSON kind are their own.  Every descriptor
-except the ellipsoid evaluates distances by an explicit formula; the
-ellipsoid is handled by a graph geodesic engine built on a surface net (see
+their boundary faces and their JSON are their own.  Every descriptor except
+the ellipsoid evaluates distances by an explicit formula; the ellipsoid is
+handled by a graph geodesic engine built on a surface net (see
 ``alexgeo.nets``).
 
 Point conventions per kind:
@@ -27,10 +27,23 @@ Degenerate coordinates compare equal through the distance function: the
 cone apex ignores its base coordinate, a join point at latitude 0 ignores
 its right coordinate, and so on.
 
+The descriptor protocol.  Every kind subclasses `SpaceDescriptor` and
+answers for itself, recursing into its factors: ``dim``, ``has_boundary()``,
+``diameter_bound()``, the factor checks ``check_join_factor(side)`` and
+``check_cone_base()``; scalar ``distance(p, q)``, ``pack(points)``,
+``check_coords(coords, error)``, ``random_points(n, rng)`` and
+``canonical_point()``; the kernels ``kernel(A, B, cross)`` (the root of
+`cross_distance` and `elementwise_distance`), ``formula(A, B, cross)`` (the
+per-factor laws), ``gram_embeddable()``, ``gram_embedding(coords)`` and, where
+a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its JSON,
+``to_json()``.  The module functions (`distance`, `pack_points`,
+`cross_distance`, ...) call these methods.  Joins, cones, suspensions and
+quotients accept only descriptors as factors.
+
 Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
 suspensions and k = 1 cones built from them (so lenses and k = 1 model
 balls too) are convex pieces of one unit sphere, since S^p * S^q =
-S^(p+q+1).  `gram_embedding` maps their packed points to unit rows E(x)
+S^(p+q+1).  ``gram_embedding`` maps their packed points to unit rows E(x)
 with cos d(x, y) = <E(x), E(y)>, and `cross_distance` and
 `elementwise_distance` evaluate such a tree as one product of those rows
 and one arccos.  A quotient of such a tree by an element list takes the
@@ -42,14 +55,21 @@ scalar `distance` always evaluates factor by factor.
 Packed coordinates.  `pack_points` turns a list of points into packed
 coordinates, one entry per point along the first axis.  A leaf is an
 ndarray: 1-D for interval values, 2-D with one row per point for sphere and
-ellipsoid points.  Sphere rows must be unit vectors to within 1e-12, the
-test `validate_point` applies.  A record (`JoinCoords`, `ConeCoords`,
-`SuspCoords`) is a dataclass whose fields are packed coordinates of one
-common length, in the order of the point tuple.  Lenses and model balls
-are joins and cones, so they pack as `JoinCoords` and `ConeCoords`;
-quotients reuse the coordinates of their base.  Since each record carries
-its own layout, `coords_len`, `coords_take`, `coords_concat`, `unpack_point`
-and `coords_flat` recurse on the coordinates alone and need no descriptor.
+ellipsoid points.  A record (`JoinCoords`, `ConeCoords`, `SuspCoords`) is a
+dataclass whose fields are packed coordinates of one common length, in the
+order of the point tuple.  Lenses and model balls are joins and cones, so
+they pack as `JoinCoords` and `ConeCoords`; quotients reuse the coordinates
+of their base.  Since each record carries its own layout, `coords_len`,
+`coords_take`, `coords_concat`, `unpack_point` and `coords_flat` recurse on
+the coordinates alone and need no descriptor.
+
+The domain check.  ``check_coords`` is the one test of a point's domain:
+leaf shapes (1-D values; rows as wide as the sphere's ambient space, or 3 on
+the ellipsoid), unit sphere rows and ellipsoid rows on the surface, and the
+interval, join latitude, cone radial and suspension colatitude values in
+their closed ranges (to within 1e-12; NaN fails).  `pack_points`, so
+`validate_point`, raises DomainError from it, and
+`serialize.coords_from_json`, so `serialize.read_net`, ConstructionError.
 """
 
 from __future__ import annotations
@@ -141,282 +161,7 @@ def clamped_arccosh(x):
 
 
 # ---------------------------------------------------------------------------
-# descriptors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """Round sphere S^dim of the given radius, points as unit vectors."""
-
-    dim: int
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 0:
-            raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim}")
-        if not 0.0 < self.radius < math.inf:
-            raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.dim + 1
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Interval [0, length] with |s - t| distance; length restricted to (0, pi]."""
-
-    length: float
-
-    def __post_init__(self):
-        if not (0.0 < self.length <= PI + 1e-12):
-            raise ConstructionError(f"interval length must lie in (0, pi], got {self.length}")
-        object.__setattr__(self, "length", float(min(self.length, PI)))
-
-
-@dataclass(frozen=True)
-class Ellipsoid:
-    """Surface x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 with its intrinsic metric."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not 0.0 < v < math.inf:
-                raise ConstructionError(
-                    f"ellipsoid semi-axis {name} must be positive and finite, got {v}"
-                )
-            object.__setattr__(self, name, v)
-
-    @property
-    def axes(self):
-        return np.array([self.a, self.b, self.c])
-
-
-@dataclass(frozen=True)
-class Join:
-    """Spherical join left * right with the cosine distance formula."""
-
-    left: "SpaceDescriptor"
-    right: "SpaceDescriptor"
-
-    def __post_init__(self):
-        _validate_join_factor(self.left, "left")
-        _validate_join_factor(self.right, "right")
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Curvature-k cone over `base`, radial coordinate capped at r0."""
-
-    k: float
-    base: "SpaceDescriptor"
-    r0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "r0", float(self.r0))
-        if not math.isfinite(self.k):
-            raise ConstructionError(f"cone curvature k must be finite, got {self.k}")
-        if not 0.0 < self.r0 < math.inf:
-            raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0}")
-        if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
-            raise ConstructionError(
-                f"cone with k={self.k} requires r0 <= pi/(2*sqrt(k)) = "
-                f"{HALF_PI / math.sqrt(self.k):.6f}, got r0={self.r0}"
-            )
-        _validate_cone_base(self.base)
-
-
-@dataclass(frozen=True)
-class Suspension:
-    """Spherical suspension of `base`: the join with a two-point space."""
-
-    base: "SpaceDescriptor"
-
-    def __post_init__(self):
-        _validate_join_factor(self.base, "suspension base")
-
-
-@dataclass(frozen=True, eq=False)
-class Quotient:
-    """Quotient of `base` by a finite isometry group (min-over-orbit metric)."""
-
-    base: "SpaceDescriptor"
-    action: object  # actions.GroupAction; typed loosely to avoid an import cycle
-
-    def __post_init__(self):
-        elements = getattr(self.action, "elements", None)
-        if not elements:
-            raise ConstructionError("quotient requires a group action with a nonempty element list")
-        check_fits(self.base, elements)
-
-
-def check_fits(space, isometries):
-    """Raise ConstructionError unless every isometry node (see `actions`) fits `space`."""
-    for g in isometries:
-        if not g.fits(space):
-            raise ConstructionError(f"isometry {type(g).__name__} does not fit {space!r}")
-
-
-class Lens(Join):
-    """Lens of dihedral angle alpha in S^dim, stored with a half-angle interval.
-
-    The join Sphere(dim-2, 1) * Interval(alpha); the interval coordinate s
-    runs over [0, alpha] and the two bounding faces sit at s = 0 and
-    s = alpha.  alpha = pi gives exactly the closed hemisphere.
-    """
-
-    def __init__(self, dim: int, alpha: float):
-        if not math.isfinite(dim) or int(dim) != dim or dim < 2:
-            raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim}")
-        if not (0.0 < alpha <= PI + 1e-12):
-            raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
-        super().__init__(Sphere(int(dim) - 2, 1.0), Interval(float(alpha)))
-
-    @property
-    def dim(self) -> int:
-        return self.left.dim + 2
-
-    @property
-    def alpha(self) -> float:
-        return self.right.length
-
-
-class ModelBall(Cone):
-    """Closed ball of radius r0 in the constant-curvature-k space form.
-
-    The curvature-k cone over the unit sphere S^(dim-1), capped at r0.
-    """
-
-    def __init__(self, k: float, r0: float, dim: int):
-        k, r0 = float(k), float(r0)
-        if not math.isfinite(k):
-            raise ConstructionError(f"model ball curvature k must be finite, got {k}")
-        if not math.isfinite(dim) or int(dim) != dim or dim < 1:
-            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {dim}")
-        if not 0.0 < r0 < math.inf:
-            raise ConstructionError(f"model ball radius must be positive and finite, got {r0}")
-        if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
-            raise ConstructionError(
-                f"model ball with k={k} requires r0 <= pi/(2*sqrt(k)), got r0={r0}"
-            )
-        super().__init__(k, Sphere(int(dim) - 1, 1.0), r0)
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim + 1
-
-
-SpaceDescriptor = Sphere | Interval | Ellipsoid | Join | Cone | Suspension | Quotient
-
-
-def _validate_join_factor(desc, side: str):
-    """Factors of joins/suspensions must be unit-diameter-bounded curv >= 1 pieces."""
-    if isinstance(desc, Sphere):
-        if not (0.5 - 1e-12 <= desc.radius <= 1.0 + 1e-12):
-            raise ConstructionError(
-                f"{side} factor sphere radius must lie in [1/2, 1] for a curv >= 1 join, "
-                f"got {desc.radius}"
-            )
-    elif isinstance(desc, (Interval, Join, Suspension)):
-        pass  # join and suspension factors were validated on construction
-    elif isinstance(desc, Cone):
-        if abs(desc.k - 1.0) > 1e-12 or desc.r0 > HALF_PI + 1e-12:
-            raise ConstructionError(
-                f"{side} factor cone must have k = 1 and r0 <= pi/2 to sit in a curv >= 1 join"
-            )
-    elif isinstance(desc, Quotient):
-        _validate_join_factor(desc.base, side)
-    elif isinstance(desc, Ellipsoid):
-        raise UnsupportedConstructionError(
-            "ellipsoid factors are not supported in joins (no closed-form distance)"
-        )
-    else:
-        raise ConstructionError(f"unsupported {side} join factor: {desc!r}")
-
-
-def _validate_cone_base(desc):
-    if isinstance(desc, Sphere):
-        if desc.radius > 1.0 + 1e-12:
-            raise ConstructionError(
-                f"cone base sphere radius must be <= 1 (diameter <= pi), got {desc.radius}"
-            )
-    elif isinstance(desc, (Interval, Join, Suspension)):
-        pass
-    elif isinstance(desc, Quotient):
-        _validate_cone_base(desc.base)
-    elif isinstance(desc, Ellipsoid):
-        raise UnsupportedConstructionError("ellipsoid cone bases are not supported")
-    elif isinstance(desc, Cone):
-        raise UnsupportedConstructionError("iterated cones are not supported")
-    else:
-        raise ConstructionError(f"unsupported cone base: {desc!r}")
-
-
-# ---------------------------------------------------------------------------
-# structural helpers
-# ---------------------------------------------------------------------------
-
-
-def space_dim(space) -> int:
-    """Topological dimension of the described space."""
-    if isinstance(space, Sphere):
-        return space.dim
-    if isinstance(space, Interval):
-        return 1
-    if isinstance(space, Ellipsoid):
-        return 2
-    if isinstance(space, Join):
-        return space_dim(space.left) + space_dim(space.right) + 1
-    if isinstance(space, (Cone, Suspension)):
-        return space_dim(space.base) + 1
-    if isinstance(space, Quotient):
-        return space_dim(space.base)
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-def has_boundary(space) -> bool:
-    if isinstance(space, (Sphere, Ellipsoid)):
-        return False
-    if isinstance(space, Interval):
-        return True
-    if isinstance(space, Join):
-        return has_boundary(space.left) or has_boundary(space.right)
-    if isinstance(space, Cone):
-        return True  # the cap t = r0 (plus any base boundary)
-    if isinstance(space, Suspension):
-        return has_boundary(space.base)
-    if isinstance(space, Quotient):
-        return has_boundary(space.base)
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-def diameter_bound(space) -> float:
-    """Cheap upper bound for the diameter, used for argument validation."""
-    if isinstance(space, Sphere):
-        return PI * space.radius
-    if isinstance(space, Interval):
-        return space.length
-    if isinstance(space, Ellipsoid):
-        return PI * max(space.a, space.b, space.c)
-    if isinstance(space, (Join, Suspension)):
-        return PI
-    if isinstance(space, Cone):
-        return PI / math.sqrt(space.k) if space.k > 0 else 2.0 * space.r0
-    if isinstance(space, Quotient):
-        return diameter_bound(space.base)
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-# ---------------------------------------------------------------------------
-# scalar distance operations
+# scalar helpers, the checks of packed coordinates, scalar distance formulas
 # ---------------------------------------------------------------------------
 
 _UNIT_TOL = 1e-12
@@ -427,16 +172,47 @@ def vector_norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def check_unit_rows(rows, error=DomainError):
-    """Raise `error` unless every row is a unit vector to within `_UNIT_TOL`.
+def _check_leaf(leaf, what: str, error, width: int | None = None) -> np.ndarray:
+    """`leaf` if it is 1-D, or with `width` 2-D with rows of that many numbers."""
+    if leaf.ndim != (1 if width is None else 2) or (width is not None and leaf.shape[1] != width):
+        wanted = "a list of numbers" if width is None else f"rows of {width} numbers"
+        raise error(f"{what} coordinates must be {wanted}, got shape {leaf.shape}")
+    return leaf
 
-    A loop: most packs are one row (scalar queries), where numpy's per-call
-    overhead costs several times `vector_norm`.
+
+def _check_values(leaf, hi: float, what: str, error):
+    """Raise `error` unless `leaf` is 1-D with every value in [0, hi] to within 1e-12.
+
+    A loop, as for sphere rows: on a one-point pack a numpy reduction costs
+    several times the comparison.
     """
-    for row in rows:
-        nrm = vector_norm(row)
-        if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
-            raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
+    for x in _check_leaf(leaf, what, error).tolist():
+        if not -1e-12 <= x <= hi + 1e-12:  # NaN fails too
+            raise error(f"{what} coordinate {x} outside [0, {hi}]")
+
+
+def _stack_rows(points, width: int) -> np.ndarray:
+    """Vector points as the rows of one array; no points give a (0, width) array."""
+    rows = [np.asarray(p, dtype=float) for p in points]
+    if len({r.shape for r in rows}) > 1:
+        raise DomainError(f"points of one factor differ in shape: {sorted({r.shape for r in rows})}")
+    return np.asarray(rows, dtype=float) if rows else np.empty((0, width))
+
+
+def _columns(points, k: int) -> list:
+    """The k coordinate sequences of points that are k-tuples."""
+    try:
+        cols = list(zip(*points, strict=True)) if len(points) else [()] * k
+    except (TypeError, ValueError):  # a point that is no tuple, or tuples of two lengths
+        cols = []
+    if len(cols) != k:
+        raise DomainError(f"points of this space must be tuples of {k} coordinates")
+    return cols
+
+
+def _float_leaf(values) -> np.ndarray:
+    """Scalar coordinates as a 1-D float array."""
+    return np.asarray([float(x) for x in values], dtype=float)
 
 
 def sn_k(k: float, t: float) -> float:
@@ -450,11 +226,42 @@ def sn_k(k: float, t: float) -> float:
     return math.sinh(s * t) / s
 
 
+def _sn(k: float, t):
+    """`sn_k` on arrays."""
+    if k == 0.0:
+        return np.asarray(t, dtype=float)
+    if k > 0.0:
+        s = math.sqrt(k)
+        return np.sin(s * np.asarray(t, dtype=float)) / s
+    s = math.sqrt(-k)
+    return np.sinh(s * np.asarray(t, dtype=float)) / s
+
+
+def _rejection_sample(rng, n, lo, hi, weight):
+    out = np.empty(n)
+    got = 0
+    while got < n:
+        cand = rng.uniform(lo, hi, 2 * (n - got) + 8)
+        w = weight(cand)
+        keep = cand[rng.uniform(0.0, 1.0, cand.shape[0]) * 1.0 <= w]
+        take = min(n - got, keep.shape[0])
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
+
+
 def sphere_distance(u, v, radius: float = 1.0) -> float:
-    """Great-circle distance radius * arccos(<u, v>) between unit vectors."""
+    """Great-circle distance radius * arccos(<u, v>) between unit vectors of one length."""
+    return _great_circle(u, v, np.shape(u), radius)
+
+
+def _great_circle(u, v, shape: tuple, radius: float) -> float:
+    """`sphere_distance` of two points that must both have `shape`."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     for name, w in (("u", u), ("v", v)):
+        if w.shape != shape:
+            raise DomainError(f"sphere point {name} must have shape {shape}, got {w.shape}")
         nrm = vector_norm(w)
         if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
             raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
@@ -534,6 +341,572 @@ def quotient_distance(base_metric, action, x, y) -> float:
     return min(float(base_metric(x, g.apply_point(y))) for g in elements)
 
 
+@dataclass
+class JoinCoords:
+    left: object
+    t: np.ndarray
+    right: object
+
+
+@dataclass
+class ConeCoords:
+    t: np.ndarray
+    base: object
+
+
+@dataclass
+class SuspCoords:
+    u: np.ndarray
+    base: object
+
+
+# ---------------------------------------------------------------------------
+# descriptors
+# ---------------------------------------------------------------------------
+
+
+class SpaceDescriptor:
+    """Base class of every descriptor kind; the module docstring lists what each answers.
+
+    The defaults below are those of the kinds that do not override them.
+    """
+
+    def has_boundary(self) -> bool:
+        return False
+
+    def diameter_bound(self) -> float:
+        """A cheap upper bound for the diameter, used for argument validation."""
+        return PI
+
+    def check_join_factor(self, side: str):
+        """Raise ConstructionError unless this space may be a join or suspension factor."""
+
+    def check_cone_base(self):
+        """Raise ConstructionError unless this space may be a cone base."""
+
+    def gram_embeddable(self) -> bool:
+        """Whether every node has a unit Gram embedding (see `gram_embedding`)."""
+        return False
+
+    def kernel(self, A, B, cross: bool) -> np.ndarray:
+        """`cross_distance` when `cross`, else `elementwise_distance`: the Gram
+        kernel at the root only, so that subtrees keep their formulas."""
+        if self.gram_embeddable():
+            return _arccos_in_place(_inner(self.gram_embedding(A), self.gram_embedding(B), cross))
+        return self.formula(A, B, cross)
+
+
+def _as_base(name: str):
+    """The method `name` of a space that answers it as its `base` does."""
+    return lambda self, *args: getattr(self.base, name)(*args)
+
+
+def _factor(desc, what: str) -> SpaceDescriptor:
+    """`desc`, which must be a descriptor, or ConstructionError."""
+    if not isinstance(desc, SpaceDescriptor):
+        raise ConstructionError(f"{what} must be a space descriptor, got {desc!r}")
+    return desc
+
+
+@dataclass(frozen=True)
+class Sphere(SpaceDescriptor):
+    """Round sphere S^dim of the given radius, points as unit vectors."""
+
+    dim: int
+    radius: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 0:
+            raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim}")
+        if not 0.0 < self.radius < math.inf:
+            raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "radius", float(self.radius))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.dim + 1
+
+    def diameter_bound(self) -> float:
+        return PI * self.radius
+
+    def check_join_factor(self, side: str):
+        if not (0.5 - 1e-12 <= self.radius <= 1.0 + 1e-12):
+            raise ConstructionError(
+                f"{side} factor sphere radius must lie in [1/2, 1] for a curv >= 1 join, "
+                f"got {self.radius}"
+            )
+
+    def check_cone_base(self):
+        if self.radius > 1.0 + 1e-12:
+            raise ConstructionError(
+                f"cone base sphere radius must be <= 1 (diameter <= pi), got {self.radius}"
+            )
+
+    def distance(self, p, q) -> float:
+        return _great_circle(p, q, (self.dim + 1,), self.radius)
+
+    def pack(self, points):
+        return _stack_rows(points, self.ambient_dim)
+
+    def check_coords(self, coords, error=DomainError):
+        # a loop: most packs are one row (scalar queries), where numpy's
+        # per-call overhead costs several times `vector_norm`
+        for row in _check_leaf(coords, "sphere", error, self.ambient_dim):
+            nrm = vector_norm(row)
+            if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
+                raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        return self.radius * clamped_arccos(_inner(np.atleast_2d(A), np.atleast_2d(B), cross))
+
+    kernel = formula  # a bare sphere already is one product
+
+    def gram_embeddable(self) -> bool:
+        return self.radius == 1.0
+
+    def gram_embedding(self, coords) -> np.ndarray:
+        return np.atleast_2d(np.asarray(coords, dtype=float))
+
+    def rotation_terms(self, A, B, cross: bool):
+        A2, B2 = np.atleast_2d(A), np.atleast_2d(B)
+        Bi = np.empty_like(B2)  # Im(conj(a) b) = <a, Bi> for each complex coordinate
+        Bi[:, 0::2] = B2[:, 1::2]
+        Bi[:, 1::2] = -B2[:, 0::2]
+        return 0.0, _inner(A2, B2, cross), _inner(A2, Bi, cross)
+
+    def random_points(self, n: int, rng):
+        v = rng.standard_normal((n, self.ambient_dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return [v[i] for i in range(n)]
+
+    def canonical_point(self):
+        e = np.zeros(self.ambient_dim)
+        e[0] = 1.0
+        return e
+
+    def to_json(self) -> dict:
+        return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
+
+
+@dataclass(frozen=True)
+class Interval(SpaceDescriptor):
+    """Interval [0, length] with |s - t| distance; length restricted to (0, pi]."""
+
+    length: float
+    dim = 1
+
+    def __post_init__(self):
+        if not (0.0 < self.length <= PI + 1e-12):
+            raise ConstructionError(f"interval length must lie in (0, pi], got {self.length}")
+        object.__setattr__(self, "length", float(min(self.length, PI)))
+
+    def has_boundary(self) -> bool:
+        return True
+
+    def diameter_bound(self) -> float:
+        return self.length
+
+    def distance(self, p, q) -> float:
+        return interval_distance(p, q, self.length)
+
+    def pack(self, points):
+        return _float_leaf(points)
+
+    def check_coords(self, coords, error=DomainError):
+        _check_values(coords, self.length, "interval", error)
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        a, b = _pairs(np.asarray(A, dtype=float), np.asarray(B, dtype=float), cross)
+        return np.abs(a - b)
+
+    kernel = formula  # an interval already is one subtraction
+
+    def gram_embeddable(self) -> bool:
+        return self.length <= PI  # |a - b| <= pi, so arccos(cos |a - b|) gives it back
+
+    def gram_embedding(self, coords) -> np.ndarray:
+        a = np.asarray(coords, dtype=float)
+        return np.stack([np.cos(a), np.sin(a)], axis=1)
+
+    def random_points(self, n: int, rng):
+        return [float(x) for x in rng.uniform(0.0, self.length, n)]
+
+    def canonical_point(self):
+        return self.length / 2.0
+
+    def to_json(self) -> dict:
+        return {"kind": "interval", "length": self.length}
+
+
+@dataclass(frozen=True)
+class Ellipsoid(SpaceDescriptor):
+    """Surface x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 with its intrinsic metric."""
+
+    a: float
+    b: float
+    c: float
+    dim = 2
+
+    def __post_init__(self):
+        for name in ("a", "b", "c"):
+            v = float(getattr(self, name))
+            if not 0.0 < v < math.inf:
+                raise ConstructionError(
+                    f"ellipsoid semi-axis {name} must be positive and finite, got {v}"
+                )
+            object.__setattr__(self, name, v)
+
+    @property
+    def axes(self):
+        return np.array([self.a, self.b, self.c])
+
+    def diameter_bound(self) -> float:
+        return PI * max(self.a, self.b, self.c)
+
+    def check_join_factor(self, side: str):
+        raise UnsupportedConstructionError(
+            "ellipsoid factors are not supported in joins (no closed-form distance)"
+        )
+
+    def check_cone_base(self):
+        raise UnsupportedConstructionError("ellipsoid cone bases are not supported")
+
+    def distance(self, p, q) -> float:
+        from .nets import ellipsoid_distance
+
+        return ellipsoid_distance(p, q, self.a, self.b, self.c)
+
+    def pack(self, points):
+        return _stack_rows(points, 3)
+
+    def check_coords(self, coords, error=DomainError):
+        rows = _check_leaf(coords, "ellipsoid", error, 3)
+        levels = np.sum((rows / self.axes) ** 2, axis=1)
+        for v, lvl in zip(rows, levels.tolist()):
+            if not abs(lvl - 1.0) <= 1e-9:  # NaN fails too
+                raise error(f"point {v.tolist()} is off the ellipsoid surface (level {lvl!r})")
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        raise UnsupportedConstructionError(
+            "ellipsoid distances require a net-backed geodesic engine, not a closed form"
+        )
+
+    def random_points(self, n: int, rng):
+        return [v * self.axes for v in Sphere(2).random_points(n, rng)]
+
+    def canonical_point(self):
+        return np.array([self.a, 0.0, 0.0])
+
+    def to_json(self) -> dict:
+        return {"kind": "ellipsoid", "a": self.a, "b": self.b, "c": self.c}
+
+
+@dataclass(frozen=True)
+class Join(SpaceDescriptor):
+    """Spherical join left * right with the cosine distance formula."""
+
+    left: SpaceDescriptor
+    right: SpaceDescriptor
+
+    def __post_init__(self):
+        _factor(self.left, "left join factor").check_join_factor("left")
+        _factor(self.right, "right join factor").check_join_factor("right")
+
+    @property
+    def dim(self) -> int:
+        return self.left.dim + self.right.dim + 1
+
+    def has_boundary(self) -> bool:
+        return self.left.has_boundary() or self.right.has_boundary()
+
+    def distance(self, p, q) -> float:
+        return join_distance(p, q, self.left.distance, self.right.distance)
+
+    def pack(self, points):
+        left, t, right = _columns(points, 3)
+        return JoinCoords(self.left.pack(left), _float_leaf(t), self.right.pack(right))
+
+    def check_coords(self, coords, error=DomainError):
+        self.left.check_coords(coords.left, error)
+        _check_values(coords.t, HALF_PI, "join latitude", error)
+        self.right.check_coords(coords.right, error)
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        cl = np.cos(np.minimum(self.left.formula(A.left, B.left, cross), PI))
+        cr = np.cos(np.minimum(self.right.formula(A.right, B.right, cross), PI))
+        cc, ss = _trig_pairs(A.t, B.t, cross)
+        return clamped_arccos(cc * cl + ss * cr)
+
+    def gram_embeddable(self) -> bool:
+        return self.left.gram_embeddable() and self.right.gram_embeddable()
+
+    def gram_embedding(self, coords) -> np.ndarray:
+        EL = self.left.gram_embedding(coords.left)
+        return _latitude_join(coords.t, EL, self.right.gram_embedding(coords.right))
+
+    def rotation_terms(self, A, B, cross: bool):
+        CL, HrL, HiL = self.left.rotation_terms(A.left, B.left, cross)
+        CR, HrR, HiR = self.right.rotation_terms(A.right, B.right, cross)
+        cc, ss = _trig_pairs(A.t, B.t, cross)
+        return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
+
+    def random_points(self, n: int, rng):
+        dl, dr = self.left.dim, self.right.dim  # density: the volume element cos^dl(t) sin^dr(t)
+        ts = _rejection_sample(rng, n, 0.0, HALF_PI, lambda t: np.cos(t) ** dl * np.sin(t) ** dr)
+        ls = self.left.random_points(n, rng)
+        rs = self.right.random_points(n, rng)
+        return [(ls[i], float(ts[i]), rs[i]) for i in range(n)]
+
+    def canonical_point(self):
+        return (self.left.canonical_point(), 0.0, self.right.canonical_point())
+
+    def to_json(self) -> dict:
+        return {"kind": "join", "left": self.left.to_json(), "right": self.right.to_json()}
+
+
+class _OverBase(SpaceDescriptor):
+    """What cones and suspensions share: a radial coordinate in [0, top] over a base.
+
+    A suspension is the k = 1 cone law in its colatitude, top = pi.  A kind
+    sets `_record`, its `_radial` field and name `_what`, and `_law()` = (k, top).
+    """
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim + 1
+
+    def pack(self, points):
+        radial, base = _columns(points, 2)
+        return self._record(_float_leaf(radial), self.base.pack(base))
+
+    def check_coords(self, coords, error=DomainError):
+        _check_values(getattr(coords, self._radial), self._law()[1], self._what, error)
+        self.base.check_coords(coords.base, error)
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        ctheta = np.cos(np.minimum(self.base.formula(A.base, B.base, cross), PI))
+        ta, tb = getattr(A, self._radial), getattr(B, self._radial)
+        return _cone_law_array(self._law()[0], *_pairs(ta, tb, cross), ctheta)
+
+    def gram_embeddable(self) -> bool:
+        return self._law()[0] == 1.0 and self.base.gram_embeddable()
+
+    def gram_embedding(self, coords) -> np.ndarray:
+        # a k = 1 cone or a suspension is the join of a point with its base
+        u = getattr(coords, self._radial)
+        return _latitude_join(u, np.ones((u.shape[0], 1)), self.base.gram_embedding(coords.base))
+
+    def rotation_terms(self, A, B, cross: bool):
+        # a k = 1 cone (as `gram_embeddable` requires) or a suspension: one law
+        Cb, Hr, Hi = self.base.rotation_terms(A.base, B.base, cross)
+        cc, ss = _trig_pairs(getattr(A, self._radial), getattr(B, self._radial), cross)
+        return cc + ss * Cb, ss * Hr, ss * Hi
+
+    def canonical_point(self):
+        return (0.0, self.base.canonical_point())
+
+
+@dataclass(frozen=True)
+class Cone(_OverBase):
+    """Curvature-k cone over `base`, radial coordinate capped at r0."""
+
+    k: float
+    base: SpaceDescriptor
+    r0: float
+    _record = ConeCoords
+    _radial, _what = "t", "cone radial"
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "r0", float(self.r0))
+        if not math.isfinite(self.k):
+            raise ConstructionError(f"cone curvature k must be finite, got {self.k}")
+        if not 0.0 < self.r0 < math.inf:
+            raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0}")
+        if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
+            raise ConstructionError(
+                f"cone with k={self.k} requires r0 <= pi/(2*sqrt(k)) = "
+                f"{HALF_PI / math.sqrt(self.k):.6f}, got r0={self.r0}"
+            )
+        _factor(self.base, "cone base").check_cone_base()
+
+    def _law(self):
+        return self.k, self.r0
+
+    def has_boundary(self) -> bool:
+        return True  # the cap t = r0 (plus any base boundary)
+
+    def diameter_bound(self) -> float:
+        return PI / math.sqrt(self.k) if self.k > 0 else 2.0 * self.r0
+
+    def check_join_factor(self, side: str):
+        if abs(self.k - 1.0) > 1e-12 or self.r0 > HALF_PI + 1e-12:
+            raise ConstructionError(
+                f"{side} factor cone must have k = 1 and r0 <= pi/2 to sit in a curv >= 1 join"
+            )
+
+    def check_cone_base(self):
+        raise UnsupportedConstructionError("iterated cones are not supported")
+
+    def distance(self, p, q) -> float:
+        return cone_distance(self.k, p, q, self.base.distance, self.r0)
+
+    def random_points(self, n: int, rng):
+        k, r0, d = self.k, self.r0, self.base.dim  # density: the volume element sn_k(t)^d
+        wmax = float(_sn(k, r0)) ** d if d > 0 else 1.0
+        ts = _rejection_sample(rng, n, 0.0, r0, lambda t: (_sn(k, t) ** d) / max(wmax, 1e-300))
+        bs = self.base.random_points(n, rng)
+        return [(float(ts[i]), bs[i]) for i in range(n)]
+
+    def to_json(self) -> dict:
+        return {"kind": "cone", "k": self.k, "base": self.base.to_json(), "r0": self.r0}
+
+
+@dataclass(frozen=True)
+class Suspension(_OverBase):
+    """Spherical suspension of `base`: the join with a two-point space."""
+
+    base: SpaceDescriptor
+    _record = SuspCoords
+    _radial, _what = "u", "suspension colatitude"
+
+    def __post_init__(self):
+        _factor(self.base, "suspension base").check_join_factor("suspension base")
+
+    def _law(self):
+        return 1.0, PI
+
+    has_boundary = _as_base("has_boundary")
+
+    def distance(self, p, q) -> float:
+        return suspension_distance(p, q, self.base.distance)
+
+    def random_points(self, n: int, rng):
+        d = self.base.dim
+        us = _rejection_sample(rng, n, 0.0, PI, lambda u: np.sin(u) ** d)
+        bs = self.base.random_points(n, rng)
+        return [(float(us[i]), bs[i]) for i in range(n)]
+
+    def to_json(self) -> dict:
+        return {"kind": "suspension", "base": self.base.to_json()}
+
+
+@dataclass(frozen=True, eq=False)
+class Quotient(SpaceDescriptor):
+    """Quotient of `base` by a finite isometry group (min-over-orbit metric)."""
+
+    base: SpaceDescriptor
+    action: object  # actions.GroupAction; typed loosely to avoid an import cycle
+
+    def __post_init__(self):
+        _factor(self.base, "quotient base")
+        elements = getattr(self.action, "elements", None)
+        if not elements:
+            raise ConstructionError("quotient requires a group action with a nonempty element list")
+        check_fits(self.base, elements)
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim
+
+    # its points, samples, bounds and factor rules are those of the base
+    has_boundary = _as_base("has_boundary")
+    diameter_bound = _as_base("diameter_bound")
+    check_join_factor = _as_base("check_join_factor")
+    check_cone_base = _as_base("check_cone_base")
+    pack = _as_base("pack")
+    check_coords = _as_base("check_coords")
+    random_points = _as_base("random_points")
+    canonical_point = _as_base("canonical_point")
+
+    def distance(self, p, q) -> float:
+        if _rotation_order(self) is None:
+            return quotient_distance(self.base.distance, self.action, p, q)
+        A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
+        return float(rotation_quotient_distance(self, A, B, cross=False)[0])
+
+    def kernel(self, A, B, cross: bool, gram: bool = True) -> np.ndarray:
+        if cross:
+            return _quotient_cross(self, A, B, gram=gram)
+        return _orbit_minimum(self, A, B, cross=False, gram=gram)
+
+    def formula(self, A, B, cross: bool) -> np.ndarray:
+        return self.kernel(A, B, cross, gram=False)
+
+    def to_json(self) -> dict:
+        from .actions import action_to_json
+
+        return {"kind": "quotient", "base": self.base.to_json(), "action": action_to_json(self.action)}
+
+
+def check_fits(space, isometries):
+    """Raise ConstructionError unless every isometry node (see `actions`) fits `space`."""
+    for g in isometries:
+        if not g.fits(space):
+            raise ConstructionError(f"isometry {type(g).__name__} does not fit {space!r}")
+
+
+class Lens(Join):
+    """Lens of dihedral angle alpha in S^dim, stored with a half-angle interval.
+
+    The join Sphere(dim-2, 1) * Interval(alpha); the interval coordinate s
+    runs over [0, alpha] and the two bounding faces sit at s = 0 and
+    s = alpha.  alpha = pi gives exactly the closed hemisphere.
+    """
+
+    def __init__(self, dim: int, alpha: float):
+        if not math.isfinite(dim) or int(dim) != dim or dim < 2:
+            raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim}")
+        if not (0.0 < alpha <= PI + 1e-12):
+            raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
+        super().__init__(Sphere(int(dim) - 2, 1.0), Interval(float(alpha)))
+
+    @property
+    def alpha(self) -> float:
+        return self.right.length
+
+    def to_json(self) -> dict:
+        return {"kind": "lens", "dim": self.dim, "alpha": self.alpha}
+
+
+class ModelBall(Cone):
+    """Closed ball of radius r0 in the constant-curvature-k space form.
+
+    The curvature-k cone over the unit sphere S^(dim-1), capped at r0.
+    """
+
+    def __init__(self, k: float, r0: float, dim: int):
+        if not math.isfinite(dim) or int(dim) != dim or dim < 1:
+            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {dim}")
+        super().__init__(k, Sphere(int(dim) - 1, 1.0), r0)  # the cone checks k and r0
+
+    def to_json(self) -> dict:
+        return {"kind": "model_ball", "k": self.k, "r0": self.r0, "dim": self.dim}
+
+
+def distance(space, p, q) -> float:
+    """Scalar distance between two points of `space`, factor by factor."""
+    return space.distance(p, q)
+
+
+def points_equal(space, p, q, tol: float = 1e-12) -> bool:
+    """Metric equality of points (handles degenerate coordinates)."""
+    return distance(space, p, q) <= tol
+
+
+def pack_points(space, points):
+    """Pack a list of scalar points into packed coordinates, checked by `check_coords`."""
+    coords = space.pack(points)
+    space.check_coords(coords)
+    return coords
+
+
+def validate_point(space, p):
+    """Raise DomainError when p violates the descriptor's coordinate domain."""
+    pack_points(space, [p])
+
+
 def lens_distance(n: int, alpha: float, p, q) -> float:
     """Distance in the lens L_alpha^n via its join coordinates."""
     return distance(Lens(n, alpha), p, q)
@@ -555,80 +928,10 @@ def double_join(space):
     )
 
 
-def distance(space, p, q) -> float:
-    """Generic scalar distance dispatcher for closed-form descriptors."""
-    if isinstance(space, Sphere):
-        return sphere_distance(p, q, space.radius)
-    if isinstance(space, Interval):
-        return interval_distance(p, q, space.length)
-    if isinstance(space, Join):
-        return join_distance(
-            p, q, lambda a, b: distance(space.left, a, b), lambda a, b: distance(space.right, a, b)
-        )
-    if isinstance(space, Cone):
-        return cone_distance(space.k, p, q, lambda a, b: distance(space.base, a, b), space.r0)
-    if isinstance(space, Suspension):
-        return suspension_distance(p, q, lambda a, b: distance(space.base, a, b))
-    if isinstance(space, Quotient):
-        if _rotation_order(space) is None:
-            return quotient_distance(lambda a, b: distance(space.base, a, b), space.action, p, q)
-        validate_point(space.base, p)
-        validate_point(space.base, q)
-        A, B = pack_points(space.base, [p]), pack_points(space.base, [q])
-        return float(rotation_quotient_distance(space, A, B, cross=False)[0])
-    if isinstance(space, Ellipsoid):
-        from .nets import ellipsoid_distance
-
-        return ellipsoid_distance(p, q, space.a, space.b, space.c)
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-def points_equal(space, p, q, tol: float = 1e-12) -> bool:
-    """Metric equality of points (handles degenerate coordinates)."""
-    return distance(space, p, q) <= tol
-
-
-def validate_point(space, p):
-    """Raise DomainError when p violates the descriptor's coordinate domain."""
-    if isinstance(space, Sphere):
-        v = np.asarray(p, dtype=float)
-        if v.shape != (space.ambient_dim,):
-            raise DomainError(f"sphere point must have {space.ambient_dim} components, got {v.shape}")
-        check_unit_rows([v])
-    elif isinstance(space, Interval):
-        if not (-1e-12 <= p <= space.length + 1e-12):
-            raise DomainError(f"interval coordinate {p} outside [0, {space.length}]")
-    elif isinstance(space, Ellipsoid):
-        v = np.asarray(p, dtype=float)
-        lvl = float(np.sum((v / space.axes) ** 2))
-        if not abs(lvl - 1.0) <= 1e-9:  # NaN fails too
-            raise DomainError(f"point {v.tolist()} is off the ellipsoid surface (level {lvl!r})")
-    elif isinstance(space, Join):
-        x, t, y = p
-        if not (-1e-12 <= t <= HALF_PI + 1e-12):
-            raise DomainError(f"join latitude {t} outside [0, pi/2]")
-        validate_point(space.left, x)
-        validate_point(space.right, y)
-    elif isinstance(space, Cone):
-        t, y = p
-        if not (-1e-12 <= t <= space.r0 + 1e-12):
-            raise DomainError(f"cone radial coordinate {t} outside [0, {space.r0}]")
-        validate_point(space.base, y)
-    elif isinstance(space, Suspension):
-        u, y = p
-        if not (-1e-12 <= u <= PI + 1e-12):
-            raise DomainError(f"suspension colatitude {u} outside [0, pi]")
-        validate_point(space.base, y)
-    elif isinstance(space, Quotient):
-        validate_point(space.base, p)
-    else:
-        raise ConstructionError(f"unknown descriptor {space!r}")
-
-
 def boundary_distance(space, p) -> float:
     """Analytic distance to the boundary (cones, so model balls, and lenses only)."""
     if isinstance(space, Cone):
-        if has_boundary(space.base):
+        if space.base.has_boundary():
             raise UnsupportedConstructionError(
                 "analytic boundary distance supports cones over boundaryless bases only"
             )
@@ -656,51 +959,6 @@ def _lens_boundary_distance(t: float, s: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # packed coordinates and vectorized cross-distances
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class JoinCoords:
-    left: object
-    t: np.ndarray
-    right: object
-
-
-@dataclass
-class ConeCoords:
-    t: np.ndarray
-    base: object
-
-
-@dataclass
-class SuspCoords:
-    u: np.ndarray
-    base: object
-
-
-def pack_points(space, points):
-    """Pack a list of scalar points into column arrays for vectorized work."""
-    if isinstance(space, (Sphere, Ellipsoid)):
-        width = space.ambient_dim if isinstance(space, Sphere) else 3
-        rows = [np.asarray(p, dtype=float) for p in points]
-        packed = np.asarray(rows, dtype=float).reshape(len(points), width)
-        if isinstance(space, Sphere):
-            check_unit_rows(packed)
-        return packed
-    if isinstance(space, Interval):
-        return np.asarray([float(p) for p in points], dtype=float)
-    if isinstance(space, Join):
-        return JoinCoords(
-            left=pack_points(space.left, [p[0] for p in points]),
-            t=np.asarray([float(p[1]) for p in points], dtype=float),
-            right=pack_points(space.right, [p[2] for p in points]),
-        )
-    if isinstance(space, (Cone, Suspension)):
-        record = ConeCoords if isinstance(space, Cone) else SuspCoords
-        radial = np.asarray([float(p[0]) for p in points], dtype=float)
-        return record(radial, pack_points(space.base, [p[1] for p in points]))
-    if isinstance(space, Quotient):
-        return pack_points(space.base, points)
-    raise ConstructionError(f"unknown descriptor {space!r}")
 
 
 def _parts(coords) -> list:
@@ -772,55 +1030,12 @@ def cross_distance(space, A, B) -> np.ndarray:
     A composite tree whose every node is `gram_embeddable` is one matrix
     product and one arccos; any other tree goes factor by factor.
     """
-    return _distance(space, A, B, cross=True)
+    return space.kernel(A, B, True)
 
 
 def elementwise_distance(space, A, B) -> np.ndarray:
     """Distances between paired packed coordinates (equal lengths)."""
-    return _distance(space, A, B, cross=False)
-
-
-def _distance(space, A, B, cross: bool) -> np.ndarray:
-    """`cross_distance` when `cross`, else `elementwise_distance`: the Gram
-    kernel at the root only, so that subtrees keep their formulas."""
-    if isinstance(space, Quotient):
-        if cross:
-            return _quotient_cross(space, A, B)
-        return _orbit_minimum(space, A, B, cross=False, gram=True)
-    if _gram_root(space):
-        return _arccos_in_place(_inner(gram_embedding(space, A), gram_embedding(space, B), cross))
-    return _formula(space, A, B, cross)
-
-
-def _formula(space, A, B, cross: bool) -> np.ndarray:
-    """`_distance` by the per-factor laws of cosines, at every level.
-
-    A suspension is the k = 1 cone law in its colatitude, since
-    cos u1 cos u2 + sin u1 sin u2 cos theta is that law with sqrt(k) = 1.
-    """
-    if isinstance(space, Sphere):
-        return space.radius * clamped_arccos(_inner(np.atleast_2d(A), np.atleast_2d(B), cross))
-    if isinstance(space, Interval):
-        a, b = _pairs(np.asarray(A, dtype=float), np.asarray(B, dtype=float), cross)
-        return np.abs(a - b)
-    if isinstance(space, Join):
-        cl = np.cos(np.minimum(_formula(space.left, A.left, B.left, cross), PI))
-        cr = np.cos(np.minimum(_formula(space.right, A.right, B.right, cross), PI))
-        cc, ss = _trig_pairs(A.t, B.t, cross)
-        return clamped_arccos(cc * cl + ss * cr)
-    if isinstance(space, (Cone, Suspension)):
-        ctheta = np.cos(np.minimum(_formula(space.base, A.base, B.base, cross), PI))
-        k, ta, tb = (space.k, A.t, B.t) if isinstance(space, Cone) else (1.0, A.u, B.u)
-        return _cone_law_array(k, *_pairs(ta, tb, cross), ctheta)
-    if isinstance(space, Quotient):
-        if cross:
-            return _quotient_cross(space, A, B, gram=False)
-        return _orbit_minimum(space, A, B, cross=False, gram=False)
-    if isinstance(space, Ellipsoid):
-        raise UnsupportedConstructionError(
-            "ellipsoid distances require a net-backed geodesic engine, not a closed form"
-        )
-    raise ConstructionError(f"unknown descriptor {space!r}")
+    return space.kernel(A, B, False)
 
 
 def _cone_law_array(k: float, ta, tb, ctheta) -> np.ndarray:
@@ -854,75 +1069,18 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray
         return rotation_quotient_distance(space, A, B, cross=cross)
     base = space.base
     moved = (g.apply(B) for g in space.action.elements)
-    if gram and gram_embeddable(base):
-        EA = gram_embedding(base, A)
+    if gram and base.gram_embeddable():
+        EA = base.gram_embedding(A)
         best = None
         for gB in moved:
-            c = _inner(EA, gram_embedding(base, gB), cross)
+            c = _inner(EA, base.gram_embedding(gB), cross)
             best = c if best is None else np.maximum(best, c, out=best)
         return _arccos_in_place(best)
     best = None
     for gB in moved:
-        d = _formula(base, A, gB, cross)
+        d = base.formula(A, gB, cross)
         best = d if best is None else np.minimum(best, d, out=best)
     return best
-
-
-# ---------------------------------------------------------------------------
-# Gram embedding
-#
-# A unit sphere (x -> x), an interval of length <= pi (a -> (cos a, sin a)),
-# joins (cos t E_L, sin t E_R), and suspensions and k = 1 cones over such
-# pieces (cos u, sin u E_B) sit isometrically in one unit sphere, because
-# S^p * S^q = S^(p+q+1): each law of cosines above is the inner product of
-# the embedded points.  On such a tree cos d(x, y) = <E(x), E(y)> exactly in
-# real arithmetic, so a distance block is one matrix product and one arccos
-# in place of an arccos and a cosine per level.  A radius other than 1, a
-# k != 1 cone or a quotient factor has no such form and keeps the formulas.
-# ---------------------------------------------------------------------------
-
-
-def gram_embeddable(space) -> bool:
-    """Whether every node of `space` has a unit Gram embedding (see `gram_embedding`)."""
-    if isinstance(space, Sphere):
-        return space.radius == 1.0
-    if isinstance(space, Interval):
-        return space.length <= PI  # |a - b| <= pi, so arccos(cos |a - b|) gives it back
-    if isinstance(space, Join):
-        return gram_embeddable(space.left) and gram_embeddable(space.right)
-    if isinstance(space, Suspension):
-        return gram_embeddable(space.base)
-    if isinstance(space, Cone):
-        return space.k == 1.0 and gram_embeddable(space.base)
-    return False
-
-
-def _gram_root(space) -> bool:
-    """Whether `cross_distance`/`elementwise_distance` take the Gram kernel at `space`.
-
-    A bare sphere already is one product and an interval one subtraction,
-    so only composite trees change path.
-    """
-    return not isinstance(space, (Sphere, Interval)) and gram_embeddable(space)
-
-
-def gram_embedding(space, coords) -> np.ndarray:
-    """Unit rows E(x), one per packed point, with cos d(x, y) = <E(x), E(y)>.
-
-    `space` must be `gram_embeddable`.
-    """
-    if isinstance(space, Sphere):
-        return np.atleast_2d(np.asarray(coords, dtype=float))
-    if isinstance(space, Interval):
-        a = np.asarray(coords, dtype=float)
-        return np.stack([np.cos(a), np.sin(a)], axis=1)
-    if isinstance(space, Join):
-        return _latitude_join(
-            coords.t, gram_embedding(space.left, coords.left), gram_embedding(space.right, coords.right)
-        )
-    # a k = 1 cone or a suspension is the join of a point with its base
-    u = coords.t if isinstance(space, Cone) else coords.u
-    return _latitude_join(u, np.ones((u.shape[0], 1)), gram_embedding(space.base, coords.base))
 
 
 def _latitude_join(t, EL, ER) -> np.ndarray:
@@ -944,6 +1102,7 @@ def _latitude_join(t, EL, ER) -> np.ndarray:
 # tree is C + Re(e^{i theta} H) = C + |H| cos(theta - psi), and a cone of any
 # k at the root is monotone in its base's term.  Over theta in 2 pi Z / m the
 # best term is C + |H| cos(delta), delta the distance from psi to the lattice.
+# Each descriptor's `rotation_terms` gives its (C, Re H, Im H).
 # ---------------------------------------------------------------------------
 
 
@@ -963,9 +1122,9 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     base = space.base
     cone = base if isinstance(base, Cone) else None
     if cone is None:
-        C, Hr, Hi = _rotation_terms(base, A, B, cross)
+        C, Hr, Hi = base.rotation_terms(A, B, cross)
     else:
-        C, Hr, Hi = _rotation_terms(cone.base, A.base, B.base, cross)
+        C, Hr, Hi = cone.base.rotation_terms(A.base, B.base, cross)
     # C + |H| cos(delta) = C + Re(e^{i theta_k} H) at the lattice angle
     # theta_k = k * step nearest to -arg H, with cos/sin of theta_k from a table
     m = space.action.rotation_order
@@ -986,27 +1145,6 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
         return clamped_arccos(best)
     np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
     return _cone_law_array(cone.k, *_pairs(A.t, B.t, cross), best)
-
-
-def _rotation_terms(space, A, B, cross: bool):
-    """(C, Hr, Hi): the cosine term of `space` is C + Re(e^{i theta} (Hr + i Hi))."""
-    if isinstance(space, Sphere):
-        A2, B2 = np.atleast_2d(A), np.atleast_2d(B)
-        Bi = np.empty_like(B2)  # Im(conj(a) b) = <a, Bi> for each complex coordinate
-        Bi[:, 0::2] = B2[:, 1::2]
-        Bi[:, 1::2] = -B2[:, 0::2]
-        return 0.0, _inner(A2, B2, cross), _inner(A2, Bi, cross)
-    if isinstance(space, Join):
-        CL, HrL, HiL = _rotation_terms(space.left, A.left, B.left, cross)
-        CR, HrR, HiR = _rotation_terms(space.right, A.right, B.right, cross)
-        cc, ss = _trig_pairs(A.t, B.t, cross)
-        return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
-    if isinstance(space, (Cone, Suspension)):  # k = 1 cone or suspension: same law
-        ua, ub = (A.t, B.t) if isinstance(space, Cone) else (A.u, B.u)
-        Cb, Hr, Hi = _rotation_terms(space.base, A.base, B.base, cross)
-        cc, ss = _trig_pairs(ua, ub, cross)
-        return cc + ss * Cb, ss * Hr, ss * Hi
-    raise ConstructionError(f"no closed-form rotation term for {type(space).__name__}")
 
 
 # matrix entries per block of every pass over an n-column matrix: each row

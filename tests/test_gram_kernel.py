@@ -83,8 +83,13 @@ def _packed(space, n, seed):
     return spaces.pack_points(space, nets.random_points(space, n, np.random.default_rng(seed)))
 
 
+# the descriptor kinds that define `gram_embeddable` and `gram_embedding`
+GRAM_KINDS = (Sphere, Interval, Join, Cone, Suspension)
+
+
 def _formula_only(monkeypatch):
-    monkeypatch.setattr(spaces, "gram_embeddable", lambda space: False)
+    for kind in GRAM_KINDS:
+        monkeypatch.setattr(kind, "gram_embeddable", lambda space: False)
 
 
 def _assert_close(got, ref):
@@ -183,7 +188,7 @@ class TestEmbedding:
     @pytest.mark.parametrize("name", list(UNIT_TREES))
     def test_rows_have_unit_norm(self, name):
         space = _base(UNIT_TREES[name])
-        E = spaces.gram_embedding(space, _packed(space, 500, 9))
+        E = space.gram_embedding(_packed(space, 500, 9))
         assert np.abs(np.linalg.norm(E, axis=1) - 1.0).max() <= 1e-15
 
     def test_clamp_stays_below_1e_12_on_nets(self):
@@ -205,13 +210,16 @@ class TestEmbedding:
 
 def _takes_gram_path(monkeypatch, space) -> bool:
     calls = []
-    inner = spaces.gram_embedding
 
-    def counting(sp, coords):
-        calls.append(sp)
-        return inner(sp, coords)
+    def counting(inner):
+        def method(sp, coords):
+            calls.append(sp)
+            return inner(sp, coords)
 
-    monkeypatch.setattr(spaces, "gram_embedding", counting)
+        return method
+
+    for kind in GRAM_KINDS:
+        monkeypatch.setattr(kind, "gram_embedding", counting(kind.gram_embedding))
     A = _packed(space, 20, 10)
     spaces.cross_distance(space, A, A)
     spaces.elementwise_distance(space, A, A)
@@ -250,8 +258,8 @@ class TestFastPathGuard:
         with pytest.raises(ConstructionError):
             Interval(4.0)
         long_iv = _unchecked_interval(4.0)
-        assert not spaces.gram_embeddable(long_iv)
+        assert not long_iv.gram_embeddable()
         join = object.__new__(Join)
         object.__setattr__(join, "left", S1)
         object.__setattr__(join, "right", long_iv)
-        assert not spaces.gram_embeddable(join)
+        assert not join.gram_embeddable()

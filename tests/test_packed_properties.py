@@ -4,9 +4,10 @@ Leaves are unit and 0.75-radius spheres S^1..S^3, intervals, lenses and
 model balls; nodes are joins, cones with k in {1, 0, -1} and suspensions;
 the root may be a Z_2 reflection quotient or a `cyclic_approximation`
 quotient.  On each tree the cross and elementwise kernels agree on paired
-rows, the packed-coordinate helpers agree with `pack_points`, packed
-coordinates survive a JSON round trip, and a quotient's group elements act
-on packed coordinates as they act on points.
+rows, the packed-coordinate helpers agree with `pack_points`, descriptors
+and packed coordinates survive a JSON round trip, a coordinate just outside
+its range is rejected, and a quotient's group elements act on packed
+coordinates as they act on points.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from alexgeo import actions, nets, serialize, spaces
-from alexgeo.errors import ConstructionError
+from alexgeo.errors import ConstructionError, DomainError
 from alexgeo.spaces import (
     Cone,
     Interval,
@@ -139,6 +140,62 @@ def test_coordinates_survive_json(space, seed):
     C = spaces.pack_points(space, _points(space, 5, seed))
     payload = json.loads(json.dumps(serialize.coords_to_json(C)))
     assert _same(serialize.coords_from_json(space, payload), C)
+
+
+@SETTINGS
+@given(spaces_with_quotients(), SEEDS)
+def test_descriptors_survive_json(space, seed):
+    payload = serialize.space_to_json(space)
+    reloaded = serialize.space_from_json(json.loads(json.dumps(payload)))
+    assert serialize.stable_dumps(serialize.space_to_json(reloaded)) == serialize.stable_dumps(payload)
+    P, R = _points(space, 6, seed), _points(space, 6, seed + 1)
+    A, B = spaces.pack_points(space, P), spaces.pack_points(space, R)
+    for kernel in (spaces.cross_distance, spaces.elementwise_distance):
+        assert _same(kernel(reloaded, A, B), kernel(space, A, B))
+    scalar = [spaces.distance(space, p, r) for p, r in zip(P, R)]
+    assert [spaces.distance(reloaded, p, r) for p, r in zip(P, R)] == scalar
+
+
+def _range_slots(space, path=()):
+    """(path, top) of every interval, latitude, radial and colatitude coordinate of a point."""
+    if isinstance(space, Quotient):
+        return _range_slots(space.base, path)
+    if isinstance(space, Interval):
+        return [(path, space.length)]
+    if isinstance(space, Join):
+        return (_range_slots(space.left, path + (0,)) + [(path + (1,), PI / 2.0)]
+                + _range_slots(space.right, path + (2,)))
+    if isinstance(space, Cone):
+        return [(path + (0,), space.r0)] + _range_slots(space.base, path + (1,))
+    if isinstance(space, Suspension):
+        return [(path + (0,), PI)] + _range_slots(space.base, path + (1,))
+    return []  # a sphere has none
+
+
+def _replaced(point, path, value):
+    """`point` with the coordinate at `path` set to `value`."""
+    if not path:
+        return value
+    parts = list(point)
+    parts[path[0]] = _replaced(parts[path[0]], path[1:], value)
+    return tuple(parts)
+
+
+@SETTINGS
+@given(spaces_with_quotients(), SEEDS, st.data())
+def test_a_coordinate_just_outside_its_range_is_rejected(space, seed, data):
+    point = _points(space, 1, seed)[0]
+    spaces.validate_point(space, point)
+    spaces.pack_points(space, [point])
+    slots = _range_slots(space)
+    if not slots:
+        return
+    path, top = data.draw(st.sampled_from(slots))
+    bad = _replaced(point, path, data.draw(st.sampled_from([-1e-6, top + 1e-6])))
+    with pytest.raises(DomainError, match="outside"):
+        spaces.validate_point(space, bad)
+    with pytest.raises(DomainError, match="outside"):
+        spaces.pack_points(space, [bad])
 
 
 def test_coords_len_rejects_a_record_whose_fields_disagree():

@@ -238,6 +238,20 @@ class TestReadNetValidation:
         with pytest.raises(ConstructionError, match="sphere coordinates must be rows of 2 numbers"):
             serialize.read_net(csv)
 
+    @pytest.mark.parametrize("space, edit", [
+        (Cone(1.0, Sphere(1, 1.0), 1.0), lambda c: c["t"].__setitem__(-1, 5.0)),
+        (Join(Sphere(1, 1.0), Interval(1.0)), lambda c: c["right"].__setitem__(0, float("nan"))),
+        (Join(Sphere(1, 1.0), Interval(1.0)), lambda c: c["t"].__setitem__(0, -0.5)),
+        (Suspension(Sphere(1, 1.0)), lambda c: c["u"].__setitem__(0, 4.0)),
+    ], ids=["cone-radial", "nan-interval", "join-latitude", "colatitude"])
+    def test_coordinate_out_of_range(self, tmp_path, space, edit):
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(space, 0.3, 42), csv)
+        self._edit_meta(csv, lambda m: edit(m["coords"]))
+        with pytest.raises(ConstructionError, match="outside"):
+            serialize.read_net(csv)
+        assert cli.main(["invariants", "--net", str(csv)]) == 2
+
     def test_missing_n(self, stored):
         _, csv = stored
         self._edit_meta(csv, lambda m: m.pop("n"))

@@ -439,6 +439,61 @@ class TestPackPoints:
         assert np.array_equal(spaces.pack_points(Sphere(2, 1.0), [row]), row[None, :])
 
 
+CAP = Cone(1.0, Sphere(1, 1.0), 1.0)
+E1 = np.array([1.0, 0.0])
+
+
+class TestSharedDomainCheck:
+    """`pack_points`, `validate_point` and scalar `distance` reject what the kernels cannot read."""
+
+    def test_sphere_row_of_the_wrong_width(self):
+        with pytest.raises(DomainError, match="rows of 3 numbers"):
+            spaces.pack_points(Sphere(2, 1.0), [[1.0, 0.0]])
+
+    def test_scalar_sphere_points_of_the_wrong_width(self):
+        with pytest.raises(DomainError, match="shape"):
+            distance(Sphere(2, 1.0), [1.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="shape"):
+            distance(Sphere(2, 1.0), [1.0, 0.0], [0.0, 1.0])
+
+    def test_join_point_with_two_parts(self):
+        with pytest.raises(DomainError, match="tuples of 3"):
+            validate_point(Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, 0.5))
+
+    def test_radial_coordinate_past_the_cap(self):
+        with pytest.raises(DomainError, match="cone radial coordinate 5.0 outside"):
+            spaces.pack_points(CAP, [(5.0, E1)])
+        with pytest.raises(DomainError):
+            distance(CAP, (5.0, E1), (0.5, E1))
+
+    @pytest.mark.parametrize("space, point", [
+        (Interval(1.0), math.nan),
+        (Join(Sphere(1, 1.0), Interval(1.0)), (E1, 0.5, math.nan)),
+        (Join(Sphere(1, 1.0), Interval(1.0)), (E1, math.nan, 0.5)),
+        (Suspension(Sphere(1, 1.0)), (math.nan, E1)),
+    ], ids=["interval", "join-interval", "join-latitude", "colatitude"])
+    def test_nan_value_rejected(self, space, point):
+        with pytest.raises(DomainError):
+            spaces.pack_points(space, [point])
+        with pytest.raises(DomainError):
+            validate_point(space, point)
+
+    def test_nearest_index_rejects_a_point_off_the_cap(self):
+        net = nets.epsilon_net(CAP, 0.3, 42)
+        with pytest.raises(DomainError):
+            nets.nearest_index(net, (5.0, E1))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Join(5, Sphere(1, 1.0)),
+        lambda: Join(Sphere(1, 1.0), "x"),
+        lambda: Cone(1.0, "x", 1.0),
+        lambda: Suspension(None),
+    ], ids=["join-left", "join-right", "cone-base", "suspension-base"])
+    def test_constructors_reject_non_descriptors(self, make):
+        with pytest.raises(ConstructionError):
+            make()
+
+
 class TestBoundaryDistance:
     def test_ball_and_cone_are_radial(self):
         ball = ModelBall(1.0, 1.2, 2)

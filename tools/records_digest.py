@@ -16,9 +16,10 @@ and 7; each net is built at epsilon 0.1, seed 1.
 from __future__ import annotations
 
 import hashlib
+import math
 
 from alexgeo import actions, harness, nets, serialize
-from alexgeo.spaces import Cone, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
 
 SEEDS = (42, 1, 7)
 NET_EPSILON = 0.1
@@ -40,6 +41,9 @@ def net_cases():
         ("S3/Z8", _quotient(Sphere(3, 1.0), 8)),
         ("ModelBall(1, 1, 2)/Z8", _quotient(ModelBall(1.0, 1.0, 2), 8)),
         ("Join(Lens(3, 1), S1(0.75))", Join(Lens(3, 1.0), Sphere(1, 0.75))),
+        ("Join(I(pi), I(pi))", Join(Interval(math.pi), Interval(math.pi))),
+        ("spine_example_quotient(True)", harness.spine_example_quotient(True)),
+        ("S2(0.5)", Sphere(2, 0.5)),
     ]
 
 
