@@ -145,7 +145,8 @@ def _metric_audit_records(name: str, net) -> list:
             tolerance=1e-9,
             passed=audit.passed,
             provenance="symmetry and triangle-inequality scan of the net distance matrix"
-            + ("" if audit.exhaustive else f" (sampled, {audit.n_triples} triples)"),
+            + ("" if audit.exhaustive else
+               f" (sampled, {audit.n_pairs} pairs \u00d7 every middle point, {audit.n_triples} triples)"),
         )
     ]
 
@@ -805,7 +806,6 @@ def _join_reassoc(cfg: ExperimentConfig) -> list:
             "colatitude embedding into the unit 2-sphere",
         )
     )
-    recs += _ex3_2(cfg)
 
     lens = Lens(3, PI)
     dbl = spaces.double_join(lens)

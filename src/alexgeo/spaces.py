@@ -211,8 +211,11 @@ def _columns(points, k: int) -> list:
 
 
 def _float_leaf(values) -> np.ndarray:
-    """Scalar coordinates as a 1-D float array."""
-    return np.asarray([float(x) for x in values], dtype=float)
+    """Scalar coordinates as a 1-D float array; a value that is no number is a DomainError."""
+    try:
+        return np.asarray([float(x) for x in values], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"scalar coordinates must be numbers: {exc}") from None
 
 
 def sn_k(k: float, t: float) -> float:
@@ -284,8 +287,11 @@ def join_distance(p, q, left_metric, right_metric) -> float:
     Factor distances are clamped at pi before taking cosines so a sloppy
     base metric cannot push the law of cosines outside its domain.
     """
-    x1, t1, y1 = p
-    x2, t2, y2 = q
+    try:
+        x1, t1, y1 = p
+        x2, t2, y2 = q
+    except (TypeError, ValueError):
+        raise DomainError("join points must be tuples of 3 coordinates") from None
     for name, t in (("t1", t1), ("t2", t2)):
         if not (-1e-12 <= t <= HALF_PI + 1e-12):
             raise DomainError(f"join latitude {name} = {t} outside [0, pi/2]")
@@ -297,8 +303,11 @@ def join_distance(p, q, left_metric, right_metric) -> float:
 
 def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
     """Law-of-cosines distance in the curvature-k cone with cap r0."""
-    t0, y0 = p
-    t1, y1 = q
+    try:
+        t0, y0 = p
+        t1, y1 = q
+    except (TypeError, ValueError):
+        raise DomainError("cone points must be tuples of 2 coordinates") from None
     if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
         raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k))")
     for name, t in (("t0", t0), ("t1", t1)):
@@ -323,8 +332,11 @@ def _cone_law(k: float, t0: float, t1: float, ctheta: float) -> float:
 
 def suspension_distance(p, q, base_metric) -> float:
     """Suspension distance via colatitudes: cos d = cos u1 cos u2 + sin sin cos dY."""
-    u1, y1 = p
-    u2, y2 = q
+    try:
+        u1, y1 = p
+        u2, y2 = q
+    except (TypeError, ValueError):
+        raise DomainError("suspension points must be tuples of 2 coordinates") from None
     for name, u in (("u1", u1), ("u2", u2)):
         if not (-1e-12 <= u <= PI + 1e-12):
             raise DomainError(f"suspension colatitude {name} = {u} outside [0, pi]")

@@ -255,23 +255,85 @@ class TestVerifyMetric:
             D = rng.integers(0, 4, (n, n)).astype(float)
             D = np.maximum(D, D.T)
         else:
-            # (0.2 - 0.1) - 0.05 and (0.2 - 0.05) - 0.1 round apart, so this
-            # pins d(i, j) as the first term subtracted
+            # the lower triangle is 0, so D[k, j] and D[j, k] differ: this pins
+            # the row form, which reads D[k, j] for the second leg
             D = np.zeros((3, 3))
             D[0, 1], D[0, 2], D[1, 2] = 0.1, 0.2, 0.05
             n = 3
         np.fill_diagonal(D, 0.0)
+        # every pair i < k in row order; per pair the lowest j of the smallest
+        # D[i, j] + D[k, j] over j not in {i, k}; the first pair wins a tie
         best, witness = -math.inf, (0, 0, 0)
-        for j in range(n):
-            for i in range(n):
-                for k in range(n):
-                    v = float(D[i, k] - D[i, j] - D[j, k])
-                    if v > best:
-                        best, witness = v, (i, j, k)
+        for i in range(n):
+            for k in range(i + 1, n):
+                legs, j = min((float(D[i, j] + D[k, j]), j) for j in range(n) if j not in (i, k))
+                v = float(max(D[i, k], D[k, i]) - legs)
+                if v > best:
+                    best, witness = v, (i, j, k)
         audit = verify_metric(D, 1e-9)
         assert audit.exhaustive
         assert audit.triangle_defect == best
         assert audit.witness == witness
+        assert audit.n_triples == n * (n - 1) // 2 * (n - 2)
+
+
+def _random_sphere_matrix(n: int, seed: int) -> np.ndarray:
+    """Great-circle distances of n random points on the unit 2-sphere, built in place."""
+    X = np.random.default_rng(seed).standard_normal((n, 3))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    D = X @ X.T
+    np.clip(D, -1.0, 1.0, out=D)
+    np.arccos(D, out=D)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+class TestPairExhaustiveAudit:
+    """Each sampled pair (i, k) is checked against every middle point j not in {i, k}."""
+
+    def test_healthy_matrix_reads_a_negative_defect(self):
+        # the sampled-triple audit this one replaced read exactly 0.0 here,
+        # through a trivial triple with j = i
+        D = _random_sphere_matrix(5000, 0)
+        audit = verify_metric(D, 1e-9)
+        assert audit.passed and not audit.exhaustive
+        assert audit.triangle_defect < 0.0
+        i, j, k = audit.witness
+        assert i != k and j not in (i, k)
+        assert audit.n_pairs == 2000
+        assert audit.n_triples == 2000 * 4998
+
+    def test_single_shortcut_fails_the_audit(self):
+        # one halved symmetric entry: every triple through the shortcut
+        # (a, b) with its far end beyond b is violated.  A sampled audit
+        # catches it only when a sampled pair ends at a or b; the
+        # sampled-triple audit this one replaced passed this plant.
+        D = _random_sphere_matrix(5000, 0)
+        a, b = (int(x) for x in np.random.default_rng(101).choice(5000, 2, replace=False))
+        D[a, b] = D[b, a] = D[a, b] / 2
+        audit = verify_metric(D, 1e-9)
+        assert audit.symmetry_defect == 0.0
+        assert not audit.passed
+        assert audit.triangle_defect > 0.1
+        assert a in audit.witness or b in audit.witness
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_nontrivial_triple_below_three_points(self, n):
+        D = np.zeros((n, n))
+        if n == 2:
+            D[0, 1] = D[1, 0] = 1.0
+        audit = verify_metric(D, 1e-9)
+        assert audit.passed
+        assert audit.triangle_defect == 0.0
+        assert audit.witness == (0, 0, 0)
+        assert audit.n_triples == 0
+
+    def test_nan_fails_an_exhaustive_audit(self):
+        D = _random_sphere_matrix(50, 1)
+        D[3, 17] = np.nan
+        audit = verify_metric(D, 1e-9)
+        assert audit.exhaustive
+        assert not audit.passed
 
 
 class TestEllipsoid:

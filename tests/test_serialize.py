@@ -252,6 +252,15 @@ class TestReadNetValidation:
             serialize.read_net(csv)
         assert cli.main(["invariants", "--net", str(csv)]) == 2
 
+    @pytest.mark.parametrize("value", ["a", [0.1, 0.2]], ids=["string", "list"])
+    def test_coordinate_that_is_no_number(self, tmp_path, value):
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(Interval(1.0), 0.3, 42), csv)
+        self._edit_meta(csv, lambda m: m["coords"].__setitem__(1, value))
+        with pytest.raises(ConstructionError):
+            serialize.read_net(csv)
+        assert cli.main(["invariants", "--net", str(csv)]) == 2
+
     def test_missing_n(self, stored):
         _, csv = stored
         self._edit_meta(csv, lambda m: m.pop("n"))

@@ -478,6 +478,27 @@ class TestSharedDomainCheck:
         with pytest.raises(DomainError):
             validate_point(space, point)
 
+    @pytest.mark.parametrize("space, p, q", [
+        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, 0.5), (E1, 0.5, E1)),
+        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, 0.5, E1), (E1, 0.5, E1, 0.5)),
+        (CAP, (0.5,), (0.5, E1)),
+        (CAP, (0.5, E1), (0.5, E1, 0.5)),
+        (Suspension(Sphere(1, 1.0)), (0.5, E1), 0.5),
+        (Suspension(Sphere(1, 1.0)), (0.5, E1, 0.5), (0.5, E1)),
+    ], ids=["join-2", "join-4", "cone-1", "cone-3", "suspension-scalar", "suspension-3"])
+    def test_scalar_distance_on_a_point_with_the_wrong_number_of_parts(self, space, p, q):
+        with pytest.raises(DomainError, match="tuples of"):
+            distance(space, p, q)
+
+    @pytest.mark.parametrize("space, points", [
+        (Interval(1.0), ["a"]),
+        (Interval(1.0), [[0.1, 0.2]]),
+        (Join(Sphere(1, 1.0), Interval(1.0)), [(E1, "a", 0.5)]),
+    ], ids=["string", "list", "join-latitude"])
+    def test_scalar_coordinate_that_is_no_number(self, space, points):
+        with pytest.raises(DomainError, match="must be numbers"):
+            spaces.pack_points(space, points)
+
     def test_nearest_index_rejects_a_point_off_the_cap(self):
         net = nets.epsilon_net(CAP, 0.3, 42)
         with pytest.raises(DomainError):
