@@ -9,6 +9,15 @@ initial data.  The audits compare f = phi(distance to boundary) along
 analytically generated geodesics against fbar, probe the second-order
 boundary-convexity inequality at sampled foot points, and check sampled
 hinges against the constant-curvature law of cosines.
+
+The geodesics, the traces and the lens probes are array passes: a path's
+samples come from one array expression in the arc parameter, a trace reads
+the boundary distance of the whole packed path at once
+(`spaces.boundary_distances`), and a probe scale evaluates all its probes
+together.  The embedding oracles that the catalogue runs beside these
+audits (`harness`, `embeddings`) compare a descriptor's `formula` with the
+maps of `embeddings`, never with the Gram kernel, which on those joins is
+the embedding itself.  The hinge audits remain point-by-point loops.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spaces
+from . import embeddings, spaces
 from .errors import ConstructionError, DomainError, PreconditionError, SingularityError
 from .nets import random_points
 from .spaces import (
@@ -28,7 +37,6 @@ from .spaces import (
     PI,
     HALF_PI,
     Sphere,
-    boundary_distance,
     clamped_arccos,
     distance,
     vector_norm,
@@ -254,17 +262,27 @@ def hinge_comparison(k: float, a: float, b: float, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _samples(length: float, step: float) -> np.ndarray:
+    """Arc parameters 0, step, 2 step, ... up to `length`."""
+    return step * np.arange(int(math.floor(length / step)) + 1)
+
+
+def _path(ts, directions) -> list:
+    """Samples (t, direction) from the radial coordinates and the rows of direction vectors."""
+    return list(zip(ts.tolist(), directions))
+
+
 def ball_radial_path(ball: ModelBall, direction, step: float):
     """Unit-speed radial geodesic from the center to the boundary."""
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
-    n = int(math.floor(ball.r0 / step)) + 1
-    return [(i * step, u) for i in range(n)]
+    ts = _samples(ball.r0, step)
+    return _path(ts, [u] * ts.shape[0])
 
 
 def cone_radial_path(cone: Cone, base_point, step: float):
-    n = int(math.floor(cone.r0 / step)) + 1
-    return [(i * step, base_point) for i in range(n)]
+    ts = _samples(cone.r0, step)
+    return _path(ts, [base_point] * ts.shape[0])
 
 
 def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
@@ -272,7 +290,8 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
 
     Parameterized from the closest point: the geodesic starts there with a
     tangent perpendicular to the radial direction and is sampled symmetrically
-    out to the boundary.
+    out to the boundary.  All samples come from one array expression in the
+    arc parameter s.
     """
     if not (0.0 < rho < ball.r0):
         raise DomainError(f"chord offset must lie in (0, r0), got {rho}")
@@ -282,36 +301,28 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
 
     if k == 0.0:
         s_exit = math.sqrt(r0 * r0 - rho * rho)
-
-        def at(s):
-            v = rho * e1 + s * e2
-            t = vector_norm(v)
-            return (t, v / t)
-
+        s = _samples(2.0 * s_exit, step) - s_exit
+        a, b = np.full_like(s, rho), s  # the chord rho e1 + s e2
     elif k > 0.0:
         # c(s) = cos(s) P0 + sin(s) W on the scaled sphere; colatitude from the
         # center satisfies cos(sqrt(k) t) = cos(sqrt(k) s) cos(sqrt(k) rho)
         sq = math.sqrt(k)
         s_exit = clamped_arccos(math.cos(sq * r0) / math.cos(sq * rho)) / sq
-
-        def at(s):
-            t = clamped_arccos(math.cos(sq * s) * math.cos(sq * rho)) / sq
-            v = math.cos(sq * s) * math.sin(sq * rho) * e1 + math.sin(sq * s) * e2
-            n = vector_norm(v)
-            return (t, v / n if n > 0 else e1)
-
+        s = _samples(2.0 * s_exit, step) - s_exit
+        t = clamped_arccos(np.cos(sq * s) * math.cos(sq * rho)) / sq
+        a, b = np.cos(sq * s) * math.sin(sq * rho), np.sin(sq * s)
     else:
         sq = math.sqrt(-k)
         s_exit = math.acosh(max(1.0, math.cosh(sq * r0) / math.cosh(sq * rho))) / sq
-
-        def at(s):
-            t = math.acosh(max(1.0, math.cosh(sq * s) * math.cosh(sq * rho))) / sq
-            v = math.cosh(sq * s) * math.sinh(sq * rho) * e1 + math.sinh(sq * s) * e2
-            n = vector_norm(v)
-            return (t, v / n if n > 0 else e1)
-
-    n_steps = int(math.floor(2.0 * s_exit / step)) + 1
-    return [at(-s_exit + i * step) for i in range(n_steps)]
+        s = _samples(2.0 * s_exit, step) - s_exit
+        t = np.arccosh(np.maximum(1.0, np.cosh(sq * s) * math.cosh(sq * rho))) / sq
+        a, b = np.cosh(sq * s) * math.sinh(sq * rho), np.sinh(sq * s)
+    v = a[:, None] * e1 + b[:, None] * e2  # the direction from the center, unnormalized
+    n = np.sqrt(np.einsum("ij,ij->i", v, v))
+    if k == 0.0:
+        t = n
+    u = np.where(n[:, None] > 0.0, v / np.where(n > 0.0, n, 1.0)[:, None], e1)
+    return _path(t, u)
 
 
 def _random_frame(rng, d: int):
@@ -328,8 +339,9 @@ def cone_developed_path(cone: Cone, psi0: float, t0: float, psi1: float, t1: flo
 
     Away from the apex the cone over S^1(r) is locally round; developing
     longitude lam = r * psi turns geodesics into great-circle arcs.  The arc
-    is rejected (returns None) if it strays too close to the apex or winds
-    outside the developed sector, where the unrolling is no longer valid.
+    is rejected (returns None) if any sample strays too close to the apex or
+    winds outside the developed sector, where the unrolling is no longer
+    valid.  All samples come from one array expression in the arc length.
     """
     if not isinstance(cone.base, Sphere) or cone.base.dim != 1:
         raise ConstructionError("developed geodesics support cones over circles only")
@@ -352,20 +364,14 @@ def cone_developed_path(cone: Cone, psi0: float, t0: float, psi1: float, t1: flo
         return None
     W = B - float(A @ B) * A
     W = W / np.linalg.norm(W)
-    n = int(math.floor(L / step)) + 1
-    pts = []
-    for i in range(n):
-        s = i * step
-        c = math.cos(s) * A + math.sin(s) * W
-        t = clamped_arccos(c[2])
-        if t < 0.05 or t > cone.r0 + 1e-9:
-            return None
-        lam_s = math.atan2(c[1], c[0])
-        if lam_s < -1e-6 or lam_s > lam + 1e-6:
-            return None
-        psi = psi0 + sgn * lam_s / r
-        pts.append((t, np.array([math.cos(psi), math.sin(psi)])))
-    return pts
+    s = _samples(L, step)
+    c = np.cos(s)[:, None] * A + np.sin(s)[:, None] * W
+    t = clamped_arccos(c[:, 2])
+    lam_s = np.arctan2(c[:, 1], c[:, 0])
+    if np.any((t < 0.05) | (t > cone.r0 + 1e-9) | (lam_s < -1e-6) | (lam_s > lam + 1e-6)):
+        return None
+    psi = psi0 + sgn * lam_s / r
+    return _path(t, np.stack([np.cos(psi), np.sin(psi)], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +416,7 @@ def comparison_trace(space, lambda0: float, k: float, path, step: float) -> Comp
         raise PreconditionError(
             f"path is not unit-speed at the declared step: worst gap deviation {worst!r}"
         )
-    r = np.array([boundary_distance(space, p) for p in path])
+    r = spaces.boundary_distances(space, pk)
     f = model_phi(k, lambda0, r)
     ts = step * np.arange(len(path))
     fdot0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * step)
@@ -504,53 +510,51 @@ def _convexity_probe_cone(space: Cone, lambda0: float, probes: int, scale: float
 
 
 def _convexity_probe_lens(space: Lens, lambda0: float, probes: int, scale: float, rng):
+    """Defect ratios at the s = alpha face, all probes of a draw in one array pass.
+
+    The probe points come from `rng` alone, not from `scale`, so every scale
+    started from the same seed probes the same points.
+    """
     n, alpha = space.dim, space.alpha
-    vals = np.empty(probes)
+    normal = np.zeros(n + 1)
+    normal[-2] = -math.sin(alpha / 2.0)
+    normal[-1] = math.cos(alpha / 2.0)
+    kept = []
     got = 0
     while got < probes:
-        t = rng.uniform(0.35, HALF_PI - 0.05)
-        s = rng.uniform(alpha * 0.55, alpha - 0.05 * alpha)
-        if alpha - s >= s:  # want the s = alpha face strictly nearest
-            continue
-        x_sphere = _unit(rng.standard_normal(n - 1))
-        x_emb = _lens_embed(n, alpha, x_sphere, t, s)
-        normal = np.zeros(n + 1)
-        normal[-2] = -math.sin(alpha / 2.0)
-        normal[-1] = math.cos(alpha / 2.0)
-        foot = x_emb - float(x_emb @ normal) * normal
-        nf = vector_norm(foot)
-        if nf < 1e-9:
-            continue
-        foot /= nf
-        # random tangent to the face at the foot
-        w = rng.standard_normal(n + 1)
-        w -= float(w @ foot) * foot
-        w -= float(w @ normal) * normal
-        wn = vector_norm(w)
-        if wn < 1e-9:
-            continue
-        w /= wn
-        q = math.cos(scale) * foot + math.sin(scale) * w
-        d_px = clamped_arccos(float(x_emb @ foot))
-        u_x = x_emb - math.cos(d_px) * foot
-        u_x /= vector_norm(u_x)
-        cosang = float(u_x @ w)
-        defect = scale * cosang - 0.5 * lambda0 * scale**2
-        vals[got] = defect / scale**2
-        got += 1
-    return vals
+        m = probes - got
+        t = rng.uniform(0.35, HALF_PI - 0.05, m)
+        s = rng.uniform(alpha * 0.55, alpha - 0.05 * alpha, m)
+        x_sphere = _unit_rows(rng.standard_normal((m, n - 1)))
+        w = rng.standard_normal((m, n + 1))  # a random tangent to the face at the foot
+        x_emb = embeddings.embed_lens(space, (x_sphere, t, s))
+        foot = x_emb - np.outer(x_emb @ normal, normal)
+        nf = np.linalg.norm(foot, axis=1)
+        foot /= np.maximum(nf, 1e-300)[:, None]
+        w -= _dots(w, foot)[:, None] * foot
+        w -= np.outer(w @ normal, normal)
+        wn = np.linalg.norm(w, axis=1)
+        w /= np.maximum(wn, 1e-300)[:, None]
+        # want the s = alpha face strictly nearest, and a foot and a tangent
+        ok = (alpha - s < s) & (nf >= 1e-9) & (wn >= 1e-9)
+        d_px = clamped_arccos(_dots(x_emb, foot))
+        u_x = _unit_rows(x_emb - np.cos(d_px)[:, None] * foot)
+        defect = scale * _dots(u_x, w) - 0.5 * lambda0 * scale**2
+        kept.append((defect / scale**2)[ok])
+        got += int(np.count_nonzero(ok))
+    return np.concatenate(kept)
+
+
+def _dots(a, b) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _unit_rows(a) -> np.ndarray:
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
 def _unit(v):
     return v / vector_norm(v)
-
-
-def _lens_embed(n: int, alpha: float, x_sphere, t: float, s: float) -> np.ndarray:
-    phi = s - alpha / 2.0
-    return np.concatenate(
-        [math.cos(t) * np.asarray(x_sphere, dtype=float),
-         [math.sin(t) * math.cos(phi), math.sin(t) * math.sin(phi)]]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +602,7 @@ def hinge_audit_lens(n: int, alpha: float, n_hinges: int, seed: int, tol: float)
     got = 0
     while got < n_hinges:
         pts = random_points(lens, 3, rng)
-        emb = [_lens_embed(n, alpha, x, t, s) for (x, t, s) in pts]
-        p, x, y = emb
+        p, x, y = (embeddings.embed_lens(lens, pt) for pt in pts)
         a = clamped_arccos(float(p @ x))
         b = clamped_arccos(float(p @ y))
         if a < 1e-3 or b < 1e-3 or a > PI - 1e-3 or b > PI - 1e-3:

@@ -4,11 +4,17 @@ Each map sends descriptor coordinates to unit vectors of a round sphere,
 where the distance is a single arccos of a dot product.  These are the
 reference values that the join/suspension/lens formulas are audited
 against; they deliberately avoid the formula code paths.
+
+Every map takes one point, as `spaces.distance` takes it, or the same tuple
+with each coordinate replaced by its packed column (a 1-D array of values,
+or a 2-D array with one row per point), and then maps all rows in one array
+pass.  The harness's oracles compare a descriptor's `formula` on packed
+pairs against these maps, never against the Gram kernel: on the joins that
+have a Gram embedding that kernel *is* the embedding, so it would be
+compared with itself.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,44 +22,50 @@ from .errors import DomainError
 from .spaces import Lens, PI, clamped_arccos
 
 
-def sphere_chord_distance(e1: np.ndarray, e2: np.ndarray, radius: float = 1.0) -> float:
-    return radius * clamped_arccos(float(np.dot(e1, e2)))
+def sphere_chord_distance(e1: np.ndarray, e2: np.ndarray, radius: float = 1.0):
+    """radius * arccos(<e1, e2>) of two unit vectors, or of paired rows."""
+    return radius * clamped_arccos(np.einsum("...i,...i->...", e1, e2))
+
+
+def _join_rows(x, t, y) -> np.ndarray:
+    """(cos t x, sin t y), row by row."""
+    t = np.asarray(t, dtype=float)[..., None]
+    return np.concatenate([np.cos(t) * np.asarray(x, float), np.sin(t) * np.asarray(y, float)],
+                          axis=-1)
 
 
 def embed_join_circle_circle(p) -> np.ndarray:
     """S^1(1) * S^1(1) -> S^3(1): (u, t, v) -> (cos t * u, sin t * v)."""
-    u, t, v = p
-    return np.concatenate([math.cos(t) * np.asarray(u, float), math.sin(t) * np.asarray(v, float)])
+    return _join_rows(*p)
 
 
 def embed_suspension_circle(p) -> np.ndarray:
     """Suspension of S^1(1) -> S^2(1): colatitude u over the circle."""
     u, y = p
-    y = np.asarray(y, float)
-    return np.array([math.sin(u) * y[0], math.sin(u) * y[1], math.cos(u)])
+    u = np.asarray(u, dtype=float)[..., None]
+    return np.concatenate([np.sin(u) * np.asarray(y, float), np.cos(u)], axis=-1)
 
 
 def embed_lens(lens: Lens, p) -> np.ndarray:
     """L_alpha^n -> S^n(1): faces land at angles +-alpha/2 about the rim."""
     x, t, s = p
-    phi = s - lens.alpha / 2.0
-    return np.concatenate(
-        [math.cos(t) * np.asarray(x, float), [math.sin(t) * math.cos(phi), math.sin(t) * math.sin(phi)]]
-    )
+    phi = np.asarray(s, dtype=float) - lens.alpha / 2.0
+    return _join_rows(x, t, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
 
 
 def embed_join_sphere_circle(p) -> np.ndarray:
     """S^(m)(1) * S^1(1) -> S^(m+2)(1), used for doubled lenses."""
-    x, t, y = p
-    return np.concatenate([math.cos(t) * np.asarray(x, float), math.sin(t) * np.asarray(y, float)])
+    return _join_rows(*p)
 
 
-def interval_point_on_double(s: float, length: float) -> np.ndarray:
+def interval_point_on_double(s, length: float) -> np.ndarray:
     """Where the interval coordinate lands on the doubling circle S^1(length/pi)."""
-    if not (-1e-12 <= s <= length + 1e-12):
-        raise DomainError(f"interval coordinate {s} outside [0, {length}]")
+    s = np.asarray(s, dtype=float)
+    outside = ~((s >= -1e-12) & (s <= length + 1e-12))  # NaN is outside too
+    if outside.any():
+        raise DomainError(f"interval coordinate {s[outside].flat[0]} outside [0, {length}]")
     ang = PI * s / length
-    return np.array([math.cos(ang), math.sin(ang)])
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 def reassociate_interval_join(p):
@@ -64,17 +76,18 @@ def reassociate_interval_join(p):
     carries one onto the other.  Returns the corresponding point
     (interval coordinate in [0, pi/2], latitude, circle unit vector).
     """
-    s, t, u = p
-    if not (-1e-12 <= s <= PI + 1e-12 and -1e-12 <= u <= PI + 1e-12):
+    s, t, u = (np.asarray(c, dtype=float) for c in p)
+    if not np.all((s >= -1e-12) & (s <= PI + 1e-12) & (u >= -1e-12) & (u <= PI + 1e-12)):
         raise DomainError("interval coordinates must lie in [0, pi]")
-    x1, y1 = math.cos(t) * math.cos(s), math.cos(t) * math.sin(s)
-    x2, y2 = math.sin(t) * math.cos(u), math.sin(t) * math.sin(u)
+    x1, y1 = np.cos(t) * np.cos(s), np.cos(t) * np.sin(s)
+    x2, y2 = np.sin(t) * np.cos(u), np.sin(t) * np.sin(u)
     # axis permutation: (x1, y1, x2, y2) -> (y1, y2, x1, x2)
     a1, b1 = y1, y2
     a2, b2 = x1, x2
-    r1 = math.hypot(a1, b1)
-    r2 = math.hypot(a2, b2)
-    tau = math.atan2(r2, r1)
-    v = math.atan2(b1, a1) if r1 > 1e-300 else 0.0
-    theta = math.atan2(b2, a2) if r2 > 1e-300 else 0.0
-    return (v, tau, np.array([math.cos(theta), math.sin(theta)]))
+    r1 = np.hypot(a1, b1)
+    r2 = np.hypot(a2, b2)
+    tau = np.arctan2(r2, r1)
+    v = np.where(r1 > 1e-300, np.arctan2(b1, a1), 0.0)
+    theta = np.where(r2 > 1e-300, np.arctan2(b2, a2), 0.0)
+    # [()] turns the 0-d results of one point into numbers
+    return (v[()], tau[()], np.stack([np.cos(theta), np.sin(theta)], axis=-1))

@@ -316,18 +316,46 @@ def _ex3_1(cfg: ExperimentConfig) -> list:
     return recs
 
 
+# the embedding oracles compare `formula` on ORACLE_PAIRS packed pairs of
+# seeded points; the first SCALAR_PAIRS of those pairs go through scalar
+# `spaces.distance` and the scalar embedding as well
+ORACLE_PAIRS = 10_000
+SCALAR_PAIRS = 200
+
+
+def _oracle_pairs(space, rng):
+    """2 ORACLE_PAIRS seeded points of `space`: the even and the odd ones packed,
+    and the first SCALAR_PAIRS pairs as point tuples."""
+    pts = nets_mod.random_points(space, 2 * ORACLE_PAIRS, rng)
+    P, Q = (spaces.pack_points(space, pts[i::2]) for i in (0, 1))
+    return P, Q, list(zip(pts[0 : 2 * SCALAR_PAIRS : 2], pts[1 : 2 * SCALAR_PAIRS : 2]))
+
+
+def _oracle_worst(deviations, sample, scalar_deviation) -> float:
+    """Largest |deviation| over the packed pairs and the scalar sample; NaN if any is NaN."""
+    scalar = [scalar_deviation(p, q) for p, q in sample]
+    return float(np.max(np.abs(np.concatenate([deviations, scalar]))))
+
+
+def _chord(embed):
+    """The unit-sphere distance between the images under `embed`, of points or packed columns."""
+    return lambda p, q: emb.sphere_chord_distance(embed(p), embed(q))
+
+
 def _ex3_2(cfg: ExperimentConfig) -> list:
     """Re-association of the interval join into an interval-circle join."""
     rng = np.random.default_rng(cfg.seed)
     J1 = Join(Interval(PI), Interval(PI))
     J2 = Join(Interval(HALF_PI), Sphere(1, 1.0))
-    pts = nets_mod.random_points(J1, 20_000, rng)
-    worst = 0.0
-    for i in range(0, 20_000, 2):
-        p, q = pts[i], pts[i + 1]
-        d1 = spaces.distance(J1, p, q)
-        d2 = spaces.distance(J2, emb.reassociate_interval_join(p), emb.reassociate_interval_join(q))
-        worst = max(worst, abs(d1 - d2))
+    P, Q, sample = _oracle_pairs(J1, rng)
+    reassoc = emb.reassociate_interval_join
+    A, B = (spaces.JoinCoords(*reassoc((C.left, C.t, C.right))) for C in (P, Q))
+    for C in (A, B):
+        J2.check_coords(C)
+    worst = _oracle_worst(
+        J1.formula(P, Q, False) - J2.formula(A, B, False), sample,
+        lambda p, q: spaces.distance(J1, p, q) - spaces.distance(J2, reassoc(p), reassoc(q)),
+    )
     return [
         _value_record(
             "interval-join re-association max deviation", 0.0, worst, 1e-9,
@@ -777,14 +805,12 @@ def _join_reassoc(cfg: ExperimentConfig) -> list:
     recs = []
     rng = np.random.default_rng(cfg.seed)
     J = Join(Sphere(1, 1.0), Sphere(1, 1.0))
-    pts = nets_mod.random_points(J, 20_000, rng)
-    worst = 0.0
-    for i in range(0, 20_000, 2):
-        p, q = pts[i], pts[i + 1]
-        d1 = spaces.distance(J, p, q)
-        d2 = emb.sphere_chord_distance(emb.embed_join_circle_circle(p),
-                                       emb.embed_join_circle_circle(q))
-        worst = max(worst, abs(d1 - d2))
+    P, Q, sample = _oracle_pairs(J, rng)
+    chord = _chord(emb.embed_join_circle_circle)
+    worst = _oracle_worst(
+        J.formula(P, Q, False) - chord((P.left, P.t, P.right), (Q.left, Q.t, Q.right)), sample,
+        lambda p, q: spaces.distance(J, p, q) - chord(p, q),
+    )
     recs.append(
         _value_record(
             "circle join vs round 3-sphere", 0.0, worst, 1e-12,
@@ -792,14 +818,12 @@ def _join_reassoc(cfg: ExperimentConfig) -> list:
         )
     )
     S = Suspension(Sphere(1, 1.0))
-    spts = nets_mod.random_points(S, 20_000, rng)
-    worst = 0.0
-    for i in range(0, 20_000, 2):
-        p, q = spts[i], spts[i + 1]
-        d1 = spaces.distance(S, p, q)
-        d2 = emb.sphere_chord_distance(emb.embed_suspension_circle(p),
-                                       emb.embed_suspension_circle(q))
-        worst = max(worst, abs(d1 - d2))
+    P, Q, sample = _oracle_pairs(S, rng)
+    chord = _chord(emb.embed_suspension_circle)
+    worst = _oracle_worst(
+        S.formula(P, Q, False) - chord((P.u, P.base), (Q.u, Q.base)), sample,
+        lambda p, q: spaces.distance(S, p, q) - chord(p, q),
+    )
     recs.append(
         _value_record(
             "circle suspension vs round 2-sphere", 0.0, worst, 1e-12,
@@ -809,20 +833,24 @@ def _join_reassoc(cfg: ExperimentConfig) -> list:
 
     lens = Lens(3, PI)
     dbl = spaces.double_join(lens)
-    rng2 = np.random.default_rng(cfg.seed + 3)
-    lpts = nets_mod.random_points(lens, 20_000, rng2)
-    worst_dbl = 0.0
-    worst_fund = 0.0
-    for i in range(0, 20_000, 2):
-        (x1, t1, s1), (x2, t2, s2) = lpts[i], lpts[i + 1]
-        p_d = (x1, t1, emb.interval_point_on_double(s1, PI))
-        q_d = (x2, t2, emb.interval_point_on_double(s2, PI))
-        d_lens = spaces.distance(lens, lpts[i], lpts[i + 1])
-        d_dbl = spaces.distance(dbl, p_d, q_d)
-        d_amb = emb.sphere_chord_distance(emb.embed_join_sphere_circle(p_d),
-                                          emb.embed_join_sphere_circle(q_d))
-        worst_fund = max(worst_fund, abs(d_lens - d_dbl))
-        worst_dbl = max(worst_dbl, abs(d_dbl - d_amb))
+    P, Q, sample = _oracle_pairs(lens, np.random.default_rng(cfg.seed + 3))
+
+    def double(x, t, s):
+        return x, t, emb.interval_point_on_double(s, PI)
+
+    DP, DQ = (spaces.JoinCoords(*double(C.left, C.t, C.right)) for C in (P, Q))
+    for C in (DP, DQ):
+        dbl.check_coords(C)
+    d_dbl = dbl.formula(DP, DQ, False)
+    chord = _chord(emb.embed_join_sphere_circle)
+    worst_dbl = _oracle_worst(
+        d_dbl - chord((DP.left, DP.t, DP.right), (DQ.left, DQ.t, DQ.right)), sample,
+        lambda p, q: spaces.distance(dbl, double(*p), double(*q)) - chord(double(*p), double(*q)),
+    )
+    worst_fund = _oracle_worst(
+        lens.formula(P, Q, False) - d_dbl, sample,
+        lambda p, q: spaces.distance(lens, p, q) - spaces.distance(dbl, double(*p), double(*q)),
+    )
     recs.append(
         _value_record(
             "doubled hemisphere vs round 3-sphere", 0.0, worst_dbl, 1e-12,

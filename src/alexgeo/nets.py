@@ -289,18 +289,29 @@ def _ellipsoid_candidates(e: Ellipsoid, m: int, rng) -> np.ndarray:
 
 
 def _farthest_point_sample(cands: np.ndarray, eps: float, budget: int):
-    """Greedy FPS on chord distances until covering <= 0.92*eps or budget hit."""
-    m = cands.shape[0]
+    """Greedy FPS on chord distances until covering <= 0.92*eps or budget hit.
+
+    Squared chords to each pick come from one matrix-vector product,
+    |c|^2 + |c_i|^2 - 2 <c, c_i>, with |c|^2 computed once.  The returned
+    covering radius is the direct chord from the farthest candidate to its
+    nearest pick.
+    """
+    sq = np.einsum("ij,ij->i", cands, cands)
     chosen = [0]
-    mind = np.linalg.norm(cands - cands[0], axis=1)
+    mind2 = np.linalg.norm(cands - cands[0], axis=1) ** 2
+    d2 = np.empty_like(sq)
     while len(chosen) < budget:
-        i = int(np.argmax(mind))
-        radius = float(mind[i])
-        if radius <= 0.92 * eps:
+        i = int(np.argmax(mind2))
+        if math.sqrt(max(float(mind2[i]), 0.0)) <= 0.92 * eps:  # the expansion can round below 0
             break
         chosen.append(i)
-        np.minimum(mind, np.linalg.norm(cands - cands[i], axis=1), out=mind)
-    return np.array(chosen, dtype=int), float(np.max(mind))
+        np.dot(cands, cands[i], out=d2)
+        d2 *= -2.0
+        d2 += sq
+        d2 += sq[i]
+        np.minimum(mind2, d2, out=mind2)
+    far = cands[int(np.argmax(mind2))]
+    return np.array(chosen, dtype=int), float(np.min(np.linalg.norm(cands[chosen] - far, axis=1)))
 
 
 def _chord_corrected_weights(e: Ellipsoid, pts: np.ndarray, rows, cols):

@@ -70,6 +70,10 @@ interval, join latitude, cone radial and suspension colatitude values in
 their closed ranges (to within 1e-12; NaN fails).  `pack_points`, so
 `validate_point`, raises DomainError from it, and
 `serialize.coords_from_json`, so `serialize.read_net`, ConstructionError.
+A one-point leaf is tested by plain comparisons, a longer one by one numpy
+reduction; the error names the first bad value either way.  The scalar
+distance laws test their own values and raise DomainError too, for a value
+out of range or one that is no number.
 """
 
 from __future__ import annotations
@@ -183,11 +187,18 @@ def _check_leaf(leaf, what: str, error, width: int | None = None) -> np.ndarray:
 def _check_values(leaf, hi: float, what: str, error):
     """Raise `error` unless `leaf` is 1-D with every value in [0, hi] to within 1e-12.
 
-    A loop, as for sphere rows: on a one-point pack a numpy reduction costs
-    several times the comparison.
+    A one-value leaf (a scalar query) is tested by a comparison, where a
+    numpy reduction would cost several times as much; a longer one by one
+    reduction.  Either way the error names the first bad value.
     """
-    for x in _check_leaf(leaf, what, error).tolist():
-        if not -1e-12 <= x <= hi + 1e-12:  # NaN fails too
+    values = _check_leaf(leaf, what, error)
+    if values.shape[0] > 1:
+        inside = (values >= -1e-12) & (values <= hi + 1e-12)  # NaN fails too
+        if inside.all():
+            return
+        values = values[np.argmin(inside):]
+    for x in values.tolist():
+        if not -1e-12 <= x <= hi + 1e-12:
             raise error(f"{what} coordinate {x} outside [0, {hi}]")
 
 
@@ -275,9 +286,12 @@ def _great_circle(u, v, shape: tuple, radius: float) -> float:
 
 def interval_distance(s: float, t: float, length: float) -> float:
     """|s - t| with a domain check against [0, length]."""
-    for name, x in (("s", s), ("t", t)):
-        if not (-1e-12 <= x <= length + 1e-12):
-            raise DomainError(f"interval coordinate {name} = {x} outside [0, {length}]")
+    try:
+        for name, x in (("s", s), ("t", t)):
+            if not (-1e-12 <= x <= length + 1e-12):
+                raise DomainError(f"interval coordinate {name} = {x} outside [0, {length}]")
+    except TypeError:  # a value that is no number
+        raise DomainError(f"interval coordinates must be numbers, got {s!r} and {t!r}") from None
     return abs(float(s) - float(t))
 
 
@@ -292,9 +306,12 @@ def join_distance(p, q, left_metric, right_metric) -> float:
         x2, t2, y2 = q
     except (TypeError, ValueError):
         raise DomainError("join points must be tuples of 3 coordinates") from None
-    for name, t in (("t1", t1), ("t2", t2)):
-        if not (-1e-12 <= t <= HALF_PI + 1e-12):
-            raise DomainError(f"join latitude {name} = {t} outside [0, pi/2]")
+    try:
+        for name, t in (("t1", t1), ("t2", t2)):
+            if not (-1e-12 <= t <= HALF_PI + 1e-12):
+                raise DomainError(f"join latitude {name} = {t} outside [0, pi/2]")
+    except TypeError:  # a latitude that is no number
+        raise DomainError(f"join latitudes must be numbers, got {t1!r} and {t2!r}") from None
     dl = min(float(left_metric(x1, x2)), PI)
     dr = min(float(right_metric(y1, y2)), PI)
     c = math.cos(t1) * math.cos(t2) * math.cos(dl) + math.sin(t1) * math.sin(t2) * math.cos(dr)
@@ -310,9 +327,12 @@ def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
         raise DomainError("cone points must be tuples of 2 coordinates") from None
     if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
         raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k))")
-    for name, t in (("t0", t0), ("t1", t1)):
-        if not (-1e-12 <= t <= r0 + 1e-12):
-            raise DomainError(f"cone radial coordinate {name} = {t} outside [0, {r0}]")
+    try:
+        for name, t in (("t0", t0), ("t1", t1)):
+            if not (-1e-12 <= t <= r0 + 1e-12):
+                raise DomainError(f"cone radial coordinate {name} = {t} outside [0, {r0}]")
+    except TypeError:  # a radial coordinate that is no number
+        raise DomainError(f"cone radial coordinates must be numbers, got {t0!r} and {t1!r}") from None
     theta = min(float(base_metric(y0, y1)), PI)
     return _cone_law(k, float(t0), float(t1), math.cos(theta))
 
@@ -337,9 +357,12 @@ def suspension_distance(p, q, base_metric) -> float:
         u2, y2 = q
     except (TypeError, ValueError):
         raise DomainError("suspension points must be tuples of 2 coordinates") from None
-    for name, u in (("u1", u1), ("u2", u2)):
-        if not (-1e-12 <= u <= PI + 1e-12):
-            raise DomainError(f"suspension colatitude {name} = {u} outside [0, pi]")
+    try:
+        for name, u in (("u1", u1), ("u2", u2)):
+            if not (-1e-12 <= u <= PI + 1e-12):
+                raise DomainError(f"suspension colatitude {name} = {u} outside [0, pi]")
+    except TypeError:  # a colatitude that is no number
+        raise DomainError(f"suspension colatitudes must be numbers, got {u1!r} and {u2!r}") from None
     theta = min(float(base_metric(y1, y2)), PI)
     c = math.cos(u1) * math.cos(u2) + math.sin(u1) * math.sin(u2) * math.cos(theta)
     return clamped_arccos(c)
@@ -462,9 +485,16 @@ class Sphere(SpaceDescriptor):
         return _stack_rows(points, self.ambient_dim)
 
     def check_coords(self, coords, error=DomainError):
-        # a loop: most packs are one row (scalar queries), where numpy's
-        # per-call overhead costs several times `vector_norm`
-        for row in _check_leaf(coords, "sphere", error, self.ambient_dim):
+        # one row (a scalar query) by `vector_norm`, where numpy's per-call
+        # overhead costs several times as much; more rows by one reduction,
+        # then from the first bad row on as for one row, for the same message
+        rows = _check_leaf(coords, "sphere", error, self.ambient_dim)
+        if rows.shape[0] > 1:
+            unit = np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0) <= _UNIT_TOL
+            if unit.all():
+                return
+            rows = rows[np.argmin(unit):]
+        for row in rows:
             nrm = vector_norm(row)
             if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
@@ -941,31 +971,28 @@ def double_join(space):
 
 
 def boundary_distance(space, p) -> float:
-    """Analytic distance to the boundary (cones, so model balls, and lenses only)."""
+    """Analytic distance from one point to the boundary: `boundary_distances` of one row."""
+    return float(boundary_distances(space, pack_points(space, [p]))[0])
+
+
+def boundary_distances(space, coords) -> np.ndarray:
+    """Analytic distances to the boundary of packed points (cones, so model balls, and lenses only)."""
     if isinstance(space, Cone):
         if space.base.has_boundary():
             raise UnsupportedConstructionError(
                 "analytic boundary distance supports cones over boundaryless bases only"
             )
-        t, _ = p
-        return space.r0 - float(t)
+        return space.r0 - coords.t
     if isinstance(space, Lens):
-        _, t, s = p
-        return _lens_boundary_distance(float(t), float(s), space.alpha)
+        # distance to the face at gap ds is arcsin(sin t sin ds) while the foot
+        # stays interior (ds <= pi/2); beyond that the rim (t' = 0) is closest
+        t = coords.t
+        faces = [np.where(ds >= HALF_PI, t, np.arcsin(np.minimum(1.0, np.sin(t) * np.sin(ds))))
+                 for ds in (coords.right, space.alpha - coords.right)]
+        return np.minimum(*faces)
     raise UnsupportedConstructionError(
         f"no analytic boundary distance for {type(space).__name__}"
     )
-
-
-def _lens_boundary_distance(t: float, s: float, alpha: float) -> float:
-    # distance to the face at gap ds is arcsin(sin t sin ds) while the foot
-    # stays interior (ds <= pi/2); beyond that the rim (t' = 0) is closest.
-    def face(ds: float) -> float:
-        if ds >= HALF_PI:
-            return t
-        return math.asin(min(1.0, math.sin(t) * math.sin(ds)))
-
-    return min(face(s), face(alpha - s))
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,21 @@ class TestConvexityCheck:
         with pytest.raises(PreconditionError):
             cmp.convexity_check(Sphere(2, 1.0), 1.0)
 
+    def test_lens_scales_probe_the_same_points(self, monkeypatch):
+        seen = []
+        embed = cmp.embeddings.embed_lens
+
+        def spy(lens, p):
+            seen.append([np.array(c, copy=True) for c in p])
+            return embed(lens, p)
+
+        monkeypatch.setattr(cmp.embeddings, "embed_lens", spy)
+        cmp.convexity_check(Lens(3, 1.0), 1.0, probes=200, seed=5)
+        assert len(seen) == 3  # one draw per scale, every probe kept
+        for other in seen[1:]:
+            for a, b in zip(seen[0], other):
+                assert np.array_equal(a, b)
+
 
 class TestTraces:
     def test_radial_equality_all_curvatures(self):

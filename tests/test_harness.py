@@ -8,7 +8,7 @@ import sys
 import pytest
 from scipy.special import ellipe
 
-from alexgeo import harness, serialize
+from alexgeo import harness, serialize, spaces
 from alexgeo.errors import ConstructionError
 from alexgeo.harness import (
     CATALOGUE,
@@ -93,6 +93,30 @@ class TestReports:
         names = [r.name for r in rep.records]
         assert any("susp" in n for n in names)
         assert not any("S^1(1)" in n for n in names)
+
+
+def _record(example_id, name):
+    (rec,) = [r for r in run_example(example_id).records if r.name == name]
+    return rec
+
+
+class TestOraclesCanFail:
+    """The batched embedding oracles fail on a planted error in either distance path."""
+
+    def test_planted_error_in_the_join_formula(self, monkeypatch):
+        formula = spaces.Join.formula
+        monkeypatch.setattr(spaces.Join, "formula",
+                            lambda self, A, B, cross: formula(self, A, B, cross) + 1e-9)
+        rec = _record("join_reassoc", "circle join vs round 3-sphere")
+        assert not rec.passed
+        assert rec.observed == pytest.approx(1e-9, rel=1e-3)
+
+    def test_planted_error_in_scalar_join_distance(self, monkeypatch):
+        join_distance = spaces.join_distance
+        monkeypatch.setattr(spaces, "join_distance", lambda *args: join_distance(*args) + 1e-9)
+        rec = _record("join_reassoc", "circle join vs round 3-sphere")
+        assert not rec.passed
+        assert rec.observed == pytest.approx(1e-9, rel=1e-3)
 
 
 def _cli(*args):

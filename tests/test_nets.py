@@ -336,6 +336,30 @@ class TestPairExhaustiveAudit:
         assert not audit.passed
 
 
+class TestFarthestPointSample:
+    @staticmethod
+    def _plain(cands, eps, budget):
+        """The reference: one full chord norm per pick."""
+        chosen = [0]
+        mind = np.linalg.norm(cands - cands[0], axis=1)
+        while len(chosen) < budget:
+            i = int(np.argmax(mind))
+            if float(mind[i]) <= 0.92 * eps:
+                break
+            chosen.append(i)
+            np.minimum(mind, np.linalg.norm(cands - cands[i], axis=1), out=mind)
+        return np.array(chosen, dtype=int), float(np.max(mind))
+
+    @pytest.mark.parametrize("eps, budget", [(0.1, 5000), (0.1, 150), (0.3, 5000)])
+    def test_picks_and_radius_equal_the_plain_loop(self, eps, budget):
+        e = spaces.Ellipsoid(0.6, 1.0 / 3.0, 0.25)
+        cands = nets._ellipsoid_candidates(e, 6000, np.random.default_rng(4))
+        chosen, radius = nets._farthest_point_sample(cands, eps, budget)
+        want_chosen, want_radius = self._plain(cands, eps, budget)
+        assert np.array_equal(chosen, want_chosen)
+        assert radius == want_radius
+
+
 class TestEllipsoid:
     def test_round_limit_antipodal(self):
         d = nets.ellipsoid_distance(

@@ -499,6 +499,42 @@ class TestSharedDomainCheck:
         with pytest.raises(DomainError, match="must be numbers"):
             spaces.pack_points(space, points)
 
+    @pytest.mark.parametrize("space, p, q", [
+        (Interval(1.0), "a", 0.5),
+        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, "a", E1), (E1, 0.5, E1)),
+        (CAP, (0.5, E1), ("a", E1)),
+        (Suspension(Sphere(1, 1.0)), ([0.5], E1), (0.5, E1)),
+    ], ids=["interval", "join-latitude", "cone-radial", "suspension-colatitude"])
+    def test_scalar_distance_on_a_coordinate_that_is_no_number(self, space, p, q):
+        with pytest.raises(DomainError, match="must be numbers"):
+            distance(space, p, q)
+
+    @pytest.mark.parametrize("bad", [[0.6, 0.8, 0.1], [math.nan, 0.0, 0.0]], ids=["non-unit", "nan"])
+    def test_many_sphere_rows_fail_as_the_first_bad_row_alone(self, bad):
+        S2 = Sphere(2, 1.0)
+        rows = np.array(S2.random_points(1000, np.random.default_rng(3)))
+        rows[500] = bad
+        rows[700] = [2.0, 0.0, 0.0]
+        with pytest.raises(DomainError) as alone:
+            spaces.pack_points(S2, [rows[500]])
+        with pytest.raises(DomainError) as packed:
+            spaces.pack_points(S2, list(rows))
+        assert str(packed.value) == str(alone.value)
+        assert "not a unit vector" in str(packed.value)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, math.nan], ids=["above", "below", "nan"])
+    def test_many_interval_values_fail_as_the_first_bad_value_alone(self, bad):
+        interval = Interval(1.0)
+        values = np.random.default_rng(3).uniform(0.0, 1.0, 1000).tolist()
+        values[500] = bad
+        values[700] = 2.0
+        with pytest.raises(DomainError) as alone:
+            spaces.pack_points(interval, [bad])
+        with pytest.raises(DomainError) as packed:
+            spaces.pack_points(interval, values)
+        assert str(packed.value) == str(alone.value)
+        assert "outside [0, 1.0]" in str(packed.value)
+
     def test_nearest_index_rejects_a_point_off_the_cap(self):
         net = nets.epsilon_net(CAP, 0.3, 42)
         with pytest.raises(DomainError):

@@ -13,7 +13,9 @@ It takes no options.  The catalogue is run with one worker at seeds 42, 1
 and 7; each net is built at epsilon 0.1, seed 1.  Per seed it prints two
 digests: of every record, and of every record but the metric audits'
 triangle-defect records, so a change to the audit alone can show that all
-other records stayed byte-identical.
+other records stayed byte-identical.  Beside them it prints one digest per
+catalogue entry, of that entry's records, so a change can show which
+entries moved.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def _digest(docs) -> str:
 
 
 def records_digests(seed: int) -> tuple:
-    """Digests of the `run_all` reports, with and without the audit records."""
+    """Digests of the `run_all` reports, with and without the audit records,
+    and {entry id: digest of that entry's report}."""
     reports = harness.run_all(seed=seed, workers=1)
     docs = []
     for report in reports:
@@ -68,9 +71,10 @@ def records_digests(seed: int) -> tuple:
         doc.pop("wall_time_s", None)
         docs.append(doc)
     full = _digest(docs)
+    per_entry = {doc["config"]["example_id"]: _digest(doc) for doc in docs}
     for doc in docs:
         doc["records"] = [r for r in doc["records"] if not r["name"].endswith(AUDIT_RECORD)]
-    return full, _digest(docs)
+    return full, _digest(docs), per_entry
 
 
 def net_digest(space) -> str:
@@ -80,9 +84,11 @@ def net_digest(space) -> str:
 
 def main():
     for seed in SEEDS:
-        full, without_audits = records_digests(seed)
+        full, without_audits, per_entry = records_digests(seed)
         print(f"run_all seed={seed}  {full}")
         print(f"run_all seed={seed} without audit records  {without_audits}")
+        for eid, digest in per_entry.items():
+            print(f"entry {eid} seed={seed}  {digest}")
     for label, space in net_cases():
         print(f"net {label}  {net_digest(space)}")
 
