@@ -319,6 +319,7 @@ def group_from_generators(space, generators, name: str = "") -> GroupAction:
 @dataclass
 class ActionAudit:
     has_identity: bool
+    identity_defect: float  # largest coordinate gap on the probes to the element nearest the identity
     closure_defect: float
     isometry_defect: float
     latitude_defect: float
@@ -345,7 +346,8 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
 
     tables = [table(g) for g in action.elements]
     ident_tab = table(Identity())
-    has_identity = any(np.max(np.abs(t - ident_tab)) <= tol for t in tables)
+    identity_defect = min(float(np.max(np.abs(t - ident_tab))) for t in tables)
+    has_identity = identity_defect <= tol
 
     closure_defect = 0.0
     for g in action.elements:
@@ -368,6 +370,7 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     passed = has_identity and closure_defect <= tol and isometry_defect <= tol
     return ActionAudit(
         has_identity=has_identity,
+        identity_defect=identity_defect,
         closure_defect=closure_defect,
         isometry_defect=isometry_defect,
         latitude_defect=latitude_defect,

@@ -7,7 +7,6 @@ Subcommands:
   example     run catalogue entries and emit machine-readable reports
 
 Exit code is 0 iff every check in the invoked scope passes.
-ALEXGEO_THREADS caps parallelism for `example --all`.
 """
 
 from __future__ import annotations

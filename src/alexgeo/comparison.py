@@ -243,18 +243,9 @@ def hinge_comparison(k: float, a: float, b: float, gamma: float) -> float:
         raise DomainError(f"hinge sides must be nonnegative, got a={a}, b={b}")
     if not (0.0 <= gamma <= PI + 1e-12):
         raise DomainError(f"hinge angle must lie in [0, pi], got {gamma}")
-    if k > 0.0:
-        s = math.sqrt(k)
-        if a > PI / s + 1e-12 or b > PI / s + 1e-12:
-            raise DomainError(f"for k={k} hinge sides must be <= pi/sqrt(k)")
-        c = math.cos(s * a) * math.cos(s * b) + math.sin(s * a) * math.sin(s * b) * math.cos(gamma)
-        return clamped_arccos(c) / s
-    if k == 0.0:
-        v = a * a + b * b - 2.0 * a * b * math.cos(gamma)
-        return math.sqrt(max(v, 0.0))
-    s = math.sqrt(-k)
-    c = math.cosh(s * a) * math.cosh(s * b) - math.sinh(s * a) * math.sinh(s * b) * math.cos(gamma)
-    return math.acosh(max(1.0, c)) / s
+    if k > 0.0 and max(a, b) > PI / math.sqrt(k) + 1e-12:
+        raise DomainError(f"for k={k} hinge sides must be <= pi/sqrt(k)")
+    return spaces._cone_law(k, a, b, math.cos(gamma))
 
 
 # ---------------------------------------------------------------------------

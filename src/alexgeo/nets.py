@@ -97,7 +97,7 @@ def random_points(space, n: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _gen(space, eps, rng, phase: float = 0.0):
+def _gen(space, eps, phase: float = 0.0):
     """Generate (coords, flags) with covering radius <= eps by construction."""
     if isinstance(space, Sphere):
         return _gen_sphere(space, eps, phase)
@@ -108,13 +108,13 @@ def _gen(space, eps, rng, phase: float = 0.0):
         flags[0] = flags[-1] = True
         return grid, flags
     if isinstance(space, Join):
-        return _gen_join(space.left, space.right, eps, rng)
+        return _gen_join(space.left, space.right, eps)
     if isinstance(space, Cone):
-        return _gen_cone(space, eps, rng)
+        return _gen_cone(space, eps)
     if isinstance(space, Suspension):
-        return _gen_suspension(space, eps, rng)
+        return _gen_suspension(space, eps)
     if isinstance(space, Quotient):
-        return _gen(space.base, eps, rng, phase)
+        return _gen(space.base, eps, phase)
     if isinstance(space, Ellipsoid):
         raise ConstructionError("ellipsoid nets are built by farthest-point sampling; internal error")
     raise ConstructionError(f"unknown descriptor {space!r}")
@@ -173,7 +173,7 @@ def _gen_sphere3(space: Sphere, eps):
     return pts, np.zeros(pts.shape[0], dtype=bool)
 
 
-def _gen_join(left, right, eps, rng):
+def _gen_join(left, right, eps):
     dt = 1.10 * eps
     cov = 0.55 * eps
     n_t = max(2, math.ceil(HALF_PI / dt) + 1)
@@ -187,12 +187,12 @@ def _gen_join(left, right, eps, rng):
             lc = spaces.pack_points(left, [left.canonical_point()])
             lf = np.zeros(1, dtype=bool)
         else:
-            lc, lf = _gen(left, cov / ct, rng, phase=j * _GOLDEN)
+            lc, lf = _gen(left, cov / ct, phase=j * _GOLDEN)
         if st * diam_r <= 2.0 * cov:
             rc = spaces.pack_points(right, [right.canonical_point()])
             rf = np.zeros(1, dtype=bool)
         else:
-            rc, rf = _gen(right, cov / st, rng, phase=j * _GOLDEN * _GOLDEN)
+            rc, rf = _gen(right, cov / st, phase=j * _GOLDEN * _GOLDEN)
         nl = coords_len(lc)
         nr = coords_len(rc)
         li = np.repeat(np.arange(nl), nr)
@@ -208,7 +208,7 @@ def _gen_join(left, right, eps, rng):
     return coords, np.concatenate(part_flags)
 
 
-def _gen_cone(space: Cone, eps, rng):
+def _gen_cone(space: Cone, eps):
     dt = eps
     cov = 0.85 * eps
     n_t = max(2, math.ceil(space.r0 / dt) + 1)
@@ -222,7 +222,7 @@ def _gen_cone(space: Cone, eps, rng):
             bc = spaces.pack_points(space.base, [space.base.canonical_point()])
             bf = np.zeros(1, dtype=bool)
         else:
-            bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
+            bc, bf = _gen(space.base, cov / scale, phase=j * _GOLDEN)
         nb = coords_len(bc)
         flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
         if t == ts[-1]:
@@ -235,7 +235,7 @@ def _gen_cone(space: Cone, eps, rng):
     return coords, np.concatenate(part_flags)
 
 
-def _gen_suspension(space: Suspension, eps, rng):
+def _gen_suspension(space: Suspension, eps):
     dt = eps
     cov = 0.85 * eps
     n_u = max(3, math.ceil(PI / dt) + 1)
@@ -249,7 +249,7 @@ def _gen_suspension(space: Suspension, eps, rng):
             bc = spaces.pack_points(space.base, [space.base.canonical_point()])
             bf = np.zeros(1, dtype=bool)
         else:
-            bc, bf = _gen(space.base, cov / scale, rng, phase=j * _GOLDEN)
+            bc, bf = _gen(space.base, cov / scale, phase=j * _GOLDEN)
         nb = coords_len(bc)
         flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
         if (u == 0.0 or u == us[-1]) and base_has_bdry:
@@ -456,9 +456,8 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         _freeze(net)
         return net
 
-    rng = np.random.default_rng(seed)
     eff = float(epsilon)
-    coords, flags = _gen(space, eff, rng)
+    coords, flags = _gen(space, eff)
     n = coords_len(coords)
     if n > budget:
         if not allow_degrade:
@@ -471,8 +470,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         dim = max(1, space.dim)
         for _ in range(24):
             eff *= 1.03 * (n / budget) ** (1.0 / dim)
-            rng = np.random.default_rng(seed)
-            coords, flags = _gen(space, eff, rng)
+            coords, flags = _gen(space, eff)
             n = coords_len(coords)
             if n <= budget:
                 break

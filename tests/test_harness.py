@@ -2,14 +2,16 @@
 
 import json
 import math
+import operator
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from alexgeo import harness, serialize, spaces
-from alexgeo.errors import ConstructionError
+from alexgeo import harness, invariants, serialize, spaces
+from alexgeo.errors import AlexgeoError, ConstructionError
 from alexgeo.harness import (
     CATALOGUE,
     ExperimentConfig,
@@ -117,6 +119,76 @@ class TestOraclesCanFail:
         rec = _record("join_reassoc", "circle join vs round 3-sphere")
         assert not rec.passed
         assert rec.observed == pytest.approx(1e-9, rel=1e-3)
+
+
+@pytest.fixture(scope="module")
+def catalogue():
+    """{entry id: the JSON of its records} of `run_all` at seed 42."""
+    return {rep.config["example_id"]: [r.to_json() for r in rep.records] for rep in harness.run_all(seed=42)}
+
+
+RECORD_COUNTS = {
+    "ex3_1": 8, "ex3_2": 1, "ex3_3": 8, "ex3_4": 6, "ex3_5": 6, "ex3_6": 6, "ex3_7": 6,
+    "ex3_8": 7, "ex3_9": 6, "lens_volume": 7, "cone_rigidity": 7, "ball_convexity": 8,
+    "join_reassoc": 4,
+}
+
+# the thresholds that judge the fifteen checks which used to print tolerance
+# 0.0; the edge-spine dual pair is now two records, one per threshold
+PRINTED_THRESHOLDS = {
+    ("ex3_1", "antipodal dual pair on S^2(1/2)"): 3 * 0.05,
+    ("ex3_5", "edge set nonempty and touches boundary flags"): 0.47637940058281447,
+    ("ex3_5", "spine contains the soul"): 0.47637940058281447,
+    ("ex3_6", "soul lies in the spine"): 0.4828819500584811,
+    ("ex3_7", "edge-spine dual pair (latitude slices): pair defect"): 1e-12,
+    ("ex3_7", "edge-spine dual pair (latitude slices): decomposition defect"): 0.7243229250877217,
+    ("ex3_8", "diagonal action passes the isometry audit (order 8 spot check)"): 1e-9,
+    ("ex3_8", "rad (cap/Z_m) below pi/2 plus resolution"): 0.1,
+    **{("ball_convexity", f"k={k} ball {check}"): 1e-3
+       for k in ("-1", "0", "1") for check in ("convex at its own profile", "rejects an inflated profile")},
+    **{("ball_convexity", f"lens faces fail every positive profile (n={n})"): 1e-3 for n in (2, 3)},
+}
+
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
+
+
+class TestCheckRecords:
+    def test_record_count_per_entry(self, catalogue):
+        assert {eid: len(recs) for eid, recs in catalogue.items()} == RECORD_COUNTS
+
+    def test_pass_follows_from_the_printed_fields(self, catalogue):
+        judged = 0
+        for recs in catalogue.values():
+            for r in recs:
+                if r["expected"] == "pass":  # a flag: the verdict of a named rule
+                    continue
+                if isinstance(r["expected"], str):
+                    relation, bound = r["expected"].split()
+                    passed = RELATIONS[relation](r["observed"], float(bound))
+                else:
+                    passed = abs(r["expected"] - r["observed"]) <= r["tolerance"]
+                assert passed == r["pass"], r
+                judged += 1
+        assert judged == sum(RECORD_COUNTS.values()) - 11
+
+    def test_formerly_hidden_thresholds_are_printed(self, catalogue):
+        printed = {(eid, r["name"]): r["tolerance"] for eid, recs in catalogue.items() for r in recs}
+        assert len(PRINTED_THRESHOLDS) == 16
+        for key, tol in PRINTED_THRESHOLDS.items():
+            assert printed[key] == pytest.approx(tol, rel=1e-12, abs=0.0), key
+
+    def test_empty_edge_set_fails_the_spine_records(self, monkeypatch):
+        monkeypatch.setattr(invariants, "edge_set",
+                            lambda net, soul, tol=None: invariants.IndexSetResult(np.array([], dtype=int)))
+        for eid, name in (("ex3_5", "spine contains the soul"), ("ex3_6", "soul lies in the spine")):
+            records = run_example(eid).records
+            assert len(records) == RECORD_COUNTS[eid]
+            (rec,) = [r for r in records if r.name == name]
+            assert not rec.passed and rec.observed == "fail"
+
+    def test_run_all_has_no_thread_pool(self):
+        with pytest.raises(AlexgeoError, match="workers"):
+            harness.run_all(workers=2)
 
 
 def _cli(*args):

@@ -4,7 +4,7 @@ A process's peak RSS is the largest it ever was, so running the entries one
 after another in one process shows only the worst of them.  This script runs
 each `harness.CATALOGUE` entry at the CLI defaults in its own Python process
 and prints the entry's wall seconds (`ExperimentReport.wall_time_s`) and the
-process's `ru_maxrss`.  The last line is one `run_all(workers=1)` process,
+process's `ru_maxrss`.  The last line is one `run_all()` process,
 with its summed wall seconds and its `ru_maxrss`.
 
 Usage, from the repository root:
@@ -28,7 +28,7 @@ CHILD = """
 import json, resource, sys
 from alexgeo import harness
 eid = sys.argv[1]
-reports = harness.run_all(workers=1) if eid == "run_all" else [harness.run_example(eid)]
+reports = harness.run_all() if eid == "run_all" else [harness.run_example(eid)]
 print(json.dumps({
     "wall_s": sum(r.wall_time_s for r in reports),
     "passed": all(r.passed for r in reports),
