@@ -333,8 +333,10 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
 
     Closure is tested by composing all element pairs and matching each
     composite against the element list on sample points; the isometry
-    property by |g(x) g(y)| = |x y| on random pairs.  Diagonal join actions
-    must preserve the latitude coordinate exactly.
+    property by |g(x) g(y)| = |x y| on random pairs, packed once and moved
+    by each element as one array.  Moved points must pass the space's
+    domain check (DomainError otherwise).  Diagonal join actions must
+    preserve the latitude coordinate exactly.
     """
     from .nets import random_points
 
@@ -356,17 +358,19 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
             best = min(float(np.max(np.abs(tab - t))) for t in tables)
             closure_defect = max(closure_defect, best)
 
-    xs = random_points(space, n_pairs, rng)
-    ys = random_points(space, n_pairs, rng)
+    X = spaces.pack_points(space, random_points(space, n_pairs, rng))
+    Y = spaces.pack_points(space, random_points(space, n_pairs, rng))
+    d0 = spaces.elementwise_distance(space, X, Y)
     isometry_defect = 0.0
     latitude_defect = 0.0
     for g in action.elements[1:] if has_identity else action.elements:
-        for x, y in zip(xs, ys):
-            d0 = spaces.distance(space, x, y)
-            d1 = spaces.distance(space, g.apply_point(x), g.apply_point(y))
-            isometry_defect = max(isometry_defect, abs(d0 - d1))
-            if isinstance(space, Join):
-                latitude_defect = max(latitude_defect, abs(g.apply_point(x)[1] - x[1]))
+        gX, gY = g.apply(X), g.apply(Y)
+        space.check_coords(gX)  # a map may move points off the space
+        space.check_coords(gY)
+        d1 = spaces.elementwise_distance(space, gX, gY)
+        isometry_defect = max(isometry_defect, float(np.max(np.abs(d0 - d1), initial=0.0)))
+        if isinstance(space, Join):
+            latitude_defect = max(latitude_defect, float(np.max(np.abs(gX.t - X.t), initial=0.0)))
     passed = has_identity and closure_defect <= tol and isometry_defect <= tol
     return ActionAudit(
         has_identity=has_identity,

@@ -1,11 +1,13 @@
 """Finite epsilon-nets over space descriptors, plus the metric-axiom audit.
 
-Strategies: uniform grids on intervals and circles, a Fibonacci lattice on
-2-spheres, a Hopf-coordinate lattice on 3-spheres, latitude-layered product
-grids on joins, cones, and suspensions (point density follows the volume
-element), farthest-point subsampling on ellipsoid surfaces, and base-net
-transport for quotients.  Nets are deterministic given (space, epsilon,
-seed) and immutable after construction.
+Strategies are descriptor methods: each kind's ``net_grid(eps, phase)``
+(see `alexgeo.spaces`) gives uniform grids on intervals and circles, a
+Fibonacci lattice on 2-spheres, a Hopf-coordinate lattice on 3-spheres,
+latitude-layered product grids on joins, cones and suspensions (point
+density follows the volume element), and a quotient's base grid, which
+`epsilon_net` dedupes into orbit points.  Ellipsoid surfaces, which have no
+grid, are subsampled by farthest points here.  Nets are deterministic given
+(space, epsilon, seed) and immutable after construction.
 
 A net records both the requested resolution and the effective covering
 target actually built.  When the point budget cannot support the requested
@@ -26,36 +28,20 @@ from scipy.spatial import cKDTree
 from . import spaces
 from .errors import CapacityError, ConstructionError, DomainError, PreconditionError
 from .spaces import (
-    Cone,
-    ConeCoords,
     Ellipsoid,
-    Interval,
-    Join,
-    JoinCoords,
     PI,
-    HALF_PI,
     Quotient,
-    Sphere,
-    SuspCoords,
-    Suspension,
-    coords_concat,
     coords_len,
     coords_take,
     cross_distance,
     self_distance_matrix,
     unpack_point,
-    _sn,
 )
 
 DEFAULT_BUDGET = 5000
 # Quotient net points closer than this are one orbit point.  Orbit copies
 # read up to ~1.5e-8 apart (arccos resolution near 0), so it must sit above that.
 DEDUPE_TOL = 1e-7
-
-# Fibonacci-lattice covering radius is about _FIB_C / sqrt(N) on the unit
-# 2-sphere; calibrated by probe measurement.
-_FIB_C = 2.85
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 @dataclass
@@ -90,174 +76,6 @@ class FiniteNet:
 def random_points(space, n: int, rng: np.random.Generator):
     """n independent sample points with full support in the space."""
     return space.random_points(n, rng)
-
-
-# ---------------------------------------------------------------------------
-# coordinate generation per strategy
-# ---------------------------------------------------------------------------
-
-
-def _gen(space, eps, phase: float = 0.0):
-    """Generate (coords, flags) with covering radius <= eps by construction."""
-    if isinstance(space, Sphere):
-        return _gen_sphere(space, eps, phase)
-    if isinstance(space, Interval):
-        n = max(2, math.ceil(space.length / eps))
-        grid = np.linspace(0.0, space.length, n)
-        flags = np.zeros(n, dtype=bool)
-        flags[0] = flags[-1] = True
-        return grid, flags
-    if isinstance(space, Join):
-        return _gen_join(space.left, space.right, eps)
-    if isinstance(space, Cone):
-        return _gen_cone(space, eps)
-    if isinstance(space, Suspension):
-        return _gen_suspension(space, eps)
-    if isinstance(space, Quotient):
-        return _gen(space.base, eps, phase)
-    if isinstance(space, Ellipsoid):
-        raise ConstructionError("ellipsoid nets are built by farthest-point sampling; internal error")
-    raise ConstructionError(f"unknown descriptor {space!r}")
-
-
-def _gen_sphere(space: Sphere, eps, phase=0.0):
-    r = space.radius
-    if space.dim == 0:
-        pts = np.array([[1.0], [-1.0]])
-        return pts, np.zeros(2, dtype=bool)
-    if space.dim == 1:
-        n = max(3, math.ceil(PI * r / eps))
-        ang = phase + 2.0 * PI * np.arange(n) / n
-        pts = np.column_stack([np.cos(ang), np.sin(ang)])
-        return pts, np.zeros(n, dtype=bool)
-    if space.dim == 2:
-        n = max(8, math.ceil((_FIB_C * r / eps) ** 2))
-        pts = _fibonacci_sphere(n)
-        return pts, np.zeros(n, dtype=bool)
-    if space.dim == 3:
-        return _gen_sphere3(space, eps)
-    raise ConstructionError(f"no net strategy for Sphere(dim={space.dim}); supported dims are 0..3")
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    theta = 2.0 * PI * i / _GOLDEN
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.column_stack([s * np.cos(theta), s * np.sin(theta), z])
-
-
-def _gen_sphere3(space: Sphere, eps):
-    # Hopf-coordinate lattice: eta layers, two staggered circle grids per layer
-    r = space.radius
-    e = eps / r  # work on the unit sphere
-    dt = 1.10 * e
-    cov = 0.55 * e
-    n_t = max(2, math.ceil(HALF_PI / dt) + 1)
-    etas = np.linspace(0.0, HALF_PI, n_t)
-    blocks = []
-    for j, eta in enumerate(etas):
-        ce, se = math.cos(eta), math.sin(eta)
-        n1 = max(1, math.ceil(PI * ce / cov))
-        n2 = max(1, math.ceil(PI * se / cov))
-        a1 = 2.0 * PI * (np.arange(n1) + (j * _GOLDEN % 1.0)) / n1
-        a2 = 2.0 * PI * (np.arange(n2) + (j * _GOLDEN * _GOLDEN % 1.0)) / n2
-        A1 = np.repeat(a1, n2)
-        A2 = np.tile(a2, n1)
-        blocks.append(
-            np.column_stack(
-                [ce * np.cos(A1), ce * np.sin(A1), se * np.cos(A2), se * np.sin(A2)]
-            )
-        )
-    pts = np.concatenate(blocks, axis=0)
-    return pts, np.zeros(pts.shape[0], dtype=bool)
-
-
-def _gen_join(left, right, eps):
-    dt = 1.10 * eps
-    cov = 0.55 * eps
-    n_t = max(2, math.ceil(HALF_PI / dt) + 1)
-    ts = np.linspace(0.0, HALF_PI, n_t)
-    diam_l = left.diameter_bound()
-    diam_r = right.diameter_bound()
-    part_coords, part_flags = [], []
-    for j, t in enumerate(ts):
-        ct, st = math.cos(t), math.sin(t)
-        if ct * diam_l <= 2.0 * cov:
-            lc = spaces.pack_points(left, [left.canonical_point()])
-            lf = np.zeros(1, dtype=bool)
-        else:
-            lc, lf = _gen(left, cov / ct, phase=j * _GOLDEN)
-        if st * diam_r <= 2.0 * cov:
-            rc = spaces.pack_points(right, [right.canonical_point()])
-            rf = np.zeros(1, dtype=bool)
-        else:
-            rc, rf = _gen(right, cov / st, phase=j * _GOLDEN * _GOLDEN)
-        nl = coords_len(lc)
-        nr = coords_len(rc)
-        li = np.repeat(np.arange(nl), nr)
-        ri = np.tile(np.arange(nr), nl)
-        flags = lf[li] | rf[ri]
-        if t == 0.0 and right.has_boundary():
-            flags = np.ones(nl * nr, dtype=bool)
-        if t == ts[-1] and left.has_boundary():
-            flags = np.ones(nl * nr, dtype=bool)
-        part_coords.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
-        part_flags.append(flags)
-    coords = coords_concat(part_coords)
-    return coords, np.concatenate(part_flags)
-
-
-def _gen_cone(space: Cone, eps):
-    dt = eps
-    cov = 0.85 * eps
-    n_t = max(2, math.ceil(space.r0 / dt) + 1)
-    ts = np.linspace(0.0, space.r0, n_t)
-    diam_b = space.base.diameter_bound()
-    base_has_bdry = space.base.has_boundary()
-    part_coords, part_flags = [], []
-    for j, t in enumerate(ts):
-        scale = float(_sn(space.k, t))
-        if scale * diam_b <= 2.0 * cov:
-            bc = spaces.pack_points(space.base, [space.base.canonical_point()])
-            bf = np.zeros(1, dtype=bool)
-        else:
-            bc, bf = _gen(space.base, cov / scale, phase=j * _GOLDEN)
-        nb = coords_len(bc)
-        flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
-        if t == ts[-1]:
-            flags = np.ones(nb, dtype=bool)  # the cap t = r0
-        if t == 0.0 and base_has_bdry:
-            flags = np.ones(nb, dtype=bool)
-        part_coords.append(ConeCoords(np.full(nb, t), bc))
-        part_flags.append(flags)
-    coords = coords_concat(part_coords)
-    return coords, np.concatenate(part_flags)
-
-
-def _gen_suspension(space: Suspension, eps):
-    dt = eps
-    cov = 0.85 * eps
-    n_u = max(3, math.ceil(PI / dt) + 1)
-    us = np.linspace(0.0, PI, n_u)
-    diam_b = space.base.diameter_bound()
-    base_has_bdry = space.base.has_boundary()
-    part_coords, part_flags = [], []
-    for j, u in enumerate(us):
-        scale = math.sin(u)
-        if scale * diam_b <= 2.0 * cov:
-            bc = spaces.pack_points(space.base, [space.base.canonical_point()])
-            bf = np.zeros(1, dtype=bool)
-        else:
-            bc, bf = _gen(space.base, cov / scale, phase=j * _GOLDEN)
-        nb = coords_len(bc)
-        flags = bf.copy() if base_has_bdry else np.zeros(nb, dtype=bool)
-        if (u == 0.0 or u == us[-1]) and base_has_bdry:
-            flags = np.ones(nb, dtype=bool)  # poles lie in the closure of the boundary
-        part_coords.append(SuspCoords(np.full(nb, u), bc))
-        part_flags.append(flags)
-    coords = coords_concat(part_coords)
-    return coords, np.concatenate(part_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +275,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         return net
 
     eff = float(epsilon)
-    coords, flags = _gen(space, eff)
+    coords, flags = space.net_grid(eff)
     n = coords_len(coords)
     if n > budget:
         if not allow_degrade:
@@ -470,7 +288,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         dim = max(1, space.dim)
         for _ in range(24):
             eff *= 1.03 * (n / budget) ** (1.0 / dim)
-            coords, flags = _gen(space, eff)
+            coords, flags = space.net_grid(eff)
             n = coords_len(coords)
             if n <= budget:
                 break

@@ -32,13 +32,15 @@ answers for itself, recursing into its factors: ``dim``, ``has_boundary()``,
 ``diameter_bound()``, the factor checks ``check_join_factor(side)`` and
 ``check_cone_base()``; scalar ``distance(p, q)``, ``pack(points)``,
 ``check_coords(coords, error)``, ``random_points(n, rng)`` and
-``canonical_point()``; the kernels ``kernel(A, B, cross)`` (the root of
-`cross_distance` and `elementwise_distance`), ``formula(A, B, cross)`` (the
-per-factor laws), ``gram_embeddable()``, ``gram_embedding(coords)`` and, where
-a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its JSON,
-``to_json()``.  The module functions (`distance`, `pack_points`,
-`cross_distance`, ...) call these methods.  Joins, cones, suspensions and
-quotients accept only descriptors as factors.
+``canonical_point()``; the net grid ``net_grid(eps, phase)`` that
+`nets.epsilon_net` builds on (every kind but the ellipsoid); the kernels
+``kernel(A, B, cross)`` (the root of `cross_distance` and
+`elementwise_distance`), ``formula(A, B, cross)`` (the per-factor laws),
+``gram_embeddable()``, ``gram_embedding(coords)`` and, where a Z_m rotation
+acts, ``rotation_terms(A, B, cross)``; and its JSON, ``to_json()``.  The
+module functions (`distance`, `pack_points`, `cross_distance`, ...) call
+these methods.  Joins, cones, suspensions and quotients accept only
+descriptors as factors.
 
 Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
 suspensions and k = 1 cones built from them (so lenses and k = 1 model
@@ -264,6 +266,54 @@ def _rejection_sample(rng, n, lo, hi, weight):
     return out
 
 
+# ---------------------------------------------------------------------------
+# net grids: `net_grid(eps, phase)` answers (packed points, boundary flags)
+# with covering radius about eps.  Joins, cones and suspensions stack
+# latitude layers whose factor grids follow the layer's metric scale, so
+# point density follows the volume element; `phase` staggers the circle
+# grids of successive layers.
+# ---------------------------------------------------------------------------
+
+# Fibonacci-lattice covering radius is about _FIB_C / sqrt(N) on the unit
+# 2-sphere; calibrated by probe measurement.
+_FIB_C = 2.85
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    i = np.arange(n, dtype=float)
+    z = 1.0 - 2.0 * (i + 0.5) / n
+    theta = 2.0 * PI * i / _GOLDEN
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.column_stack([s * np.cos(theta), s * np.sin(theta), z])
+
+
+def _hopf_lattice(e: float) -> np.ndarray:
+    """Unit S^3 rows at resolution e: eta layers, two staggered circle grids per layer."""
+    dt = 1.10 * e
+    cov = 0.55 * e
+    n_t = max(2, math.ceil(HALF_PI / dt) + 1)
+    blocks = []
+    for j, eta in enumerate(np.linspace(0.0, HALF_PI, n_t)):
+        ce, se = math.cos(eta), math.sin(eta)
+        n1 = max(1, math.ceil(PI * ce / cov))
+        n2 = max(1, math.ceil(PI * se / cov))
+        a1 = 2.0 * PI * (np.arange(n1) + (j * _GOLDEN % 1.0)) / n1
+        a2 = 2.0 * PI * (np.arange(n2) + (j * _GOLDEN * _GOLDEN % 1.0)) / n2
+        A1 = np.repeat(a1, n2)
+        A2 = np.tile(a2, n1)
+        blocks.append(np.column_stack([ce * np.cos(A1), ce * np.sin(A1), se * np.cos(A2), se * np.sin(A2)]))
+    return np.concatenate(blocks, axis=0)
+
+
+def _layer(space, weight: float, cov: float, phase: float):
+    """A factor's part of one layer whose metric scales it by `weight`: its
+    canonical point where weight * diameter <= 2 cov, else its grid at cov / weight."""
+    if weight * space.diameter_bound() <= 2.0 * cov:
+        return pack_points(space, [space.canonical_point()]), np.zeros(1, dtype=bool)
+    return space.net_grid(cov / weight, phase)
+
+
 def sphere_distance(u, v, radius: float = 1.0) -> float:
     """Great-circle distance radius * arccos(<u, v>) between unit vectors of one length."""
     return _great_circle(u, v, np.shape(u), radius)
@@ -430,6 +480,12 @@ class SpaceDescriptor:
             return _arccos_in_place(_inner(self.gram_embedding(A), self.gram_embedding(B), cross))
         return self.formula(A, B, cross)
 
+    def net_grid(self, eps: float, phase: float = 0.0):
+        """(packed points, boundary flags) covering the space to about `eps`."""
+        raise ConstructionError(
+            f"no net grid for {type(self).__name__}; ellipsoid nets are built by farthest-point sampling"
+        )
+
 
 def _as_base(name: str):
     """The method `name` of a space that answers it as its `base` does."""
@@ -527,6 +583,22 @@ class Sphere(SpaceDescriptor):
         e[0] = 1.0
         return e
 
+    def net_grid(self, eps: float, phase: float = 0.0):
+        r = self.radius
+        if self.dim == 0:
+            pts = np.array([[1.0], [-1.0]])
+        elif self.dim == 1:
+            n = max(3, math.ceil(PI * r / eps))
+            ang = phase + 2.0 * PI * np.arange(n) / n
+            pts = np.column_stack([np.cos(ang), np.sin(ang)])
+        elif self.dim == 2:
+            pts = _fibonacci_sphere(max(8, math.ceil((_FIB_C * r / eps) ** 2)))
+        elif self.dim == 3:
+            pts = _hopf_lattice(eps / r)
+        else:
+            raise ConstructionError(f"no net strategy for Sphere(dim={self.dim}); supported dims are 0..3")
+        return pts, np.zeros(pts.shape[0], dtype=bool)
+
     def to_json(self) -> dict:
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
 
@@ -576,6 +648,12 @@ class Interval(SpaceDescriptor):
 
     def canonical_point(self):
         return self.length / 2.0
+
+    def net_grid(self, eps: float, phase: float = 0.0):
+        n = max(2, math.ceil(self.length / eps))
+        flags = np.zeros(n, dtype=bool)
+        flags[0] = flags[-1] = True
+        return np.linspace(0.0, self.length, n), flags
 
     def to_json(self) -> dict:
         return {"kind": "interval", "length": self.length}
@@ -703,6 +781,25 @@ class Join(SpaceDescriptor):
     def canonical_point(self):
         return (self.left.canonical_point(), 0.0, self.right.canonical_point())
 
+    def net_grid(self, eps: float, phase: float = 0.0):
+        # latitude layers, each the product of the factors' layers at scales
+        # cos t and sin t; the layer t = 0 (the left factor) lies in
+        # left * boundary(right), the layer t = pi/2 in boundary(left) * right
+        cov = 0.55 * eps
+        ts = np.linspace(0.0, HALF_PI, max(2, math.ceil(HALF_PI / (1.10 * eps)) + 1))
+        parts, flags = [], []
+        for j, t in enumerate(ts):
+            lc, lf = _layer(self.left, math.cos(t), cov, j * _GOLDEN)
+            rc, rf = _layer(self.right, math.sin(t), cov, j * _GOLDEN * _GOLDEN)
+            nl, nr = coords_len(lc), coords_len(rc)
+            li, ri = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
+            f = lf[li] | rf[ri]
+            if (j == 0 and self.right.has_boundary()) or (j == len(ts) - 1 and self.left.has_boundary()):
+                f = np.ones(nl * nr, dtype=bool)
+            parts.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
+            flags.append(f)
+        return coords_concat(parts), np.concatenate(flags)
+
     def to_json(self) -> dict:
         return {"kind": "join", "left": self.left.to_json(), "right": self.right.to_json()}
 
@@ -711,7 +808,8 @@ class _OverBase(SpaceDescriptor):
     """What cones and suspensions share: a radial coordinate in [0, top] over a base.
 
     A suspension is the k = 1 cone law in its colatitude, top = pi.  A kind
-    sets `_record`, its `_radial` field and name `_what`, and `_law()` = (k, top).
+    sets `_record`, its `_radial` field and name `_what`, its least number of
+    net layers `_min_layers`, and `_law()` = (k, top).
     """
 
     @property
@@ -748,6 +846,23 @@ class _OverBase(SpaceDescriptor):
     def canonical_point(self):
         return (0.0, self.base.canonical_point())
 
+    def net_grid(self, eps: float, phase: float = 0.0):
+        # radial layers, each the base's layer at scale sn_k(t); the first
+        # (apex or pole) lies on the boundary iff the base has one, the last
+        # (the cap or the other pole) iff the space has one
+        k, top = self._law()
+        cov = 0.85 * eps
+        ts = np.linspace(0.0, top, max(self._min_layers, math.ceil(top / eps) + 1))
+        parts, flags = [], []
+        for j, t in enumerate(ts):
+            bc, bf = _layer(self.base, sn_k(k, t), cov, j * _GOLDEN)
+            nb = coords_len(bc)
+            if (j == 0 and self.base.has_boundary()) or (j == len(ts) - 1 and self.has_boundary()):
+                bf = np.ones(nb, dtype=bool)
+            parts.append(self._record(np.full(nb, t), bc))
+            flags.append(bf)
+        return coords_concat(parts), np.concatenate(flags)
+
 
 @dataclass(frozen=True)
 class Cone(_OverBase):
@@ -758,6 +873,7 @@ class Cone(_OverBase):
     r0: float
     _record = ConeCoords
     _radial, _what = "t", "cone radial"
+    _min_layers = 2
 
     def __post_init__(self):
         object.__setattr__(self, "k", float(self.k))
@@ -812,6 +928,7 @@ class Suspension(_OverBase):
     base: SpaceDescriptor
     _record = SuspCoords
     _radial, _what = "u", "suspension colatitude"
+    _min_layers = 3
 
     def __post_init__(self):
         _factor(self.base, "suspension base").check_join_factor("suspension base")
@@ -861,6 +978,7 @@ class Quotient(SpaceDescriptor):
     check_coords = _as_base("check_coords")
     random_points = _as_base("random_points")
     canonical_point = _as_base("canonical_point")
+    net_grid = _as_base("net_grid")
 
     def distance(self, p, q) -> float:
         if _rotation_order(self) is None:

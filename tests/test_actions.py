@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from alexgeo import actions, nets, spaces
-from alexgeo.errors import ConstructionError
+from alexgeo.errors import ConstructionError, DomainError
 from alexgeo.spaces import Cone, Interval, Join, Quotient, Sphere, Suspension, distance
 
 PI = math.pi
@@ -39,6 +39,30 @@ class TestValidation:
         act = actions.GroupAction(space=base, elements=(actions.Identity(), rot))
         audit = actions.validate_action(base, act, n_pairs=50)
         assert not audit.passed  # missing rot^2
+
+    def test_isometry_audit_matches_the_scalar_loop(self):
+        # the packed audit against the point-by-point loop it replaced, on
+        # the same draws; the two round differently, by a few ulps of pi
+        base = Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0))
+        act = actions.cyclic_approximation(base, 8)
+        audit = actions.validate_action(base, act, n_pairs=60, seed=3)
+        rng = np.random.default_rng(3)
+        nets.random_points(base, 16, rng)  # the closure probes come first
+        xs, ys = nets.random_points(base, 60, rng), nets.random_points(base, 60, rng)
+        ref = max(
+            abs(distance(base, x, y) - distance(base, g.apply_point(x), g.apply_point(y)))
+            for g in act.elements[1:] for x, y in zip(xs, ys)
+        )
+        assert abs(audit.isometry_defect - ref) <= 8 * np.finfo(float).eps * PI
+        assert audit.latitude_defect == 0.0
+
+    def test_map_off_the_sphere_raises(self):
+        # orthogonal within the map's 1e-9 check, but rows leave the unit sphere by 1e-10
+        base = Sphere(1, 1.0)
+        g = actions.OrthogonalMap((1.0 + 1e-10) * np.eye(2))
+        act = actions.GroupAction(space=base, elements=(actions.Identity(), g))
+        with pytest.raises(DomainError, match="unit vector"):
+            actions.validate_action(base, act, n_pairs=20)
 
     def test_generator_closure(self):
         base = Sphere(1, 1.0)

@@ -1,13 +1,15 @@
 """Net construction: determinism, covering, boundary flags, metric audit."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alexgeo import actions, nets, serialize, spaces
-from alexgeo.errors import CapacityError, DomainError
+from alexgeo.errors import CapacityError, ConstructionError, DomainError
 from alexgeo.harness import spine_example_quotient
 from alexgeo.nets import epsilon_net, verify_metric
 from alexgeo.spaces import (
@@ -156,9 +158,37 @@ class TestBudget:
         def no_grid(*args):
             raise AssertionError("grid generated")
 
-        monkeypatch.setattr(nets, "_gen", no_grid)
+        monkeypatch.setattr(Sphere, "net_grid", no_grid)
         with pytest.raises(DomainError, match="budget"):
             epsilon_net(Sphere(2, 1.0), 0.1, 1, budget=budget, allow_degrade=True)
+
+
+def _digest_net_cases():
+    """`net_cases()` of tools/records_digest.py: the nets whose bytes it digests."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "records_digest.py"
+    spec = importlib.util.spec_from_file_location("records_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.net_cases()
+
+
+_NET_CASES = _digest_net_cases()
+
+
+class TestNetGrid:
+    @pytest.mark.parametrize("space", [space for _, space in _NET_CASES], ids=[label for label, _ in _NET_CASES])
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_grid_points_lie_in_the_space(self, space, eps):
+        coords, flags = space.net_grid(eps)
+        space.check_coords(coords)
+        assert flags.shape == (spaces.coords_len(coords),)
+        if not space.has_boundary():
+            assert not flags.any()
+
+    @pytest.mark.parametrize("space", [Ellipsoid(0.7, 1.0 / 3.0, 0.25), Sphere(4, 1.0)])
+    def test_kinds_without_a_grid_raise(self, space):
+        with pytest.raises(ConstructionError):
+            space.net_grid(0.3)
 
 
 class TestDeterminism:

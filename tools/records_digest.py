@@ -49,6 +49,10 @@ def net_cases():
         ("Join(I(pi), I(pi))", Join(Interval(math.pi), Interval(math.pi))),
         ("spine_example_quotient(True)", harness.spine_example_quotient(True)),
         ("S2(0.5)", Sphere(2, 0.5)),
+        ("Suspension(I(1))", Suspension(Interval(1.0))),
+        ("Cone(1, I(1), 1)", Cone(1.0, Interval(1.0), 1.0)),
+        ("Join(Suspension(I(0.5)), I(1))", Join(Suspension(Interval(0.5)), Interval(1.0))),
+        ("projective_lens_quotient(3, 1)", harness.projective_lens_quotient(3, 1.0)),
     ]
 
 
