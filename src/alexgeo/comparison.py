@@ -11,7 +11,8 @@ boundary-convexity inequality at sampled foot points, and check sampled
 hinges against the constant-curvature law of cosines.
 
 The geodesics, the traces and the lens probes are array passes: a path's
-samples come from one array expression in the arc parameter, a trace reads
+samples come from one array expression in the arc parameter and are returned
+packed (`ConeCoords`, radial coordinate and base rows), a trace reads
 the boundary distance of the whole packed path at once
 (`spaces.boundary_distances`), and a probe scale evaluates all its probes
 together.  The embedding oracles that the catalogue runs beside these
@@ -32,6 +33,7 @@ from .errors import ConstructionError, DomainError, PreconditionError, Singulari
 from .nets import random_points
 from .spaces import (
     Cone,
+    ConeCoords,
     Lens,
     ModelBall,
     PI,
@@ -258,26 +260,20 @@ def _samples(length: float, step: float) -> np.ndarray:
     return step * np.arange(int(math.floor(length / step)) + 1)
 
 
-def _path(ts, directions) -> list:
-    """Samples (t, direction) from the radial coordinates and the rows of direction vectors."""
-    return list(zip(ts.tolist(), directions))
-
-
-def ball_radial_path(ball: ModelBall, direction, step: float):
-    """Unit-speed radial geodesic from the center to the boundary."""
+def ball_radial_path(ball: ModelBall, direction, step: float) -> ConeCoords:
+    """Unit-speed radial geodesic from the center to the boundary, packed."""
     u = np.asarray(direction, dtype=float)
-    u = u / np.linalg.norm(u)
-    ts = _samples(ball.r0, step)
-    return _path(ts, [u] * ts.shape[0])
+    return cone_radial_path(ball, u / np.linalg.norm(u), step)
 
 
-def cone_radial_path(cone: Cone, base_point, step: float):
+def cone_radial_path(cone: Cone, base_point, step: float) -> ConeCoords:
+    """Unit-speed radial geodesic from the apex over `base_point`, packed."""
     ts = _samples(cone.r0, step)
-    return _path(ts, [base_point] * ts.shape[0])
+    return ConeCoords(ts, cone.base.pack([base_point] * ts.shape[0]))
 
 
-def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
-    """Unit-speed chord whose closest approach to the center is rho > 0.
+def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0) -> ConeCoords:
+    """Unit-speed chord whose closest approach to the center is rho > 0, packed.
 
     Parameterized from the closest point: the geodesic starts there with a
     tangent perpendicular to the radial direction and is sampled symmetrically
@@ -313,7 +309,7 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0):
     if k == 0.0:
         t = n
     u = np.where(n[:, None] > 0.0, v / np.where(n > 0.0, n, 1.0)[:, None], e1)
-    return _path(t, u)
+    return ConeCoords(t, u)
 
 
 def _random_frame(rng, d: int):
@@ -362,7 +358,7 @@ def cone_developed_path(cone: Cone, psi0: float, t0: float, psi1: float, t1: flo
     if np.any((t < 0.05) | (t > cone.r0 + 1e-9) | (lam_s < -1e-6) | (lam_s > lam + 1e-6)):
         return None
     psi = psi0 + sgn * lam_s / r
-    return _path(t, np.stack([np.cos(psi), np.sin(psi)], axis=1))
+    return ConeCoords(t, np.stack([np.cos(psi), np.sin(psi)], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +387,27 @@ class ComparisonTrace:
 def comparison_trace(space, lambda0: float, k: float, path, step: float) -> ComparisonTrace:
     """Trace f(t) = phi(distance to boundary) against the model solution fbar.
 
-    `path` must be a discretized unit-speed geodesic: consecutive gaps are
-    checked against `step` to 1e-6.  fbar is launched from f(0) with the
-    right derivative estimated by a second-order one-sided difference.
+    `path` holds the packed samples of a discretized unit-speed geodesic, as
+    the path builders above return them: its coordinates are checked against
+    the domain, and consecutive gaps against `step` to 1e-6.  fbar is
+    launched from f(0) with the right derivative estimated by a second-order
+    one-sided difference.
     """
-    if len(path) < 3:
+    n = spaces.coords_len(path)
+    if n < 3:
         raise PreconditionError("path needs at least three samples")
-    pk = spaces.pack_points(space, list(path))
-    n = len(path)
-    head = spaces.coords_take(pk, np.arange(0, n - 1))
-    tail = spaces.coords_take(pk, np.arange(1, n))
+    space.check_coords(path)
+    head = spaces.coords_take(path, np.arange(0, n - 1))
+    tail = spaces.coords_take(path, np.arange(1, n))
     gaps = spaces.elementwise_distance(space, head, tail)
     worst = float(np.max(np.abs(gaps - step)))
     if worst > 1e-6:
         raise PreconditionError(
             f"path is not unit-speed at the declared step: worst gap deviation {worst!r}"
         )
-    r = spaces.boundary_distances(space, pk)
+    r = spaces.boundary_distances(space, path)
     f = model_phi(k, lambda0, r)
-    ts = step * np.arange(len(path))
+    ts = step * np.arange(n)
     fdot0 = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * step)
     fb = fbar(k, lambda0, float(f[0]), float(fdot0), ts)
     violation = float(np.max(np.maximum(f - fb, 0.0)))

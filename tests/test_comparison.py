@@ -286,8 +286,15 @@ class TestTraces:
     def test_non_unit_speed_rejected(self):
         ball = ModelBall(0.0, 1.0, 2)
         path = cmp.ball_radial_path(ball, np.array([1.0, 0.0]), 1e-3)
-        path[3] = (path[3][0] + 5e-4, path[3][1])
+        path.t[3] += 5e-4
         with pytest.raises(PreconditionError):
+            cmp.comparison_trace(ball, 1.0, 0.0, path, 1e-3)
+
+    def test_non_unit_direction_rejected(self):
+        ball = ModelBall(0.0, 1.0, 2)
+        path = cmp.ball_radial_path(ball, np.array([1.0, 0.0]), 1e-3)
+        path.base[5] *= 1.0 + 1e-6
+        with pytest.raises(DomainError):
             cmp.comparison_trace(ball, 1.0, 0.0, path, 1e-3)
 
     def test_trace_csv_export(self, tmp_path):
@@ -297,5 +304,5 @@ class TestTraces:
         out = tmp_path / "trace.csv"
         tr.to_csv(out)
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert rows.shape == (len(path), 4)
+        assert rows.shape == (path.t.shape[0], 4)
         assert np.allclose(rows[:, 1], tr.f_vals)

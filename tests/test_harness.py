@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from alexgeo import harness, invariants, serialize, spaces
+from alexgeo import harness, invariants, nets, serialize, spaces
 from alexgeo.errors import AlexgeoError, ConstructionError
 from alexgeo.harness import (
     CATALOGUE,
@@ -91,10 +91,12 @@ class TestReports:
         }
 
     def test_dim_selector(self):
-        rep = run_example("ex3_4", ExperimentConfig(example_id="ex3_4", dim=2))
-        names = [r.name for r in rep.records]
-        assert any("susp" in n for n in names)
-        assert not any("S^1(1)" in n for n in names)
+        for dim, kept, dropped in ((2, "susp", "S^1(1)"), (3, "S^1(1)", "susp")):
+            rep = run_example("ex3_4", ExperimentConfig(example_id="ex3_4", dim=dim))
+            names = [r.name for r in rep.records]
+            assert len(names) == 3, names  # one radius record and one net's two audit records
+            assert any(kept in n for n in names)
+            assert not any(dropped in n for n in names)
 
 
 def _record(example_id, name):
@@ -123,8 +125,23 @@ class TestOraclesCanFail:
 
 @pytest.fixture(scope="module")
 def catalogue():
-    """{entry id: the JSON of its records} of `run_all` at seed 42."""
-    return {rep.config["example_id"]: [r.to_json() for r in rep.records] for rep in harness.run_all(seed=42)}
+    """`run_all` at seed 42: ({entry id: the JSON of its records}, {entry id: its `nets.epsilon_net` calls})."""
+    built, running = {}, []
+    epsilon_net, run_example_ = nets.epsilon_net, harness.run_example
+
+    def counted_net(*args, **kwargs):
+        built[running[-1]] = built.get(running[-1], 0) + 1
+        return epsilon_net(*args, **kwargs)
+
+    def tracked_run_example(example_id, *args, **kwargs):
+        running.append(example_id)
+        return run_example_(example_id, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "epsilon_net", counted_net)
+        mp.setattr(harness, "run_example", tracked_run_example)
+        reports = harness.run_all(seed=42)
+    return {rep.config["example_id"]: [r.to_json() for r in rep.records] for rep in reports}, built
 
 
 RECORD_COUNTS = {
@@ -154,11 +171,20 @@ RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt}
 
 class TestCheckRecords:
     def test_record_count_per_entry(self, catalogue):
-        assert {eid: len(recs) for eid, recs in catalogue.items()} == RECORD_COUNTS
+        assert {eid: len(recs) for eid, recs in catalogue[0].items()} == RECORD_COUNTS
+
+    def test_one_audit_record_pair_per_net(self, catalogue):
+        records, built = catalogue
+        assert built == {"ex3_1": 2, "ex3_3": 1, "ex3_4": 2, "ex3_5": 1, "ex3_6": 1, "ex3_7": 1,
+                         "ex3_8": 1, "ex3_9": 1}
+        for eid, recs in records.items():
+            for audit in ("triangle defect", "symmetry and diagonal defect"):
+                count = sum(r["name"].endswith(f": metric audit ({audit})") for r in recs)
+                assert count == built.get(eid, 0), (eid, audit)
 
     def test_pass_follows_from_the_printed_fields(self, catalogue):
         judged = 0
-        for recs in catalogue.values():
+        for recs in catalogue[0].values():
             for r in recs:
                 if r["expected"] == "pass":  # a flag: the verdict of a named rule
                     continue
@@ -172,7 +198,7 @@ class TestCheckRecords:
         assert judged == sum(RECORD_COUNTS.values()) - 11
 
     def test_formerly_hidden_thresholds_are_printed(self, catalogue):
-        printed = {(eid, r["name"]): r["tolerance"] for eid, recs in catalogue.items() for r in recs}
+        printed = {(eid, r["name"]): r["tolerance"] for eid, recs in catalogue[0].items() for r in recs}
         assert len(PRINTED_THRESHOLDS) == 16
         for key, tol in PRINTED_THRESHOLDS.items():
             assert printed[key] == pytest.approx(tol, rel=1e-12, abs=0.0), key

@@ -14,7 +14,8 @@ is built at epsilon 0.1, seed 1.  Per seed it prints two digests: of every
 record, and of every record but the metric audits' records, so a change to
 the audit alone can show that all other records stayed byte-identical.  Beside them it prints one digest per
 catalogue entry, of that entry's records, so a change can show which
-entries moved.
+entries moved.  Two more digests cover `run_example("ex3_4", dim=d)` for
+d = 2 and 3 at seed 42: a sub-case selector that `run_all` never passes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from alexgeo import actions, harness, nets, serialize
 from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
 
 SEEDS = (42, 1, 7)
+DIMS = (2, 3)
 NET_EPSILON = 0.1
 NET_SEED = 1
 AUDIT_RECORD = "metric audit ("
@@ -64,15 +66,16 @@ def _digest(docs) -> str:
     return _sha(serialize.stable_dumps(docs).encode())
 
 
+def _report_doc(report) -> dict:
+    doc = report.to_json()
+    doc.pop("wall_time_s", None)
+    return doc
+
+
 def records_digests(seed: int) -> tuple:
     """Digests of the `run_all` reports, with and without the audit records,
     and {entry id: digest of that entry's report}."""
-    reports = harness.run_all(seed=seed)
-    docs = []
-    for report in reports:
-        doc = report.to_json()
-        doc.pop("wall_time_s", None)
-        docs.append(doc)
+    docs = [_report_doc(report) for report in harness.run_all(seed=seed)]
     full = _digest(docs)
     per_entry = {doc["config"]["example_id"]: _digest(doc) for doc in docs}
     for doc in docs:
@@ -92,6 +95,8 @@ def main():
         print(f"run_all seed={seed} without audit records  {without_audits}")
         for eid, digest in per_entry.items():
             print(f"entry {eid} seed={seed}  {digest}")
+    for dim in DIMS:
+        print(f"entry ex3_4 dim={dim} seed=42  {_digest(_report_doc(harness.run_example('ex3_4', dim=dim)))}")
     for label, space in net_cases():
         print(f"net {label}  {net_digest(space)}")
 
