@@ -12,6 +12,7 @@ Exit code is 0 iff every check in the invoked scope passes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,36 @@ from . import nets as nets_mod
 from . import serialize
 from .errors import AlexgeoError, ConstructionError
 from .spaces import Cone, ModelBall, HALF_PI, Sphere
+
+
+# glibc's mallopt parameters, and the values set: blocks over 4 MiB get their
+# own mapping, and the heap keeps up to 8 MiB free at its top.  4 MiB is above
+# the ~1 MiB temporaries of every block pass (`spaces.BLOCK_ENTRIES`) and below
+# the matrix of any net over 724 points.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 4 << 20
+
+
+def _map_large_blocks() -> None:
+    """Fix glibc's mmap threshold, so that every freed matrix leaves the process.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far.  Once the first n x n matrix is released, later matrices come from the
+    heap, and whether a freed matrix's space is reused there depends on the
+    order of small allocations, which moves with Python's hash seed.  A
+    process that constructs, reads and verifies 1500-point nets then peaked
+    0, 1 or 1.5 matrices higher from run to run.  With the thresholds fixed,
+    matrices stay out of the heap and the peak is the same in every run.  The
+    trim threshold is twice the mmap threshold, as glibc's moving rule sets
+    it, so block temporaries are reused rather than faulted in again.  A C
+    library without `mallopt` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
 def _read_descriptor(path) -> object:
@@ -213,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _map_large_blocks()
     try:
         return args.func(args)
     except AlexgeoError as exc:

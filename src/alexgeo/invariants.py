@@ -65,11 +65,14 @@ def diameter(net: FiniteNet) -> DiameterResult:
 
 
 def radius(net: FiniteNet) -> RadiusResult:
-    """Minimax over the matrix: min over centers of max row entry."""
-    D = net.dist
-    if D.shape[0] == 0:
+    """Minimax over the matrix: min over centers of max row entry.
+
+    The row maxima are the net's cached `eccentricity`, so a second call
+    (`edge_set` after a radius estimate) makes no pass over the matrix.
+    """
+    if net.dist.shape[0] == 0:
         raise PreconditionError("empty net")
-    ecc = D.max(axis=1)
+    ecc = net.eccentricity
     c = int(np.argmin(ecc))
     return RadiusResult(float(ecc[c]), c)
 

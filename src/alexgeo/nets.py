@@ -10,15 +10,19 @@ grid, are subsampled by farthest points here.  Nets are deterministic given
 (space, epsilon, seed) and immutable after construction.
 
 A net records both the requested resolution and the effective covering
-target actually built.  When the point budget cannot support the requested
-resolution the builder either raises CapacityError or, with
-``allow_degrade=True``, coarsens uniformly and reports the effective value.
+target actually built.  `epsilon_net` counts before it builds: each kind's
+closed-form ``net_count(eps)`` gives the grid's size without allocating it.
+When the point budget cannot support the requested resolution the builder
+either raises CapacityError with that count or, with ``allow_degrade=True``,
+coarsens uniformly on counts alone and reports the effective value; only
+the grid it keeps is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,7 +35,6 @@ from .spaces import (
     Ellipsoid,
     PI,
     Quotient,
-    coords_len,
     coords_take,
     cross_distance,
     self_distance_matrix,
@@ -60,6 +63,11 @@ class FiniteNet:
     @property
     def n(self) -> int:
         return int(self.is_boundary.shape[0])
+
+    @cached_property
+    def eccentricity(self) -> np.ndarray:
+        """Each point's largest distance, the row maxima of the (frozen) matrix, computed once."""
+        return self.dist.max(axis=1)
 
     def point(self, i: int):
         if self.coords is None:
@@ -275,8 +283,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         return net
 
     eff = float(epsilon)
-    coords, flags = space.net_grid(eff)
-    n = coords_len(coords)
+    n = space.net_count(eff)
     if n > budget:
         if not allow_degrade:
             raise CapacityError(
@@ -288,8 +295,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         dim = max(1, space.dim)
         for _ in range(24):
             eff *= 1.03 * (n / budget) ** (1.0 / dim)
-            coords, flags = space.net_grid(eff)
-            n = coords_len(coords)
+            n = space.net_count(eff)
             if n <= budget:
                 break
         else:
@@ -298,6 +304,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
                 required=n,
                 budget=budget,
             )
+    coords, flags = space.net_grid(eff)
 
     D = self_distance_matrix(space, coords)
 

@@ -32,15 +32,17 @@ answers for itself, recursing into its factors: ``dim``, ``has_boundary()``,
 ``diameter_bound()``, the factor checks ``check_join_factor(side)`` and
 ``check_cone_base()``; scalar ``distance(p, q)``, ``pack(points)``,
 ``check_coords(coords, error)``, ``random_points(n, rng)`` and
-``canonical_point()``; the net grid ``net_grid(eps, phase)`` that
-`nets.epsilon_net` builds on (every kind but the ellipsoid); the kernels
-``kernel(A, B, cross)`` (the root of `cross_distance` and
-`elementwise_distance`), ``formula(A, B, cross)`` (the per-factor laws),
-``gram_embeddable()``, ``gram_embedding(coords)`` and, where a Z_m rotation
-acts, ``rotation_terms(A, B, cross)``; and its JSON, ``to_json()``.  The
-module functions (`distance`, `pack_points`, `cross_distance`, ...) call
-these methods.  Joins, cones, suspensions and quotients accept only
-descriptors as factors.
+``canonical_point()``; the net grid ``net_grid(eps, phase)`` and its size
+``net_count(eps)``, which `nets.epsilon_net` reads before it builds the
+grid (every kind but the ellipsoid); the kernels ``kernel(A, B, cross)``
+(the root of `cross_distance` and `elementwise_distance`),
+``formula(A, B, cross)`` (the per-factor laws), ``gram_embeddable()``,
+``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
+kernel multiplies, which `self_distance_matrix` embeds once per matrix)
+and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its
+JSON, ``to_json()``.  The module functions (`distance`, `pack_points`,
+`cross_distance`, ...) call these methods.  Joins, cones, suspensions and
+quotients accept only descriptors as factors.
 
 Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
 suspensions and k = 1 cones built from them (so lenses and k = 1 model
@@ -268,10 +270,12 @@ def _rejection_sample(rng, n, lo, hi, weight):
 
 # ---------------------------------------------------------------------------
 # net grids: `net_grid(eps, phase)` answers (packed points, boundary flags)
-# with covering radius about eps.  Joins, cones and suspensions stack
-# latitude layers whose factor grids follow the layer's metric scale, so
-# point density follows the volume element; `phase` staggers the circle
-# grids of successive layers.
+# with covering radius about eps, and `net_count(eps)` its number of points
+# in closed form.  Joins, cones and suspensions stack latitude layers whose
+# factor grids follow the layer's metric scale, so point density follows the
+# volume element; `phase` staggers the circle grids of successive layers.  A
+# layered kind's `_layers(eps)` is the one schedule its grid and its count
+# read, and `_layer_eps` the one rule for a factor's part of a layer.
 # ---------------------------------------------------------------------------
 
 # Fibonacci-lattice covering radius is about _FIB_C / sqrt(N) on the unit
@@ -288,16 +292,19 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([s * np.cos(theta), s * np.sin(theta), z])
 
 
+def _hopf_layers(e: float) -> list:
+    """(eta, n1, n2) per layer of the Hopf lattice at resolution e: n1 x n2 points at each eta."""
+    cov = 0.55 * e
+    n_t = max(2, math.ceil(HALF_PI / (1.10 * e)) + 1)
+    return [(eta, max(1, math.ceil(PI * math.cos(eta) / cov)), max(1, math.ceil(PI * math.sin(eta) / cov)))
+            for eta in np.linspace(0.0, HALF_PI, n_t)]
+
+
 def _hopf_lattice(e: float) -> np.ndarray:
     """Unit S^3 rows at resolution e: eta layers, two staggered circle grids per layer."""
-    dt = 1.10 * e
-    cov = 0.55 * e
-    n_t = max(2, math.ceil(HALF_PI / dt) + 1)
     blocks = []
-    for j, eta in enumerate(np.linspace(0.0, HALF_PI, n_t)):
+    for j, (eta, n1, n2) in enumerate(_hopf_layers(e)):
         ce, se = math.cos(eta), math.sin(eta)
-        n1 = max(1, math.ceil(PI * ce / cov))
-        n2 = max(1, math.ceil(PI * se / cov))
         a1 = 2.0 * PI * (np.arange(n1) + (j * _GOLDEN % 1.0)) / n1
         a2 = 2.0 * PI * (np.arange(n2) + (j * _GOLDEN * _GOLDEN % 1.0)) / n2
         A1 = np.repeat(a1, n2)
@@ -306,12 +313,32 @@ def _hopf_lattice(e: float) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _layer(space, weight: float, cov: float, phase: float):
-    """A factor's part of one layer whose metric scales it by `weight`: its
-    canonical point where weight * diameter <= 2 cov, else its grid at cov / weight."""
-    if weight * space.diameter_bound() <= 2.0 * cov:
+def _layer_eps(space, weight: float, cov: float):
+    """The resolution of a factor's part of one layer whose metric scales it by
+    `weight`: None where weight * diameter <= 2 cov (the part is the factor's
+    canonical point), else cov / weight."""
+    return None if weight * space.diameter_bound() <= 2.0 * cov else cov / weight
+
+
+def _layer(cov: float, space, weight: float, phase: float):
+    """A factor's part of one layer: its canonical point or its grid, as `_layer_eps` says."""
+    e = _layer_eps(space, weight, cov)
+    if e is None:
         return pack_points(space, [space.canonical_point()]), np.zeros(1, dtype=bool)
-    return space.net_grid(cov / weight, phase)
+    return space.net_grid(e, phase)
+
+
+def _layer_count(cov: float, space, weight: float, phase: float) -> int:
+    """The number of points of `_layer(cov, space, weight, phase)`."""
+    e = _layer_eps(space, weight, cov)
+    return 1 if e is None else space.net_count(e)
+
+
+def _layered_count(space, eps: float) -> int:
+    """`net_count` of a layered kind: the sum over its `_layers(eps)` of the
+    products of its factors' part counts."""
+    cov, layers = space._layers(eps)
+    return sum(math.prod(_layer_count(cov, *part) for part in parts) for _, parts in layers)
 
 
 def sphere_distance(u, v, radius: float = 1.0) -> float:
@@ -476,13 +503,27 @@ class SpaceDescriptor:
     def kernel(self, A, B, cross: bool) -> np.ndarray:
         """`cross_distance` when `cross`, else `elementwise_distance`: the Gram
         kernel at the root only, so that subtrees keep their formulas."""
-        if self.gram_embeddable():
-            return _arccos_in_place(_inner(self.gram_embedding(A), self.gram_embedding(B), cross))
-        return self.formula(A, B, cross)
+        operands = self.gram_operands(A, B)
+        return self.formula(A, B, cross) if operands is None else _gram_kernel(*operands, cross)
+
+    def gram_operands(self, A, B):
+        """(E(A), column sets) when `kernel` is one Gram product (see
+        `_gram_kernel`), here the one set E(B); else None."""
+        if not self.gram_embeddable():
+            return None
+        EA = self.gram_embedding(A)
+        return EA, [EA if B is A else self.gram_embedding(B)]
 
     def net_grid(self, eps: float, phase: float = 0.0):
         """(packed points, boundary flags) covering the space to about `eps`."""
-        raise ConstructionError(
+        raise self._no_grid()
+
+    def net_count(self, eps: float) -> int:
+        """The number of points of `net_grid(eps, phase)`, for any phase, without building it."""
+        raise self._no_grid()
+
+    def _no_grid(self) -> ConstructionError:
+        return ConstructionError(
             f"no net grid for {type(self).__name__}; ellipsoid nets are built by farthest-point sampling"
         )
 
@@ -558,7 +599,8 @@ class Sphere(SpaceDescriptor):
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return self.radius * clamped_arccos(_inner(np.atleast_2d(A), np.atleast_2d(B), cross))
 
-    kernel = formula  # a bare sphere already is one product
+    def gram_operands(self, A, B):
+        return None  # a bare sphere's formula already is one product
 
     def gram_embeddable(self) -> bool:
         return self.radius == 1.0
@@ -583,20 +625,29 @@ class Sphere(SpaceDescriptor):
         e[0] = 1.0
         return e
 
-    def net_grid(self, eps: float, phase: float = 0.0):
+    def net_count(self, eps: float) -> int:
         r = self.radius
+        if self.dim == 0:
+            return 2
+        if self.dim == 1:
+            return max(3, math.ceil(PI * r / eps))
+        if self.dim == 2:
+            return max(8, math.ceil((_FIB_C * r / eps) ** 2))
+        if self.dim == 3:
+            return sum(n1 * n2 for _, n1, n2 in _hopf_layers(eps / r))
+        raise ConstructionError(f"no net strategy for Sphere(dim={self.dim}); supported dims are 0..3")
+
+    def net_grid(self, eps: float, phase: float = 0.0):
+        n = self.net_count(eps)  # raises above dimension 3
         if self.dim == 0:
             pts = np.array([[1.0], [-1.0]])
         elif self.dim == 1:
-            n = max(3, math.ceil(PI * r / eps))
             ang = phase + 2.0 * PI * np.arange(n) / n
             pts = np.column_stack([np.cos(ang), np.sin(ang)])
         elif self.dim == 2:
-            pts = _fibonacci_sphere(max(8, math.ceil((_FIB_C * r / eps) ** 2)))
-        elif self.dim == 3:
-            pts = _hopf_lattice(eps / r)
+            pts = _fibonacci_sphere(n)
         else:
-            raise ConstructionError(f"no net strategy for Sphere(dim={self.dim}); supported dims are 0..3")
+            pts = _hopf_lattice(eps / self.radius)
         return pts, np.zeros(pts.shape[0], dtype=bool)
 
     def to_json(self) -> dict:
@@ -634,7 +685,8 @@ class Interval(SpaceDescriptor):
         a, b = _pairs(np.asarray(A, dtype=float), np.asarray(B, dtype=float), cross)
         return np.abs(a - b)
 
-    kernel = formula  # an interval already is one subtraction
+    def gram_operands(self, A, B):
+        return None  # an interval's formula already is one subtraction
 
     def gram_embeddable(self) -> bool:
         return self.length <= PI  # |a - b| <= pi, so arccos(cos |a - b|) gives it back
@@ -649,8 +701,11 @@ class Interval(SpaceDescriptor):
     def canonical_point(self):
         return self.length / 2.0
 
+    def net_count(self, eps: float) -> int:
+        return max(2, math.ceil(self.length / eps))
+
     def net_grid(self, eps: float, phase: float = 0.0):
-        n = max(2, math.ceil(self.length / eps))
+        n = self.net_count(eps)
         flags = np.zeros(n, dtype=bool)
         flags[0] = flags[-1] = True
         return np.linspace(0.0, self.length, n), flags
@@ -781,20 +836,28 @@ class Join(SpaceDescriptor):
     def canonical_point(self):
         return (self.left.canonical_point(), 0.0, self.right.canonical_point())
 
-    def net_grid(self, eps: float, phase: float = 0.0):
-        # latitude layers, each the product of the factors' layers at scales
-        # cos t and sin t; the layer t = 0 (the left factor) lies in
-        # left * boundary(right), the layer t = pi/2 in boundary(left) * right
-        cov = 0.55 * eps
+    def _layers(self, eps: float):
+        """(cov, [(t, parts), ...]): latitude layers, each the product of the
+        factors' parts (factor, weight, phase) at scales cos t and sin t."""
         ts = np.linspace(0.0, HALF_PI, max(2, math.ceil(HALF_PI / (1.10 * eps)) + 1))
+        return 0.55 * eps, [
+            (t, ((self.left, math.cos(t), j * _GOLDEN), (self.right, math.sin(t), j * _GOLDEN * _GOLDEN)))
+            for j, t in enumerate(ts)
+        ]
+
+    net_count = _layered_count
+
+    def net_grid(self, eps: float, phase: float = 0.0):
+        # the layer t = 0 (the left factor) lies in left * boundary(right),
+        # the layer t = pi/2 in boundary(left) * right
+        cov, layers = self._layers(eps)
         parts, flags = [], []
-        for j, t in enumerate(ts):
-            lc, lf = _layer(self.left, math.cos(t), cov, j * _GOLDEN)
-            rc, rf = _layer(self.right, math.sin(t), cov, j * _GOLDEN * _GOLDEN)
+        for j, (t, factors) in enumerate(layers):
+            (lc, lf), (rc, rf) = (_layer(cov, *part) for part in factors)
             nl, nr = coords_len(lc), coords_len(rc)
             li, ri = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
             f = lf[li] | rf[ri]
-            if (j == 0 and self.right.has_boundary()) or (j == len(ts) - 1 and self.left.has_boundary()):
+            if (j == 0 and self.right.has_boundary()) or (j == len(layers) - 1 and self.left.has_boundary()):
                 f = np.ones(nl * nr, dtype=bool)
             parts.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
             flags.append(f)
@@ -846,18 +909,24 @@ class _OverBase(SpaceDescriptor):
     def canonical_point(self):
         return (0.0, self.base.canonical_point())
 
-    def net_grid(self, eps: float, phase: float = 0.0):
-        # radial layers, each the base's layer at scale sn_k(t); the first
-        # (apex or pole) lies on the boundary iff the base has one, the last
-        # (the cap or the other pole) iff the space has one
+    def _layers(self, eps: float):
+        """(cov, [(t, parts), ...]): radial layers, each the base's part
+        (base, weight, phase) at scale sn_k(t)."""
         k, top = self._law()
-        cov = 0.85 * eps
         ts = np.linspace(0.0, top, max(self._min_layers, math.ceil(top / eps) + 1))
+        return 0.85 * eps, [(t, ((self.base, sn_k(k, t), j * _GOLDEN),)) for j, t in enumerate(ts)]
+
+    net_count = _layered_count
+
+    def net_grid(self, eps: float, phase: float = 0.0):
+        # the first layer (apex or pole) lies on the boundary iff the base has
+        # one, the last (the cap or the other pole) iff the space has one
+        cov, layers = self._layers(eps)
         parts, flags = [], []
-        for j, t in enumerate(ts):
-            bc, bf = _layer(self.base, sn_k(k, t), cov, j * _GOLDEN)
+        for j, (t, (part,)) in enumerate(layers):
+            bc, bf = _layer(cov, *part)
             nb = coords_len(bc)
-            if (j == 0 and self.base.has_boundary()) or (j == len(ts) - 1 and self.has_boundary()):
+            if (j == 0 and self.base.has_boundary()) or (j == len(layers) - 1 and self.has_boundary()):
                 bf = np.ones(nb, dtype=bool)
             parts.append(self._record(np.full(nb, t), bc))
             flags.append(bf)
@@ -979,6 +1048,7 @@ class Quotient(SpaceDescriptor):
     random_points = _as_base("random_points")
     canonical_point = _as_base("canonical_point")
     net_grid = _as_base("net_grid")
+    net_count = _as_base("net_count")
 
     def distance(self, p, q) -> float:
         if _rotation_order(self) is None:
@@ -993,6 +1063,14 @@ class Quotient(SpaceDescriptor):
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return self.kernel(A, B, cross, gram=False)
+
+    def gram_operands(self, A, B):
+        """(E(A), E(g B) for each element g) with an embeddable base and no
+        closed-form rotation; else None."""
+        if _rotation_order(self) is not None or not self.base.gram_embeddable():
+            return None
+        embed = self.base.gram_embedding
+        return embed(A), (embed(g.apply(B)) for g in self.action.elements)
 
     def to_json(self) -> dict:
         from .actions import action_to_json
@@ -1224,20 +1302,25 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray
     """
     if _rotation_order(space) is not None:
         return rotation_quotient_distance(space, A, B, cross=cross)
-    base = space.base
-    moved = (g.apply(B) for g in space.action.elements)
-    if gram and base.gram_embeddable():
-        EA = base.gram_embedding(A)
-        best = None
-        for gB in moved:
-            c = _inner(EA, base.gram_embedding(gB), cross)
-            best = c if best is None else np.maximum(best, c, out=best)
-        return _arccos_in_place(best)
+    operands = space.gram_operands(A, B) if gram else None
+    if operands is not None:
+        return _gram_kernel(*operands, cross)
     best = None
-    for gB in moved:
-        d = base.formula(A, gB, cross)
+    for g in space.action.elements:
+        d = space.base.formula(A, g.apply(B), cross)
         best = d if best is None else np.minimum(best, d, out=best)
     return best
+
+
+def _gram_kernel(EA, columns, cross: bool) -> np.ndarray:
+    """arccos of the largest inner product of the rows EA with each column set
+    in `columns`: one set for a Gram tree, one per group element for a
+    quotient of one."""
+    best = None
+    for EB in columns:
+        c = _inner(EA, EB, cross)
+        best = c if best is None else np.maximum(best, c, out=best)
+    return _arccos_in_place(best)
 
 
 def _latitude_join(t, EL, ER) -> np.ndarray:
@@ -1322,14 +1405,26 @@ def self_distance_matrix(space, coords, block: int | None = None) -> np.ndarray:
     D[s:e, s:] and mirrored into D[s:, s:e], so the kernel sees about
     n(n + block)/2 pairs and memory stays at the n x n result.  `block`
     defaults to `row_block(n)` rows.
+
+    Where the root's kernel is a Gram product (`gram_operands`), the points
+    are embedded once per matrix, with one column set per group element of
+    a quotient, and each block multiplies fresh copies of its slices: BLAS
+    rounding follows the alignment of its operands, and copies round as the
+    block's own embedding did.
     """
     n = coords_len(coords)
     if block is None:
         block = row_block(n)
+    operands = space.gram_operands(coords, coords)
+    if operands is not None:
+        E, columns = operands[0], list(operands[1])
     D = np.empty((n, n), dtype=float)
     for s in range(0, n, block):
         e = min(s + block, n)
-        R = cross_distance(space, coords_take(coords, slice(s, e)), coords_take(coords, slice(s, n)))
+        if operands is None:
+            R = cross_distance(space, coords_take(coords, slice(s, e)), coords_take(coords, slice(s, n)))
+        else:
+            R = _gram_kernel(E[s:e].copy(), [C[s:].copy() for C in columns], True)
         # canonicalize the square diagonal block, the only place where both
         # orientations are evaluated: quotient factors may round differently
         # across the diagonal (d(x, gy) vs d(y, g^-1 x) evaluate in different

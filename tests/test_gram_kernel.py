@@ -135,6 +135,47 @@ class TestAgreementWithFormulas:
         _assert_close(D, self_distance_matrix(space, C))
 
 
+def _per_block_matrix(space, C, block):
+    """`self_distance_matrix` as it was before the embedding moved out of the
+    block loop: each block through `cross_distance`."""
+    n = spaces.coords_len(C)
+    D = np.empty((n, n))
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        R = spaces.cross_distance(space, spaces.coords_take(C, slice(s, e)), spaces.coords_take(C, slice(s, n)))
+        R[:, : e - s] = np.minimum(R[:, : e - s], R[:, : e - s].T)
+        D[s:e, s:] = R
+        D[s:, s:e] = R.T
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+class TestMatrixEmbedsOnce:
+    @pytest.mark.parametrize("name", list(UNIT_TREES))
+    def test_one_embedding_per_matrix(self, monkeypatch, name):
+        space = UNIT_TREES[name]
+        root = _base(space)
+        C = _packed(space, 300, 11)
+        calls = []
+        for kind in GRAM_KINDS:
+            embed = kind.gram_embedding
+            monkeypatch.setattr(kind, "gram_embedding",
+                                lambda sp, coords, embed=embed: calls.append(sp) or embed(sp, coords))
+        self_distance_matrix(space, C, block=32)
+        # the rows once, and the columns once per group element of a quotient
+        elements = len(space.action.elements) if root is not space else 0
+        assert sum(sp is root for sp in calls) == 1 + elements
+
+    @pytest.mark.parametrize("name", list(UNIT_TREES))
+    def test_bit_identical_to_the_per_block_kernel(self, name):
+        # at 1000 points, slices passed as views (no copies) move entries of
+        # three of these trees in the last bit
+        space = UNIT_TREES[name]
+        C = _packed(space, 1000, 12)
+        block = spaces.row_block(1000)
+        assert np.array_equal(self_distance_matrix(space, C), _per_block_matrix(space, C, block))
+
+
 def _oracle_matrix(embed, P, Q):
     return np.array([[emb.sphere_chord_distance(embed(p), embed(q)) for q in Q] for p in P])
 

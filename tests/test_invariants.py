@@ -166,6 +166,21 @@ class TestEdgeSpine:
         edge = inv.edge_set(small, s)
         assert len(edge) == 0 and edge.warning is not None
 
+    def test_edge_set_after_radius_makes_no_row_max_pass(self):
+        net = epsilon_net(Lens(2, 1.5), 0.05, 42)
+        s = inv.soul(net)
+        rad = inv.radius(net)
+        expected = inv.edge_set(net, s)
+
+        class NoRowMax(np.ndarray):
+            def max(self, *args, **kwargs):
+                raise AssertionError("row-max pass")
+
+        net.dist = net.dist.view(NoRowMax)
+        assert inv.radius(net) == rad
+        edge = inv.edge_set(net, s)
+        assert np.array_equal(edge.indices, expected.indices) and edge.warning is None
+
     def test_spine_requires_edge(self):
         net = epsilon_net(Lens(2, 1.5), 0.1, 42)
         with pytest.raises(PreconditionError):

@@ -189,6 +189,85 @@ class TestNetGrid:
     def test_kinds_without_a_grid_raise(self, space):
         with pytest.raises(ConstructionError):
             space.net_grid(0.3)
+        with pytest.raises(ConstructionError):
+            space.net_count(0.3)
+
+
+# `test_count_is_the_grid_length` builds no grid whose count is over
+# COUNT_CAP: that skips the 5-dimensional Join(Lens(3, 1), S1(0.75)) at
+# epsilon 0.08, 0.1 and 0.15 (9 166 344, 3 224 379 and 447 537 points)
+COUNT_CAP = 400_000
+COUNT_EPSILONS = (0.08, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
+SKIPPED_COUNTS = 3
+
+
+def _no_grids(monkeypatch):
+    """Make every kind's `net_grid` raise, so only counts can be read."""
+    def no_grid(*args):
+        raise AssertionError("grid generated")
+
+    for kind in (Sphere, Interval, Join, spaces._OverBase):
+        monkeypatch.setattr(kind, "net_grid", no_grid)
+
+
+def _degrade_by_grids(space, epsilon, budget):
+    """The degrade iteration as it ran before counts: (eff, n) of the grid it keeps."""
+    eff = float(epsilon)
+    n = spaces.coords_len(space.net_grid(eff)[0])
+    for _ in range(24):
+        if n <= budget:
+            break
+        eff *= 1.03 * (n / budget) ** (1.0 / max(1, space.dim))
+        n = spaces.coords_len(space.net_grid(eff)[0])
+    return eff, n
+
+
+class TestNetCount:
+    def test_count_is_the_grid_length(self):
+        skipped = []
+        for label, space in _NET_CASES:
+            for eps in COUNT_EPSILONS:
+                count = space.net_count(eps)
+                if count > COUNT_CAP:
+                    skipped.append((label, eps))
+                    continue
+                for phase in (0.0, 0.7):
+                    assert count == spaces.coords_len(space.net_grid(eps, phase)[0]), (label, eps, phase)
+        assert len(skipped) == SKIPPED_COUNTS, skipped
+
+    def test_capacity_error_required_is_the_count(self, monkeypatch):
+        spaces_ = (Lens(3, 1.0), spine_example_quotient(True), Sphere(3, 1.0))
+        counts = [space.net_count(0.05) for space in spaces_]
+        _no_grids(monkeypatch)
+        for space, count in zip(spaces_, counts):
+            with pytest.raises(CapacityError) as err:
+                epsilon_net(space, 0.05, 0, budget=100)
+            assert err.value.required == count
+
+    @pytest.mark.parametrize("case", [
+        (Lens(3, 1.0), 0.05, 5000),
+        (spine_example_quotient(True), 0.1, 300),
+        (Join(Interval(PI), Interval(PI)), 0.05, 1000),
+        (Suspension(Sphere(1, 0.75)), 0.02, 200),
+    ], ids=["lens3", "spine_quotient", "interval_join", "suspension"])
+    def test_degrade_keeps_the_grid_loop_resolution(self, case):
+        space, epsilon, budget = case
+        eff, n = _degrade_by_grids(space, epsilon, budget)
+        net = epsilon_net(space, epsilon, 0, budget=budget, allow_degrade=True)
+        assert net.epsilon_effective == eff > epsilon and n <= budget
+
+    def test_budget_400_request_stays_small(self):
+        # 278 977 349 raw points at the requested epsilon; only the count is read
+        X = Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0))
+        Q = Quotient(X, actions.cyclic_approximation(X, 8))
+        tracemalloc.start()
+        try:
+            net = epsilon_net(Q, 0.08, 42, budget=400, allow_degrade=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.n <= 400 and net.epsilon_effective > 0.08
+        assert peak < 64 * 2**20
 
 
 class TestDeterminism:

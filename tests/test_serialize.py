@@ -1,11 +1,17 @@
 """Descriptor JSON: stored generators, old element-list files, malformed payloads;
-stored nets whose matrix and metadata disagree."""
+stored nets whose matrix and metadata disagree; the CLI's fixed mmap threshold."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alexgeo
 from alexgeo import actions, cli, nets, serialize
 from alexgeo.errors import ConstructionError
 from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
@@ -321,3 +327,52 @@ class TestKindBoundary:
             LENS.alpha = 2.0
         with pytest.raises(AttributeError):
             BALL.dim = 3
+
+
+_FREED_MATRICES = """
+import sys
+import numpy as np
+from alexgeo import cli
+
+def rss_mb():
+    with open("/proc/self/status") as f:
+        return next(int(ln.split()[1]) for ln in f if ln.startswith("VmRSS")) / 1024
+
+if sys.argv[1] == "fixed":
+    cli._map_large_blocks()
+base = rss_mb()
+for n in (1500, 1400, 1500):  # matrices of 18.0, 15.7 and 18.0 MB, each touched, then freed
+    D = np.ones((n, n))
+    del D
+print(rss_mb() - base)
+"""
+
+
+class TestCliMmapThreshold:
+    """`cli.main` fixes glibc's mmap threshold, so a freed n x n matrix leaves the process."""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists()
+                        or not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs glibc on Linux")
+    def test_freed_matrices_are_returned(self):
+        # With glibc's moving threshold the second and third matrices come from
+        # the heap and about 18 MB stays resident after they are freed.
+        src = Path(alexgeo.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", _FREED_MATRICES, "fixed"], check=True, text=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert float(out) < 4.0
+
+    def test_main_sets_it_and_skips_a_library_without_mallopt(self, monkeypatch, tmp_path):
+        calls = []
+
+        class Glibc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        space = tmp_path / "interval.json"
+        space.write_text(json.dumps(serialize.space_to_json(Interval(1.0))))
+        argv = ["construct", "--space", str(space), "--epsilon", "0.3", "--out", str(tmp_path / "net.csv")]
+        for libc in (Glibc(), object()):
+            monkeypatch.setattr(cli.ctypes, "CDLL", lambda name, libc=libc: libc)
+            assert cli.main(argv) == 0
+        assert calls == [(-3, 4 << 20), (-1, 8 << 20)]

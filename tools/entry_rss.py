@@ -4,8 +4,10 @@ A process's peak RSS is the largest it ever was, so running the entries one
 after another in one process shows only the worst of them.  This script runs
 each `harness.CATALOGUE` entry at the CLI defaults in its own Python process
 and prints the entry's wall seconds (`ExperimentReport.wall_time_s`) and the
-process's `ru_maxrss`.  The last line is one `run_all()` process,
-with its summed wall seconds and its `ru_maxrss`.
+process's `ru_maxrss`.  Then one `run_all()` process, with its summed
+wall seconds and its `ru_maxrss`, and last a `retention` line: the
+`run_all` peak minus the largest entry's, which is what running the entries
+in one process adds to the worst of them.
 
 Usage, from the repository root:
 
@@ -49,9 +51,13 @@ def main():
     from alexgeo import harness
 
     print(f"{'entry':15} {'wall_s':>8} {'maxrss_mb':>10}  passed")
+    peaks = {}
     for eid in [*harness.CATALOGUE, "run_all"]:
         r = measure(eid)
+        peaks[eid] = r["maxrss_mb"]
         print(f"{eid:15} {r['wall_s']:8.2f} {r['maxrss_mb']:10.1f}  {r['passed']}", flush=True)
+    largest = max(peaks[eid] for eid in harness.CATALOGUE)
+    print(f"{'retention':15} {'':8} {peaks['run_all'] - largest:10.1f}")
 
 
 if __name__ == "__main__":
