@@ -3,12 +3,13 @@
 The model triple (k, lambda0, r0) describes the constant-curvature ball
 whose boundary has shape-operator eigenvalue -lambda0 for the inward
 normal.  lambda(r) solves the Riccati equation lam' + lam^2 = -k from
-lam(0) = -lambda0; phi solves phi'' + k phi = -lambda0 with phi(0) = 0,
-phi'(0) = 1; fbar is the generic solution of the same ODE from arbitrary
-initial data.  The audits compare f = phi(distance to boundary) along
-analytically generated geodesics against fbar, probe the second-order
+lam(0) = -lambda0; phi = sn_k - lambda0 md_k solves phi'' + k phi = -lambda0
+with phi(0) = 0, phi'(0) = 1; fbar = f0 cs_k + fdot0 sn_k - lambda0 md_k is
+the solution of the same ODE from any initial data, in the curvature-k
+functions of `spaces`.  The audits compare f = phi(distance to boundary)
+along analytically generated geodesics against fbar, probe the second-order
 boundary-convexity inequality at sampled foot points, and check sampled
-hinges against the constant-curvature law of cosines.
+hinges against `spaces._cone_law`, the one curvature-k law of cosines.
 
 The geodesics, the traces and the lens probes are array passes: a path's
 samples come from one array expression in the arc parameter and are returned
@@ -40,7 +41,10 @@ from .spaces import (
     HALF_PI,
     Sphere,
     clamped_arccos,
+    cs_k,
     distance,
+    md_k,
+    sn_k,
     vector_norm,
 )
 
@@ -52,9 +56,25 @@ def _check_canonical_k(k: float):
         raise DomainError(f"closed forms are exposed for k in {{-1, 0, 1}} only, got {k}")
 
 
+def _check_finite(**values):
+    """Raise DomainError unless every named value, a number or an array, is finite."""
+    for name, x in values.items():
+        if not np.isfinite(x).all():
+            raise DomainError(f"{name} must be finite, got {x!r}")
+
+
+def _closed_form(form, x, **params):
+    """form(x), a float for a number x and an array otherwise.  Raises
+    DomainError unless x and the named parameters are finite."""
+    x = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
+    _check_finite(argument=x, **params)
+    return form(x)
+
+
 def model_inradius(k: float, lambda0: float) -> float:
     """r0 with lambda0 = 1/r0 (k=0), cot r0 (k=1), coth r0 (k=-1)."""
     _check_canonical_k(k)
+    _check_finite(lambda0=lambda0)
     if not lambda0 > 0.0:
         raise DomainError(f"lambda0 must be positive, got {lambda0}")
     if k == 0.0:
@@ -69,17 +89,14 @@ def model_inradius(k: float, lambda0: float) -> float:
 
 
 def model_lambda0(k: float, r0: float) -> float:
-    """The boundary convexity of the model ball of radius r0."""
+    """The boundary convexity cs_k(r0)/sn_k(r0) of the model ball of radius r0."""
     _check_canonical_k(k)
+    _check_finite(r0=r0)
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0}")
-    if k == 0.0:
-        return 1.0 / r0
-    if k == 1.0:
-        if r0 > HALF_PI + 1e-12:
-            raise DomainError(f"k=1 model balls require r0 <= pi/2, got {r0}")
-        return 1.0 / math.tan(r0)
-    return 1.0 / math.tanh(r0)
+    if k > 0.0 and r0 > HALF_PI + 1e-12:
+        raise DomainError(f"k=1 model balls require r0 <= pi/2, got {r0}")
+    return cs_k(k, r0) / sn_k(k, r0)
 
 
 @dataclass(frozen=True)
@@ -116,74 +133,45 @@ class ComparisonModel:
 def model_lambda(k: float, lambda0: float, r) -> float:
     """Shape-operator eigenvalue lambda(r) of the depth-r level set; lambda(0) = -lambda0."""
     _check_canonical_k(k)
+    _check_finite(lambda0=lambda0, r=r)
     if not lambda0 > 0.0:
         raise DomainError(f"lambda0 must be positive, got {lambda0}")
     scalar = np.isscalar(r)
     r = np.asarray(r, dtype=float)
     if np.any(r < -1e-15):
         raise DomainError("r must be nonnegative")
-    if k == 0.0:
-        r0 = 1.0 / lambda0
+    if lambda0 * lambda0 > -k:  # the level sets focus at the model radius
+        r0 = model_inradius(k, lambda0)
         if np.any(r >= r0 - 1e-15):
             raise DomainError(f"r must stay below the focal radius r0 = {r0}")
+    if k == 0.0:
         out = 1.0 / (r - r0)
     elif k == 1.0:
-        r0 = math.atan(1.0 / lambda0)
-        if np.any(r >= r0 - 1e-15):
-            raise DomainError(f"r must stay below the focal radius r0 = {r0}")
         out = 1.0 / np.tan(r - r0)
+    elif lambda0 < 1.0:
+        out = np.tanh(r - math.atanh(lambda0))
+    elif lambda0 == 1.0:
+        out = np.full_like(r, -1.0)
     else:
-        if lambda0 < 1.0:
-            r0 = math.atanh(lambda0)
-            out = np.tanh(r - r0)
-        elif lambda0 == 1.0:
-            out = np.full_like(r, -1.0)
-        else:
-            r0 = math.atanh(1.0 / lambda0)
-            if np.any(r >= r0 - 1e-15):
-                raise DomainError(f"r must stay below the focal radius r0 = {r0}")
-            out = 1.0 / np.tanh(r - r0)
+        out = 1.0 / np.tanh(r - r0)
     return float(out) if scalar else out
 
 
 def model_phi(k: float, lambda0: float, r):
-    """phi(r) solving phi'' + k phi = -lambda0, phi(0) = 0, phi'(0) = 1."""
+    """phi(r) = sn_k(r) - lambda0 md_k(r), solving phi'' + k phi = -lambda0, phi(0) = 0, phi'(0) = 1."""
     _check_canonical_k(k)
-    scalar = np.isscalar(r)
-    r = np.asarray(r, dtype=float)
-    if k == 0.0:
-        out = r - 0.5 * lambda0 * r**2
-    elif k == 1.0:
-        out = np.sin(r) + lambda0 * np.cos(r) - lambda0
-    else:
-        out = np.sinh(r) - lambda0 * np.cosh(r) + lambda0
-    return float(out) if scalar else out
+    return _closed_form(lambda r: sn_k(k, r) - lambda0 * md_k(k, r), r, lambda0=lambda0)
 
 
 def model_phi_prime(k: float, lambda0: float, r):
+    """phi'(r) = cs_k(r) - lambda0 sn_k(r)."""
     _check_canonical_k(k)
-    scalar = np.isscalar(r)
-    r = np.asarray(r, dtype=float)
-    if k == 0.0:
-        out = 1.0 - lambda0 * r
-    elif k == 1.0:
-        out = np.cos(r) - lambda0 * np.sin(r)
-    else:
-        out = np.cosh(r) - lambda0 * np.sinh(r)
-    return float(out) if scalar else out
+    return _closed_form(lambda r: cs_k(k, r) - lambda0 * sn_k(k, r), r, lambda0=lambda0)
 
 
 def model_psi(k: float, t):
-    """psi solving psi'' + k psi = 1, psi(0) = psi'(0) = 0 (general k by scaling)."""
-    scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    if k == 0.0:
-        out = 0.5 * t**2
-    elif k > 0.0:
-        out = (1.0 - np.cos(math.sqrt(k) * t)) / k
-    else:
-        out = (np.cosh(math.sqrt(-k) * t) - 1.0) / (-k)
-    return float(out) if scalar else out
+    """psi = md_k, solving psi'' + k psi = 1, psi(0) = psi'(0) = 0."""
+    return _closed_form(lambda t: md_k(k, t), t, k=k)
 
 
 def riccati_integrate(k: float, lambda0: float, r: float, step: float) -> float:
@@ -192,6 +180,7 @@ def riccati_integrate(k: float, lambda0: float, r: float, step: float) -> float:
     Raises SingularityError when |lam| exceeds 1e6; the reported blow-up
     location tracks the focal radius to within a few steps.
     """
+    _check_finite(k=k, lambda0=lambda0, r=r, step=step)
     if not step > 0.0:
         raise DomainError(f"step must be positive, got {step}")
     if r < 0.0:
@@ -223,24 +212,15 @@ def riccati_integrate(k: float, lambda0: float, r: float, step: float) -> float:
 
 
 def fbar(k: float, lambda0: float, f0: float, fdot0: float, t):
-    """Unique solution of y'' + k y = -lambda0 with y(0) = f0, y'(0) = fdot0."""
-    scalar = np.isscalar(t)
-    t = np.asarray(t, dtype=float)
-    if k == 0.0:
-        out = f0 + fdot0 * t - 0.5 * lambda0 * t**2
-    elif k > 0.0:
-        s = math.sqrt(k)
-        part = -lambda0 / k
-        out = part + (f0 - part) * np.cos(s * t) + (fdot0 / s) * np.sin(s * t)
-    else:
-        s = math.sqrt(-k)
-        part = -lambda0 / k
-        out = part + (f0 - part) * np.cosh(s * t) + (fdot0 / s) * np.sinh(s * t)
-    return float(out) if scalar else out
+    """f0 cs_k(t) + fdot0 sn_k(t) - lambda0 md_k(t): the solution of
+    y'' + k y = -lambda0 with y(0) = f0, y'(0) = fdot0."""
+    return _closed_form(lambda t: f0 * cs_k(k, t) + fdot0 * sn_k(k, t) - lambda0 * md_k(k, t), t,
+                        k=k, lambda0=lambda0, f0=f0, fdot0=fdot0)
 
 
 def hinge_comparison(k: float, a: float, b: float, gamma: float) -> float:
     """Law-of-cosines side opposite a hinge with sides a, b and angle gamma."""
+    _check_finite(k=k, a=a, b=b)
     if a < 0.0 or b < 0.0:
         raise DomainError(f"hinge sides must be nonnegative, got a={a}, b={b}")
     if not (0.0 <= gamma <= PI + 1e-12):
@@ -285,29 +265,16 @@ def ball_chord_path(ball: ModelBall, rho: float, step: float, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
     e1, e2 = _random_frame(rng, ball.dim)
     k, r0 = ball.k, ball.r0
-
-    if k == 0.0:
-        s_exit = math.sqrt(r0 * r0 - rho * rho)
-        s = _samples(2.0 * s_exit, step) - s_exit
-        a, b = np.full_like(s, rho), s  # the chord rho e1 + s e2
-    elif k > 0.0:
-        # c(s) = cos(s) P0 + sin(s) W on the scaled sphere; colatitude from the
-        # center satisfies cos(sqrt(k) t) = cos(sqrt(k) s) cos(sqrt(k) rho)
-        sq = math.sqrt(k)
-        s_exit = clamped_arccos(math.cos(sq * r0) / math.cos(sq * rho)) / sq
-        s = _samples(2.0 * s_exit, step) - s_exit
-        t = clamped_arccos(np.cos(sq * s) * math.cos(sq * rho)) / sq
-        a, b = np.cos(sq * s) * math.sin(sq * rho), np.sin(sq * s)
-    else:
-        sq = math.sqrt(-k)
-        s_exit = math.acosh(max(1.0, math.cosh(sq * r0) / math.cosh(sq * rho))) / sq
-        s = _samples(2.0 * s_exit, step) - s_exit
-        t = np.arccosh(np.maximum(1.0, np.cosh(sq * s) * math.cosh(sq * rho))) / sq
-        a, b = np.cosh(sq * s) * math.sinh(sq * rho), np.sinh(sq * s)
-    v = a[:, None] * e1 + b[:, None] * e2  # the direction from the center, unnormalized
+    # Pythagoras in curvature k: a point at arc s from the closest point lies at
+    # radius t with md_k(t) = md_k(s) + md_k(rho) - k md_k(s) md_k(rho), and in
+    # the direction cs_k(s) sn_k(rho) e1 + sn_k(s) e2 from the center
+    m_rho = md_k(k, rho)
+    s_exit = spaces._arcmd_k(k, (md_k(k, r0) - m_rho) / cs_k(k, rho))
+    s = _samples(2.0 * s_exit, step) - s_exit
+    m_s = md_k(k, s)
+    t = spaces._arcmd_k(k, m_s + m_rho - k * m_s * m_rho)
+    v = (cs_k(k, s) * sn_k(k, rho))[:, None] * e1 + sn_k(k, s)[:, None] * e2
     n = np.sqrt(np.einsum("ij,ij->i", v, v))
-    if k == 0.0:
-        t = n
     u = np.where(n[:, None] > 0.0, v / np.where(n > 0.0, n, 1.0)[:, None], e1)
     return ConeCoords(t, u)
 
@@ -475,25 +442,12 @@ def _convexity_probe_cone(space: Cone, lambda0: float, probes: int, scale: float
     if space.base.has_boundary():
         raise PreconditionError("convexity probes need a boundaryless cone base")
     k, r0 = space.k, space.r0
-    sn = spaces.sn_k(k, r0)
+    sn = sn_k(k, r0)
     delta = scale / sn
     theta = rng.uniform(0.5 * delta, 1.5 * delta, probes)  # base angle between p and q
     # triangle apex-p-q in the developed sector: side |pq| and angle at p
-    if k == 0.0:
-        c = 2.0 * r0 * np.sin(theta / 2.0)
-        cosb = np.sin(theta / 2.0)
-    elif k > 0.0:
-        s = math.sqrt(k)
-        cr, sr = math.cos(s * r0), math.sin(s * r0)
-        cc = cr * cr + sr * sr * np.cos(theta)
-        c = np.arccos(np.clip(cc, -1.0, 1.0)) / s
-        cosb = cr * (1.0 - cc) / np.maximum(sr * np.sin(s * c), 1e-300)
-    else:
-        s = math.sqrt(-k)
-        cr, sr = math.cosh(s * r0), math.sinh(s * r0)
-        cc = cr * cr - sr * sr * np.cos(theta)
-        c = np.arccosh(np.maximum(cc, 1.0)) / s
-        cosb = cr * (cc - 1.0) / np.maximum(sr * np.sinh(s * c), 1e-300)
+    c = spaces._cone_law(k, r0, r0, np.cos(theta))
+    cosb = cs_k(k, r0) * md_k(k, c) / (sn * sn_k(k, c))
     defect = c * cosb - 0.5 * lambda0 * c**2
     return defect / c**2
 

@@ -78,6 +78,13 @@ A one-point leaf is tested by plain comparisons, a longer one by one numpy
 reduction; the error names the first bad value either way.  The scalar
 distance laws test their own values and raise DomainError too, for a value
 out of range or one that is no number.
+
+Curvature k.  The k = 0 / k > 0 / k < 0 split is written once, in the
+functions ``sn_k``, ``md_k(t) = 2 sn_k(t/2)^2`` and ``cs_k = 1 - k md_k`` of
+Alexander, Kapovitch and Petrunin (*Alexandrov geometry: foundations*), and
+in ``_cone_law``, the one curvature-k law of cosines of every cone and
+suspension distance and kernel.  Like `clamped_arccos`, they evaluate
+numbers through `math` and arrays through numpy.
 """
 
 from __future__ import annotations
@@ -136,9 +143,15 @@ def _record_excess(excess: float):
             clamp_stats.max_excess = excess
 
 
+def _xp(x):
+    """`math` for a number x, numpy for an array: the library `clamped_arccos`,
+    `clamped_arccosh` and the curvature-k functions evaluate x in."""
+    return math if isinstance(x, float) or np.isscalar(x) else np
+
+
 def clamped_arccos(x):
     """arccos with the argument clamped to [-1, 1] (tracked when enabled)."""
-    if isinstance(x, float) or np.isscalar(x):
+    if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(abs(float(x)) - 1.0)
         return math.acos(min(1.0, max(-1.0, float(x))))
@@ -158,7 +171,7 @@ def _arccos_in_place(c: np.ndarray) -> np.ndarray:
 
 def clamped_arccosh(x):
     """arccosh with the argument clamped to [1, inf) (tracked when enabled)."""
-    if isinstance(x, float) or np.isscalar(x):
+    if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(1.0 - float(x))
         return math.acosh(max(1.0, float(x)))
@@ -233,26 +246,35 @@ def _float_leaf(values) -> np.ndarray:
         raise DomainError(f"scalar coordinates must be numbers: {exc}") from None
 
 
-def sn_k(k: float, t: float) -> float:
+def sn_k(k: float, t):
     """The curvature-k sine: sin(sqrt(k) t)/sqrt(k), t for k = 0, sinh(sqrt(-k) t)/sqrt(-k)."""
+    xp = _xp(t)
+    if xp is np:
+        t = np.asarray(t, dtype=float)
     if k == 0.0:
         return t
-    if k > 0.0:
-        s = math.sqrt(k)
-        return math.sin(s * t) / s
-    s = math.sqrt(-k)
-    return math.sinh(s * t) / s
+    s = math.sqrt(abs(k))
+    return (xp.sin(s * t) if k > 0.0 else xp.sinh(s * t)) / s
 
 
-def _sn(k: float, t):
-    """`sn_k` on arrays."""
+def md_k(k: float, t):
+    """The curvature-k modified distance 2 sn_k(t/2)^2: (1 - cos(sqrt(k) t))/k, t^2/2 for k = 0."""
+    return 2.0 * sn_k(k, 0.5 * t) ** 2
+
+
+def cs_k(k: float, t):
+    """The curvature-k cosine 1 - k md_k(t): cos(sqrt(k) t), 1 for k = 0, cosh(sqrt(-k) t)."""
+    return 1.0 - k * md_k(k, t)
+
+
+def _arcmd_k(k: float, m):
+    """The inverse of `md_k`: the t >= 0 with md_k(t) = m, where t <= pi/sqrt(k) for k > 0."""
+    xp = _xp(m)
+    h = xp.sqrt(0.5 * m)  # sn_k(t/2)
     if k == 0.0:
-        return np.asarray(t, dtype=float)
-    if k > 0.0:
-        s = math.sqrt(k)
-        return np.sin(s * np.asarray(t, dtype=float)) / s
-    s = math.sqrt(-k)
-    return np.sinh(s * np.asarray(t, dtype=float)) / s
+        return 2.0 * h
+    s = math.sqrt(abs(k))
+    return 2.0 * (xp.asin(s * h) if k > 0.0 else xp.asinh(s * h)) / s
 
 
 def _rejection_sample(rng, n, lo, hi, weight):
@@ -397,52 +419,50 @@ def join_distance(p, q, left_metric, right_metric) -> float:
 
 def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
     """Law-of-cosines distance in the curvature-k cone with cap r0."""
+    if not (math.isfinite(k) and math.isfinite(r0)):
+        raise DomainError(f"cone curvature and cap must be finite, got k={k}, r0={r0}")
+    if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
+        raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k))")
+    return _radial_distance(k, p, q, base_metric, r0, "cone", "radial coordinate")
+
+
+def suspension_distance(p, q, base_metric) -> float:
+    """Suspension distance: the k = 1 cone law in the colatitudes, which lie in [0, pi]."""
+    return _radial_distance(1.0, p, q, base_metric, PI, "suspension", "colatitude")
+
+
+def _radial_distance(k: float, p, q, base_metric, top: float, kind: str, what: str) -> float:
+    """`_cone_law` between points (t, y) of a `kind` with t (its `what`) in [0, top],
+    the base distance clamped at pi."""
     try:
         t0, y0 = p
         t1, y1 = q
     except (TypeError, ValueError):
-        raise DomainError("cone points must be tuples of 2 coordinates") from None
-    if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
-        raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k))")
+        raise DomainError(f"{kind} points must be tuples of 2 coordinates") from None
     try:
-        for name, t in (("t0", t0), ("t1", t1)):
-            if not (-1e-12 <= t <= r0 + 1e-12):
-                raise DomainError(f"cone radial coordinate {name} = {t} outside [0, {r0}]")
+        for t in (t0, t1):
+            if not (-1e-12 <= t <= top + 1e-12):
+                raise DomainError(f"{kind} {what} {t} outside [0, {top}]")
     except TypeError:  # a radial coordinate that is no number
-        raise DomainError(f"cone radial coordinates must be numbers, got {t0!r} and {t1!r}") from None
+        raise DomainError(f"{kind} {what}s must be numbers, got {t0!r} and {t1!r}") from None
     theta = min(float(base_metric(y0, y1)), PI)
     return _cone_law(k, float(t0), float(t1), math.cos(theta))
 
 
-def _cone_law(k: float, t0: float, t1: float, ctheta: float) -> float:
+def _cone_law(k: float, t0, t1, ctheta):
+    """The curvature-k law of cosines: the side opposite the angle with cosine
+    `ctheta` between sides t0 and t1.  It runs on `math` when all three are
+    floats, else on numpy, with arrays broadcast against each other."""
+    xp = math if isinstance(t0, float) and isinstance(t1, float) and isinstance(ctheta, float) else np
     if k == 0.0:
-        v = t0 * t0 + t1 * t1 - 2.0 * t0 * t1 * ctheta
-        return math.sqrt(max(v, 0.0))
+        v = t0 * t0 + t1 * t1 - 2.0 * (t0 * t1) * ctheta
+        return math.sqrt(max(v, 0.0)) if xp is math else np.sqrt(np.maximum(v, 0.0))
+    s = math.sqrt(abs(k))
     if k > 0.0:
-        s = math.sqrt(k)
-        c = math.cos(s * t0) * math.cos(s * t1) + math.sin(s * t0) * math.sin(s * t1) * ctheta
+        c = xp.cos(s * t0) * xp.cos(s * t1) + xp.sin(s * t0) * xp.sin(s * t1) * ctheta
         return clamped_arccos(c) / s
-    s = math.sqrt(-k)
-    c = math.cosh(s * t0) * math.cosh(s * t1) - math.sinh(s * t0) * math.sinh(s * t1) * ctheta
+    c = xp.cosh(s * t0) * xp.cosh(s * t1) - xp.sinh(s * t0) * xp.sinh(s * t1) * ctheta
     return clamped_arccosh(c) / s
-
-
-def suspension_distance(p, q, base_metric) -> float:
-    """Suspension distance via colatitudes: cos d = cos u1 cos u2 + sin sin cos dY."""
-    try:
-        u1, y1 = p
-        u2, y2 = q
-    except (TypeError, ValueError):
-        raise DomainError("suspension points must be tuples of 2 coordinates") from None
-    try:
-        for name, u in (("u1", u1), ("u2", u2)):
-            if not (-1e-12 <= u <= PI + 1e-12):
-                raise DomainError(f"suspension colatitude {name} = {u} outside [0, pi]")
-    except TypeError:  # a colatitude that is no number
-        raise DomainError(f"suspension colatitudes must be numbers, got {u1!r} and {u2!r}") from None
-    theta = min(float(base_metric(y1, y2)), PI)
-    c = math.cos(u1) * math.cos(u2) + math.sin(u1) * math.sin(u2) * math.cos(theta)
-    return clamped_arccos(c)
 
 
 def quotient_distance(base_metric, action, x, y) -> float:
@@ -890,7 +910,7 @@ class _OverBase(SpaceDescriptor):
     def formula(self, A, B, cross: bool) -> np.ndarray:
         ctheta = np.cos(np.minimum(self.base.formula(A.base, B.base, cross), PI))
         ta, tb = getattr(A, self._radial), getattr(B, self._radial)
-        return _cone_law_array(self._law()[0], *_pairs(ta, tb, cross), ctheta)
+        return _cone_law(self._law()[0], *_pairs(ta, tb, cross), ctheta)
 
     def gram_embeddable(self) -> bool:
         return self._law()[0] == 1.0 and self.base.gram_embeddable()
@@ -908,6 +928,15 @@ class _OverBase(SpaceDescriptor):
 
     def canonical_point(self):
         return (0.0, self.base.canonical_point())
+
+    def random_points(self, n: int, rng):
+        # density: the volume element sn_k(t)^d, largest at the top or at pi/(2 sqrt(k))
+        k, top = self._law()
+        d = self.base.dim
+        peak = sn_k(k, min(top, HALF_PI / math.sqrt(k)) if k > 0.0 else top) ** d
+        ts = _rejection_sample(rng, n, 0.0, top, lambda t: sn_k(k, t) ** d / max(peak, 1e-300))
+        bs = self.base.random_points(n, rng)
+        return [(float(ts[i]), bs[i]) for i in range(n)]
 
     def _layers(self, eps: float):
         """(cov, [(t, parts), ...]): radial layers, each the base's part
@@ -979,13 +1008,6 @@ class Cone(_OverBase):
     def distance(self, p, q) -> float:
         return cone_distance(self.k, p, q, self.base.distance, self.r0)
 
-    def random_points(self, n: int, rng):
-        k, r0, d = self.k, self.r0, self.base.dim  # density: the volume element sn_k(t)^d
-        wmax = float(_sn(k, r0)) ** d if d > 0 else 1.0
-        ts = _rejection_sample(rng, n, 0.0, r0, lambda t: (_sn(k, t) ** d) / max(wmax, 1e-300))
-        bs = self.base.random_points(n, rng)
-        return [(float(ts[i]), bs[i]) for i in range(n)]
-
     def to_json(self) -> dict:
         return {"kind": "cone", "k": self.k, "base": self.base.to_json(), "r0": self.r0}
 
@@ -1009,12 +1031,6 @@ class Suspension(_OverBase):
 
     def distance(self, p, q) -> float:
         return suspension_distance(p, q, self.base.distance)
-
-    def random_points(self, n: int, rng):
-        d = self.base.dim
-        us = _rejection_sample(rng, n, 0.0, PI, lambda u: np.sin(u) ** d)
-        bs = self.base.random_points(n, rng)
-        return [(float(us[i]), bs[i]) for i in range(n)]
 
     def to_json(self) -> dict:
         return {"kind": "suspension", "base": self.base.to_json()}
@@ -1273,20 +1289,6 @@ def elementwise_distance(space, A, B) -> np.ndarray:
     return space.kernel(A, B, False)
 
 
-def _cone_law_array(k: float, ta, tb, ctheta) -> np.ndarray:
-    """Curvature-k law of cosines; ta and tb broadcast against ctheta."""
-    if k == 0.0:
-        v = ta**2 + tb**2 - 2.0 * (ta * tb) * ctheta
-        return np.sqrt(np.maximum(v, 0.0))
-    if k > 0.0:
-        s = math.sqrt(k)
-        c = np.cos(s * ta) * np.cos(s * tb) + np.sin(s * ta) * np.sin(s * tb) * ctheta
-        return clamped_arccos(c) / s
-    s = math.sqrt(-k)
-    c = np.cosh(s * ta) * np.cosh(s * tb) - np.sinh(s * ta) * np.sinh(s * tb) * ctheta
-    return clamped_arccosh(c) / s
-
-
 def _quotient_cross(space: Quotient, A, B, gram: bool = True) -> np.ndarray:
     """`cross_distance` of a quotient; perfbench's quotient-kernel span wraps this name."""
     return _orbit_minimum(space, A, B, cross=True, gram=gram)
@@ -1384,7 +1386,7 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     if cone is None:
         return clamped_arccos(best)
     np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
-    return _cone_law_array(cone.k, *_pairs(A.t, B.t, cross), best)
+    return _cone_law(cone.k, *_pairs(A.t, B.t, cross), best)
 
 
 # matrix entries per block of every pass over an n-column matrix: each row
