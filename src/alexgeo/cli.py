@@ -58,7 +58,9 @@ def _map_large_blocks() -> None:
 def _read_descriptor(path) -> object:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConstructionError(f"cannot read descriptor {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConstructionError(f"{path} is not valid JSON: {exc}") from None
     return serialize.space_from_json(payload)
 

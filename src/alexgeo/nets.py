@@ -15,7 +15,9 @@ closed-form ``net_count(eps)`` gives the grid's size without allocating it.
 When the point budget cannot support the requested resolution the builder
 either raises CapacityError with that count or, with ``allow_degrade=True``,
 coarsens uniformly on counts alone and reports the effective value; only
-the grid it keeps is built.
+the grid it keeps is built, by `grid_net(space, eff)`.  That is the one
+construction path of grid nets: `serialize.read_net` replays stored nets
+through it too.
 """
 
 from __future__ import annotations
@@ -304,18 +306,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
                 required=n,
                 budget=budget,
             )
-    coords, flags = space.net_grid(eff)
-
-    D = self_distance_matrix(space, coords)
-
-    if isinstance(space, Quotient):
-        keep = _dedupe_indices(D, DEDUPE_TOL)
-        if keep.shape[0] < n:
-            coords = coords_take(coords, keep)
-            flags = flags[keep]
-            D = _compact(D, keep)
-            n = keep.shape[0]
-
+    coords, flags, D = grid_net(space, eff)
     net = FiniteNet(
         space=space,
         coords=coords,
@@ -328,6 +319,25 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
     )
     _freeze(net)
     return net
+
+
+def grid_net(space, eff: float):
+    """(coords, flags, D) of the grid net at covering target `eff`.
+
+    The grid is ``space.net_grid(eff)`` with its `self_distance_matrix`;
+    a quotient's grid is then deduped into orbit points, its matrix
+    compacted in place.  `epsilon_net` builds every grid net through this,
+    and `serialize.read_net` replays stored nets through it.
+    """
+    coords, flags = space.net_grid(eff)
+    D = self_distance_matrix(space, coords)
+    if isinstance(space, Quotient):
+        keep = _dedupe_indices(D, DEDUPE_TOL)
+        if keep.shape[0] < D.shape[0]:
+            coords = coords_take(coords, keep)
+            flags = flags[keep]
+            D = _compact(D, keep)
+    return coords, flags, D
 
 
 def _dedupe_indices(D: np.ndarray, tol: float) -> np.ndarray:

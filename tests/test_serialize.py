@@ -1,7 +1,9 @@
 """Descriptor JSON: stored generators, old element-list files, malformed payloads;
-stored nets whose matrix and metadata disagree; the CLI's fixed mmap threshold."""
+stored nets whose matrix and metadata disagree; nets loaded by replay and by
+parsing; bad net files at the CLI; the CLI's fixed mmap threshold."""
 
 import ctypes
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +16,18 @@ import pytest
 import alexgeo
 from alexgeo import actions, cli, nets, serialize
 from alexgeo.errors import ConstructionError
-from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+from alexgeo.spaces import (
+    PI,
+    Cone,
+    Ellipsoid,
+    Interval,
+    Join,
+    Lens,
+    ModelBall,
+    Quotient,
+    Sphere,
+    Suspension,
+)
 
 
 def _bits(iso):
@@ -152,6 +165,13 @@ class TestMalformed:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def _edit_meta(csv, edit):
+    meta_path = csv.with_suffix(".csv.json")
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+
+
 class TestReadNetValidation:
     @pytest.fixture()
     def stored(self, tmp_path):
@@ -159,12 +179,6 @@ class TestReadNetValidation:
         csv = tmp_path / "net.csv"
         serialize.write_net(net, csv)
         return net, csv
-
-    def _edit_meta(self, csv, edit):
-        meta_path = csv.with_suffix(".csv.json")
-        meta = json.loads(meta_path.read_text())
-        edit(meta)
-        meta_path.write_text(json.dumps(meta))
 
     def test_valid_net_loads(self, stored):
         net, csv = stored
@@ -196,13 +210,13 @@ class TestReadNetValidation:
 
     def test_boundary_flag_count(self, stored):
         _, csv = stored
-        self._edit_meta(csv, lambda m: m["is_boundary"].pop())
+        _edit_meta(csv, lambda m: m["is_boundary"].pop())
         with pytest.raises(ConstructionError, match="boundary flags"):
             serialize.read_net(csv)
 
     def test_coordinate_count(self, stored):
         _, csv = stored
-        self._edit_meta(csv, lambda m: m["coords"]["t"].pop())
+        _edit_meta(csv, lambda m: m["coords"]["t"].pop())
         with pytest.raises(ConstructionError, match="coordinates"):
             serialize.read_net(csv)
 
@@ -210,7 +224,7 @@ class TestReadNetValidation:
     def test_coordinate_fields_disagree(self, stored, side):
         # `t` still counts n points, so only the record's own length check catches this
         _, csv = stored
-        self._edit_meta(csv, lambda m: m["coords"][side].pop())
+        _edit_meta(csv, lambda m: m["coords"][side].pop())
         with pytest.raises(ConstructionError, match="coordinates"):
             serialize.read_net(csv)
 
@@ -220,7 +234,7 @@ class TestReadNetValidation:
     ])
     def test_malformed_coordinates(self, stored, edit, match):
         _, csv = stored
-        self._edit_meta(csv, edit)
+        _edit_meta(csv, edit)
         with pytest.raises(ConstructionError, match=match):
             serialize.read_net(csv)
 
@@ -231,7 +245,7 @@ class TestReadNetValidation:
     ], ids=["scalar-latitude", "interval-rows", "non-unit-sphere-row"])
     def test_coordinate_leaf_shapes(self, stored, edit, match):
         _, csv = stored
-        self._edit_meta(csv, lambda m: edit(m["coords"]))
+        _edit_meta(csv, lambda m: edit(m["coords"]))
         with pytest.raises(ConstructionError, match=match):
             serialize.read_net(csv)
 
@@ -240,7 +254,7 @@ class TestReadNetValidation:
         net = nets.epsilon_net(Lens(3, 1.0), 0.3, 42)
         csv = tmp_path / "lens3.csv"
         serialize.write_net(net, csv)
-        self._edit_meta(csv, lambda m: [row.append(0.0) for row in m["coords"]["left"]])
+        _edit_meta(csv, lambda m: [row.append(0.0) for row in m["coords"]["left"]])
         with pytest.raises(ConstructionError, match="sphere coordinates must be rows of 2 numbers"):
             serialize.read_net(csv)
 
@@ -253,7 +267,7 @@ class TestReadNetValidation:
     def test_coordinate_out_of_range(self, tmp_path, space, edit):
         csv = tmp_path / "net.csv"
         serialize.write_net(nets.epsilon_net(space, 0.3, 42), csv)
-        self._edit_meta(csv, lambda m: edit(m["coords"]))
+        _edit_meta(csv, lambda m: edit(m["coords"]))
         with pytest.raises(ConstructionError, match="outside"):
             serialize.read_net(csv)
         assert cli.main(["invariants", "--net", str(csv)]) == 2
@@ -262,14 +276,14 @@ class TestReadNetValidation:
     def test_coordinate_that_is_no_number(self, tmp_path, value):
         csv = tmp_path / "net.csv"
         serialize.write_net(nets.epsilon_net(Interval(1.0), 0.3, 42), csv)
-        self._edit_meta(csv, lambda m: m["coords"].__setitem__(1, value))
+        _edit_meta(csv, lambda m: m["coords"].__setitem__(1, value))
         with pytest.raises(ConstructionError):
             serialize.read_net(csv)
         assert cli.main(["invariants", "--net", str(csv)]) == 2
 
     def test_missing_n(self, stored):
         _, csv = stored
-        self._edit_meta(csv, lambda m: m.pop("n"))
+        _edit_meta(csv, lambda m: m.pop("n"))
         with pytest.raises(ConstructionError, match="'n'"):
             serialize.read_net(csv)
 
@@ -280,6 +294,155 @@ class TestReadNetValidation:
         argv = [command, "--net", str(csv)] + (["--check", "metric"] if command == "verify" else [])
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _cyclic(base, m):
+    return Quotient(base, actions.cyclic_approximation(base, m))
+
+
+@pytest.fixture()
+def loadtxt_calls(monkeypatch):
+    """The number of `np.loadtxt` calls made so far, as a one-element list."""
+    calls = [0]
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    return calls
+
+
+class TestReplay:
+    """`read_net` rebuilds a digested net from its sidecar and parses the CSV otherwise."""
+
+    @pytest.mark.parametrize("space", [
+        Lens(3, 1.0),
+        Join(Interval(PI), Interval(PI)),
+        ModelBall(1.0, PI / 4, 3),
+        Suspension(Sphere(1, 1.0)),
+        Cone(-1.0, Sphere(1, 1.0), 1.0),
+        Sphere(2, 0.5),
+        _cyclic(Cone(1.0, Sphere(1, 1.0), 1.0), 64),
+        _cyclic(Sphere(3, 1.0), 8),
+    ], ids=["lens", "join-intervals", "model-ball", "suspension", "cone", "sphere",
+            "cap-z64", "s3-z8"])
+    def test_replay_makes_no_loadtxt_call(self, tmp_path, loadtxt_calls, space):
+        net = nets.epsilon_net(space, 0.25, 1, budget=1500, allow_degrade=True)
+        csv = tmp_path / "net.csv"
+        serialize.write_net(net, csv)
+        assert serialize.net_to_bytes(serialize.read_net(csv)) == serialize.net_to_bytes(net)
+        assert loadtxt_calls[0] == 0
+
+    @pytest.fixture()
+    def stored(self, tmp_path):
+        net = nets.epsilon_net(Suspension(Sphere(1, 1.0)), 0.2, 42)
+        csv = tmp_path / "net.csv"
+        serialize.write_net(net, csv)
+        return net, csv
+
+    def test_edited_csv_entry_is_parsed(self, stored, loadtxt_calls):
+        net, csv = stored
+        D = net.dist.copy()
+        D[1, 2] = 0.125
+        np.savetxt(csv, D, delimiter=",", fmt="%.17g")
+        loaded = serialize.read_net(csv)
+        assert loadtxt_calls[0] == 1
+        assert loaded.dist[1, 2] == 0.125
+        assert loaded.dist.tobytes() == D.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["digests"].__setitem__("matrix_sha256", "0" * 64),
+        lambda m: m.pop("digests"),
+        lambda m: m["coords"]["u"].__setitem__(1, 0.25),
+        lambda m: m["is_boundary"].__setitem__(0, 1),
+    ], ids=["stale-matrix-digest", "no-digests", "edited-coordinate", "edited-flag"])
+    def test_sidecar_that_does_not_replay_is_parsed(self, stored, loadtxt_calls, edit):
+        net, csv = stored
+        _edit_meta(csv, edit)
+        loaded = serialize.read_net(csv)
+        assert loadtxt_calls[0] == 1
+        assert loaded.dist.tobytes() == net.dist.tobytes()
+
+    def test_edited_resolution_builds_no_oversized_grid(self, stored, loadtxt_calls, monkeypatch):
+        net, csv = stored
+        _edit_meta(csv, lambda m: m.__setitem__("epsilon_effective", 1e-4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a grid whose count does not fit n")
+
+        monkeypatch.setattr(nets, "grid_net", refuse)
+        loaded = serialize.read_net(csv)
+        assert loadtxt_calls[0] == 1
+        assert loaded.dist.tobytes() == net.dist.tobytes()
+
+    def test_ellipsoid_net_is_parsed(self, tmp_path, loadtxt_calls):
+        net = nets.epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42)
+        csv = tmp_path / "net.csv"
+        serialize.write_net(net, csv)
+        loaded = serialize.read_net(csv)
+        assert loadtxt_calls[0] == 1
+        assert serialize.net_to_bytes(loaded) == serialize.net_to_bytes(net)
+
+    @pytest.mark.parametrize("make", [
+        lambda: nets.epsilon_net(Lens(2, 1.0), 0.3, 42),
+        lambda: nets.epsilon_net(_cyclic(Sphere(3, 1.0), 8), 0.3, 42),
+        lambda: nets.epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42),
+    ], ids=["plain", "quotient", "ellipsoid"])
+    def test_csv_bytes_are_savetxt_and_digested(self, tmp_path, make):
+        net = make()
+        csv, ref = tmp_path / "net.csv", tmp_path / "ref.csv"
+        meta_path = serialize.write_net(net, csv)
+        np.savetxt(ref, net.dist, fmt="%.17g", delimiter=",")
+        assert csv.read_bytes() == ref.read_bytes()
+        digests = json.loads(meta_path.read_text())["digests"]
+        assert digests == {
+            "csv_sha256": hashlib.sha256(csv.read_bytes()).hexdigest(),
+            "matrix_sha256": hashlib.sha256(net.dist.tobytes()).hexdigest(),
+        }
+        assert "digests" not in serialize.net_metadata(net)
+
+
+class TestBadNetFiles:
+    """A missing or unreadable net or descriptor file exits 2 with a message."""
+
+    @pytest.fixture()
+    def csv(self, tmp_path):
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(Interval(1.0), 0.3, 42), csv)
+        return csv
+
+    def _exits_2(self, capsys, argv, match):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+
+    def test_missing_net(self, tmp_path, capsys):
+        self._exits_2(capsys, ["invariants", "--net", str(tmp_path / "missing.csv")],
+                      "cannot read net metadata")
+
+    def test_deleted_csv(self, csv, capsys):
+        csv.unlink()
+        self._exits_2(capsys, ["invariants", "--net", str(csv)], "cannot read net matrix")
+
+    def test_sidecar_not_json(self, csv, capsys):
+        csv.with_suffix(".csv.json").write_text("{not json")
+        self._exits_2(capsys, ["invariants", "--net", str(csv)], "is not valid JSON")
+
+    def test_sidecar_a_json_list(self, csv, capsys):
+        csv.with_suffix(".csv.json").write_text("[1, 2]")
+        self._exits_2(capsys, ["invariants", "--net", str(csv)], "is not a JSON object")
+
+    def test_csv_cell_not_a_number(self, csv, capsys):
+        text = csv.read_text().split(",", 1)
+        csv.write_text("abc," + text[1])
+        self._exits_2(capsys, ["verify", "--check", "metric", "--net", str(csv)],
+                      "is not a numeric CSV")
+
+    def test_missing_descriptor(self, tmp_path, capsys):
+        self._exits_2(capsys, ["construct", "--space", str(tmp_path / "nope.json"),
+                               "--out", str(tmp_path / "net.csv")], "cannot read descriptor")
 
 
 LENS, BALL = Lens(3, 1.0), ModelBall(1.0, 1.0, 2)

@@ -16,12 +16,17 @@ the audit alone can show that all other records stayed byte-identical.  Beside t
 catalogue entry, of that entry's records, so a change can show which
 entries moved.  Two more digests cover `run_example("ex3_4", dim=d)` for
 d = 2 and 3 at seed 42: a sub-case selector that `run_all` never passes.
+Each net also gets a `net-csv` line: the sha256 of the CSV that
+`serialize.write_net` writes for it (in a temporary directory), and
+whether `serialize.read_net` gives back a net with equal `net_to_bytes`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 from alexgeo import actions, harness, nets, serialize
 from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
@@ -83,9 +88,21 @@ def records_digests(seed: int) -> tuple:
     return full, _digest(docs), per_entry
 
 
-def net_digest(space) -> str:
+def net_digests(space) -> tuple:
+    """sha256 of the net's `net_to_bytes`, sha256 of its `write_net` CSV, and
+    whether `read_net` gives back the same bytes."""
     net = nets.epsilon_net(space, NET_EPSILON, NET_SEED, allow_degrade=True)
-    return _sha(serialize.net_to_bytes(net))
+    canonical = serialize.net_to_bytes(net)
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "net.csv"
+        serialize.write_net(net, csv)
+        h = hashlib.sha256()
+        with open(csv, "rb") as f:  # streamed: a 5000-point CSV is over 200 MB
+            while chunk := f.read(1 << 20):
+                h.update(chunk)
+        csv_digest = h.hexdigest()
+        same = serialize.net_to_bytes(serialize.read_net(csv)) == canonical
+    return _sha(canonical), csv_digest, same
 
 
 def main():
@@ -98,7 +115,9 @@ def main():
     for dim in DIMS:
         print(f"entry ex3_4 dim={dim} seed=42  {_digest(_report_doc(harness.run_example('ex3_4', dim=dim)))}")
     for label, space in net_cases():
-        print(f"net {label}  {net_digest(space)}")
+        digest, csv_digest, same = net_digests(space)
+        print(f"net {label}  {digest}")
+        print(f"net-csv {label}  {csv_digest}  reload {'equal' if same else 'differs'}")
 
 
 if __name__ == "__main__":
