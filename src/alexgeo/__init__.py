@@ -3,7 +3,7 @@
 Closed-form distances for spherical joins, curvature-k cones, suspensions,
 finite isometric quotients, lenses, and model balls; deterministic
 epsilon-nets with metric-axiom audits; minimax invariant estimators
-(radius, diameter, soul, edge, spine, boundary volume); and the
+(radius, diameter, soul, edge, spine) and the exact boundary volume; and the
 comparison-geometry toolkit (Riccati profiles, convexity probes,
 trace comparison, hinge audits) with a scripted reproduction catalogue.
 """

@@ -322,7 +322,6 @@ class ActionAudit:
     identity_defect: float  # largest coordinate gap on the probes to the element nearest the identity
     closure_defect: float
     isometry_defect: float
-    latitude_defect: float
     passed: bool
     n_pairs: int
 
@@ -335,8 +334,7 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     composite against the element list on sample points; the isometry
     property by |g(x) g(y)| = |x y| on random pairs, packed once and moved
     by each element as one array.  Moved points must pass the space's
-    domain check (DomainError otherwise).  Diagonal join actions must
-    preserve the latitude coordinate exactly.
+    domain check (DomainError otherwise).
     """
     from .nets import random_points
 
@@ -362,22 +360,18 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     Y = spaces.pack_points(space, random_points(space, n_pairs, rng))
     d0 = spaces.elementwise_distance(space, X, Y)
     isometry_defect = 0.0
-    latitude_defect = 0.0
     for g in action.elements[1:] if has_identity else action.elements:
         gX, gY = g.apply(X), g.apply(Y)
         space.check_coords(gX)  # a map may move points off the space
         space.check_coords(gY)
         d1 = spaces.elementwise_distance(space, gX, gY)
         isometry_defect = max(isometry_defect, float(np.max(np.abs(d0 - d1), initial=0.0)))
-        if isinstance(space, Join):
-            latitude_defect = max(latitude_defect, float(np.max(np.abs(gX.t - X.t), initial=0.0)))
     passed = has_identity and closure_defect <= tol and isometry_defect <= tol
     return ActionAudit(
         has_identity=has_identity,
         identity_defect=identity_defect,
         closure_defect=closure_defect,
         isometry_defect=isometry_defect,
-        latitude_defect=latitude_defect,
         passed=passed,
         n_pairs=n_pairs,
     )

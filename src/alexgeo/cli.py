@@ -148,7 +148,6 @@ def _cmd_example(args) -> int:
         reports = harness.run_all(
             epsilon=args.epsilon,
             seed=args.seed,
-            mc_samples=args.mc_samples,
             cyclic_order=args.cyclic_order,
             net_budget=args.budget,
         )
@@ -177,7 +176,6 @@ def _cmd_example(args) -> int:
         example_id=args.id,
         epsilon=args.epsilon,
         seed=args.seed,
-        mc_samples=args.mc_samples,
         cyclic_order=args.cyclic_order,
         net_budget=args.budget,
         dim=args.dim,
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dim", type=int, help="sub-case selector where applicable")
     e.add_argument("--epsilon", type=float, default=0.05)
     e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--mc-samples", type=int, default=1_000_000)
     e.add_argument("--cyclic-order", type=int, default=256)
     e.add_argument("--budget", type=int, default=nets_mod.DEFAULT_BUDGET)
     e.add_argument("--out", help="JSON report path")

@@ -13,13 +13,13 @@ hinges against `spaces._cone_law`, the one curvature-k law of cosines.
 
 The geodesics, the traces and the lens probes are array passes: a path's
 samples come from one array expression in the arc parameter and are returned
-packed (`ConeCoords`, radial coordinate and base rows), a trace reads
-the boundary distance of the whole packed path at once
-(`spaces.boundary_distances`), and a probe scale evaluates all its probes
-together.  The embedding oracles that the catalogue runs beside these
-audits (`harness`, `embeddings`) compare a descriptor's `formula` with the
-maps of `embeddings`, never with the Gram kernel, which on those joins is
-the embedding itself.  The hinge audits remain point-by-point loops.
+packed (`ConeCoords`, radial coordinate and base rows), a trace reads the
+boundary distance of the whole packed path at once (the descriptor's
+closed-form `spaces.boundary_distances`), and a probe scale evaluates all
+its probes together.  The embedding oracles that the catalogue runs beside
+these audits (`harness`, `embeddings`) compare a descriptor's `formula`
+with the maps of `embeddings`, never with the Gram kernel, which on those
+joins is the embedding itself.  The hinge audits remain point-by-point loops.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
-"""Net-based estimators of metric invariants.
+"""Net-based estimators of metric invariants, and the exact boundary volume.
 
 Radius and diameter are exact minimax/max scans of the net's distance
 matrix (estimates track the true values to within the covering radius).
-The soul is the interior point farthest from the boundary flags; the edge
-is the set at distance ~pi/2 from the soul and the spine the set at
-distance ~pi/2 from the edge.  All argmin/argmax ties break to the lowest
-index.
+The soul is the interior point farthest from the boundary flags (where
+``boundary_distances`` vanishes, see `nets.grid_net`); the edge is the set
+at distance ~pi/2 from the soul and the spine the set at distance ~pi/2
+from the edge.  All argmin/argmax ties break to the lowest index.
+`boundary_volume` reads no net, only the descriptor's ``volumes()``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spaces
-from .errors import PreconditionError, UnsupportedConstructionError
+from .errors import PreconditionError
 from .nets import FiniteNet
-from .spaces import Cone, Lens, PI, HALF_PI, Sphere, clamped_arccos
+from .spaces import PI, HALF_PI, Sphere, clamped_arccos
 
 
 def _per_row(D, rows, cols, reduce) -> np.ndarray:
@@ -177,66 +177,17 @@ def dual_pair_check(net: FiniteNet, A, B, tol: float) -> DualPairResult:
 
 
 # ---------------------------------------------------------------------------
-# boundary volume via analytic boundary parameterizations
+# boundary volume, in closed form from the descriptor
 # ---------------------------------------------------------------------------
 
 
-def unit_sphere_volume(d: int) -> float:
-    """d-volume of the unit d-sphere S^d(1)."""
-    return 2.0 * PI ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
-
-
-@dataclass
-class VolumeEstimate:
-    value: float
-    stderr: float
-    samples: int
-
-
-def boundary_volume(space, samples: int, seed: int) -> VolumeEstimate:
-    """Monte-Carlo (n-1)-volume of the boundary, deterministic given seed.
-
-    Supported: lenses (two totally geodesic faces) and cones over
-    boundaryless spheres, so model balls (distance spheres of radius sn_k(r0)).
-    """
-    rng = np.random.default_rng(seed)
-    if isinstance(space, Lens):
-        n = space.dim
-        d = n - 2  # sphere-factor dimension; faces are (n-1)-dim
-        t = rng.uniform(0.0, HALF_PI, samples)
-        vals = 2.0 * unit_sphere_volume(d) * HALF_PI * np.cos(t) ** d
-        return _mc_summary(vals)
-    if isinstance(space, Cone):
-        if space.base.has_boundary():
-            raise UnsupportedConstructionError(
-                "boundary volume for cones supports boundaryless sphere bases only"
-            )
-        if not isinstance(space.base, Sphere):
-            raise UnsupportedConstructionError(
-                "boundary volume for cones needs a sphere base (analytic area)"
-            )
-        scale = spaces.sn_k(space.k, space.r0) * space.base.radius
-        return _sphere_area_mc(space.base.dim, scale, samples, rng)
-    raise PreconditionError(
-        f"{type(space).__name__} has no supported analytic boundary parameterization"
-    )
-
-
-def _sphere_area_mc(d: int, rho: float, samples: int, rng) -> VolumeEstimate:
-    """MC area of a d-sphere of radius rho via the colatitude decomposition."""
-    if d == 0:
-        vals = np.full(samples, 2.0)
-    else:
-        t = rng.uniform(0.0, PI, samples)
-        vals = unit_sphere_volume(d - 1) * PI * np.sin(t) ** (d - 1) * rho**d
-    return _mc_summary(vals)
-
-
-def _mc_summary(vals: np.ndarray) -> VolumeEstimate:
-    n = vals.shape[0]
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return VolumeEstimate(value=mean, stderr=stderr, samples=n)
+def boundary_volume(space) -> float:
+    """The exact (n-1)-volume of the boundary, ``space.volumes()[1]``: UnsupportedConstructionError
+    for quotients and the ellipsoid, PreconditionError on a space without boundary."""
+    bdry = space.volumes()[1]
+    if not space.has_boundary():
+        raise PreconditionError(f"{type(space).__name__} has no boundary")
+    return bdry
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ density follows the volume element), and a quotient's base grid, which
 grid, are subsampled by farthest points here.  Nets are deterministic given
 (space, epsilon, seed) and immutable after construction.
 
-A net records both the requested resolution and the effective covering
-target actually built.  `epsilon_net` counts before it builds: each kind's
-closed-form ``net_count(eps)`` gives the grid's size without allocating it.
-When the point budget cannot support the requested resolution the builder
-either raises CapacityError with that count or, with ``allow_degrade=True``,
+A grid net's boundary flags are the points where the descriptor's
+closed-form ``boundary_distances`` is at most BOUNDARY_TOL.  A net records
+both the requested resolution and the effective covering target actually
+built.  `epsilon_net` counts before it builds: each kind's closed-form
+``net_count(eps)`` gives the grid's size without allocating it.  When the
+point budget cannot support the requested resolution the builder either
+raises CapacityError with that count or, with ``allow_degrade=True``,
 coarsens uniformly on counts alone and reports the effective value; only
 the grid it keeps is built, by `grid_net(space, eff)`.  That is the one
 construction path of grid nets: `serialize.read_net` replays stored nets
@@ -47,6 +49,9 @@ DEFAULT_BUDGET = 5000
 # Quotient net points closer than this are one orbit point.  Orbit copies
 # read up to ~1.5e-8 apart (arccos resolution near 0), so it must sit above that.
 DEDUPE_TOL = 1e-7
+# A grid point is flagged where its closed-form distance to the boundary is
+# at most this; grid points on a face read 0 to within a few ulps.
+BOUNDARY_TOL = 1e-12
 
 
 @dataclass
@@ -326,18 +331,19 @@ def grid_net(space, eff: float):
 
     The grid is ``space.net_grid(eff)`` with its `self_distance_matrix`;
     a quotient's grid is then deduped into orbit points, its matrix
-    compacted in place.  `epsilon_net` builds every grid net through this,
-    and `serialize.read_net` replays stored nets through it.
+    compacted in place.  A point is flagged as a boundary point where the
+    closed-form ``space.boundary_distances`` is at most BOUNDARY_TOL.
+    `epsilon_net` builds every grid net through this, and
+    `serialize.read_net` replays stored nets through it.
     """
-    coords, flags = space.net_grid(eff)
+    coords = space.net_grid(eff)
     D = self_distance_matrix(space, coords)
     if isinstance(space, Quotient):
         keep = _dedupe_indices(D, DEDUPE_TOL)
         if keep.shape[0] < D.shape[0]:
             coords = coords_take(coords, keep)
-            flags = flags[keep]
             D = _compact(D, keep)
-    return coords, flags, D
+    return coords, space.boundary_distances(coords) <= BOUNDARY_TOL, D
 
 
 def _dedupe_indices(D: np.ndarray, tol: float) -> np.ndarray:

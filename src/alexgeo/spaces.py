@@ -4,8 +4,8 @@ A descriptor is an immutable, recursive description of a metric space:
 primitive factors (round spheres, intervals, ellipsoid surfaces) and
 composite constructions (spherical join, curvature-k cone, suspension,
 finite isometric quotient).  A lens is a join and a model ball a cone, so
-they share every formula, sampler and codec of their construction; only
-their boundary faces and their JSON are their own.  Every descriptor except
+they share every formula, sampler, boundary law and codec of their
+construction; only their JSON is their own.  Every descriptor except
 the ellipsoid evaluates distances by an explicit formula; the ellipsoid is
 handled by a graph geodesic engine built on a surface net (see
 ``alexgeo.nets``).
@@ -32,17 +32,21 @@ answers for itself, recursing into its factors: ``dim``, ``has_boundary()``,
 ``diameter_bound()``, the factor checks ``check_join_factor(side)`` and
 ``check_cone_base()``; scalar ``distance(p, q)``, ``pack(points)``,
 ``check_coords(coords, error)``, ``random_points(n, rng)`` and
-``canonical_point()``; the net grid ``net_grid(eps, phase)`` and its size
-``net_count(eps)``, which `nets.epsilon_net` reads before it builds the
-grid (every kind but the ellipsoid); the kernels ``kernel(A, B, cross)``
-(the root of `cross_distance` and `elementwise_distance`),
+``canonical_point()``; the boundary recursion ``boundary_distances(coords)``
+(closed-form d(., boundary), +inf without one) and ``volumes()`` (exact vol X
+and vol of its boundary; not for quotients or the ellipsoid); the net grid
+``net_grid(eps, phase)`` (points, which `nets.grid_net` flags from
+``boundary_distances``) and its size ``net_count(eps)``, which
+`nets.epsilon_net` reads before it builds the grid (every kind but the
+ellipsoid); the kernels ``kernel(A, B, cross)`` (the root of
+`cross_distance` and `elementwise_distance`),
 ``formula(A, B, cross)`` (the per-factor laws), ``gram_embeddable()``,
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
 and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its
 JSON, ``to_json()``.  The module functions (`distance`, `pack_points`,
-`cross_distance`, ...) call these methods.  Joins, cones, suspensions and
-quotients accept only descriptors as factors.
+`cross_distance`, `boundary_distances`, ...) call these methods.  Joins,
+cones, suspensions and quotients accept only descriptors as factors.
 
 Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
 suspensions and k = 1 cones built from them (so lenses and k = 1 model
@@ -84,7 +88,8 @@ functions ``sn_k``, ``md_k(t) = 2 sn_k(t/2)^2`` and ``cs_k = 1 - k md_k`` of
 Alexander, Kapovitch and Petrunin (*Alexandrov geometry: foundations*), and
 in ``_cone_law``, the one curvature-k law of cosines of every cone and
 suspension distance and kernel.  Like `clamped_arccos`, they evaluate
-numbers through `math` and arrays through numpy.
+numbers through `math` and arrays through numpy; ``_arcsn_k``, the inverse
+of the cone's boundary law, goes through ``_arcmd_k``.
 """
 
 from __future__ import annotations
@@ -277,6 +282,28 @@ def _arcmd_k(k: float, m):
     return 2.0 * (xp.asin(s * h) if k > 0.0 else xp.asinh(s * h)) / s
 
 
+def _arcsn_k(k: float, x: np.ndarray) -> np.ndarray:
+    """The inverse of `sn_k` on [0, pi/(2 sqrt(k))]: `_arcmd_k` of md_k = sn_k^2 / (1 + cs_k)."""
+    x2 = x * x
+    return _arcmd_k(k, x2 / (1.0 + np.sqrt(np.maximum(1.0 - k * x2, 0.0))))
+
+
+def unit_sphere_volume(d: int) -> float:
+    """d-volume of the unit d-sphere S^d(1); 2 for the two points of S^0."""
+    return 2.0 * PI ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+
+
+def _join_weight(a: int, b: int) -> float:
+    """The integral of cos^a t sin^b t over [0, pi/2], B((a+1)/2, (b+1)/2) / 2."""
+    return math.gamma((a + 1) / 2.0) * math.gamma((b + 1) / 2.0) / (2.0 * math.gamma((a + b) / 2.0 + 1.0))
+
+
+def _face_distance(g: np.ndarray, w: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """arcsin(w sin g): the distance to a join face from weight w = sin(exact)
+    on a factor at distance g from its boundary; past pi/2, exactly `exact`."""
+    return np.where(g >= HALF_PI, exact, np.arcsin(w * np.sin(g)))
+
+
 def _rejection_sample(rng, n, lo, hi, weight):
     out = np.empty(n)
     got = 0
@@ -291,8 +318,8 @@ def _rejection_sample(rng, n, lo, hi, weight):
 
 
 # ---------------------------------------------------------------------------
-# net grids: `net_grid(eps, phase)` answers (packed points, boundary flags)
-# with covering radius about eps, and `net_count(eps)` its number of points
+# net grids: `net_grid(eps, phase)` answers packed points with covering
+# radius about eps, and `net_count(eps)` its number of points
 # in closed form.  Joins, cones and suspensions stack latitude layers whose
 # factor grids follow the layer's metric scale, so point density follows the
 # volume element; `phase` staggers the circle grids of successive layers.  A
@@ -345,9 +372,7 @@ def _layer_eps(space, weight: float, cov: float):
 def _layer(cov: float, space, weight: float, phase: float):
     """A factor's part of one layer: its canonical point or its grid, as `_layer_eps` says."""
     e = _layer_eps(space, weight, cov)
-    if e is None:
-        return pack_points(space, [space.canonical_point()]), np.zeros(1, dtype=bool)
-    return space.net_grid(e, phase)
+    return pack_points(space, [space.canonical_point()]) if e is None else space.net_grid(e, phase)
 
 
 def _layer_count(cov: float, space, weight: float, phase: float) -> int:
@@ -534,8 +559,16 @@ class SpaceDescriptor:
         EA = self.gram_embedding(A)
         return EA, [EA if B is A else self.gram_embedding(B)]
 
+    def boundary_distances(self, coords) -> np.ndarray:
+        """d(., boundary) of packed points in closed form; +inf on a space without boundary."""
+        return np.full(coords_len(coords), math.inf)
+
+    def volumes(self) -> tuple:
+        """(vol X, vol of the boundary of X), each in its own dimension."""
+        raise UnsupportedConstructionError(f"no closed-form volume for {type(self).__name__}")
+
     def net_grid(self, eps: float, phase: float = 0.0):
-        """(packed points, boundary flags) covering the space to about `eps`."""
+        """Packed points covering the space to about `eps`."""
         raise self._no_grid()
 
     def net_count(self, eps: float) -> int:
@@ -645,6 +678,9 @@ class Sphere(SpaceDescriptor):
         e[0] = 1.0
         return e
 
+    def volumes(self) -> tuple:
+        return unit_sphere_volume(self.dim) * self.radius**self.dim, 0.0
+
     def net_count(self, eps: float) -> int:
         r = self.radius
         if self.dim == 0:
@@ -668,7 +704,7 @@ class Sphere(SpaceDescriptor):
             pts = _fibonacci_sphere(n)
         else:
             pts = _hopf_lattice(eps / self.radius)
-        return pts, np.zeros(pts.shape[0], dtype=bool)
+        return pts
 
     def to_json(self) -> dict:
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
@@ -721,14 +757,17 @@ class Interval(SpaceDescriptor):
     def canonical_point(self):
         return self.length / 2.0
 
+    def boundary_distances(self, coords) -> np.ndarray:
+        return np.minimum(coords, self.length - coords)
+
+    def volumes(self) -> tuple:
+        return self.length, 2.0
+
     def net_count(self, eps: float) -> int:
         return max(2, math.ceil(self.length / eps))
 
     def net_grid(self, eps: float, phase: float = 0.0):
-        n = self.net_count(eps)
-        flags = np.zeros(n, dtype=bool)
-        flags[0] = flags[-1] = True
-        return np.linspace(0.0, self.length, n), flags
+        return np.linspace(0.0, self.length, self.net_count(eps))
 
     def to_json(self) -> dict:
         return {"kind": "interval", "length": self.length}
@@ -856,6 +895,23 @@ class Join(SpaceDescriptor):
     def canonical_point(self):
         return (self.left.canonical_point(), 0.0, self.right.canonical_point())
 
+    def boundary_distances(self, coords) -> np.ndarray:
+        # the faces boundary(left) * right, at weight cos t, and left * boundary(right), at sin t
+        t = coords.t
+        f = np.full(t.shape[0], math.inf)
+        if self.left.has_boundary():
+            f = _face_distance(self.left.boundary_distances(coords.left), np.cos(t), HALF_PI - t)
+        if self.right.has_boundary():
+            f = np.minimum(f, _face_distance(self.right.boundary_distances(coords.right), np.sin(t), t))
+        return f
+
+    def volumes(self) -> tuple:
+        # vol X vol Y times the integral of cos^a sin^b; the boundary is boundary(X) * Y and X * boundary(Y)
+        (vl, bl), (vr, br) = self.left.volumes(), self.right.volumes()
+        a, b = self.left.dim, self.right.dim
+        bdry = (bl * vr * _join_weight(a - 1, b) if bl else 0.0) + (vl * br * _join_weight(a, b - 1) if br else 0.0)
+        return vl * vr * _join_weight(a, b), bdry
+
     def _layers(self, eps: float):
         """(cov, [(t, parts), ...]): latitude layers, each the product of the
         factors' parts (factor, weight, phase) at scales cos t and sin t."""
@@ -868,20 +924,14 @@ class Join(SpaceDescriptor):
     net_count = _layered_count
 
     def net_grid(self, eps: float, phase: float = 0.0):
-        # the layer t = 0 (the left factor) lies in left * boundary(right),
-        # the layer t = pi/2 in boundary(left) * right
         cov, layers = self._layers(eps)
-        parts, flags = [], []
-        for j, (t, factors) in enumerate(layers):
-            (lc, lf), (rc, rf) = (_layer(cov, *part) for part in factors)
+        parts = []
+        for t, factors in layers:
+            lc, rc = (_layer(cov, *part) for part in factors)
             nl, nr = coords_len(lc), coords_len(rc)
             li, ri = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
-            f = lf[li] | rf[ri]
-            if (j == 0 and self.right.has_boundary()) or (j == len(layers) - 1 and self.left.has_boundary()):
-                f = np.ones(nl * nr, dtype=bool)
             parts.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
-            flags.append(f)
-        return coords_concat(parts), np.concatenate(flags)
+        return coords_concat(parts)
 
     def to_json(self) -> dict:
         return {"kind": "join", "left": self.left.to_json(), "right": self.right.to_json()}
@@ -892,12 +942,35 @@ class _OverBase(SpaceDescriptor):
 
     A suspension is the k = 1 cone law in its colatitude, top = pi.  A kind
     sets `_record`, its `_radial` field and name `_what`, its least number of
-    net layers `_min_layers`, and `_law()` = (k, top).
+    net layers `_min_layers`, whether the layer t = top is a boundary
+    `_capped`, and `_law()` = (k, top).
     """
 
     @property
     def dim(self) -> int:
         return self.base.dim + 1
+
+    def has_boundary(self) -> bool:
+        return self._capped or self.base.has_boundary()
+
+    def boundary_distances(self, coords) -> np.ndarray:
+        # the cone over boundary(base), a right triangle's leg arcsn_k(sn_k(t) sin g); and the cap
+        k, top = self._law()
+        t = getattr(coords, self._radial)
+        f = np.full(t.shape[0], math.inf)
+        if self.base.has_boundary():
+            f = _arcsn_k(k, sn_k(k, t) * np.sin(np.minimum(self.base.boundary_distances(coords.base), HALF_PI)))
+        return np.minimum(top - t, f) if self._capped else f
+
+    def volumes(self) -> tuple:
+        # the volume element sn_k(t)^d; the boundary is the cone over boundary(base) and the cap
+        k, top = self._law()
+        d = self.base.dim
+        vol, bdry = self.base.volumes()
+        x, w = np.polynomial.legendre.leggauss(32)  # exact to rounding on these entire integrands
+        sn = sn_k(k, 0.5 * top * (x + 1.0))
+        side = bdry * 0.5 * top * float(w @ sn ** (d - 1)) if bdry else 0.0
+        return 0.5 * top * vol * float(w @ sn**d), side + (vol * sn_k(k, top) ** d if self._capped else 0.0)
 
     def pack(self, points):
         radial, base = _columns(points, 2)
@@ -948,18 +1021,12 @@ class _OverBase(SpaceDescriptor):
     net_count = _layered_count
 
     def net_grid(self, eps: float, phase: float = 0.0):
-        # the first layer (apex or pole) lies on the boundary iff the base has
-        # one, the last (the cap or the other pole) iff the space has one
         cov, layers = self._layers(eps)
-        parts, flags = [], []
-        for j, (t, (part,)) in enumerate(layers):
-            bc, bf = _layer(cov, *part)
-            nb = coords_len(bc)
-            if (j == 0 and self.base.has_boundary()) or (j == len(layers) - 1 and self.has_boundary()):
-                bf = np.ones(nb, dtype=bool)
-            parts.append(self._record(np.full(nb, t), bc))
-            flags.append(bf)
-        return coords_concat(parts), np.concatenate(flags)
+        parts = []
+        for t, (part,) in layers:
+            bc = _layer(cov, *part)
+            parts.append(self._record(np.full(coords_len(bc), t), bc))
+        return coords_concat(parts)
 
 
 @dataclass(frozen=True)
@@ -972,6 +1039,7 @@ class Cone(_OverBase):
     _record = ConeCoords
     _radial, _what = "t", "cone radial"
     _min_layers = 2
+    _capped = True
 
     def __post_init__(self):
         object.__setattr__(self, "k", float(self.k))
@@ -989,9 +1057,6 @@ class Cone(_OverBase):
 
     def _law(self):
         return self.k, self.r0
-
-    def has_boundary(self) -> bool:
-        return True  # the cap t = r0 (plus any base boundary)
 
     def diameter_bound(self) -> float:
         return PI / math.sqrt(self.k) if self.k > 0 else 2.0 * self.r0
@@ -1020,14 +1085,13 @@ class Suspension(_OverBase):
     _record = SuspCoords
     _radial, _what = "u", "suspension colatitude"
     _min_layers = 3
+    _capped = False
 
     def __post_init__(self):
         _factor(self.base, "suspension base").check_join_factor("suspension base")
 
     def _law(self):
         return 1.0, PI
-
-    has_boundary = _as_base("has_boundary")
 
     def distance(self, p, q) -> float:
         return suspension_distance(p, q, self.base.distance)
@@ -1056,6 +1120,7 @@ class Quotient(SpaceDescriptor):
 
     # its points, samples, bounds and factor rules are those of the base
     has_boundary = _as_base("has_boundary")
+    boundary_distances = _as_base("boundary_distances")
     diameter_bound = _as_base("diameter_bound")
     check_join_factor = _as_base("check_join_factor")
     check_cone_base = _as_base("check_cone_base")
@@ -1183,28 +1248,13 @@ def double_join(space):
 
 
 def boundary_distance(space, p) -> float:
-    """Analytic distance from one point to the boundary: `boundary_distances` of one row."""
+    """Closed-form distance from one point to the boundary: `boundary_distances` of one row."""
     return float(boundary_distances(space, pack_points(space, [p]))[0])
 
 
 def boundary_distances(space, coords) -> np.ndarray:
-    """Analytic distances to the boundary of packed points (cones, so model balls, and lenses only)."""
-    if isinstance(space, Cone):
-        if space.base.has_boundary():
-            raise UnsupportedConstructionError(
-                "analytic boundary distance supports cones over boundaryless bases only"
-            )
-        return space.r0 - coords.t
-    if isinstance(space, Lens):
-        # distance to the face at gap ds is arcsin(sin t sin ds) while the foot
-        # stays interior (ds <= pi/2); beyond that the rim (t' = 0) is closest
-        t = coords.t
-        faces = [np.where(ds >= HALF_PI, t, np.arcsin(np.minimum(1.0, np.sin(t) * np.sin(ds))))
-                 for ds in (coords.right, space.alpha - coords.right)]
-        return np.minimum(*faces)
-    raise UnsupportedConstructionError(
-        f"no analytic boundary distance for {type(space).__name__}"
-    )
+    """Closed-form distances of packed points to the boundary, +inf without one."""
+    return space.boundary_distances(coords)
 
 
 # ---------------------------------------------------------------------------

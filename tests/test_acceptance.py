@@ -119,10 +119,9 @@ def test_criterion_5_maximal_volume_family():
     details = []
     for n, expected in ((2, 2.0 * PI), (3, 4.0 * PI)):
         for alpha in (0.5, 1.5, PI):
-            est = inv.boundary_volume(Lens(n, alpha), 1_000_000, 42)
-            tol = max(3.0 * est.stderr, 1e-9)
-            ok = ok and abs(est.value - expected) <= tol
-            details.append(f"L_{alpha:g}^{n}: {est.value:.5f}+-{est.stderr:.1e}")
+            vol = inv.boundary_volume(Lens(n, alpha))
+            ok = ok and abs(vol - expected) <= 1e-12
+            details.append(f"L_{alpha:g}^{n}: {vol:.15f} (exact, tol 1e-12)")
     _line(5, "maximal-volume family", ok, "; ".join(details[:3]) + " ...")
 
 

@@ -148,6 +148,16 @@ class TestToolkit:
             assert type(back) is float
             assert back == pytest.approx(t, rel=1e-13, abs=1e-15)
 
+    def test_arcsn_inverts_sn(self, k):
+        # on the ascending branch [0, pi/(2 sqrt(k))]; sn_k flattens at its
+        # top, where the round trip loses a few more bits
+        top = 3.0 if k <= 0.0 else HALF_PI / math.sqrt(k)
+        t = np.linspace(0.0, top, 2001)
+        back = spaces._arcsn_k(k, sn_k(k, t))
+        inner = t <= 0.99 * top
+        assert np.max(np.abs(back - t)[inner]) <= 1e-14
+        assert np.max(np.abs(back - t)) <= 5e-14
+
     def test_floats_and_arrays_agree(self, k):
         t = _ts(k, 25)
         for f, x in ((sn_k, t), (md_k, t), (cs_k, t), (spaces._arcmd_k, md_k(k, t))):

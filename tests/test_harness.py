@@ -146,7 +146,7 @@ def catalogue():
 
 RECORD_COUNTS = {
     "ex3_1": 8, "ex3_2": 1, "ex3_3": 8, "ex3_4": 6, "ex3_5": 6, "ex3_6": 6, "ex3_7": 6,
-    "ex3_8": 7, "ex3_9": 6, "lens_volume": 7, "cone_rigidity": 7, "ball_convexity": 8,
+    "ex3_8": 6, "ex3_9": 6, "lens_volume": 7, "cone_rigidity": 7, "ball_convexity": 8,
     "join_reassoc": 4,
 }
 

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo import actions, invariants as inv, nets
-from alexgeo.errors import PreconditionError
+from alexgeo import actions, invariants as inv, nets, spaces
+from alexgeo.errors import PreconditionError, UnsupportedConstructionError
 from alexgeo.harness import projective_lens_quotient
 from alexgeo.nets import epsilon_net
-from alexgeo.spaces import Cone, Interval, Lens, ModelBall, Sphere, Suspension
+from alexgeo.spaces import Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
 
 PI = math.pi
 HALF_PI = math.pi / 2.0
@@ -273,35 +273,62 @@ class TestDualPair:
             inv.dual_pair_check(net, [0, 1], [1, 2], tol=0.1)
 
 
+def _petrunin_ratio(space) -> float:
+    """vol of the boundary over vol S^(n-1), which curv >= 1 bounds by 1 (Petrunin)."""
+    return inv.boundary_volume(space) / spaces.unit_sphere_volume(space.dim - 1)
+
+
 class TestBoundaryVolume:
     def test_lens_faces_give_unit_sphere_volume(self):
-        for n, expected in ((2, 2.0 * PI), (3, 4.0 * PI)):
+        for n in (2, 3):
             for alpha in (0.5, 1.5, PI):
-                est = inv.boundary_volume(Lens(n, alpha), 200_000, 42)
-                tol = max(3.0 * est.stderr, 1e-9)
-                assert abs(est.value - expected) <= tol
+                assert abs(_petrunin_ratio(Lens(n, alpha)) - 1.0) <= 1e-12
 
-    def test_alpha_independence_within_three_sigma(self):
-        vals = [inv.boundary_volume(Lens(3, a), 200_000, 42) for a in (0.5, 1.5, PI)]
-        for v in vals[1:]:
-            assert abs(v.value - vals[0].value) <= 3.0 * (v.stderr + vals[0].stderr) + 1e-12
+    def test_alpha_independence(self):
+        vals = [inv.boundary_volume(Lens(3, a)) for a in (0.5, 1.5, PI)]
+        assert vals == [vals[0]] * 3
+
+    def test_interval_join_and_spherical_ball_ratios(self):
+        assert abs(_petrunin_ratio(Join(Interval(PI), Interval(PI))) - 1.0) <= 1e-12
+        assert abs(_petrunin_ratio(ModelBall(1.0, PI / 4.0, 3)) - 0.5) <= 1e-12
 
     def test_flat_disk_circumference(self):
-        est = inv.boundary_volume(ModelBall(0.0, 0.7, 2), 100_000, 1)
-        assert est.value == pytest.approx(2.0 * PI * 0.7, abs=max(3.0 * est.stderr, 1e-9))
+        assert abs(inv.boundary_volume(ModelBall(0.0, 0.7, 2)) - 2.0 * PI * 0.7) <= 1e-12
 
     def test_cone_cap_area(self):
-        est = inv.boundary_volume(Cone(1.0, Sphere(1, 1.0), HALF_PI), 100_000, 1)
-        assert est.value == pytest.approx(2.0 * PI, abs=max(3.0 * est.stderr, 1e-9))
+        assert abs(inv.boundary_volume(Cone(1.0, Sphere(1, 1.0), HALF_PI)) - 2.0 * PI) <= 1e-12
 
-    def test_deterministic_given_seed(self):
-        a = inv.boundary_volume(Lens(3, 1.0), 50_000, 9)
-        b = inv.boundary_volume(Lens(3, 1.0), 50_000, 9)
-        assert a == b
+    def test_negative_controls_exceed_the_bound(self):
+        # curvature 0 and -1: the flat disk of radius 1.5 and the hyperbolic cap of radius 1
+        for space, ratio in ((ModelBall(0.0, 1.5, 2), 1.5), (Cone(-1.0, Sphere(1, 1.0), 1.0), math.sinh(1.0))):
+            assert abs(_petrunin_ratio(space) - ratio) <= 1e-12
+            assert _petrunin_ratio(space) > 1.1
+
+    def test_bounded_bases_and_factors(self):
+        # the cone over boundary(base) and the faces boundary(X) * Y count too
+        assert abs(inv.boundary_volume(Cone(1.0, Interval(1.0), 1.0)) - (math.sin(1.0) + 2.0)) <= 1e-12
+        assert abs(inv.boundary_volume(Cone(0.0, Interval(1.0), 1.0)) - 3.0) <= 1e-12
+        assert abs(inv.boundary_volume(Suspension(Interval(1.0))) - 2.0 * PI) <= 1e-12
+        assert abs(inv.boundary_volume(Join(Interval(1.0), Interval(0.5))) - 3.0) <= 1e-12
+
+    def test_volumes_of_known_spaces(self):
+        for space, vol in ((Sphere(2, 0.5), PI), (Lens(2, 1.5), 3.0), (Lens(3, 1.5), 1.5 * PI),
+                           (ModelBall(0.0, 0.7, 2), PI * 0.49), (Suspension(Sphere(1, 1.0)), 4.0 * PI),
+                           (Join(Sphere(1, 1.0), Sphere(1, 1.0)), 2.0 * PI * PI),
+                           (Cone(-1.0, Sphere(1, 1.0), 1.0), 2.0 * PI * (math.cosh(1.0) - 1.0))):
+            assert abs(space.volumes()[0] - vol) <= 1e-12 * vol, space
 
     def test_boundaryless_rejected(self):
-        with pytest.raises(PreconditionError):
-            inv.boundary_volume(Sphere(2, 1.0), 1000, 0)
+        for space in (Sphere(2, 1.0), Suspension(Sphere(1, 1.0))):
+            with pytest.raises(PreconditionError):
+                inv.boundary_volume(space)
+
+    def test_quotients_and_the_ellipsoid_have_no_closed_form(self):
+        circle = Sphere(1, 1.0)
+        fold = actions.GroupAction(circle, (actions.Identity(), actions.OrthogonalMap(actions.circle_reflection_matrix())))
+        for space in (projective_lens_quotient(2, 1.0), Quotient(circle, fold), Ellipsoid(0.7, 1.0 / 3.0, 0.25)):
+            with pytest.raises(UnsupportedConstructionError):
+                inv.boundary_volume(space)
 
 
 class TestConvexDiameter:

@@ -179,11 +179,14 @@ class TestNetGrid:
     @pytest.mark.parametrize("space", [space for _, space in _NET_CASES], ids=[label for label, _ in _NET_CASES])
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_grid_points_lie_in_the_space(self, space, eps):
-        coords, flags = space.net_grid(eps)
+        coords = space.net_grid(eps)
         space.check_coords(coords)
-        assert flags.shape == (spaces.coords_len(coords),)
-        if not space.has_boundary():
-            assert not flags.any()
+        f = space.boundary_distances(coords)
+        assert f.shape == (spaces.coords_len(coords),)
+        if space.has_boundary():
+            assert np.isfinite(f).all() and (f >= 0.0).all() and (f <= nets.BOUNDARY_TOL).any()
+        else:
+            assert (f == np.inf).all()
 
     @pytest.mark.parametrize("space", [Ellipsoid(0.7, 1.0 / 3.0, 0.25), Sphere(4, 1.0)])
     def test_kinds_without_a_grid_raise(self, space):
@@ -213,12 +216,12 @@ def _no_grids(monkeypatch):
 def _degrade_by_grids(space, epsilon, budget):
     """The degrade iteration as it ran before counts: (eff, n) of the grid it keeps."""
     eff = float(epsilon)
-    n = spaces.coords_len(space.net_grid(eff)[0])
+    n = spaces.coords_len(space.net_grid(eff))
     for _ in range(24):
         if n <= budget:
             break
         eff *= 1.03 * (n / budget) ** (1.0 / max(1, space.dim))
-        n = spaces.coords_len(space.net_grid(eff)[0])
+        n = spaces.coords_len(space.net_grid(eff))
     return eff, n
 
 
@@ -232,7 +235,7 @@ class TestNetCount:
                     skipped.append((label, eps))
                     continue
                 for phase in (0.0, 0.7):
-                    assert count == spaces.coords_len(space.net_grid(eps, phase)[0]), (label, eps, phase)
+                    assert count == spaces.coords_len(space.net_grid(eps, phase)), (label, eps, phase)
         assert len(skipped) == SKIPPED_COUNTS, skipped
 
     def test_capacity_error_required_is_the_count(self, monkeypatch):

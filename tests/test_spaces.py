@@ -551,6 +551,19 @@ class TestSharedDomainCheck:
             make()
 
 
+# (id, space, epsilon) of every bounded kind: the nets that
+# `test_lens_matches_net_boundary_distance` checks f against
+_BOUNDED = [
+    ("Lens(2, 1.5)", Lens(2, 1.5), 0.04),
+    ("Join(I(pi), I(pi))", Join(Interval(PI), Interval(PI)), 0.05),
+    ("Suspension(I(1))", Suspension(Interval(1.0)), 0.04),
+    ("Cone(1, I(1), 1)", Cone(1.0, Interval(1.0), 1.0), 0.04),
+    ("Cone(0, I(1), 1)", Cone(0.0, Interval(1.0), 1.0), 0.04),
+    ("Join(Suspension(I(0.5)), I(1))", Join(Suspension(Interval(0.5)), Interval(1.0)), 0.05),
+    ("spine_example_quotient(True)", harness.spine_example_quotient(True), 0.05),
+]
+
+
 class TestBoundaryDistance:
     def test_ball_and_cone_are_radial(self):
         ball = ModelBall(1.0, 1.2, 2)
@@ -558,17 +571,41 @@ class TestBoundaryDistance:
         cone = Cone(0.0, Sphere(1, 1.0), 2.0)
         assert spaces.boundary_distance(cone, (0.5, np.array([1.0, 0.0]))) == pytest.approx(1.5)
 
-    def test_lens_matches_net_boundary_distance(self):
-        lens = Lens(2, 1.5)
-        net = nets.epsilon_net(lens, 0.04, 21)
+    @pytest.mark.parametrize("space, eps", [case[1:] for case in _BOUNDED], ids=[case[0] for case in _BOUNDED])
+    def test_lens_matches_net_boundary_distance(self, space, eps):
+        # f is the distance to the boundary, so no flagged net point is
+        # nearer; the flagged points cover the boundary, so one is near the foot
+        net = nets.epsilon_net(space, eps, 21, budget=2500, allow_degrade=True)
         rng = np.random.default_rng(13)
         bdry = net.boundary_indices()
-        for p in nets.random_points(lens, 40, rng):
-            analytic = spaces.boundary_distance(lens, p)
-            pk = spaces.pack_points(lens, [p])
-            d = spaces.cross_distance(lens, pk, net.coords)[0]
+        for p in nets.random_points(space, 40, rng):
+            f = spaces.boundary_distance(space, p)
+            d = spaces.cross_distance(space, spaces.pack_points(space, [p]), net.coords)[0]
             observed = float(d[bdry].min())
-            assert observed == pytest.approx(analytic, abs=2.0 * net.epsilon_effective)
+            assert f <= observed + 1e-12
+            assert observed - f <= 2.0 * net.epsilon_effective
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_hemisphere_grid_matches_the_face_formula(self, n):
+        lens = Lens(n, PI)
+        coords = lens.net_grid(0.1)
+        assert np.array_equal(spaces.boundary_distances(lens, coords), _lens_faces(lens, coords))
+
+    def test_spaces_without_boundary_read_inf(self):
+        for space in (Sphere(2, 1.0), Suspension(Sphere(1, 1.0)), Join(Sphere(1, 1.0), Sphere(1, 0.75)),
+                      Ellipsoid(0.7, 1.0 / 3.0, 0.25)):
+            assert spaces.boundary_distance(space, space.canonical_point()) == math.inf
+
+
+def _lens_faces(lens, coords):
+    """d(., boundary) of a lens by its two faces s = 0 and s = alpha: the
+    reference the recursion must reproduce bit for bit.  The distance to the
+    face at gap ds is arcsin(sin t sin ds) while the foot stays interior
+    (ds <= pi/2); beyond that the rim (t' = 0) is closest."""
+    t = coords.t
+    faces = [np.where(ds >= HALF_PI, t, np.arcsin(np.minimum(1.0, np.sin(t) * np.sin(ds))))
+             for ds in (coords.right, lens.alpha - coords.right)]
+    return np.minimum(*faces)
 
 
 def _matrix_spaces():

@@ -12,9 +12,11 @@ Usage, from the repository root:
 It takes no options.  The catalogue is run at seeds 42, 1 and 7; each net
 is built at epsilon 0.1, seed 1.  Per seed it prints two digests: of every
 record, and of every record but the metric audits' records, so a change to
-the audit alone can show that all other records stayed byte-identical.  Beside them it prints one digest per
-catalogue entry, of that entry's records, so a change can show which
-entries moved.  Two more digests cover `run_example("ex3_4", dim=d)` for
+the audit alone can show that all other records stayed byte-identical.
+Beside them it prints two digests per catalogue entry: of that entry's
+report (config and records), and of its records alone, so a change can show
+which entries moved and, where only the config moved, that the records did
+not.  Two more digests cover `run_example("ex3_4", dim=d)` for
 d = 2 and 3 at seed 42: a sub-case selector that `run_all` never passes.
 Each net also gets a `net-csv` line: the sha256 of the CSV that
 `serialize.write_net` writes for it (in a temporary directory), and
@@ -79,10 +81,10 @@ def _report_doc(report) -> dict:
 
 def records_digests(seed: int) -> tuple:
     """Digests of the `run_all` reports, with and without the audit records,
-    and {entry id: digest of that entry's report}."""
+    and {entry id: (digest of that entry's report, digest of its records)}."""
     docs = [_report_doc(report) for report in harness.run_all(seed=seed)]
     full = _digest(docs)
-    per_entry = {doc["config"]["example_id"]: _digest(doc) for doc in docs}
+    per_entry = {doc["config"]["example_id"]: (_digest(doc), _digest(doc["records"])) for doc in docs}
     for doc in docs:
         doc["records"] = [r for r in doc["records"] if AUDIT_RECORD not in r["name"]]
     return full, _digest(docs), per_entry
@@ -110,10 +112,13 @@ def main():
         full, without_audits, per_entry = records_digests(seed)
         print(f"run_all seed={seed}  {full}")
         print(f"run_all seed={seed} without audit records  {without_audits}")
-        for eid, digest in per_entry.items():
+        for eid, (digest, records) in per_entry.items():
             print(f"entry {eid} seed={seed}  {digest}")
+            print(f"entry {eid} seed={seed} records  {records}")
     for dim in DIMS:
-        print(f"entry ex3_4 dim={dim} seed=42  {_digest(_report_doc(harness.run_example('ex3_4', dim=dim)))}")
+        doc = _report_doc(harness.run_example("ex3_4", dim=dim))
+        print(f"entry ex3_4 dim={dim} seed=42  {_digest(doc)}")
+        print(f"entry ex3_4 dim={dim} seed=42 records  {_digest(doc['records'])}")
     for label, space in net_cases():
         digest, csv_digest, same = net_digests(space)
         print(f"net {label}  {digest}")
