@@ -179,7 +179,6 @@ def _cmd_example(args) -> int:
         cyclic_order=args.cyclic_order,
         net_budget=args.budget,
         dim=args.dim,
-        output_path=args.out,
     )
     rep = harness.run_example(args.id, cfg)
     for r in rep.records:

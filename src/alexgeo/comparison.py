@@ -2,14 +2,15 @@
 
 The model triple (k, lambda0, r0) describes the constant-curvature ball
 whose boundary has shape-operator eigenvalue -lambda0 for the inward
-normal.  lambda(r) solves the Riccati equation lam' + lam^2 = -k from
-lam(0) = -lambda0; phi = sn_k - lambda0 md_k solves phi'' + k phi = -lambda0
-with phi(0) = 0, phi'(0) = 1; fbar = f0 cs_k + fdot0 sn_k - lambda0 md_k is
-the solution of the same ODE from any initial data, in the curvature-k
-functions of `spaces`.  The audits compare f = phi(distance to boundary)
-along analytically generated geodesics against fbar, probe the second-order
-boundary-convexity inequality at sampled foot points, and check sampled
-hinges against `spaces._cone_law`, the one curvature-k law of cosines.
+normal.  phi = sn_k - lambda0 md_k solves phi'' + k phi = -lambda0 from
+phi(0) = 0, phi'(0) = 1, and fbar = f0 cs_k + fdot0 sn_k - lambda0 md_k
+from any initial data, in the curvature-k functions of `spaces`; lambda =
+phi''/phi' solves lam' + lam^2 = -k from lam(0) = -lambda0 (it is tanh(r -
+atanh lambda0) where k = -1 and lambda0 <= 1 never focus), and phi' vanishes
+at r0, where sn_k = 1/sqrt(lambda0^2 + k).
+The audits compare f = phi(distance to boundary) along analytic geodesics
+against fbar, probe the second-order boundary-convexity inequality at foot
+points, and check hinges against `spaces._cone_law`, the one cone law.
 
 The geodesics, the traces and the lens probes are array passes: a path's
 samples come from one array expression in the arc parameter and are returned
@@ -72,20 +73,15 @@ def _closed_form(form, x, **params):
 
 
 def model_inradius(k: float, lambda0: float) -> float:
-    """r0 with lambda0 = 1/r0 (k=0), cot r0 (k=1), coth r0 (k=-1)."""
+    """r0 with cs_k/sn_k = lambda0: sn_k(r0) = 1/sqrt(lambda0^2 + k), inverted as md_k = sn_k^2/(1 + cs_k)."""
     _check_canonical_k(k)
     _check_finite(lambda0=lambda0)
     if not lambda0 > 0.0:
         raise DomainError(f"lambda0 must be positive, got {lambda0}")
-    if k == 0.0:
-        return 1.0 / lambda0
-    if k == 1.0:
-        return math.atan(1.0 / lambda0)
-    if lambda0 <= 1.0:
-        raise DomainError(
-            f"k=-1 admits a finite model ball only for lambda0 > 1, got {lambda0}"
-        )
-    return math.atanh(1.0 / lambda0)
+    if lambda0 * lambda0 + k <= 0.0:
+        raise DomainError(f"k=-1 admits a finite model ball only for lambda0 > 1, got {lambda0}")
+    sn = 1.0 / math.sqrt(lambda0 * lambda0 + k)
+    return spaces._arcmd_k(k, sn * sn / (1.0 + lambda0 * sn))
 
 
 def model_lambda0(k: float, r0: float) -> float:
@@ -109,13 +105,10 @@ class ComparisonModel:
 
     def __post_init__(self):
         _check_canonical_k(self.k)
-        if not self.lambda0 > 0.0:
-            raise ConstructionError(f"lambda0 must be positive, got {self.lambda0}")
-        if self.lambda0**2 <= max(-self.k, 0.0):
-            raise ConstructionError(
-                f"need lambda0^2 > max(-k, 0); got lambda0={self.lambda0}, k={self.k}"
-            )
-        expected = model_inradius(self.k, self.lambda0)
+        try:  # model_inradius decides the model's domain: lambda0 > 0, lambda0^2 > -k
+            expected = model_inradius(self.k, self.lambda0)
+        except DomainError as exc:
+            raise ConstructionError(str(exc)) from None
         if abs(expected - self.r0) > 1e-9:
             raise ConstructionError(
                 f"r0={self.r0} violates the model relation (expected {expected!r})"
@@ -131,30 +124,22 @@ class ComparisonModel:
 
 
 def model_lambda(k: float, lambda0: float, r) -> float:
-    """Shape-operator eigenvalue lambda(r) of the depth-r level set; lambda(0) = -lambda0."""
+    """Shape-operator eigenvalue lambda(r) = phi''/phi' of the depth-r level set; lambda(0) = -lambda0."""
     _check_canonical_k(k)
     _check_finite(lambda0=lambda0, r=r)
     if not lambda0 > 0.0:
         raise DomainError(f"lambda0 must be positive, got {lambda0}")
-    scalar = np.isscalar(r)
-    r = np.asarray(r, dtype=float)
-    if np.any(r < -1e-15):
+    if np.any(np.asarray(r) < -1e-15):
         raise DomainError("r must be nonnegative")
     if lambda0 * lambda0 > -k:  # the level sets focus at the model radius
         r0 = model_inradius(k, lambda0)
-        if np.any(r >= r0 - 1e-15):
+        if np.any(np.asarray(r) >= r0 - 1e-15):
             raise DomainError(f"r must stay below the focal radius r0 = {r0}")
-    if k == 0.0:
-        out = 1.0 / (r - r0)
-    elif k == 1.0:
-        out = 1.0 / np.tan(r - r0)
-    elif lambda0 < 1.0:
-        out = np.tanh(r - math.atanh(lambda0))
-    elif lambda0 == 1.0:
-        out = np.full_like(r, -1.0)
-    else:
-        out = 1.0 / np.tanh(r - r0)
-    return float(out) if scalar else out
+        return _closed_form(lambda r: -(k * sn_k(k, r) + lambda0 * cs_k(k, r)) / model_phi_prime(k, lambda0, r), r)
+    # no focus (k = -1, lambda0 <= 1): there phi''/phi' cancels as r grows, to
+    # 0/0 at lambda0 = 1, and tanh(r - atanh lambda0) does not; -1 at lambda0 = 1
+    shift = math.atanh(lambda0) if lambda0 < 1.0 else math.inf
+    return _closed_form(lambda r: spaces._xp(r).tanh(r - shift), r)
 
 
 def model_phi(k: float, lambda0: float, r):

@@ -52,7 +52,6 @@ class ExperimentConfig:
     epsilon: float = 0.05
     seed: int = 42
     cyclic_order: int = 256
-    output_path: str | None = None
     net_budget: int = 5000
     dim: int | None = None  # sub-case selector where an example has several
 

@@ -110,24 +110,14 @@ def _read_coords(layout, payload):
 
 
 def stable_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, full-precision floats."""
+    """Deterministic JSON text: sorted keys, full-precision floats, numpy values by `tolist()`."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_numpy_to_json)
 
-    def convert(o):
-        if isinstance(o, dict):
-            return {k: convert(o[k]) for k in o}
-        if isinstance(o, (list, tuple)):
-            return [convert(x) for x in o]
-        if isinstance(o, np.ndarray):
-            return [convert(x) for x in o.tolist()]
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        return o
 
-    return json.dumps(convert(obj), sort_keys=True, separators=(",", ":"))
+def _numpy_to_json(o):
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def net_metadata(net: FiniteNet) -> dict:

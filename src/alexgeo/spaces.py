@@ -39,7 +39,8 @@ and vol of its boundary; not for quotients or the ellipsoid); the net grid
 ``boundary_distances``) and its size ``net_count(eps)``, which
 `nets.epsilon_net` reads before it builds the grid (every kind but the
 ellipsoid); the kernels ``kernel(A, B, cross)`` (the root of
-`cross_distance` and `elementwise_distance`),
+`cross_distance` and `elementwise_distance`, which no kind overrides: the
+Gram product where ``gram_operands`` has one, else ``formula``),
 ``formula(A, B, cross)`` (the per-factor laws), ``gram_embeddable()``,
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
@@ -87,9 +88,10 @@ Curvature k.  The k = 0 / k > 0 / k < 0 split is written once, in the
 functions ``sn_k``, ``md_k(t) = 2 sn_k(t/2)^2`` and ``cs_k = 1 - k md_k`` of
 Alexander, Kapovitch and Petrunin (*Alexandrov geometry: foundations*), and
 in ``_cone_law``, the one curvature-k law of cosines of every cone and
-suspension distance and kernel.  Like `clamped_arccos`, they evaluate
-numbers through `math` and arrays through numpy; ``_arcsn_k``, the inverse
-of the cone's boundary law, goes through ``_arcmd_k``.
+suspension distance and kernel.  Its k > 0 branch is the join of a point with
+the base, by ``_join_law``, the one spherical join law.  Like `clamped_arccos`,
+they evaluate numbers through `math` and arrays through numpy; ``_arcsn_k``,
+the inverse of the cone's boundary law, goes through ``_arcmd_k``.
 """
 
 from __future__ import annotations
@@ -152,6 +154,12 @@ def _xp(x):
     """`math` for a number x, numpy for an array: the library `clamped_arccos`,
     `clamped_arccosh` and the curvature-k functions evaluate x in."""
     return math if isinstance(x, float) or np.isscalar(x) else np
+
+
+def _law_xp(a, b, c, d=0.0):
+    """`math` when every argument is a float, else numpy: what the join and cone laws run on."""
+    floats = isinstance(a, float) and isinstance(b, float) and isinstance(c, float) and isinstance(d, float)
+    return math if floats else np
 
 
 def clamped_arccos(x):
@@ -420,11 +428,9 @@ def interval_distance(s: float, t: float, length: float) -> float:
 
 
 def join_distance(p, q, left_metric, right_metric) -> float:
-    """Join distance: cos d = cos t1 cos t2 cos dL + sin t1 sin t2 cos dR.
-
-    Factor distances are clamped at pi before taking cosines so a sloppy
-    base metric cannot push the law of cosines outside its domain.
-    """
+    """`_join_law` between join points, the factor distances clamped at pi
+    before taking cosines so a sloppy base metric cannot push the law of
+    cosines outside its domain."""
     try:
         x1, t1, y1 = p
         x2, t2, y2 = q
@@ -438,8 +444,14 @@ def join_distance(p, q, left_metric, right_metric) -> float:
         raise DomainError(f"join latitudes must be numbers, got {t1!r} and {t2!r}") from None
     dl = min(float(left_metric(x1, x2)), PI)
     dr = min(float(right_metric(y1, y2)), PI)
-    c = math.cos(t1) * math.cos(t2) * math.cos(dl) + math.sin(t1) * math.sin(t2) * math.cos(dr)
-    return clamped_arccos(c)
+    return _join_law(float(t1), float(t2), math.cos(dl), math.cos(dr))
+
+
+def _join_law(t0, t1, cl, cr):
+    """arccos(cos t0 cos t1 cl + sin t0 sin t1 cr): the join distance between latitudes t0, t1
+    whose factor distances have cosines cl, cr.  On `math` or numpy as `_cone_law`."""
+    xp = _law_xp(t0, t1, cl, cr)
+    return clamped_arccos(xp.cos(t0) * xp.cos(t1) * cl + xp.sin(t0) * xp.sin(t1) * cr)
 
 
 def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
@@ -478,14 +490,13 @@ def _cone_law(k: float, t0, t1, ctheta):
     """The curvature-k law of cosines: the side opposite the angle with cosine
     `ctheta` between sides t0 and t1.  It runs on `math` when all three are
     floats, else on numpy, with arrays broadcast against each other."""
-    xp = math if isinstance(t0, float) and isinstance(t1, float) and isinstance(ctheta, float) else np
+    s = math.sqrt(abs(k))
+    if k > 0.0:  # the join of a point with the base, at latitudes s t0 and s t1
+        return _join_law(s * t0, s * t1, 1.0, ctheta) / s
+    xp = _law_xp(t0, t1, ctheta)
     if k == 0.0:
         v = t0 * t0 + t1 * t1 - 2.0 * (t0 * t1) * ctheta
         return math.sqrt(max(v, 0.0)) if xp is math else np.sqrt(np.maximum(v, 0.0))
-    s = math.sqrt(abs(k))
-    if k > 0.0:
-        c = xp.cos(s * t0) * xp.cos(s * t1) + xp.sin(s * t0) * xp.sin(s * t1) * ctheta
-        return clamped_arccos(c) / s
     c = xp.cosh(s * t0) * xp.cosh(s * t1) - xp.sinh(s * t0) * xp.sinh(s * t1) * ctheta
     return clamped_arccosh(c) / s
 
@@ -869,8 +880,7 @@ class Join(SpaceDescriptor):
     def formula(self, A, B, cross: bool) -> np.ndarray:
         cl = np.cos(np.minimum(self.left.formula(A.left, B.left, cross), PI))
         cr = np.cos(np.minimum(self.right.formula(A.right, B.right, cross), PI))
-        cc, ss = _trig_pairs(A.t, B.t, cross)
-        return clamped_arccos(cc * cl + ss * cr)
+        return _join_law(*_pairs(A.t, B.t, cross), cl, cr)
 
     def gram_embeddable(self) -> bool:
         return self.left.gram_embeddable() and self.right.gram_embeddable()
@@ -1137,13 +1147,8 @@ class Quotient(SpaceDescriptor):
         A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
         return float(rotation_quotient_distance(self, A, B, cross=False)[0])
 
-    def kernel(self, A, B, cross: bool, gram: bool = True) -> np.ndarray:
-        if cross:
-            return _quotient_cross(self, A, B, gram=gram)
-        return _orbit_minimum(self, A, B, cross=False, gram=gram)
-
     def formula(self, A, B, cross: bool) -> np.ndarray:
-        return self.kernel(A, B, cross, gram=False)
+        return _quotient_cross(self, A, B) if cross else _orbit_minimum(self, A, B, cross=False)
 
     def gram_operands(self, A, B):
         """(E(A), E(g B) for each element g) with an embeddable base and no
@@ -1339,24 +1344,17 @@ def elementwise_distance(space, A, B) -> np.ndarray:
     return space.kernel(A, B, False)
 
 
-def _quotient_cross(space: Quotient, A, B, gram: bool = True) -> np.ndarray:
-    """`cross_distance` of a quotient; perfbench's quotient-kernel span wraps this name."""
-    return _orbit_minimum(space, A, B, cross=True, gram=gram)
+def _quotient_cross(space: Quotient, A, B) -> np.ndarray:
+    """`_orbit_minimum`'s cross block; perfbench's quotient-kernel span wraps this name."""
+    return _orbit_minimum(space, A, B, cross=True)
 
 
-def _orbit_minimum(space: Quotient, A, B, cross: bool, gram: bool) -> np.ndarray:
-    """min over the group of d(x, g y): the (len(A), len(B)) matrix when `cross`,
-    else the distances of paired rows.
-
-    With `gram` and a `gram_embeddable` base, the largest product
-    <E(x), E(g y)> is taken first and its arccos once; otherwise each
-    element's distances come from the per-factor formulas.
-    """
+def _orbit_minimum(space: Quotient, A, B, cross: bool) -> np.ndarray:
+    """min over the group of d(x, g y) by the base's formulas, or a Z_m rotation's closed
+    form: the (len(A), len(B)) matrix when `cross`, else the distances of paired rows.
+    (At a Gram root, `SpaceDescriptor.kernel` takes the product over `gram_operands`.)"""
     if _rotation_order(space) is not None:
         return rotation_quotient_distance(space, A, B, cross=cross)
-    operands = space.gram_operands(A, B) if gram else None
-    if operands is not None:
-        return _gram_kernel(*operands, cross)
     best = None
     for g in space.action.elements:
         d = space.base.formula(A, g.apply(B), cross)

@@ -21,8 +21,9 @@ class TestModelRelation:
         assert cmp.model_inradius(-1.0, 1.0 / math.tanh(0.8)) == pytest.approx(0.8)
 
     def test_hyperbolic_needs_lambda0_above_one(self):
-        with pytest.raises(DomainError):
-            cmp.model_inradius(-1.0, 0.9)
+        for lam0 in (0.9, 1.0):
+            with pytest.raises(DomainError, match="lambda0 > 1"):
+                cmp.model_inradius(-1.0, lam0)
 
     def test_model_triple_validation(self):
         ComparisonModel.from_lambda0(1.0, 1.0)
@@ -31,6 +32,9 @@ class TestModelRelation:
             ComparisonModel(0.0, 1.0, 0.5)  # violates lambda0 = 1/r0
         with pytest.raises(ConstructionError):
             ComparisonModel(-1.0, 0.5, 1.0)  # lambda0^2 must exceed -k
+        for lam0 in (-1.0, math.inf):  # model_inradius's domain, as construction errors
+            with pytest.raises(ConstructionError):
+                ComparisonModel(0.0, lam0, 1.0)
 
 
 class TestModelLambda:
@@ -62,6 +66,67 @@ class TestModelLambda:
     def test_canonical_k_only(self):
         with pytest.raises(DomainError):
             cmp.model_lambda(4.0, 1.0, 0.1)
+
+
+# the per-curvature branches that `model_inradius` and `model_lambda` replaced,
+# kept verbatim so the toolkit forms can be checked against them
+def _inradius_branches(k, lam0):
+    if k == 0.0:
+        return 1.0 / lam0
+    if k == 1.0:
+        return math.atan(1.0 / lam0)
+    return math.atanh(1.0 / lam0)
+
+
+def _lambda_branches(k, lam0, r):
+    if k == 0.0:
+        return 1.0 / (r - _inradius_branches(k, lam0))
+    if k == 1.0:
+        return 1.0 / np.tan(r - _inradius_branches(k, lam0))
+    if lam0 < 1.0:
+        return np.tanh(r - math.atanh(lam0))
+    if lam0 == 1.0:
+        return np.full_like(r, -1.0)
+    return 1.0 / np.tanh(r - _inradius_branches(k, lam0))
+
+
+def _lambda0s(k):
+    lo = 1.0 if k < 0.0 else 0.0  # k = -1 focuses only for lambda0 > 1
+    return np.concatenate([lo + np.logspace(-8, 0, 120), np.linspace(lo + 1.0, 50.0, 120)]).tolist()
+
+
+class TestProfileAgainstBranches:
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_inradius(self, k):
+        # the sn_k form is ill-conditioned only where the branches are too: for
+        # k = -1 at lambda0 -> 1, where r0 grows like -log(lambda0 - 1)/2
+        lam0s = [lam0 for lam0 in _lambda0s(k) if k == 0.0 or lam0 >= 1.01 or k == 1.0]
+        rel = [abs(cmp.model_inradius(k, lam0) / _inradius_branches(k, lam0) - 1.0) for lam0 in lam0s]
+        assert max(rel) <= 1e-15
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_lambda_up_to_the_focus(self, k):
+        # phi' = cs_k - lambda0 sn_k cancels at the focus, so stop at 0.999 r0;
+        # lambda0 stays off 0 (k = 1) and 1 (k = -1), where the branches lose
+        # digits through r - r0 and the profile does not (it is -lambda0 at r = 0)
+        for lam0 in np.linspace(1.05 if k < 0.0 else 0.05, 20.0, 60).tolist():
+            r = np.linspace(0.0, 0.999 * cmp.model_inradius(k, lam0), 200)
+            want = _lambda_branches(k, lam0, r)
+            assert np.max(np.abs(cmp.model_lambda(k, lam0, r) / want - 1.0)) <= 1e-11
+
+    def test_lambda_without_a_focus(self):
+        # phi''/phi' would cancel here as r grows (to 0/0 at lambda0 = 1 from
+        # r = 20, and past r = 710 sinh overflows); the tanh form is kept
+        r = np.linspace(0.0, 800.0, 401)
+        for lam0 in np.linspace(0.05, 1.0, 20).tolist() + [1.0 - 1e-12]:
+            assert np.array_equal(cmp.model_lambda(-1.0, lam0, r), _lambda_branches(-1.0, lam0, r))
+            assert cmp.model_lambda(-1.0, lam0, 30.0) == pytest.approx(float(_lambda_branches(-1.0, lam0, 30.0)))
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_round_trip(self, k):
+        top = HALF_PI if k > 0.0 else 3.0
+        for r0 in np.linspace(1e-3, top, 500).tolist():
+            assert cmp.model_inradius(k, cmp.model_lambda0(k, r0)) == pytest.approx(r0, rel=1e-13)
 
 
 class TestModelPhi:

@@ -1,9 +1,10 @@
-"""The curvature-k functions sn_k, md_k, cs_k and the one cone law of `spaces`.
+"""The curvature-k functions sn_k, md_k, cs_k and the one cone and join laws of `spaces`.
 
 The reference forms below are the per-curvature branches that the toolkit
-replaced: the scalar and array laws of cosines, the three-branch convexity
-probe of a model ball and the three-branch chord path.  They are kept here,
-verbatim, so the toolkit forms can be checked against them.
+replaced: the scalar and array laws of cosines, the scalar and array join
+laws, the three-branch convexity probe of a model ball and the three-branch
+chord path.  They are kept here, verbatim, so the toolkit forms can be
+checked against them.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from alexgeo import comparison as cmp
 from alexgeo import spaces
 from alexgeo.errors import DomainError
-from alexgeo.spaces import HALF_PI, PI, ConeCoords, ModelBall, cs_k, md_k, sn_k
+from alexgeo.spaces import HALF_PI, PI, ConeCoords, Interval, Join, ModelBall, Sphere, cs_k, md_k, sn_k
 
 CURVATURES = (-1.0, -0.25, 0.0, 1.0, 4.0)
 
@@ -54,6 +55,17 @@ def _law_array(k, ta, tb, ctheta):
     s = math.sqrt(-k)
     c = np.cosh(s * ta) * np.cosh(s * tb) - np.sinh(s * ta) * np.sinh(s * tb) * ctheta
     return spaces.clamped_arccosh(c) / s
+
+
+def _join_math(t1, t2, cl, cr):
+    # `join_distance`'s former inline law, on the factor distances' cosines
+    return spaces.clamped_arccos(math.cos(t1) * math.cos(t2) * cl + math.sin(t1) * math.sin(t2) * cr)
+
+
+def _join_array(ta, tb, cl, cr, cross):
+    # `Join.formula`'s former inline law
+    cc, ss = spaces._trig_pairs(ta, tb, cross)
+    return spaces.clamped_arccos(cc * cl + ss * cr)
 
 
 def _probe_branches(space, lambda0, probes, scale, rng):
@@ -165,7 +177,7 @@ class TestToolkit:
 
 
 # ---------------------------------------------------------------------------
-# the one cone law against the two it replaced
+# the one cone law and the one join law against the laws they replaced
 # ---------------------------------------------------------------------------
 
 
@@ -189,6 +201,34 @@ def test_cone_law_on_arrays_is_the_numpy_law(k, cross):
     pa, pb = spaces._pairs(ta, tb, cross)
     ctheta = np.cos(rng.uniform(0, PI, np.broadcast_shapes(pa.shape, pb.shape)))
     assert np.array_equal(spaces._cone_law(k, pa, pb, ctheta), _law_array(k, pa, pb, ctheta))
+
+
+def test_join_law_on_floats_is_the_math_law():
+    rng = np.random.default_rng(9)
+    ts, cs = rng.uniform(0, HALF_PI, (300, 2)), np.cos(rng.uniform(0, PI, (300, 2)))
+    for (t1, t2), (cl, cr) in zip(ts.tolist(), cs.tolist()):
+        got = spaces._join_law(t1, t2, cl, cr)
+        assert type(got) is float
+        assert got == _join_math(t1, t2, cl, cr)
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["paired", "cross"])
+def test_join_law_on_arrays_is_the_numpy_law(cross):
+    rng = np.random.default_rng(10)
+    ta, tb = rng.uniform(0, HALF_PI, 40), rng.uniform(0, HALF_PI, 40)
+    shape = (40, 40) if cross else (40,)
+    cl, cr = np.cos(rng.uniform(0, PI, shape)), np.cos(rng.uniform(0, PI, shape))
+    got = spaces._join_law(*spaces._pairs(ta, tb, cross), cl, cr)
+    assert np.array_equal(got, _join_array(ta, tb, cl, cr, cross))
+
+
+def test_join_distance_is_its_former_inline_law():
+    rng = np.random.default_rng(11)
+    space = Join(Sphere(1, 0.75), Interval(1.0))
+    for p, q in zip(space.random_points(300, rng), space.random_points(300, rng)):
+        dl = min(spaces.sphere_distance(p[0], q[0], 0.75), PI)
+        dr = min(abs(p[2] - q[2]), PI)
+        assert space.distance(p, q) == _join_math(p[1], q[1], math.cos(dl), math.cos(dr))
 
 
 def test_suspension_distance_is_its_former_inline_law():

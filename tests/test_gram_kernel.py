@@ -219,6 +219,17 @@ class TestFallbackTreesUnchanged:
                 spaces.rotation_quotient_distance(space, A, B, cross=True),
             )
 
+    @pytest.mark.parametrize("name", ["projective_lens_2", "spine_reflect"])
+    def test_quotient_formula_is_the_per_element_minimum(self, name):
+        # a quotient answers only `formula`; the Gram product of a quotient
+        # root is the base class's `kernel`, through `gram_operands`
+        space = UNIT_TREES[name]
+        assert "kernel" not in vars(Quotient)
+        A, B = _packed(space, 60, 7), _packed(space, 50, 8)
+        for cross, B_ in ((True, B), (False, spaces.coords_take(A, np.arange(59, -1, -1)))):
+            want = np.min([space.base.formula(A, g.apply(B_), cross) for g in space.action.elements], axis=0)
+            assert np.array_equal(space.formula(A, B_, cross), want)
+
     def test_ellipsoid_still_unsupported(self):
         E = Ellipsoid(1.0, 1.0, 0.8)
         with pytest.raises(UnsupportedConstructionError):

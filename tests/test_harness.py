@@ -5,12 +5,13 @@ import math
 import operator
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.special import ellipe
 
-from alexgeo import harness, invariants, nets, serialize, spaces
+from alexgeo import cli, harness, invariants, nets, serialize, spaces
 from alexgeo.errors import AlexgeoError, ConstructionError
 from alexgeo.harness import (
     CATALOGUE,
@@ -234,6 +235,15 @@ class TestCli:
         res = _cli("example", "--id", "ex3_2", "--out", str(out))
         assert res.returncode == 0, res.stderr
         assert json.loads(out.read_text())["pass"] is True
+
+    def test_report_does_not_depend_on_its_path(self, tmp_path, monkeypatch):
+        # with the clock stopped, two --out paths must get the same bytes
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        paths = [tmp_path / "a.json", tmp_path / "elsewhere" / "b.json"]
+        paths[1].parent.mkdir()
+        for path in paths:
+            assert cli.main(["example", "--id", "lens_volume", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_construct_invariants_verify_round_trip(self, tmp_path):
         space = tmp_path / "lens.json"

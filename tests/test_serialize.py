@@ -5,6 +5,7 @@ parsing; bad net files at the CLI; the CLI's fixed mmap threshold."""
 import ctypes
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -102,6 +103,28 @@ class TestGenerators:
         assert action.generators == (rot, refl)
         assert action.elements[1:3] == (rot, refl)
         assert actions.validate_action(base, action, n_pairs=50).passed
+
+
+class TestStableDumps:
+    def test_numpy_values_keep_their_text(self):
+        # the text the former recursive converter wrote for the same object
+        obj = {
+            "b": (np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False)),
+            "a": {"z": np.arange(3), "y": np.array([[0.5, math.nan], [np.inf, -0.0]]), "x": [(1, 2.5), ()]},
+            "c": np.float64(math.nan),
+            "d": [np.array([True, False]), np.array([], dtype=float), None, "s", np.float64(1e-300)],
+            "e": np.float32(3.4028235e38),
+        }
+        assert serialize.stable_dumps(obj) == (
+            '{"a":{"x":[[1,2.5],[]],"y":[[0.5,NaN],[Infinity,-0.0]],"z":[0,1,2]},'
+            '"b":[0.1,0.10000000149011612,-7,true,false],"c":NaN,'
+            '"d":[[true,false],[],null,"s",1e-300],"e":3.4028234663852886e+38}'
+        )
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}])
+    def test_other_objects_are_a_type_error(self, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            serialize.stable_dumps({"k": value})
 
 
 class TestMalformed:
