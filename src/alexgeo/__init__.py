@@ -2,10 +2,10 @@
 
 Closed-form distances for spherical joins, curvature-k cones, suspensions,
 finite isometric quotients, lenses, and model balls; deterministic
-epsilon-nets with metric-axiom audits; minimax invariant estimators
-(radius, diameter, soul, edge, spine) and the exact boundary volume; and the
-comparison-geometry toolkit (Riccati profiles, convexity probes,
-trace comparison, hinge audits) with a scripted reproduction catalogue.
+epsilon-nets with metric-axiom and (1+3)-point curvature audits; minimax
+invariant estimators (radius, diameter, soul, edge, spine) and the exact
+boundary volume; and the comparison-geometry toolkit (Riccati profiles, convexity
+probes, trace comparison, the hinge law) with a scripted reproduction catalogue.
 """
 
 from .errors import (
@@ -54,6 +54,7 @@ from .nets import (
     ellipsoid_distance,
     epsilon_net,
     random_points,
+    verify_curvature,
     verify_metric,
 )
 from .invariants import (

@@ -3,7 +3,7 @@
 Subcommands:
   construct   build an epsilon-net from a descriptor JSON and export it
   invariants  radius/diameter/soul/edge/spine report for a stored net
-  verify      run one audit family (metric | convexity | hinge | trace)
+  verify      run one audit family (metric | curvature | convexity | trace)
   example     run catalogue entries and emit machine-readable reports
 
 Exit code is 0 iff every check in the invoked scope passes.
@@ -21,8 +21,8 @@ from . import comparison as cmp
 from . import harness, invariants as inv
 from . import nets as nets_mod
 from . import serialize
-from .errors import AlexgeoError, ConstructionError
-from .spaces import Cone, ModelBall, HALF_PI, Sphere
+from .errors import AlexgeoError, ConstructionError, DomainError, PreconditionError
+from .spaces import ModelBall
 
 
 # glibc's mallopt parameters, and the values set: blocks over 4 MiB get their
@@ -89,41 +89,29 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "metric":
+    need = {"metric": "net", "curvature": "net", "convexity": "space"}.get(args.check)
+    if need and getattr(args, need) is None:
+        raise PreconditionError(f"verify --check {args.check} needs --{need}")
+    if args.check in ("metric", "curvature"):
         net = serialize.read_net(args.net)
-        audit = nets_mod.verify_metric(net, tol=args.tol)
-        print(
-            f"[verify:metric] n={audit.n_points} symmetry={audit.symmetry_defect:.3e} "
-            f"triangle={audit.triangle_defect:.3e} witness={audit.witness} "
-            f"exhaustive={audit.exhaustive} -> {'PASS' if audit.passed else 'FAIL'}"
-        )
-        return 0 if audit.passed else 1
-    if args.check == "convexity":
+        tol = {} if args.tol is None else {"tol": args.tol}  # else the audit's own default
+        if args.check == "metric":
+            audit = nets_mod.verify_metric(net, **tol)
+            found = f"symmetry={audit.symmetry_defect:.3e} triangle={audit.triangle_defect:.3e}"
+        else:
+            audit = nets_mod.verify_curvature(net, **tol)
+            found = f"excess={audit.excess:.3e} quadruples={audit.n_quadruples}"
+        ok = audit.passed
+        found = f"n={audit.n_points} {found} witness={audit.witness} exhaustive={audit.exhaustive}"
+    elif args.check == "convexity":
         space = _read_descriptor(args.space)
         rep = cmp.convexity_check(space, args.lambda0, probes=args.probes, seed=args.seed)
-        print(
-            f"[verify:convexity] lambda0={args.lambda0:g} worst_ratio={rep.worst_ratio:.3e} "
-            f"scales={rep.scales} -> {'PASS' if rep.passed else 'FAIL'}"
-        )
-        return 0 if rep.passed else 1
-    if args.check == "hinge":
-        audits = [
-            cmp.hinge_audit_sphere(args.hinges, args.seed, 3.0 * args.epsilon),
-            cmp.hinge_audit_lens(3, 1.5, args.hinges, args.seed, 3.0 * args.epsilon),
-            cmp.hinge_audit_cone_apex(
-                Cone(1.0, Sphere(1, 0.75), HALF_PI), args.hinges, args.seed, 3.0 * args.epsilon
-            ),
-        ]
-        ok = True
-        for a in audits:
-            print(
-                f"[verify:hinge] {a.space_label}: worst excess {a.worst_excess:.3e} "
-                f"over {a.n_hinges} hinges -> {'PASS' if a.passed else 'FAIL'}"
-            )
-            ok = ok and a.passed
-        return 0 if ok else 1
-    if args.check == "trace":
+        ok = rep.passed
+        found = f"lambda0={args.lambda0:g} worst_ratio={rep.worst_ratio:.3e} scales={rep.scales}"
+    elif args.check == "trace":
         k, r0 = args.k, args.r0
+        if args.paths < 1:
+            raise DomainError(f"--paths must be at least 1, got {args.paths}")
         lam0 = cmp.model_lambda0(k, r0)
         ball = ModelBall(k, r0, 3)
         step = args.step
@@ -135,12 +123,11 @@ def _cmd_verify(args) -> int:
             )
             worst = max(worst, tr.max_violation)
         ok = worst <= 5.0 * step
-        print(
-            f"[verify:trace] k={k:g} r0={r0:g}: worst violation {worst:.3e} over "
-            f"{args.paths} chords (tol {5.0 * step:.1e}) -> {'PASS' if ok else 'FAIL'}"
-        )
-        return 0 if ok else 1
-    raise AlexgeoError(f"unknown check {args.check!r}")
+        found = f"k={k:g} r0={r0:g}: worst violation {worst:.3e} over {args.paths} chords (tol {5.0 * step:.1e})"
+    else:
+        raise AlexgeoError(f"unknown check {args.check!r}")
+    print(f"[verify:{args.check}] {found} -> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _cmd_example(args) -> int:
@@ -212,18 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_invariants)
 
     v = sub.add_parser("verify", help="run one audit family")
-    v.add_argument("--check", required=True, choices=["metric", "convexity", "hinge", "trace"])
-    v.add_argument("--net", help="net CSV (metric check)")
+    v.add_argument("--check", required=True, choices=["metric", "curvature", "convexity", "trace"])
+    v.add_argument("--net", help="net CSV (metric and curvature checks)")
     v.add_argument("--space", help="descriptor JSON (convexity check)")
     v.add_argument("--lambda0", type=float, default=1.0)
     v.add_argument("--probes", type=int, default=1000)
-    v.add_argument("--hinges", type=int, default=10000)
     v.add_argument("--paths", type=int, default=20)
     v.add_argument("--k", type=float, default=0.0)
     v.add_argument("--r0", type=float, default=1.0)
     v.add_argument("--step", type=float, default=1e-3)
-    v.add_argument("--epsilon", type=float, default=0.05)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=float, help="audit gate (default: the audit's own, 1e-9 or 1e-6)")
     v.add_argument("--seed", type=int, default=42)
     v.set_defaults(func=_cmd_verify)
 

@@ -9,8 +9,8 @@ phi''/phi' solves lam' + lam^2 = -k from lam(0) = -lambda0 (it is tanh(r -
 atanh lambda0) where k = -1 and lambda0 <= 1 never focus), and phi' vanishes
 at r0, where sn_k = 1/sqrt(lambda0^2 + k).
 The audits compare f = phi(distance to boundary) along analytic geodesics
-against fbar, probe the second-order boundary-convexity inequality at foot
-points, and check hinges against `spaces._cone_law`, the one cone law.
+against fbar and probe the second-order boundary-convexity inequality at foot
+points; `nets.verify_curvature` audits curv >= 1 on a net's distance matrix.
 
 The geodesics, the traces and the lens probes are array passes: a path's
 samples come from one array expression in the arc parameter and are returned
@@ -20,7 +20,7 @@ closed-form `spaces.boundary_distances`), and a probe scale evaluates all
 its probes together.  The embedding oracles that the catalogue runs beside
 these audits (`harness`, `embeddings`) compare a descriptor's `formula`
 with the maps of `embeddings`, never with the Gram kernel, which on those
-joins is the embedding itself.  The hinge audits remain point-by-point loops.
+joins is the embedding itself.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from . import embeddings, spaces
 from .errors import ConstructionError, DomainError, PreconditionError, SingularityError
-from .nets import random_points
 from .spaces import (
     Cone,
     ConeCoords,
@@ -43,10 +42,8 @@ from .spaces import (
     Sphere,
     clamped_arccos,
     cs_k,
-    distance,
     md_k,
     sn_k,
-    vector_norm,
 )
 
 _CANONICAL_K = (-1.0, 0.0, 1.0)
@@ -65,11 +62,17 @@ def _check_finite(**values):
 
 
 def _closed_form(form, x, **params):
-    """form(x), a float for a number x and an array otherwise.  Raises
-    DomainError unless x and the named parameters are finite."""
+    """form(x), a float for a number x and an array otherwise.  Raises DomainError unless x,
+    the named parameters and form(x) are finite (for k < 0 the forms overflow past r ~ 710)."""
     x = float(x) if np.isscalar(x) else np.asarray(x, dtype=float)
     _check_finite(argument=x, **params)
-    return form(x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = form(x)
+    except OverflowError:  # math.sinh and math.cosh raise where numpy gives inf
+        value = math.inf
+    _check_finite(result=value)
+    return value
 
 
 def model_inradius(k: float, lambda0: float) -> float:
@@ -212,6 +215,8 @@ def hinge_comparison(k: float, a: float, b: float, gamma: float) -> float:
         raise DomainError(f"hinge angle must lie in [0, pi], got {gamma}")
     if k > 0.0 and max(a, b) > PI / math.sqrt(k) + 1e-12:
         raise DomainError(f"for k={k} hinge sides must be <= pi/sqrt(k)")
+    if k < 0.0 and math.sqrt(-k) * max(a, b) > spaces.HYPERBOLIC_CAP:
+        raise DomainError(f"for k={k} hinge sides must be <= {spaces.HYPERBOLIC_CAP:g}/sqrt(-k)")
     return spaces._cone_law(k, a, b, math.cos(gamma))
 
 
@@ -222,6 +227,8 @@ def hinge_comparison(k: float, a: float, b: float, gamma: float) -> float:
 
 def _samples(length: float, step: float) -> np.ndarray:
     """Arc parameters 0, step, 2 step, ... up to `length`."""
+    if not step > 0.0:
+        raise DomainError(f"path step must be positive, got {step}")
     return step * np.arange(int(math.floor(length / step)) + 1)
 
 
@@ -402,6 +409,8 @@ def convexity_check(space, lambda0: float, probes: int = 1000, h: float = 1e-2,
     evaluated at h, h/2, h/4; the boundary is accepted as lambda0-convex if
     the worst ratio at the finest scale is >= -tol and did not worsen.
     """
+    if probes < 1 or not h > 0.0:
+        raise DomainError(f"convexity probes need probes >= 1 and h > 0, got {probes} and {h}")
     if not space.has_boundary():
         raise PreconditionError(f"{type(space).__name__} has no boundary to probe")
     scales = [h, h / 2.0, h / 4.0]
@@ -479,86 +488,3 @@ def _dots(a, b) -> np.ndarray:
 
 def _unit_rows(a) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1, keepdims=True)
-
-
-def _unit(v):
-    return v / vector_norm(v)
-
-
-# ---------------------------------------------------------------------------
-# hinge audits against the law of cosines
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HingeAudit:
-    space_label: str
-    k: float
-    n_hinges: int
-    worst_excess: float   # max(observed - model side); <= 0 means no violation
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_excess <= self.tol
-
-
-def hinge_audit_sphere(n_hinges: int, seed: int, tol: float) -> HingeAudit:
-    """Hinges on S^2(1): two great-circle legs from a common vertex."""
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(n_hinges):
-        p = _unit(rng.standard_normal(3))
-        u = rng.standard_normal(3)
-        u = _unit(u - float(u @ p) * p)
-        w = _unit(np.cross(p, u))
-        gamma = rng.uniform(0.0, PI)
-        a, b = rng.uniform(0.05, PI - 0.05, 2)
-        x = math.cos(a) * p + math.sin(a) * u
-        y = math.cos(b) * p + math.sin(b) * (math.cos(gamma) * u + math.sin(gamma) * w)
-        observed = clamped_arccos(float(x @ y))
-        model = hinge_comparison(1.0, a, b, gamma)
-        worst = max(worst, observed - model)
-    return HingeAudit("S2(1)", 1.0, n_hinges, worst, tol)
-
-
-def hinge_audit_lens(n: int, alpha: float, n_hinges: int, seed: int, tol: float) -> HingeAudit:
-    """Hinges in a lens via the ambient embedding (legs are ambient great arcs)."""
-    rng = np.random.default_rng(seed)
-    lens = Lens(n, alpha)
-    worst = -math.inf
-    got = 0
-    while got < n_hinges:
-        pts = random_points(lens, 3, rng)
-        p, x, y = (embeddings.embed_lens(lens, pt) for pt in pts)
-        a = clamped_arccos(float(p @ x))
-        b = clamped_arccos(float(p @ y))
-        if a < 1e-3 or b < 1e-3 or a > PI - 1e-3 or b > PI - 1e-3:
-            continue
-        u_x = _unit(x - math.cos(a) * p)
-        u_y = _unit(y - math.cos(b) * p)
-        gamma = clamped_arccos(float(u_x @ u_y))
-        observed = distance(lens, pts[1], pts[2])
-        model = hinge_comparison(1.0, a, b, gamma)
-        worst = max(worst, observed - model)
-        got += 1
-    return HingeAudit(f"L_{alpha:g}^{n}", 1.0, n_hinges, worst, tol)
-
-
-def hinge_audit_cone_apex(cone: Cone, n_hinges: int, seed: int, tol: float) -> HingeAudit:
-    """Hinges at the cone apex: radial legs with the base distance as angle."""
-    if not isinstance(cone.base, Sphere) or cone.base.dim != 1:
-        raise ConstructionError("apex hinge audit supports cones over circles")
-    rng = np.random.default_rng(seed)
-    r = cone.base.radius
-    worst = -math.inf
-    for _ in range(n_hinges):
-        t0, t1 = rng.uniform(0.02, cone.r0, 2)
-        psi0, psi1 = rng.uniform(0.0, 2.0 * PI, 2)
-        y0 = np.array([math.cos(psi0), math.sin(psi0)])
-        y1 = np.array([math.cos(psi1), math.sin(psi1)])
-        gamma = min(spaces.sphere_distance(y0, y1, r), PI)
-        observed = distance(cone, (t0, y0), (t1, y1))
-        model = hinge_comparison(cone.k, t0, t1, gamma)
-        worst = max(worst, observed - model)
-    return HingeAudit(f"C_{cone.k:g}(S1({r:g}))({cone.r0:g})", cone.k, n_hinges, worst, tol)

@@ -1,4 +1,4 @@
-"""Finite epsilon-nets over space descriptors, plus the metric-axiom audit.
+"""Finite epsilon-nets over space descriptors, plus the metric and curvature audits.
 
 Strategies are descriptor methods: each kind's ``net_grid(eps, phase)``
 (see `alexgeo.spaces`) gives uniform grids on intervals and circles, a
@@ -379,7 +379,7 @@ def _freeze(net: FiniteNet):
 
 
 # ---------------------------------------------------------------------------
-# metric-axiom audit
+# metric-axiom and curvature audits
 # ---------------------------------------------------------------------------
 
 
@@ -427,10 +427,8 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     triple: the defect reads 0.0 with witness (0, 0, 0) and no triple is
     counted.
     """
-    D = net_or_matrix.dist if isinstance(net_or_matrix, FiniteNet) else np.asarray(net_or_matrix)
+    D = _matrix(net_or_matrix)
     n = D.shape[0]
-    if n == 0:
-        raise PreconditionError("empty net")
     # compare D[i, j] with D[j, i] over self_distance_matrix's row blocks
     # (j from the start of i's block on), with no n x n temporary;
     # np.maximum, unlike Python's max, keeps a NaN
@@ -482,6 +480,14 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     )
 
 
+def _matrix(net_or_matrix) -> np.ndarray:
+    """The distance matrix of a net, or the matrix itself; an empty one is a PreconditionError."""
+    D = net_or_matrix.dist if isinstance(net_or_matrix, FiniteNet) else np.asarray(net_or_matrix)
+    if D.shape[0] == 0:
+        raise PreconditionError("empty net")
+    return D
+
+
 def _worst_pair(S, D, i, k):
     """Largest slack of the pairs (i[r], k[r]), from the row sums S[r] = D[i[r]] + D[k[r]].
 
@@ -496,6 +502,81 @@ def _worst_pair(S, D, i, k):
     slack = np.maximum(D[i, k], D[k, i]) - S[rows, j]
     r = int(np.argmax(slack))
     return float(slack[r]), (int(i[r]), int(j[r]), int(k[r]))
+
+
+CURVATURE_FULL_POINTS = 60
+CURVATURE_CENTRES = 200
+CURVATURE_OTHERS = 60
+
+
+@dataclass
+class CurvatureAudit:
+    n_points: int
+    excess: float   # largest model angle sum at a centre minus 2 pi; <= 0 where curv >= 1
+    witness: tuple  # (p, a, b, c)
+    exhaustive: bool
+    n_quadruples: int  # quadruples whose three model triangles exist
+    n_skipped: int
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.excess <= self.tol
+
+
+def verify_curvature(net_or_matrix, tol: float = 1e-6, *, seed: int = 0) -> CurvatureAudit:
+    """Audit curv >= 1 on a distance matrix by the (1+3)-point comparison (Burago, Gromov & Perelman).
+
+    At a centre p the unit-sphere model angles of pab, pbc and pca must sum to
+    at most 2 pi.  Each is the half-angle form sin^2(gamma/2) = sin(s - x)
+    sin(s - y) / (sin x sin y) in the sides x, y at p and the half-perimeter
+    s, clipped to [0, 1]; a quadruple with a zero side at p or a perimeter of
+    2 pi or more is skipped.  The excess is the largest sum minus 2 pi, with
+    its witness (p, a, b, c); a NaN distance is an infinite excess, and no
+    quadruple checked reads 0.0 at (0, 0, 0, 0).  Up to CURVATURE_FULL_POINTS
+    points every centre meets every triple of the others; above, seeded
+    centres meet every triple of seeded others, in batches of about
+    `spaces.BLOCK_ENTRIES` sums.
+    """
+    D = _matrix(net_or_matrix)
+    n = D.shape[0]
+    exhaustive = n <= CURVATURE_FULL_POINTS
+    if exhaustive:
+        P = np.arange(n if n >= 4 else 0)  # below 4 points there is no quadruple
+        O = np.tile(np.arange(n - 1), (P.shape[0], 1))
+    else:
+        rng = np.random.default_rng(seed)
+        P = rng.choice(n, min(CURVATURE_CENTRES, n), replace=False)
+        O = np.stack([rng.choice(n - 1, CURVATURE_OTHERS, replace=False) for _ in P])
+    O += O >= P[:, None]  # the other points: every index but the centre's
+    m = O.shape[1]
+    r = np.arange(m)
+    ia, ib, ic = np.nonzero((r[:, None, None] < r[None, :, None]) & (r[None, :, None] < r[None, None, :]))
+    ab, bc, ca = ia * m + ib, ib * m + ic, ia * m + ic
+    best, witness, checked = -math.inf, (0, 0, 0, 0), 0
+    step = max(1, spaces.BLOCK_ENTRIES // max(ia.shape[0], 1))
+    for s in range(0, P.shape[0], step):
+        p, o = P[s : s + step], O[s : s + step]
+        A = _model_angles(D[p[:, None], o], D[o[:, :, None], o[:, None, :]]).reshape(p.shape[0], m * m)
+        sums = A[:, ab] + A[:, bc] + A[:, ca]
+        sums[np.isnan(sums)] = math.inf
+        checked += int(np.count_nonzero(sums > -math.inf))
+        q, t = np.unravel_index(int(np.argmax(sums)), sums.shape)
+        if sums[q, t] > best:
+            best = float(sums[q, t])
+            witness = (int(p[q]), int(o[q, ia[t]]), int(o[q, ib[t]]), int(o[q, ic[t]]))
+    return CurvatureAudit(n, best - 2.0 * PI if checked else 0.0, witness, exhaustive,
+                          checked, P.shape[0] * ia.shape[0] - checked, tol)
+
+
+def _model_angles(x, d) -> np.ndarray:
+    """Unit-sphere angles between the sides x[..., a], x[..., b] opposite d[..., a, b]; -inf where none exists."""
+    xa, xb = x[..., :, None], x[..., None, :]
+    s = 0.5 * (xa + xb + d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.sin(s - xa) * np.sin(s - xb) / (np.sin(xa) * np.sin(xb))
+    gamma = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    return np.where((xa == 0.0) | (xb == 0.0) | (s >= PI), -math.inf, gamma)
 
 
 def covering_check(net: FiniteNet, n_probes: int = 10_000, seed: int = 1234) -> float:

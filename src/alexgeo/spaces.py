@@ -458,9 +458,19 @@ def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
     """Law-of-cosines distance in the curvature-k cone with cap r0."""
     if not (math.isfinite(k) and math.isfinite(r0)):
         raise DomainError(f"cone curvature and cap must be finite, got k={k}, r0={r0}")
-    if k > 0.0 and r0 > HALF_PI / math.sqrt(k) + 1e-12:
-        raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k))")
+    _check_cone_cap(k, r0)
     return _radial_distance(k, p, q, base_metric, r0, "cone", "radial coordinate")
+
+
+# The k < 0 cone law's cosh(s t0) cosh(s t1), s = sqrt(-k), overflows past s t = 355.
+HYPERBOLIC_CAP = 350.0
+
+
+def _check_cone_cap(k: float, r0: float):
+    s = math.sqrt(abs(k))
+    if (k > 0.0 and r0 > HALF_PI / s + 1e-12) or (k < 0.0 and s * r0 > HYPERBOLIC_CAP):
+        raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k)) for k > 0 and "
+                                f"sqrt(-k)*r0 <= {HYPERBOLIC_CAP:g} for k < 0, got r0={r0}")
 
 
 def suspension_distance(p, q, base_metric) -> float:
@@ -1058,11 +1068,7 @@ class Cone(_OverBase):
             raise ConstructionError(f"cone curvature k must be finite, got {self.k}")
         if not 0.0 < self.r0 < math.inf:
             raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0}")
-        if self.k > 0.0 and self.r0 > HALF_PI / math.sqrt(self.k) + 1e-12:
-            raise ConstructionError(
-                f"cone with k={self.k} requires r0 <= pi/(2*sqrt(k)) = "
-                f"{HALF_PI / math.sqrt(self.k):.6f}, got r0={self.r0}"
-            )
+        _check_cone_cap(self.k, self.r0)
         _factor(self.base, "cone base").check_cone_base()
 
     def _law(self):
@@ -1080,8 +1086,8 @@ class Cone(_OverBase):
     def check_cone_base(self):
         raise UnsupportedConstructionError("iterated cones are not supported")
 
-    def distance(self, p, q) -> float:
-        return cone_distance(self.k, p, q, self.base.distance, self.r0)
+    def distance(self, p, q) -> float:  # k and r0 were checked when the cone was built
+        return _radial_distance(self.k, p, q, self.base.distance, self.r0, "cone", "radial coordinate")
 
     def to_json(self) -> dict:
         return {"kind": "cone", "k": self.k, "base": self.base.to_json(), "r0": self.r0}

@@ -5,12 +5,14 @@ from a stated independent oracle (quadrature, elliptic integrals, net
 minimax scans); tolerances are pinned here, not tuned at runtime.
 """
 
+import contextlib
+import io
 import math
 import time
 
 import numpy as np
 from alexgeo import comparison as cmp, embeddings as emb
-from alexgeo import harness, invariants as inv, nets, serialize, spaces
+from alexgeo import cli, harness, invariants as inv, nets, serialize, spaces
 from alexgeo.harness import projective_lens_quotient
 from alexgeo.spaces import (
     Cone,
@@ -233,16 +235,34 @@ def test_criterion_8_comparison_traces():
           f"{worst_radial:.1e}, cone gap {worst_cone:.1e}")
 
 
-def test_criterion_9_hinge_audit():
-    tol = 3.0 * EPS
-    audits = [
-        cmp.hinge_audit_sphere(10_000, 42, tol),
-        cmp.hinge_audit_lens(3, 1.5, 10_000, 42, tol),
-        cmp.hinge_audit_cone_apex(Cone(1.0, Sphere(1, 0.75), HALF_PI), 10_000, 42, tol),
-    ]
-    ok = all(a.passed for a in audits)
-    _line(9, "hinge audit", ok,
-          "; ".join(f"{a.space_label}: {a.worst_excess:.1e}" for a in audits))
+def test_criterion_9_curvature_audit(tmp_path):
+    # the (1+3)-point comparison on the nets of the three spaces the hinge
+    # audits covered, then three spaces that are not curv >= 1
+    tol = 1e-6
+    passing = {
+        "S2(1)": nets.epsilon_net(Sphere(2, 1.0), 0.1, 42),
+        "L_1.5^3": nets.epsilon_net(Lens(3, 1.5), 0.2, 42),
+        "C_1(S1(0.75))(pi/2)": nets.epsilon_net(Cone(1.0, Sphere(1, 0.75), HALF_PI), 0.05, 42),
+    }
+    failing = {
+        "S2(2)": nets.epsilon_net(Sphere(2, 2.0), 0.3, 42),
+        "flat disk": nets.epsilon_net(ModelBall(0.0, 1.0, 2), 0.1, 42),
+        "C_-1(S1)(1)": nets.epsilon_net(Cone(-1.0, Sphere(1, 1.0), 1.0), 0.1, 42),
+    }
+    audits = {name: nets.verify_curvature(net, tol) for name, net in {**passing, **failing}.items()}
+    ok = all(audits[name].passed for name in passing)
+    for name in failing:
+        a = audits[name]
+        ok = ok and not a.passed and a.excess > 0.5 and len(set(a.witness)) == 4
+    for name, space, want in (("lens", Lens(3, 1.5), 0), ("sphere2", Sphere(2, 2.0), 1)):
+        csv = tmp_path / f"{name}.csv"
+        serialize.write_net(nets.epsilon_net(space, 0.3, 42), csv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--check", "curvature", "--net", str(csv)])
+        ok = ok and code == want and out.getvalue().endswith(("-> PASS\n", "-> FAIL\n")[want])
+    _line(9, "curvature audit", ok,
+          "; ".join(f"{name}: {a.excess:+.1e} at {a.witness}" for name, a in audits.items()))
 
 
 def test_criterion_10_engineering_gate():

@@ -8,13 +8,14 @@ checked against them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from alexgeo import comparison as cmp
 from alexgeo import spaces
-from alexgeo.errors import DomainError
+from alexgeo.errors import ConstructionError, DomainError
 from alexgeo.spaces import HALF_PI, PI, ConeCoords, Interval, Join, ModelBall, Sphere, cs_k, md_k, sn_k
 
 CURVATURES = (-1.0, -0.25, 0.0, 1.0, 4.0)
@@ -289,3 +290,56 @@ def test_chord_path_matches_its_branches(k):
 def test_non_finite_input_is_a_domain_error(call):
     with pytest.raises(DomainError, match="finite"):
         call()
+
+
+# ---------------------------------------------------------------------------
+# k < 0 past the overflow of cosh: the cap, and non-finite closed forms
+# ---------------------------------------------------------------------------
+
+E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spaces.Cone(-1.0, Sphere(1, 1.0), 800.0),
+    lambda: spaces.Cone(-4.0, Sphere(1, 1.0), 176.0),  # sqrt(-k) r0 = 352
+    lambda: ModelBall(-1.0, 800.0, 2),
+    lambda: spaces.cone_distance(-1.0, (710.0, E1), (710.0, E2), spaces.sphere_distance, 800.0),
+], ids=["cone", "cone-k4", "model-ball", "cone_distance"])
+def test_hyperbolic_cone_past_the_cap_is_a_construction_error(call):
+    with pytest.raises(ConstructionError, match="350"):
+        call()
+
+
+def test_hyperbolic_cone_at_the_cap_stays_finite():
+    cone = spaces.Cone(-1.0, Sphere(1, 1.0), spaces.HYPERBOLIC_CAP)
+    r = spaces.HYPERBOLIC_CAP
+    got = cone.distance((r, E1), (r, -E1))
+    assert got == spaces.cone_distance(-1.0, (r, E1), (r, -E1), spaces.sphere_distance, r)
+    assert got == pytest.approx(2.0 * r, rel=1e-12)
+    A = spaces.pack_points(cone, [(r, E1), (r, E2)])
+    assert np.all(np.isfinite(spaces.cross_distance(cone, A, A)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cmp.hinge_comparison(-1.0, 800, 800, 0.5),  # integer sides once read 0.0
+    lambda: cmp.hinge_comparison(-1.0, 800.0, 800.0, 0.5),  # float sides a bare OverflowError
+    lambda: cmp.hinge_comparison(-4.0, 0.1, 176.0, 0.5),
+], ids=["int-sides", "float-sides", "k4"])
+def test_hyperbolic_hinge_past_the_cap_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="350"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cmp.model_phi(-1.0, 0.5, 800.0),
+    lambda: cmp.fbar(-1.0, 0.5, 0.1, 0.0, 800.0),
+    lambda: cmp.model_psi(-1.0, 800.0),
+    lambda: cmp.model_phi(-1.0, 0.5, np.array([1.0, 800.0])),
+    lambda: cmp.fbar(-1.0, 0.5, 0.1, 0.0, np.array([1.0, 800.0])),
+    lambda: cmp.model_psi(-1.0, np.array([1.0, 800.0])),
+], ids=["phi", "fbar", "psi", "phi-array", "fbar-array", "psi-array"])
+def test_closed_form_overflow_is_a_domain_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DomainError, match="result must be finite"):
+            call()

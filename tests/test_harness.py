@@ -256,9 +256,38 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         payload = json.loads((tmp_path / "inv.json").read_text())
         assert payload["radius"] == pytest.approx(HALF_PI, abs=0.16)
-        res = _cli("verify", "--check", "metric", "--net", str(csv))
-        assert res.returncode == 0
-        assert "PASS" in res.stdout
+        for check in ("metric", "curvature"):
+            res = _cli("verify", "--check", check, "--net", str(csv))
+            assert res.returncode == 0, res.stderr
+            assert f"[verify:{check}]" in res.stdout and "PASS" in res.stdout
+
+    def test_verify_checks_and_options(self, capsys):
+        parser = cli.build_parser()
+        for check in ("metric", "curvature", "convexity", "trace"):
+            assert parser.parse_args(["verify", "--check", check]).check == check
+        for argv in (["--check", "hinge"], ["--check", "metric", "--hinges", "5"],
+                     ["--check", "metric", "--epsilon", "0.1"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["verify"] + argv)
+        assert "--check {metric,curvature,convexity,trace}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "metric"],
+        ["--check", "curvature"],
+        ["--check", "convexity"],
+        ["--check", "convexity", "--space", "{lens}", "--probes", "0"],
+        ["--check", "trace", "--step", "0"],
+        ["--check", "trace", "--paths", "0"],
+        ["--check", "trace", "--paths", "-3"],
+    ], ids=["metric-no-net", "curvature-no-net", "convexity-no-space", "probes-0", "step-0",
+            "paths-0", "paths-negative"])
+    def test_verify_rejects_what_it_cannot_run(self, tmp_path, capsys, argv):
+        lens = tmp_path / "lens.json"
+        lens.write_text(json.dumps({"kind": "lens", "dim": 2, "alpha": 2.0}))
+        assert cli.main(["verify"] + [a.format(lens=lens) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_capacity_error_surfaces(self, tmp_path):
         space = tmp_path / "lens3.json"

@@ -1,6 +1,7 @@
-"""Net construction: determinism, covering, boundary flags, metric audit."""
+"""Net construction: determinism, covering, boundary flags, metric and curvature audits."""
 
 import importlib.util
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from alexgeo import actions, nets, serialize, spaces
 from alexgeo.errors import CapacityError, ConstructionError, DomainError
-from alexgeo.harness import spine_example_quotient
+from alexgeo.harness import solve_ellipse_parameter, spine_example_quotient
 from alexgeo.nets import epsilon_net, verify_metric
 from alexgeo.spaces import (
     Cone,
@@ -447,6 +448,127 @@ class TestPairExhaustiveAudit:
         audit = verify_metric(D, 1e-9)
         assert audit.exhaustive
         assert not audit.passed
+
+
+def _cap_z8():
+    cap = Cone(1.0, Sphere(1, 1.0), 1.0)
+    return Quotient(cap, actions.cyclic_approximation(cap, 8))
+
+
+def _model_angle(D, p, a, b):
+    """The angle at p of the unit-sphere triangle with sides D[p, a], D[p, b], D[a, b]; None where there is none."""
+    x, y = D[p, a], D[p, b]
+    s = 0.5 * (x + y + D[a, b])
+    if x == 0.0 or y == 0.0 or s >= PI:
+        return None
+    h = math.sin(s - x) * math.sin(s - y) / (math.sin(x) * math.sin(y))
+    return 2.0 * math.asin(math.sqrt(min(max(h, 0.0), 1.0)))
+
+
+def _angle_sum(D, p, a, b, c):
+    angles = [_model_angle(D, p, a, b), _model_angle(D, p, b, c), _model_angle(D, p, c, a)]
+    return None if None in angles else sum(angles)
+
+
+def _plain_curvature(D):
+    """(largest angle sum minus 2 pi, quadruples checked, quadruples skipped) over every quadruple."""
+    n = D.shape[0]
+    best, checked, skipped = -math.inf, 0, 0
+    for p in range(n):
+        for a, b, c in itertools.combinations([i for i in range(n) if i != p], 3):
+            total = _angle_sum(D, p, a, b, c)
+            if total is None:
+                skipped += 1
+            else:
+                checked += 1
+                best = max(best, total - 2.0 * PI)
+    return best, checked, skipped
+
+
+class TestVerifyCurvature:
+    """The (1+3)-point comparison with the unit sphere on a distance matrix."""
+
+    @pytest.mark.parametrize("case", ["round", "cap_z8", "big_sphere", "flat_disk", "duplicate_point"])
+    def test_exhaustive_path_matches_a_plain_loop(self, case):
+        if case == "round":
+            D = _random_sphere_matrix(20, 3)
+        elif case == "duplicate_point":  # a zero side at p skips the quadruple
+            D = epsilon_net(Lens(3, 1.5), 1.0, 42).dist
+            D = D[np.ix_([*range(D.shape[0]), 4], [*range(D.shape[0]), 4])]
+        else:
+            space, eps = {"cap_z8": (_cap_z8(), 0.4), "big_sphere": (Sphere(2, 2.0), 1.2),
+                          "flat_disk": (ModelBall(0.0, 1.0, 2), 0.4)}[case]
+            D = epsilon_net(space, eps, 42).dist
+        audit = nets.verify_curvature(D)
+        best, checked, skipped = _plain_curvature(D)
+        assert audit.exhaustive and checked + skipped == D.shape[0] * math.comb(D.shape[0] - 1, 3)
+        assert (audit.n_quadruples, audit.n_skipped) == (checked, skipped)
+        assert audit.excess == pytest.approx(best, abs=1e-12)
+        assert _angle_sum(D, *audit.witness) - 2.0 * PI == pytest.approx(best, abs=1e-12)
+        assert audit.passed == (case in ("round", "cap_z8", "duplicate_point"))
+        if case in ("big_sphere", "duplicate_point"):  # perimeters of 2 pi or more; zero sides
+            assert skipped > 0
+
+    @pytest.mark.parametrize("space, eps", [
+        (Sphere(2, 1.0), 0.1),
+        (Lens(3, 1.5), 0.3),
+        (Sphere(2, 2.0), 0.3),
+        (ModelBall(0.0, 1.0, 2), 0.1),
+        (Cone(-1.0, Sphere(1, 1.0), 1.0), 0.1),
+    ], ids=["round", "lens", "big_sphere", "flat_disk", "hyperbolic_cone"])
+    def test_witness_reproduces_the_excess(self, space, eps):
+        D = epsilon_net(space, eps, 42).dist
+        audit = nets.verify_curvature(D)
+        assert not audit.exhaustive
+        assert audit.n_quadruples + audit.n_skipped == nets.CURVATURE_CENTRES * math.comb(nets.CURVATURE_OTHERS, 3)
+        p, a, b, c = audit.witness
+        assert len({p, a, b, c}) == 4
+        assert _angle_sum(D, p, a, b, c) - 2.0 * PI == pytest.approx(audit.excess, abs=1e-12)
+
+    def test_sampled_centres_come_from_the_seed(self):
+        # n - 1 points pi/2 apart and one point 0.1 from all of them: only
+        # quadruples centred at that point fail, so a sampled audit fails
+        # exactly when its seeded centres include it
+        n = 300
+        D = np.full((n, n), HALF_PI)
+        D[-1, :] = D[:, -1] = 0.1
+        np.fill_diagonal(D, 0.0)
+        audits = [nets.verify_curvature(D, seed=s) for s in range(4)]
+        assert nets.verify_curvature(D, seed=0) == audits[0]
+        assert [a.passed for a in audits] == [False, False, True, False]
+        for a in audits[:2]:
+            assert a.witness[0] == n - 1 and a.excess == pytest.approx(PI)
+
+    def test_closed_form_quotient_nets_pass(self):
+        for space, eps in ((_cap_z8(), 0.05), (spine_example_quotient(True), 0.3)):
+            audit = nets.verify_curvature(epsilon_net(space, eps, 42), 1e-6)
+            assert audit.passed, (space, audit)
+            assert audit.n_skipped == 0
+
+    def test_one_nan_fails_the_audit(self):
+        D = _random_sphere_matrix(30, 2)
+        D[3, 17] = D[17, 3] = np.nan
+        audit = nets.verify_curvature(D)
+        assert audit.excess == math.inf and not audit.passed
+        assert {3, 17} <= set(audit.witness)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_quadruple_below_four_points(self, n):
+        audit = nets.verify_curvature(_random_sphere_matrix(n, 0))
+        assert audit.passed and audit.exhaustive
+        assert (audit.excess, audit.witness, audit.n_quadruples) == (0.0, (0, 0, 0, 0), 0)
+
+    def test_ellipsoid_graph_metric_fails_as_observed(self):
+        # the ex3_3 surface has curvature >= c^2/(a^2 b^2) ~ 1.16, but shortest
+        # paths of its k-NN surface graph branch, so the net metric is not
+        # curv >= 1 at net scale: an observation, not a pass (+1.145 at seed 42)
+        a_star = solve_ellipse_parameter(tol=1e-10).a_star
+        net = epsilon_net(Ellipsoid(a_star, 1.0 / 3.0, 0.25), 0.05, 42, allow_degrade=True)
+        audit = nets.verify_curvature(net)
+        assert not audit.passed
+        assert audit.excess > 1.0
+        p, a, b, c = audit.witness
+        assert _angle_sum(net.dist, p, a, b, c) - 2.0 * PI == pytest.approx(audit.excess, abs=1e-12)
 
 
 class TestFarthestPointSample:

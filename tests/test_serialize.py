@@ -310,12 +310,13 @@ class TestReadNetValidation:
         with pytest.raises(ConstructionError, match="'n'"):
             serialize.read_net(csv)
 
-    @pytest.mark.parametrize("command", ["invariants", "verify"])
+    @pytest.mark.parametrize("command", [["invariants"], ["verify", "--check", "metric"],
+                                         ["verify", "--check", "curvature"]],
+                             ids=["invariants", "verify", "verify-curvature"])
     def test_cli_exits_2_on_a_mismatched_matrix(self, stored, capsys, command):
         net, csv = stored
         np.savetxt(csv, net.dist[:3, :3], delimiter=",", fmt="%.17g")
-        argv = [command, "--net", str(csv)] + (["--check", "metric"] if command == "verify" else [])
-        assert cli.main(argv) == 2
+        assert cli.main(command + ["--net", str(csv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
