@@ -269,10 +269,8 @@ def group_from_generators(space, generators, name: str = "") -> GroupAction:
     by generators not already generated by the earlier ones, so a cyclic
     group costs O(m) compositions, also when every element is listed.
     """
-    from .nets import random_points  # local import: sampling lives with net plumbing
-
     rng = np.random.default_rng(20231115)
-    probes = spaces.pack_points(space, random_points(space, 32, rng))
+    probes = spaces.pack_points(space, space.random_points(32, rng))
 
     def signature(iso):
         return np.round(spaces.coords_flat(iso.apply(probes)), 9).tobytes()
@@ -336,10 +334,8 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
     by each element as one array.  Moved points must pass the space's
     domain check (DomainError otherwise).
     """
-    from .nets import random_points
-
     rng = np.random.default_rng(seed)
-    probes = spaces.pack_points(space, random_points(space, 16, rng))
+    probes = spaces.pack_points(space, space.random_points(16, rng))
 
     def table(iso):
         return spaces.coords_flat(iso.apply(probes))
@@ -356,8 +352,8 @@ def validate_action(space, action: GroupAction, n_pairs: int = 1000, seed: int =
             best = min(float(np.max(np.abs(tab - t))) for t in tables)
             closure_defect = max(closure_defect, best)
 
-    X = spaces.pack_points(space, random_points(space, n_pairs, rng))
-    Y = spaces.pack_points(space, random_points(space, n_pairs, rng))
+    X = spaces.pack_points(space, space.random_points(n_pairs, rng))
+    Y = spaces.pack_points(space, space.random_points(n_pairs, rng))
     d0 = spaces.elementwise_distance(space, X, Y)
     isometry_defect = 0.0
     for g in action.elements[1:] if has_identity else action.elements:
@@ -388,18 +384,14 @@ def cyclic_approximation(space, m: int) -> GroupAction:
     Acts by simultaneous phase rotation on S^3 factors (the circle action
     whose orbits are the unit-speed fibers) and by rotation 2*pi/m on circle
     and cone-over-circle factors; diagonal on joins.  Quotient distances
-    decrease monotonically as m doubles, with defect O(1/m).
+    decrease monotonically as m doubles, with defect O(1/m).  The group is
+    closed by `group_from_generators`, as its JSON reload is, so element k
+    is the k-fold product of the generator and m is capped at MAX_ORDER.
     """
     if int(m) != m or m < 2:
         raise ConstructionError(f"cyclic order must be an integer >= 2, got {m}")
     m = int(m)
-    gen = _cyclic_generator(space, m)
-    elements = [Identity()]
-    g = gen
-    for _ in range(m - 1):
-        elements.append(g)
-        g = compose(gen, g)
-    return GroupAction(space=space, elements=tuple(elements), name=f"Z_{m}", generators=(gen,))
+    return group_from_generators(space, (_cyclic_generator(space, m),), name=f"Z_{m}")
 
 
 def _cyclic_generator(desc, m: int):

@@ -96,10 +96,10 @@ def _cmd_verify(args) -> int:
         net = serialize.read_net(args.net)
         tol = {} if args.tol is None else {"tol": args.tol}  # else the audit's own default
         if args.check == "metric":
-            audit = nets_mod.verify_metric(net, **tol)
+            audit = nets_mod.verify_metric(net, **tol, seed=args.seed)
             found = f"symmetry={audit.symmetry_defect:.3e} triangle={audit.triangle_defect:.3e}"
         else:
-            audit = nets_mod.verify_curvature(net, **tol)
+            audit = nets_mod.verify_curvature(net, **tol, seed=args.seed)
             found = f"excess={audit.excess:.3e} quadruples={audit.n_quadruples}"
         ok = audit.passed
         found = f"n={audit.n_points} {found} witness={audit.witness} exhaustive={audit.exhaustive}"

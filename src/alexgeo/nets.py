@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -225,21 +225,16 @@ class EllipsoidEngine:
         return through
 
 
-_ENGINE_CACHE: dict = {}
-
-
-def ellipsoid_engine(a: float, b: float, c: float, epsilon: float = 0.05, seed: int = 42,
-                     budget: int = DEFAULT_BUDGET) -> EllipsoidEngine:
-    key = (round(a, 12), round(b, 12), round(c, 12), round(epsilon, 12), seed, budget)
-    if key not in _ENGINE_CACHE:
-        _ENGINE_CACHE[key] = EllipsoidEngine(Ellipsoid(a, b, c), epsilon, seed, budget)
-    return _ENGINE_CACHE[key]
+@cache
+def ellipsoid_engine(space: Ellipsoid, epsilon: float, seed: int, budget: int) -> EllipsoidEngine:
+    """The engine of (space, epsilon, seed, budget), built once per process."""
+    return EllipsoidEngine(space, epsilon, seed, budget)
 
 
 def ellipsoid_distance(p, q, a: float, b: float, c: float, epsilon: float = 0.05,
                        seed: int = 42) -> float:
     """Intrinsic surface distance via the graph geodesic engine, accurate to O(epsilon)."""
-    return ellipsoid_engine(a, b, c, epsilon, seed).distance(p, q)
+    return ellipsoid_engine(Ellipsoid(a, b, c), epsilon, seed, DEFAULT_BUDGET).distance(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +261,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
         )
 
     if isinstance(space, Ellipsoid):
-        eng = ellipsoid_engine(space.a, space.b, space.c, epsilon, seed, budget)
+        eng = ellipsoid_engine(space, epsilon, seed, budget)
         n = eng.points.shape[0]
         if eng.covering > 1.05 * epsilon and not allow_degrade:
             required = math.ceil(n * (eng.covering / epsilon) ** 2)
@@ -276,54 +271,34 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
                 required=required,
                 budget=budget,
             )
-        net = FiniteNet(
-            space=space,
-            coords=eng.points,
-            is_boundary=np.zeros(n, dtype=bool),
-            dist=eng.dist,
-            epsilon=epsilon,
-            epsilon_effective=max(epsilon, eng.covering),
-            seed=seed,
-            meta={"strategy": "fps+graph", "knn": eng.knn},
-        )
-        _freeze(net)
-        return net
-
-    eff = float(epsilon)
-    n = space.net_count(eff)
-    if n > budget:
-        if not allow_degrade:
-            raise CapacityError(
-                f"net for {type(space).__name__} at epsilon={epsilon} needs {n} points, "
-                f"budget is {budget}; pass allow_degrade=True to coarsen",
-                required=n,
-                budget=budget,
-            )
-        dim = max(1, space.dim)
-        for _ in range(24):
-            eff *= 1.03 * (n / budget) ** (1.0 / dim)
-            n = space.net_count(eff)
-            if n <= budget:
-                break
-        else:
-            raise CapacityError(
-                f"could not fit a net for {type(space).__name__} within budget {budget}",
-                required=n,
-                budget=budget,
-            )
-    coords, flags, D = grid_net(space, eff)
-    net = FiniteNet(
-        space=space,
-        coords=coords,
-        is_boundary=flags,
-        dist=D,
-        epsilon=float(epsilon),
-        epsilon_effective=eff,
-        seed=seed,
-        meta={"strategy": type(space).__name__.lower()},
-    )
-    _freeze(net)
-    return net
+        coords, flags, D = eng.points, np.zeros(n, dtype=bool), eng.dist
+        eff, meta = max(epsilon, eng.covering), {"strategy": "fps+graph", "knn": eng.knn}
+    else:
+        eff = float(epsilon)
+        n = space.net_count(eff)
+        if n > budget:
+            if not allow_degrade:
+                raise CapacityError(
+                    f"net for {type(space).__name__} at epsilon={epsilon} needs {n} points, "
+                    f"budget is {budget}; pass allow_degrade=True to coarsen",
+                    required=n,
+                    budget=budget,
+                )
+            dim = max(1, space.dim)
+            for _ in range(24):
+                eff *= 1.03 * (n / budget) ** (1.0 / dim)
+                n = space.net_count(eff)
+                if n <= budget:
+                    break
+            else:
+                raise CapacityError(
+                    f"could not fit a net for {type(space).__name__} within budget {budget}",
+                    required=n,
+                    budget=budget,
+                )
+        coords, flags, D = grid_net(space, eff)
+        meta = {"strategy": type(space).__name__.lower()}
+    return _freeze(FiniteNet(space, coords, flags, D, float(epsilon), eff, seed, meta))
 
 
 def grid_net(space, eff: float):
@@ -373,14 +348,20 @@ def _compact(D: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return D
 
 
-def _freeze(net: FiniteNet):
+def _freeze(net: FiniteNet) -> FiniteNet:
+    """The net with its matrix and flags made read-only, so `eccentricity` cannot go stale."""
     net.dist.setflags(write=False)
     net.is_boundary.setflags(write=False)
+    return net
 
 
 # ---------------------------------------------------------------------------
 # metric-axiom and curvature audits
 # ---------------------------------------------------------------------------
+
+
+METRIC_FULL_POINTS = 600
+METRIC_PAIRS = 2000
 
 
 @dataclass
@@ -404,8 +385,7 @@ class MetricAudit:
         )
 
 
-def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600,
-                  n_pairs: int = 2000, seed: int = 0) -> MetricAudit:
+def verify_metric(net_or_matrix, tol: float = 1e-9, *, seed: int = 0) -> MetricAudit:
     """Audit the diagonal, symmetry and the triangle inequality of a distance matrix.
 
     The triangle audit is pair-exhaustive: for a pair (i, k) its slack is
@@ -419,8 +399,8 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     The row form reads D[k, j] for D[j, k]; the two differ by at
     most the symmetry defect, which is gated at the same `tol`.
 
-    Up to `full_threshold` points every unordered pair is scanned, i
-    against the rows i + 1, ..., n - 1; above it, `n_pairs` seeded pairs
+    Up to METRIC_FULL_POINTS points every unordered pair is scanned, i
+    against the rows i + 1, ..., n - 1; above, METRIC_PAIRS seeded pairs
     with i != k are scanned and the audit is marked non-exhaustive.  Both
     work in blocks of `spaces.row_block(n)` pairs.  `n_triples` counts
     pairs x (n - 2) middle points.  With n < 3 there is no non-trivial
@@ -440,7 +420,7 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
     sym = float(sym)
     diag = float(np.max(np.abs(np.diag(D))))
 
-    exhaustive = n <= full_threshold
+    exhaustive = n <= METRIC_FULL_POINTS
     if n < 3:
         pairs, best, witness = 0, 0.0, (0, 0, 0)
     else:
@@ -458,7 +438,7 @@ def verify_metric(net_or_matrix, tol: float = 1e-9, *, full_threshold: int = 600
                         best, witness = v, w
         else:
             rng = np.random.default_rng(seed)
-            pairs = int(n_pairs)
+            pairs = METRIC_PAIRS
             I = rng.integers(0, n, pairs)
             K = rng.integers(0, n - 1, pairs)
             K += K >= I  # uniform over k != i

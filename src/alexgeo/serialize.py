@@ -168,7 +168,8 @@ def read_net(csv_path) -> FiniteNet:
     only if its coordinates and flags are bit-equal to the stored ones and
     its buffer's sha256 equals the stored matrix digest.  Otherwise the
     CSV is parsed, as for files written before digests were stored.  Both
-    paths return the same matrix bit for bit.
+    paths return the same matrix bit for bit, and the net is read-only, as
+    `nets.epsilon_net` leaves a built one.
 
     The sidecar is authoritative, as its coordinates already are: an edit
     to the CSV is caught by its digest and sends the load to the parse
@@ -212,17 +213,8 @@ def read_net(csv_path) -> FiniteNet:
         raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
     if not np.all(np.isfinite(D)):
         raise ConstructionError(f"net matrix {csv_path} has non-finite entries")
-    net = FiniteNet(
-        space=space,
-        coords=coords,
-        is_boundary=is_boundary,
-        dist=D,
-        epsilon=float(meta["epsilon"]),
-        epsilon_effective=epsilon_effective,
-        seed=int(meta["seed"]),
-        meta=dict(meta.get("meta", {})),
-    )
-    return net
+    return nets_mod._freeze(FiniteNet(space, coords, is_boundary, D, float(meta["epsilon"]),
+                                      epsilon_effective, int(meta["seed"]), dict(meta.get("meta", {}))))
 
 
 def _meta_path(csv_path: Path) -> Path:

@@ -163,11 +163,11 @@ def _law_xp(a, b, c, d=0.0):
 
 
 def clamped_arccos(x):
-    """arccos with the argument clamped to [-1, 1] (tracked when enabled)."""
+    """arccos with the argument clamped to [-1, 1] (tracked when enabled); NaN stays NaN."""
     if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(abs(float(x)) - 1.0)
-        return math.acos(min(1.0, max(-1.0, float(x))))
+        return math.acos(max(min(float(x), 1.0), -1.0))  # x first: min and max then keep a NaN
     x = np.asarray(x, dtype=float)
     if clamp_stats.enabled and x.size:
         _record_excess(float(np.max(np.abs(x))) - 1.0)
@@ -183,11 +183,11 @@ def _arccos_in_place(c: np.ndarray) -> np.ndarray:
 
 
 def clamped_arccosh(x):
-    """arccosh with the argument clamped to [1, inf) (tracked when enabled)."""
+    """arccosh with the argument clamped to [1, inf) (tracked when enabled); NaN stays NaN."""
     if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(1.0 - float(x))
-        return math.acosh(max(1.0, float(x)))
+        return math.acosh(max(float(x), 1.0))
     x = np.asarray(x, dtype=float)
     if clamp_stats.enabled and x.size:
         _record_excess(1.0 - float(np.min(x)))

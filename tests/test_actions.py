@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from alexgeo import actions, nets, spaces
+from alexgeo import actions, nets, serialize, spaces
 from alexgeo.errors import ConstructionError, DomainError
 from alexgeo.spaces import Cone, Interval, Join, Quotient, Sphere, Suspension, distance
 
@@ -116,6 +116,41 @@ class TestCyclicApproximation:
     def test_unsupported_base(self):
         with pytest.raises(ConstructionError):
             actions.cyclic_approximation(Sphere(2, 1.0), 8)
+
+    def test_order_past_max_order_fails_when_built(self):
+        with pytest.raises(ConstructionError, match=f"exceeded {actions.MAX_ORDER} elements"):
+            actions.cyclic_approximation(Sphere(1, 1.0), actions.MAX_ORDER + 1)
+
+    def test_max_order_builds_and_reloads_to_equal_elements(self):
+        base = Sphere(1, 1.0)
+        act = actions.cyclic_approximation(base, actions.MAX_ORDER)
+        again = actions.action_from_json(base, actions.action_to_json(act))
+        assert act.order == again.order == actions.MAX_ORDER
+        assert _element_text(again) == _element_text(act)
+
+    # perfbench's seven `quotients` cases, and the catalogue's Join(S^3, cap)/Z_256 of ex3_8
+    @pytest.mark.parametrize("base, m", [
+        (Sphere(3, 1.0), 8),
+        (Sphere(3, 1.0), 64),
+        (Sphere(3, 1.0), 256),
+        (Cone(1.0, Sphere(1, 1.0), 1.0), 8),
+        (Cone(1.0, Sphere(1, 1.0), 1.0), 64),
+        (Cone(1.0, Sphere(1, 0.75), HALF_PI), 8),
+        (Cone(1.0, Sphere(1, 0.75), HALF_PI), 64),
+        (Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0)), 256),
+    ], ids=["s3-z8", "s3-z64", "s3-z256", "cap-z8", "cap-z64", "cap075-z8", "cap075-z64",
+            "join-s3-cap-z256"])
+    def test_elements_serialize_as_their_reload(self, base, m):
+        act = actions.cyclic_approximation(base, m)
+        again = serialize.space_from_json(serialize.space_to_json(Quotient(base, act))).action
+        assert act.order == m
+        assert _element_text(again) == _element_text(act)
+        assert [g.to_json() for g in again.generators] == [g.to_json() for g in act.generators]
+
+
+def _element_text(action):
+    """The action's elements as stable JSON text, which keeps every float bit (and -0.0)."""
+    return [serialize.stable_dumps(g.to_json()) for g in action.elements]
 
 
 class TestJsonGenerators:

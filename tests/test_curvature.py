@@ -204,6 +204,17 @@ def test_cone_law_on_arrays_is_the_numpy_law(k, cross):
     assert np.array_equal(spaces._cone_law(k, pa, pb, ctheta), _law_array(k, pa, pb, ctheta))
 
 
+@pytest.mark.parametrize("call", [
+    spaces.clamped_arccos,
+    spaces.clamped_arccosh,
+    lambda x: spaces._cone_law(-1.0, 1.0, 2.0, x),
+    lambda x: spaces._cone_law(1.0, 1.0, 0.5, x),
+], ids=["arccos", "arccosh", "cone-law-k-1", "cone-law-k1"])
+def test_nan_stays_nan_on_numbers_as_on_arrays(call):
+    assert math.isnan(call(math.nan))
+    assert np.isnan(call(np.array([math.nan]))).all()
+
+
 def test_join_law_on_floats_is_the_math_law():
     rng = np.random.default_rng(9)
     ts, cs = rng.uniform(0, HALF_PI, (300, 2)), np.cos(rng.uniform(0, PI, (300, 2)))

@@ -261,6 +261,22 @@ class TestCli:
             assert res.returncode == 0, res.stderr
             assert f"[verify:{check}]" in res.stdout and "PASS" in res.stdout
 
+    @pytest.mark.parametrize("check", ["metric", "curvature"])
+    def test_verify_seed_reaches_the_matrix_audits(self, tmp_path, capsys, check):
+        # 748 points: both audits sample, the metric audit above 600 points
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(spaces.Lens(3, 1.0), 0.2, 0), csv)
+        net = serialize.read_net(csv)
+        audit = nets.verify_metric if check == "metric" else nets.verify_curvature
+        witnesses = set()
+        for seed in (0, 7):
+            assert cli.main(["verify", "--check", check, "--net", str(csv), "--seed", str(seed)]) == 0
+            expected = audit(net, seed=seed)
+            assert not expected.exhaustive
+            assert f"witness={expected.witness} " in capsys.readouterr().out
+            witnesses.add(expected.witness)
+        assert len(witnesses) == 2
+
     def test_verify_checks_and_options(self, capsys):
         parser = cli.build_parser()
         for check in ("metric", "curvature", "convexity", "trace"):

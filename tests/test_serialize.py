@@ -409,6 +409,22 @@ class TestReplay:
         assert loadtxt_calls[0] == 1
         assert serialize.net_to_bytes(loaded) == serialize.net_to_bytes(net)
 
+    @pytest.mark.parametrize("space, epsilon, parsed", [
+        (Suspension(Sphere(1, 1.0)), 0.2, 0),
+        (Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 1),
+    ], ids=["replay", "parse-ellipsoid"])
+    def test_loaded_net_is_read_only(self, tmp_path, loadtxt_calls, space, epsilon, parsed):
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(space, epsilon, 42), csv)
+        loaded = serialize.read_net(csv)
+        assert loadtxt_calls[0] == parsed
+        eccentricity = loaded.eccentricity.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.dist[0, 1] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.is_boundary[0] = True
+        assert loaded.eccentricity.tobytes() == eccentricity.tobytes()
+
     @pytest.mark.parametrize("make", [
         lambda: nets.epsilon_net(Lens(2, 1.0), 0.3, 42),
         lambda: nets.epsilon_net(_cyclic(Sphere(3, 1.0), 8), 0.3, 42),

@@ -10,9 +10,13 @@ Usage, from the repository root:
     PYTHONPATH=src python tools/records_digest.py
 
 It takes no options.  The catalogue is run at seeds 42, 1 and 7; each net
-is built at epsilon 0.1, seed 1.  Per seed it prints two digests: of every
-record, and of every record but the metric audits' records, so a change to
-the audit alone can show that all other records stayed byte-identical.
+is built at epsilon 0.1, seed 1.  The nets cover every strategy: grids, the
+ellipsoid's farthest-point net (loaded by parsing its CSV), and cyclic
+quotients whose distances take the closed-form rotation (S3/Z8) or read
+the element list (the cone over a circle of radius 0.75).  Per seed it
+prints two digests: of every record, and of every record but the metric
+audits' records, so a change to the audit alone can show that all other
+records stayed byte-identical.
 Beside them it prints two digests per catalogue entry: of that entry's
 report (config and records), and of its records alone, so a change can show
 which entries moved and, where only the config moved, that the records did
@@ -31,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from alexgeo import actions, harness, nets, serialize
-from alexgeo.spaces import Cone, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+from alexgeo.spaces import Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
 
 SEEDS = (42, 1, 7)
 DIMS = (2, 3)
@@ -62,6 +66,8 @@ def net_cases():
         ("Cone(1, I(1), 1)", Cone(1.0, Interval(1.0), 1.0)),
         ("Join(Suspension(I(0.5)), I(1))", Join(Suspension(Interval(0.5)), Interval(1.0))),
         ("projective_lens_quotient(3, 1)", harness.projective_lens_quotient(3, 1.0)),
+        ("Ellipsoid(0.7, 1/3, 0.25)", Ellipsoid(0.7, 1.0 / 3.0, 0.25)),
+        ("Cone(1, S1(0.75), pi/2)/Z8", _quotient(Cone(1.0, Sphere(1, 0.75), math.pi / 2), 8)),
     ]
 
 
