@@ -238,6 +238,11 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
+    def to_json(self) -> dict:
+        """The name, the order and the generators (the identity for a trivial group)."""
+        gens = [g.to_json() for g in self.generators] or [Identity().to_json()]
+        return {"name": self.name, "order": self.order, "generators": gens}
+
     @cached_property
     def rotation_order(self) -> int | None:
         """m if this is the Z_m that `cyclic_approximation` builds, on unit-radius factors.
@@ -388,10 +393,10 @@ def cyclic_approximation(space, m: int) -> GroupAction:
     closed by `group_from_generators`, as its JSON reload is, so element k
     is the k-fold product of the generator and m is capped at MAX_ORDER.
     """
-    if int(m) != m or m < 2:
-        raise ConstructionError(f"cyclic order must be an integer >= 2, got {m}")
-    m = int(m)
-    return group_from_generators(space, (_cyclic_generator(space, m),), name=f"Z_{m}")
+    order = spaces.as_integer(m)
+    if order is None or order < 2:
+        raise ConstructionError(f"cyclic order must be an integer >= 2, got {m!r}")
+    return group_from_generators(space, (_cyclic_generator(space, order),), name=f"Z_{order}")
 
 
 def _cyclic_generator(desc, m: int):
@@ -430,13 +435,12 @@ def action_from_json(space, payload: dict) -> GroupAction:
         gens = [_iso_from_json(space, g) for g in payload.get("generators", [])]
         name = str(payload.get("name", ""))
         declared = payload.get("order")
-        declared = None if declared is None else int(declared)
     if not gens:
         raise ConstructionError("action payload needs a nonempty generator list")
     action = group_from_generators(space, gens, name=name)
-    if declared is not None and declared != action.order:
+    if declared is not None and spaces.as_integer(declared) != action.order:
         raise ConstructionError(
-            f"declared group order {declared} does not match closure order {action.order}"
+            f"declared group order {declared!r} does not match closure order {action.order}"
         )
     return action
 
@@ -470,7 +474,10 @@ def _iso_from_json(space, spec: dict):
         return ConeMap(_iso_from_json(space.base, spec["base"]))
     if kind == "suspension_map":
         base = _iso_from_json(space.base, spec.get("base", {"type": "identity"}))
-        return SuspensionMap(bool(spec.get("flip", False)), base)
+        flip = spec.get("flip", False)
+        if flip is not True and flip is not False:  # a JSON boolean, not "false" or 0
+            raise ConstructionError(f"suspension_map flip must be true or false, got {flip!r}")
+        return SuspensionMap(flip, base)
     if kind == "pole_swap":
         return SuspensionMap(True, Identity())
     if kind == "antipodal":
@@ -482,29 +489,15 @@ def _iso_from_json(space, spec: dict):
         m[-1, -1] = -1.0
         return OrthogonalMap(m)
     if kind in ("rotation", "hopf"):
-        order, times = spec["order"], spec.get("times", 1)
-        if not (_is_integer(order) and order >= 1 and _is_integer(times)):
+        order, times = spaces.as_integer(spec["order"]), spaces.as_integer(spec.get("times", 1))
+        if order is None or order < 1 or times is None:
             raise ConstructionError(
                 f"{kind} generator needs an integer order >= 1 and an integer times, "
-                f"got order {order!r}, times {times!r}"
+                f"got order {spec['order']!r}, times {spec.get('times', 1)!r}"
             )
-        angle = 2.0 * PI * int(times) / int(order)
+        angle = 2.0 * PI * times / order
         return OrthogonalMap(rotation_matrix(angle) if kind == "rotation" else hopf_rotation_matrix(angle))
     if kind == "orthogonal":
         return OrthogonalMap(np.asarray(spec["matrix"], dtype=float))
     raise ConstructionError(f"unknown generator type {kind!r}")
 
-
-def _is_integer(value) -> bool:
-    """A JSON number with an integral value (bool excluded)."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-
-
-def action_to_json(action: GroupAction) -> dict:
-    return {
-        "name": action.name,
-        "order": action.order,
-        "generators": [g.to_json() for g in action.generators] or [Identity().to_json()],
-    }

@@ -56,7 +56,8 @@ BOUNDARY_TOL = 1e-12
 
 @dataclass
 class FiniteNet:
-    """An epsilon-net: packed coordinates, boundary flags, distance matrix."""
+    """An epsilon-net: packed coordinates, boundary flags, distance matrix; the
+    flags and the matrix (when there is one) are read-only, so `eccentricity` cannot go stale."""
 
     space: object
     coords: object
@@ -66,6 +67,11 @@ class FiniteNet:
     epsilon_effective: float  # covering target the construction guarantees
     seed: int
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.is_boundary.setflags(write=False)
+        if self.dist is not None:
+            self.dist.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -298,7 +304,7 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
                 )
         coords, flags, D = grid_net(space, eff)
         meta = {"strategy": type(space).__name__.lower()}
-    return _freeze(FiniteNet(space, coords, flags, D, float(epsilon), eff, seed, meta))
+    return FiniteNet(space, coords, flags, D, float(epsilon), eff, seed, meta)
 
 
 def grid_net(space, eff: float):
@@ -346,13 +352,6 @@ def _compact(D: np.ndarray, keep: np.ndarray) -> np.ndarray:
     del flat
     D.resize((m, m), refcheck=False)  # no view of D is left
     return D
-
-
-def _freeze(net: FiniteNet) -> FiniteNet:
-    """The net with its matrix and flags made read-only, so `eccentricity` cannot go stale."""
-    net.dist.setflags(write=False)
-    net.is_boundary.setflags(write=False)
-    return net
 
 
 # ---------------------------------------------------------------------------

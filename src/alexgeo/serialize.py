@@ -22,6 +22,7 @@ is not detected.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -33,18 +34,7 @@ from . import actions as actions_mod
 from . import nets as nets_mod
 from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
-from .spaces import (
-    Cone,
-    Ellipsoid,
-    Interval,
-    Join,
-    Lens,
-    ModelBall,
-    Quotient,
-    Sphere,
-    Suspension,
-    coords_len,
-)
+from .spaces import KINDS, Ellipsoid, Quotient, as_integer, coords_len
 
 
 def space_to_json(space) -> dict:
@@ -53,34 +43,24 @@ def space_to_json(space) -> dict:
 
 
 def space_from_json(payload: dict):
-    """Descriptor from its JSON object; a missing or mistyped field is a ConstructionError."""
+    """Descriptor from its JSON object; a missing or mistyped field is a ConstructionError.
+
+    The tag picks the class in `spaces.KINDS`, whose constructor checks the stored values
+    of its declared fields, passed as they are (an object as a nested descriptor).  Only
+    a field with a default (a sphere's radius) may be absent; other keys are ignored.  A
+    quotient's action is read against its base."""
     with json_fields("descriptor"):
-        return _space_from_json(payload)
-
-
-def _space_from_json(payload: dict):
-    kind = payload.get("kind")
-    if kind == "sphere":
-        return Sphere(int(payload["dim"]), float(payload.get("radius", 1.0)))
-    if kind == "interval":
-        return Interval(float(payload["length"]))
-    if kind == "ellipsoid":
-        return Ellipsoid(float(payload["a"]), float(payload["b"]), float(payload["c"]))
-    if kind == "join":
-        return Join(space_from_json(payload["left"]), space_from_json(payload["right"]))
-    if kind == "cone":
-        return Cone(float(payload["k"]), space_from_json(payload["base"]), float(payload["r0"]))
-    if kind == "suspension":
-        return Suspension(space_from_json(payload["base"]))
-    if kind == "quotient":
-        base = space_from_json(payload["base"])
-        action = actions_mod.action_from_json(base, payload["action"])
-        return Quotient(base, action)
-    if kind == "lens":
-        return Lens(int(payload["dim"]), float(payload["alpha"]))
-    if kind == "model_ball":
-        return ModelBall(float(payload["k"]), float(payload["r0"]), int(payload["dim"]))
-    raise ConstructionError(f"unknown descriptor kind {kind!r}")
+        kind = payload.get("kind")
+        if kind == "quotient":
+            base = space_from_json(payload["base"])
+            return Quotient(base, actions_mod.action_from_json(base, payload["action"]))
+        if kind not in KINDS:
+            raise ConstructionError(f"unknown descriptor kind {kind!r}")
+        cls = KINDS[kind]
+        params = inspect.signature(cls).parameters
+        stored = {name: payload[name] for name in cls._json[1]
+                  if name in payload or params[name].default is inspect.Parameter.empty}
+        return cls(**{name: space_from_json(v) if isinstance(v, dict) else v for name, v in stored.items()})
 
 
 def coords_to_json(coords):
@@ -169,7 +149,7 @@ def read_net(csv_path) -> FiniteNet:
     its buffer's sha256 equals the stored matrix digest.  Otherwise the
     CSV is parsed, as for files written before digests were stored.  Both
     paths return the same matrix bit for bit, and the net is read-only, as
-    `nets.epsilon_net` leaves a built one.
+    every `FiniteNet` is.
 
     The sidecar is authoritative, as its coordinates already are: an edit
     to the CSV is caught by its digest and sends the load to the parse
@@ -189,12 +169,15 @@ def read_net(csv_path) -> FiniteNet:
     with json_fields("net metadata"):
         space = space_from_json(meta["space"])
         coords = coords_from_json(space, meta["coords"]) if "coords" in meta else None
-        n = int(meta["n"])
+        n, seed = as_integer(meta["n"]), as_integer(meta["seed"])
         is_boundary = np.asarray(meta["is_boundary"], dtype=bool)
         epsilon_effective = float(meta["epsilon_effective"])
         digests = meta.get("digests")
         if digests is not None:
             digests = (digests["csv_sha256"], digests["matrix_sha256"])
+    if n is None or seed is None:
+        raise ConstructionError(
+            f"net metadata n and seed must be integers, got {meta['n']!r} and {meta['seed']!r}")
     # the matrix, flags and coordinates must all describe the same n points
     if is_boundary.shape != (n,):
         raise ConstructionError(f"net metadata has {is_boundary.size} boundary flags for n = {n}")
@@ -213,8 +196,8 @@ def read_net(csv_path) -> FiniteNet:
         raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
     if not np.all(np.isfinite(D)):
         raise ConstructionError(f"net matrix {csv_path} has non-finite entries")
-    return nets_mod._freeze(FiniteNet(space, coords, is_boundary, D, float(meta["epsilon"]),
-                                      epsilon_effective, int(meta["seed"]), dict(meta.get("meta", {}))))
+    return FiniteNet(space, coords, is_boundary, D, float(meta["epsilon"]), epsilon_effective, seed,
+                     dict(meta.get("meta", {})))
 
 
 def _meta_path(csv_path: Path) -> Path:

@@ -45,9 +45,10 @@ Gram product where ``gram_operands`` has one, else ``formula``),
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
 and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its
-JSON, ``to_json()``.  The module functions (`distance`, `pack_points`,
-`cross_distance`, `boundary_distances`, ...) call these methods.  Joins,
-cones, suspensions and quotients accept only descriptors as factors.
+JSON, ``to_json()``, from the tag and fields each kind declares as ``_json``.
+The module functions (`distance`, `pack_points`, `cross_distance`,
+`boundary_distances`, ...) call these methods.  Joins, cones, suspensions and
+quotients accept only descriptors as factors.
 
 Gram embedding.  Unit spheres, intervals of length <= pi, and joins,
 suspensions and k = 1 cones built from them (so lenses and k = 1 model
@@ -259,6 +260,14 @@ def _float_leaf(values) -> np.ndarray:
         raise DomainError(f"scalar coordinates must be numbers: {exc}") from None
 
 
+def as_integer(value) -> int | None:
+    """`value` as an int if it is a Python or numpy integer or an integral float, else None
+    (a bool, string, fraction or non-finite value): the rule of every dimension, order and count."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    return int(value) if isinstance(value, (float, np.floating)) and value.is_integer() else None
+
+
 def sn_k(k: float, t):
     """The curvature-k sine: sin(sqrt(k) t)/sqrt(k), t for k = 0, sinh(sqrt(-k) t)/sqrt(-k)."""
     xp = _xp(t)
@@ -422,9 +431,10 @@ def interval_distance(s: float, t: float, length: float) -> float:
         for name, x in (("s", s), ("t", t)):
             if not (-1e-12 <= x <= length + 1e-12):
                 raise DomainError(f"interval coordinate {name} = {x} outside [0, {length}]")
-    except TypeError:  # a value that is no number
+        s, t = float(s), float(t)
+    except TypeError:  # a value that is no number, or no 0-d array
         raise DomainError(f"interval coordinates must be numbers, got {s!r} and {t!r}") from None
-    return abs(float(s) - float(t))
+    return abs(s - t)
 
 
 def join_distance(p, q, left_metric, right_metric) -> float:
@@ -440,11 +450,12 @@ def join_distance(p, q, left_metric, right_metric) -> float:
         for name, t in (("t1", t1), ("t2", t2)):
             if not (-1e-12 <= t <= HALF_PI + 1e-12):
                 raise DomainError(f"join latitude {name} = {t} outside [0, pi/2]")
-    except TypeError:  # a latitude that is no number
+        t1, t2 = float(t1), float(t2)
+    except TypeError:  # a latitude that is no number, or no 0-d array
         raise DomainError(f"join latitudes must be numbers, got {t1!r} and {t2!r}") from None
     dl = min(float(left_metric(x1, x2)), PI)
     dr = min(float(right_metric(y1, y2)), PI)
-    return _join_law(float(t1), float(t2), math.cos(dl), math.cos(dr))
+    return _join_law(t1, t2, math.cos(dl), math.cos(dr))
 
 
 def _join_law(t0, t1, cl, cr):
@@ -490,10 +501,11 @@ def _radial_distance(k: float, p, q, base_metric, top: float, kind: str, what: s
         for t in (t0, t1):
             if not (-1e-12 <= t <= top + 1e-12):
                 raise DomainError(f"{kind} {what} {t} outside [0, {top}]")
-    except TypeError:  # a radial coordinate that is no number
+        t0, t1 = float(t0), float(t1)
+    except TypeError:  # a radial coordinate that is no number, or no 0-d array
         raise DomainError(f"{kind} {what}s must be numbers, got {t0!r} and {t1!r}") from None
     theta = min(float(base_metric(y0, y1)), PI)
-    return _cone_law(k, float(t0), float(t1), math.cos(theta))
+    return _cone_law(k, t0, t1, math.cos(theta))
 
 
 def _cone_law(k: float, t0, t1, ctheta):
@@ -601,6 +613,12 @@ class SpaceDescriptor:
             f"no net grid for {type(self).__name__}; ellipsoid nets are built by farthest-point sampling"
         )
 
+    def to_json(self) -> dict:
+        """{"kind": tag, name: value, ...} as `_json` declares; a factor or action writes its own."""
+        kind, names = self._json
+        values = {name: getattr(self, name) for name in names}
+        return {"kind": kind, **{name: v.to_json() if hasattr(v, "to_json") else v for name, v in values.items()}}
+
 
 def _as_base(name: str):
     """The method `name` of a space that answers it as its `base` does."""
@@ -620,13 +638,15 @@ class Sphere(SpaceDescriptor):
 
     dim: int
     radius: float = 1.0
+    _json = "sphere", ("dim", "radius")
 
     def __post_init__(self):
-        if not math.isfinite(self.dim) or int(self.dim) != self.dim or self.dim < 0:
-            raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim}")
+        dim = as_integer(self.dim)
+        if dim is None or dim < 0:
+            raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim!r}")
         if not 0.0 < self.radius < math.inf:
             raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
@@ -727,9 +747,6 @@ class Sphere(SpaceDescriptor):
             pts = _hopf_lattice(eps / self.radius)
         return pts
 
-    def to_json(self) -> dict:
-        return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Interval(SpaceDescriptor):
@@ -737,6 +754,7 @@ class Interval(SpaceDescriptor):
 
     length: float
     dim = 1
+    _json = "interval", ("length",)
 
     def __post_init__(self):
         if not (0.0 < self.length <= PI + 1e-12):
@@ -790,9 +808,6 @@ class Interval(SpaceDescriptor):
     def net_grid(self, eps: float, phase: float = 0.0):
         return np.linspace(0.0, self.length, self.net_count(eps))
 
-    def to_json(self) -> dict:
-        return {"kind": "interval", "length": self.length}
-
 
 @dataclass(frozen=True)
 class Ellipsoid(SpaceDescriptor):
@@ -802,6 +817,7 @@ class Ellipsoid(SpaceDescriptor):
     b: float
     c: float
     dim = 2
+    _json = "ellipsoid", ("a", "b", "c")
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -853,9 +869,6 @@ class Ellipsoid(SpaceDescriptor):
     def canonical_point(self):
         return np.array([self.a, 0.0, 0.0])
 
-    def to_json(self) -> dict:
-        return {"kind": "ellipsoid", "a": self.a, "b": self.b, "c": self.c}
-
 
 @dataclass(frozen=True)
 class Join(SpaceDescriptor):
@@ -863,6 +876,7 @@ class Join(SpaceDescriptor):
 
     left: SpaceDescriptor
     right: SpaceDescriptor
+    _json = "join", ("left", "right")
 
     def __post_init__(self):
         _factor(self.left, "left join factor").check_join_factor("left")
@@ -952,9 +966,6 @@ class Join(SpaceDescriptor):
             li, ri = np.repeat(np.arange(nl), nr), np.tile(np.arange(nr), nl)
             parts.append(JoinCoords(coords_take(lc, li), np.full(nl * nr, t), coords_take(rc, ri)))
         return coords_concat(parts)
-
-    def to_json(self) -> dict:
-        return {"kind": "join", "left": self.left.to_json(), "right": self.right.to_json()}
 
 
 class _OverBase(SpaceDescriptor):
@@ -1056,6 +1067,7 @@ class Cone(_OverBase):
     k: float
     base: SpaceDescriptor
     r0: float
+    _json = "cone", ("k", "base", "r0")
     _record = ConeCoords
     _radial, _what = "t", "cone radial"
     _min_layers = 2
@@ -1089,15 +1101,13 @@ class Cone(_OverBase):
     def distance(self, p, q) -> float:  # k and r0 were checked when the cone was built
         return _radial_distance(self.k, p, q, self.base.distance, self.r0, "cone", "radial coordinate")
 
-    def to_json(self) -> dict:
-        return {"kind": "cone", "k": self.k, "base": self.base.to_json(), "r0": self.r0}
-
 
 @dataclass(frozen=True)
 class Suspension(_OverBase):
     """Spherical suspension of `base`: the join with a two-point space."""
 
     base: SpaceDescriptor
+    _json = "suspension", ("base",)
     _record = SuspCoords
     _radial, _what = "u", "suspension colatitude"
     _min_layers = 3
@@ -1112,9 +1122,6 @@ class Suspension(_OverBase):
     def distance(self, p, q) -> float:
         return suspension_distance(p, q, self.base.distance)
 
-    def to_json(self) -> dict:
-        return {"kind": "suspension", "base": self.base.to_json()}
-
 
 @dataclass(frozen=True, eq=False)
 class Quotient(SpaceDescriptor):
@@ -1122,6 +1129,7 @@ class Quotient(SpaceDescriptor):
 
     base: SpaceDescriptor
     action: object  # actions.GroupAction; typed loosely to avoid an import cycle
+    _json = "quotient", ("base", "action")
 
     def __post_init__(self):
         _factor(self.base, "quotient base")
@@ -1164,11 +1172,6 @@ class Quotient(SpaceDescriptor):
         embed = self.base.gram_embedding
         return embed(A), (embed(g.apply(B)) for g in self.action.elements)
 
-    def to_json(self) -> dict:
-        from .actions import action_to_json
-
-        return {"kind": "quotient", "base": self.base.to_json(), "action": action_to_json(self.action)}
-
 
 def check_fits(space, isometries):
     """Raise ConstructionError unless every isometry node (see `actions`) fits `space`."""
@@ -1185,19 +1188,19 @@ class Lens(Join):
     s = alpha.  alpha = pi gives exactly the closed hemisphere.
     """
 
+    _json = "lens", ("dim", "alpha")
+
     def __init__(self, dim: int, alpha: float):
-        if not math.isfinite(dim) or int(dim) != dim or dim < 2:
-            raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim}")
+        n = as_integer(dim)
+        if n is None or n < 2:
+            raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim!r}")
         if not (0.0 < alpha <= PI + 1e-12):
             raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
-        super().__init__(Sphere(int(dim) - 2, 1.0), Interval(float(alpha)))
+        super().__init__(Sphere(n - 2, 1.0), Interval(float(alpha)))
 
     @property
     def alpha(self) -> float:
         return self.right.length
-
-    def to_json(self) -> dict:
-        return {"kind": "lens", "dim": self.dim, "alpha": self.alpha}
 
 
 class ModelBall(Cone):
@@ -1206,13 +1209,18 @@ class ModelBall(Cone):
     The curvature-k cone over the unit sphere S^(dim-1), capped at r0.
     """
 
-    def __init__(self, k: float, r0: float, dim: int):
-        if not math.isfinite(dim) or int(dim) != dim or dim < 1:
-            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {dim}")
-        super().__init__(k, Sphere(int(dim) - 1, 1.0), r0)  # the cone checks k and r0
+    _json = "model_ball", ("k", "r0", "dim")
 
-    def to_json(self) -> dict:
-        return {"kind": "model_ball", "k": self.k, "r0": self.r0, "dim": self.dim}
+    def __init__(self, k: float, r0: float, dim: int):
+        n = as_integer(dim)
+        if n is None or n < 1:
+            raise ConstructionError(f"model ball dimension must be an integer >= 1, got {dim!r}")
+        super().__init__(k, Sphere(n - 1, 1.0), r0)  # the cone checks k and r0
+
+
+# each descriptor kind by its JSON tag
+KINDS = {cls._json[0]: cls for cls in
+         (Sphere, Interval, Ellipsoid, Join, Cone, Suspension, Quotient, Lens, ModelBall)}
 
 
 def distance(space, p, q) -> float:

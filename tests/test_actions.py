@@ -124,7 +124,7 @@ class TestCyclicApproximation:
     def test_max_order_builds_and_reloads_to_equal_elements(self):
         base = Sphere(1, 1.0)
         act = actions.cyclic_approximation(base, actions.MAX_ORDER)
-        again = actions.action_from_json(base, actions.action_to_json(act))
+        again = actions.action_from_json(base, act.to_json())
         assert act.order == again.order == actions.MAX_ORDER
         assert _element_text(again) == _element_text(act)
 
@@ -199,6 +199,39 @@ class TestJsonGenerators:
         base = Sphere(3, 1.0)
         act = actions.action_from_json(base, {"generators": [{"type": "hopf", "order": 8}]})
         assert act.order == 8
+
+    @pytest.mark.parametrize("base, spec, want", [
+        (Cone(1.0, Sphere(1, 1.0), 1.0), {"type": "rotation", "order": 4, "factor": "base"},
+         actions.ConeMap(actions.OrthogonalMap(actions.rotation_matrix(PI / 2)))),
+        (Suspension(Sphere(1, 1.0)), {"type": "rotation", "order": 4, "factor": "base"},
+         actions.SuspensionMap(False, actions.OrthogonalMap(actions.rotation_matrix(PI / 2)))),
+        (Join(Sphere(1, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0)), {"type": "rotation", "order": 4, "factor": "right.base"},
+         actions.JoinMap(actions.Identity(), actions.ConeMap(actions.OrthogonalMap(actions.rotation_matrix(PI / 2))))),
+        (Join(Suspension(Interval(1.0)), Sphere(1, 1.0)), {"type": "reflection", "factor": "left.base"},
+         actions.JoinMap(actions.SuspensionMap(False, actions.IntervalReflection(1.0)), actions.Identity())),
+    ], ids=["cone-base", "suspension-base", "dotted-right-base", "dotted-left-base"])
+    def test_factor_path_wraps_the_leaf(self, base, spec, want):
+        act = actions.action_from_json(base, {"generators": [spec]})
+        assert act.generators[0].to_json() == want.to_json()
+        assert act.order == (4 if spec["type"] == "rotation" else 2)
+        assert actions.validate_action(base, act, n_pairs=50).passed
+
+    @pytest.mark.parametrize("base, factor", [
+        (Sphere(1, 1.0), "left"),
+        (Join(Sphere(1, 1.0), Interval(1.0)), "base"),
+        (Cone(1.0, Sphere(1, 1.0), 1.0), "left"),
+        (Join(Sphere(1, 1.0), Interval(1.0)), "right.base"),
+    ], ids=["sphere", "join-base", "cone-left", "dotted-past-a-leaf"])
+    def test_factor_that_addresses_nothing(self, base, factor):
+        with pytest.raises(ConstructionError, match=f"factor '{factor.rpartition('.')[2]}' does not address"):
+            actions.action_from_json(base, {"generators": [{"type": "reflection", "factor": factor}]})
+
+    def test_sphere_reflection_flips_the_last_coordinate(self):
+        base = Sphere(2, 1.0)
+        act = actions.action_from_json(base, {"generators": [{"type": "reflection"}]})
+        assert act.order == 2
+        assert np.array_equal(act.generators[0].matrix, np.diag([1.0, 1.0, -1.0]))
+        assert actions.validate_action(base, act, n_pairs=50).passed
 
 
 class TestConeActions:

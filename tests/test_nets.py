@@ -630,6 +630,43 @@ class TestEllipsoid:
         audit = verify_metric(net, 1e-9)
         assert audit.passed  # shortest-path matrices satisfy the axioms exactly
 
+    @pytest.fixture(scope="class")
+    def net_and_probes(self):
+        net = epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42)
+        probes = np.asarray(net.space.random_points(400, np.random.default_rng(5)))
+        chords = np.linalg.norm(probes[:, None, :] - np.asarray(net.coords)[None, :, :], axis=2)
+        return net, probes, chords
+
+    def test_covering_check_is_the_largest_chord_to_the_net(self, net_and_probes):
+        # an ellipsoid net has no closed-form distance to probes, so the check measures chords
+        net, _, chords = net_and_probes
+        assert nets.covering_check(net, n_probes=400, seed=5) == pytest.approx(chords.min(axis=1).max(), rel=1e-12)
+
+    def test_nearest_index_by_chord(self, net_and_probes):
+        net, probes, chords = net_and_probes
+        for i in (0, 7, net.n - 1):
+            assert nets.nearest_index(net, net.point(i)) == i
+        for k in range(0, 400, 37):
+            assert nets.nearest_index(net, probes[k]) == int(np.argmin(chords[k]))
+
+
+class TestFiniteNet:
+    def test_net_built_directly_is_read_only(self):
+        flags, D = np.array([True, False]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        net = nets.FiniteNet(Interval(1.0), np.array([0.0, 1.0]), flags, D, 1.0, 1.0, 0)
+        assert net.eccentricity.tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            net.dist[0, 1] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            net.is_boundary[1] = True
+        assert net.eccentricity.tolist() == [1.0, 1.0]
+
+    def test_net_without_a_matrix_builds(self):
+        # what a covering check needs: points and flags, no n x n matrix
+        net = nets.FiniteNet(Interval(1.0), np.array([0.0, 1.0]), np.array([True, True]), None, 1.0, 1.0, 0)
+        assert net.dist is None and net.n == 2
+        assert nets.covering_check(net, n_probes=50) <= 0.5
+
 
 class TestRandomPoints:
     def test_samplers_produce_valid_points(self):

@@ -1,4 +1,5 @@
-"""Descriptor JSON: stored generators, old element-list files, malformed payloads;
+"""Descriptor JSON: stored generators, old element-list files, malformed payloads,
+the text each kind writes and the stored values its constructor rejects;
 stored nets whose matrix and metadata disagree; nets loaded by replay and by
 parsing; bad net files at the CLI; the CLI's fixed mmap threshold."""
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import alexgeo
-from alexgeo import actions, cli, nets, serialize
+from alexgeo import actions, cli, harness, nets, serialize
 from alexgeo.errors import ConstructionError
 from alexgeo.spaces import (
     PI,
@@ -49,7 +50,7 @@ class TestGenerators:
     def test_hand_built_action_stores_every_element(self):
         base = Sphere(1, 1.0)
         elements = actions.cyclic_approximation(base, 4).elements
-        payload = actions.action_to_json(actions.GroupAction(base, elements))
+        payload = actions.GroupAction(base, elements).to_json()
         assert len(payload["generators"]) == 3
 
     def test_old_format_with_every_element_loads(self, tmp_path):
@@ -188,6 +189,112 @@ class TestMalformed:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# one descriptor per kind and a quotient of a suspension by a pole swap,
+# with the stable JSON text and key order of each
+_PINNED = [
+    (Sphere(2), ["kind", "dim", "radius"], '{"dim":2,"kind":"sphere","radius":1.0}'),
+    (Interval(1.0), ["kind", "length"], '{"kind":"interval","length":1.0}'),
+    (Ellipsoid(0.7, 0.5, 0.25), ["kind", "a", "b", "c"], '{"a":0.7,"b":0.5,"c":0.25,"kind":"ellipsoid"}'),
+    (Join(Sphere(1, 0.75), Interval(1.0)), ["kind", "left", "right"],
+     '{"kind":"join","left":{"dim":1,"kind":"sphere","radius":0.75},"right":{"kind":"interval","length":1.0}}'),
+    (Cone(-1.0, Sphere(1), 1.0), ["kind", "k", "base", "r0"],
+     '{"base":{"dim":1,"kind":"sphere","radius":1.0},"k":-1.0,"kind":"cone","r0":1.0}'),
+    (Suspension(Interval(0.5)), ["kind", "base"], '{"base":{"kind":"interval","length":0.5},"kind":"suspension"}'),
+    (Quotient(Sphere(2), actions.GroupAction(Sphere(2), (actions.Identity(), actions.antipodal_map(Sphere(2))))),
+     ["kind", "base", "action"],
+     '{"action":{"generators":[{"matrix":[[-1.0,-0.0,-0.0],[-0.0,-1.0,-0.0],[-0.0,-0.0,-1.0]],"type":"orthogonal"}],'
+     '"name":"","order":2},"base":{"dim":2,"kind":"sphere","radius":1.0},"kind":"quotient"}'),
+    (Lens(3, 1.0), ["kind", "dim", "alpha"], '{"alpha":1.0,"dim":3,"kind":"lens"}'),
+    (ModelBall(0.0, 1.0, 2), ["kind", "k", "r0", "dim"], '{"dim":2,"k":0.0,"kind":"model_ball","r0":1.0}'),
+    (harness.projective_lens_quotient(2, 1.0), ["kind", "base", "action"],
+     '{"action":{"generators":[{"base":{"type":"reflection"},"flip":true,"type":"suspension_map"}],'
+     '"name":"Z_2","order":2},"base":{"base":{"kind":"interval","length":1.0},"kind":"suspension"},"kind":"quotient"}'),
+]
+
+
+class TestStoredValues:
+    """Each kind writes the fields it declares; its constructor checks the stored values."""
+
+    @pytest.mark.parametrize("space, keys, text", _PINNED, ids=[
+        "sphere", "interval", "ellipsoid", "join", "cone", "suspension", "quotient", "lens", "model_ball", "nested",
+    ])
+    def test_json_text_and_key_order(self, space, keys, text):
+        payload = serialize.space_to_json(space)
+        assert list(payload) == keys
+        assert serialize.stable_dumps(payload) == text
+        assert serialize.stable_dumps(serialize.space_to_json(serialize.space_from_json(json.loads(text)))) == text
+
+    @pytest.mark.parametrize("dim", [2.7, True, "2"], ids=["fraction", "bool", "string"])
+    @pytest.mark.parametrize("payload", [
+        {"kind": "sphere"},
+        {"kind": "lens", "alpha": 1.0},
+        {"kind": "model_ball", "k": 1.0, "r0": 1.0},
+    ], ids=["sphere", "lens", "model_ball"])
+    def test_dimension_that_is_no_integer(self, tmp_path, capsys, payload, dim):
+        payload = {**payload, "dim": dim}
+        with pytest.raises(ConstructionError, match="dimension must be an integer"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integral_values_load(self):
+        assert serialize.space_from_json({"kind": "sphere", "dim": 2.0, "radius": 1}) == Sphere(2, 1.0)
+        assert serialize.space_from_json({"kind": "lens", "dim": 3.0, "alpha": 1}) == Lens(3, 1.0)
+
+    def test_radius_defaults_and_unknown_keys_are_ignored(self):
+        space = serialize.space_from_json({"kind": "sphere", "dim": 1, "colour": "red"})
+        assert space == Sphere(1, 1.0)
+
+    @pytest.mark.parametrize("payload, name", [
+        ({"kind": "lens", "alpha": 1.0}, "dim"),
+        ({"kind": "model_ball", "k": 1.0, "dim": 2}, "r0"),
+        ({"kind": "cone", "k": 1.0, "r0": 1.0}, "base"),
+        ({"kind": "join", "left": {"kind": "interval", "length": 1.0}}, "right"),
+        ({"kind": "quotient", "base": {"kind": "sphere", "dim": 1}}, "action"),
+    ])
+    def test_missing_field_is_named(self, payload, name):
+        with pytest.raises(ConstructionError, match=f"missing field '{name}'"):
+            serialize.space_from_json(payload)
+
+    @pytest.mark.parametrize("declared", [4.5, "4", True])
+    def test_declared_order_that_is_no_integer(self, tmp_path, capsys, declared):
+        payload = {"kind": "quotient", "base": {"kind": "sphere", "dim": 1},
+                   "action": {"generators": [{"type": "rotation", "order": 4}], "order": declared}}
+        with pytest.raises(ConstructionError, match="declared group order"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_declared_order_true_is_not_one(self):
+        # True == 1 in Python, so an identity-only group would match it
+        with pytest.raises(ConstructionError, match="declared group order"):
+            actions.action_from_json(Sphere(1), {"generators": [{"type": "identity"}], "order": True})
+        assert actions.action_from_json(Sphere(1), {"generators": [{"type": "identity"}], "order": 1.0}).order == 1
+
+    @pytest.mark.parametrize("flip", ["false", "true", 0, 1, None])
+    def test_flip_that_is_no_boolean(self, tmp_path, capsys, flip):
+        payload = {"kind": "quotient", "base": {"kind": "suspension", "base": {"kind": "interval", "length": 1.0}},
+                   "action": {"generators": [{"type": "suspension_map", "flip": flip,
+                                              "base": {"type": "reflection"}}]}}
+        with pytest.raises(ConstructionError, match="flip must be true or false"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_flip_boolean_loads(self, flip):
+        base = Suspension(Interval(1.0))
+        act = actions.action_from_json(base, {"generators": [{"type": "suspension_map", "flip": flip}]})
+        assert act.generators[0].flip is flip
+        assert act.order == (2 if flip else 1)
+
+
 def _edit_meta(csv, edit):
     meta_path = csv.with_suffix(".csv.json")
     meta = json.loads(meta_path.read_text())
@@ -303,6 +410,25 @@ class TestReadNetValidation:
         with pytest.raises(ConstructionError):
             serialize.read_net(csv)
         assert cli.main(["invariants", "--net", str(csv)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", lambda n: n + 0.5), ("n", str), ("seed", lambda seed: seed + 0.9), ("seed", lambda seed: True),
+    ], ids=["n-fraction", "n-string", "seed-fraction", "seed-bool"])
+    def test_count_that_is_no_integer(self, stored, capsys, key, value):
+        # an n of 11.5 used to load as 11, and a seed of 42.9 as 42
+        _, csv = stored
+        _edit_meta(csv, lambda m: m.__setitem__(key, value(m[key])))
+        with pytest.raises(ConstructionError, match="n and seed must be integers"):
+            serialize.read_net(csv)
+        assert cli.main(["invariants", "--net", str(csv)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_integral_float_counts_load(self, stored):
+        net, csv = stored
+        _edit_meta(csv, lambda m: m.update(n=float(m["n"]), seed=float(m["seed"])))
+        loaded = serialize.read_net(csv)
+        assert (loaded.n, loaded.seed) == (net.n, 42)
+        assert type(loaded.seed) is int
 
     def test_missing_n(self, stored):
         _, csv = stored

@@ -509,6 +509,19 @@ class TestSharedDomainCheck:
         with pytest.raises(DomainError, match="must be numbers"):
             distance(space, p, q)
 
+    @pytest.mark.parametrize("space, p, q", [
+        (Interval(1.0), np.array([0.5]), 0.2),
+        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, np.array([0.5]), E1), (E1, 0.5, E1)),
+        (CAP, (0.5, E1), (np.array([0.5]), E1)),
+        (Suspension(Sphere(1, 1.0)), (np.array([0.5]), E1), (0.5, E1)),
+    ], ids=["interval", "join-latitude", "cone-radial", "suspension-colatitude"])
+    def test_scalar_distance_on_a_one_element_array(self, space, p, q):
+        # numpy compares a one-element array as a number but will not convert it to one
+        with pytest.raises(DomainError, match="must be numbers"):
+            distance(space, p, q)
+        with pytest.raises(DomainError, match="must be numbers"):
+            distance(space, q, p)
+
     @pytest.mark.parametrize("bad", [[0.6, 0.8, 0.1], [math.nan, 0.0, 0.0]], ids=["non-unit", "nan"])
     def test_many_sphere_rows_fail_as_the_first_bad_row_alone(self, bad):
         S2 = Sphere(2, 1.0)

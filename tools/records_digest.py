@@ -25,6 +25,11 @@ d = 2 and 3 at seed 42: a sub-case selector that `run_all` never passes.
 Each net also gets a `net-csv` line: the sha256 of the CSV that
 `serialize.write_net` writes for it (in a temporary directory), and
 whether `serialize.read_net` gives back a net with equal `net_to_bytes`.
+Each hand-built catalogue quotient (the reflections and pole swaps of
+`projective_lens_quotient` and `spine_example_quotient`) gets a
+`space-json` line: the sha256 of its descriptor's stable JSON text, and
+whether `serialize.space_from_json` gives back a quotient with the same
+JSON text and the same elements.
 """
 
 from __future__ import annotations
@@ -71,6 +76,16 @@ def net_cases():
     ]
 
 
+def space_cases():
+    """(label, descriptor) for every descriptor whose JSON text is digested."""
+    return [
+        ("projective_lens_quotient(2, 1)", harness.projective_lens_quotient(2, 1.0)),
+        ("projective_lens_quotient(3, 1)", harness.projective_lens_quotient(3, 1.0)),
+        ("spine_example_quotient(True)", harness.spine_example_quotient(True)),
+        ("spine_example_quotient(False)", harness.spine_example_quotient(False)),
+    ]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -113,6 +128,17 @@ def net_digests(space) -> tuple:
     return _sha(canonical), csv_digest, same
 
 
+def space_digest(space) -> tuple:
+    """sha256 of the descriptor's stable JSON text, and whether its reload
+    has the same text and, element by element, the same group."""
+    text = serialize.stable_dumps(serialize.space_to_json(space))
+    reloaded = serialize.space_from_json(serialize.space_to_json(space))
+    elements = [serialize.stable_dumps(g.to_json()) for g in space.action.elements]
+    same = (serialize.stable_dumps(serialize.space_to_json(reloaded)) == text
+            and [serialize.stable_dumps(g.to_json()) for g in reloaded.action.elements] == elements)
+    return _sha(text.encode()), same
+
+
 def main():
     for seed in SEEDS:
         full, without_audits, per_entry = records_digests(seed)
@@ -129,6 +155,9 @@ def main():
         digest, csv_digest, same = net_digests(space)
         print(f"net {label}  {digest}")
         print(f"net-csv {label}  {csv_digest}  reload {'equal' if same else 'differs'}")
+    for label, space in space_cases():
+        digest, same = space_digest(space)
+        print(f"space-json {label}  {digest}  reload {'equal' if same else 'differs'}")
 
 
 if __name__ == "__main__":
