@@ -29,16 +29,10 @@ from .spaces import (
     Sphere,
     Suspension,
     boundary_distance,
-    cone_distance,
     distance,
     double_join,
-    interval_distance,
-    join_distance,
-    lens_distance,
     points_equal,
     quotient_distance,
-    sphere_distance,
-    suspension_distance,
     track_clamping,
     validate_point,
 )

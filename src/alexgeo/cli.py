@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import comparison as cmp
 from . import harness, invariants as inv
 from . import nets as nets_mod
 from . import serialize
-from .errors import AlexgeoError, ConstructionError, DomainError, PreconditionError
+from .errors import AlexgeoError, DomainError, PreconditionError
 from .spaces import ModelBall
 
 
@@ -56,13 +55,7 @@ def _map_large_blocks() -> None:
 
 
 def _read_descriptor(path) -> object:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConstructionError(f"cannot read descriptor {path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConstructionError(f"{path} is not valid JSON: {exc}") from None
-    return serialize.space_from_json(payload)
+    return serialize.space_from_json(serialize.read_json(path, "descriptor"))
 
 
 def _cmd_construct(args) -> int:

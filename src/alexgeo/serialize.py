@@ -34,12 +34,26 @@ from . import actions as actions_mod
 from . import nets as nets_mod
 from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
-from .spaces import KINDS, Ellipsoid, Quotient, as_integer, coords_len
+from .spaces import KINDS, Ellipsoid, Quotient, as_integer, as_real, coords_len
 
 
 def space_to_json(space) -> dict:
     """The descriptor's tagged JSON object."""
     return space.to_json()
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file `path`; an unreadable file, text that is not JSON or
+    a value that is no object is a ConstructionError naming the file as `what`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConstructionError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConstructionError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConstructionError(f"{what} {path} is not a JSON object")
+    return payload
 
 
 def space_from_json(payload: dict):
@@ -154,30 +168,26 @@ def read_net(csv_path) -> FiniteNet:
     The sidecar is authoritative, as its coordinates already are: an edit
     to the CSV is caught by its digest and sends the load to the parse
     path; a sidecar whose digests were rewritten by hand is not detected.
-    A missing or unreadable file is a ConstructionError.
+    A missing or unreadable file is a ConstructionError, and so is an
+    ``epsilon`` or ``epsilon_effective`` that is no number (`spaces.as_real`).
     """
     csv_path = Path(csv_path)
-    meta_path = _meta_path(csv_path)
-    try:
-        meta = json.loads(meta_path.read_text())
-    except OSError as exc:
-        raise ConstructionError(f"cannot read net metadata {meta_path}: {exc.strerror or exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConstructionError(f"net metadata {meta_path} is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ConstructionError(f"net metadata {meta_path} is not a JSON object")
+    meta = read_json(_meta_path(csv_path), "net metadata")
     with json_fields("net metadata"):
         space = space_from_json(meta["space"])
         coords = coords_from_json(space, meta["coords"]) if "coords" in meta else None
         n, seed = as_integer(meta["n"]), as_integer(meta["seed"])
+        epsilon, epsilon_effective = as_real(meta["epsilon"]), as_real(meta["epsilon_effective"])
         is_boundary = np.asarray(meta["is_boundary"], dtype=bool)
-        epsilon_effective = float(meta["epsilon_effective"])
         digests = meta.get("digests")
         if digests is not None:
             digests = (digests["csv_sha256"], digests["matrix_sha256"])
     if n is None or seed is None:
         raise ConstructionError(
             f"net metadata n and seed must be integers, got {meta['n']!r} and {meta['seed']!r}")
+    if epsilon is None or epsilon_effective is None:
+        raise ConstructionError(f"net metadata epsilon and epsilon_effective must be numbers, "
+                                f"got {meta['epsilon']!r} and {meta['epsilon_effective']!r}")
     # the matrix, flags and coordinates must all describe the same n points
     if is_boundary.shape != (n,):
         raise ConstructionError(f"net metadata has {is_boundary.size} boundary flags for n = {n}")
@@ -196,7 +206,7 @@ def read_net(csv_path) -> FiniteNet:
         raise ConstructionError(f"net matrix {csv_path} has shape {D.shape}, metadata says n = {n}")
     if not np.all(np.isfinite(D)):
         raise ConstructionError(f"net matrix {csv_path} has non-finite entries")
-    return FiniteNet(space, coords, is_boundary, D, float(meta["epsilon"]), epsilon_effective, seed,
+    return FiniteNet(space, coords, is_boundary, D, epsilon, epsilon_effective, seed,
                      dict(meta.get("meta", {})))
 
 

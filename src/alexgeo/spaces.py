@@ -81,9 +81,12 @@ their closed ranges (to within 1e-12; NaN fails).  `pack_points`, so
 `validate_point`, raises DomainError from it, and
 `serialize.coords_from_json`, so `serialize.read_net`, ConstructionError.
 A one-point leaf is tested by plain comparisons, a longer one by one numpy
-reduction; the error names the first bad value either way.  The scalar
-distance laws test their own values and raise DomainError too, for a value
-out of range or one that is no number.
+reduction; the error names the first bad value either way.  Each kind's
+scalar ``distance`` holds its own law and reads each scalar coordinate
+through ``_value``, the rule `_check_values` applies to every value of a
+leaf, so a value out of range, or one that is no number (an array too),
+raises DomainError with the same text.  Parameters are checked once, when
+a descriptor is built.
 
 Curvature k.  The k = 0 / k > 0 / k < 0 split is written once, in the
 functions ``sn_k``, ``md_k(t) = 2 sn_k(t/2)^2`` and ``cs_k = 1 - k md_k`` of
@@ -229,8 +232,20 @@ def _check_values(leaf, hi: float, what: str, error):
             return
         values = values[np.argmin(inside):]
     for x in values.tolist():
-        if not -1e-12 <= x <= hi + 1e-12:
-            raise error(f"{what} coordinate {x} outside [0, {hi}]")
+        _value(x, hi, what, error)
+
+
+def _value(x, hi: float, what: str, error=DomainError) -> float:
+    """One scalar coordinate as a float in [0, hi] (to within 1e-12; NaN fails), else `error`:
+    the value rule of every interval value, join latitude, cone radial coordinate and
+    suspension colatitude, for scalar `distance` and, by `_check_values`, for packed leaves."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):  # no number, or an array of one value or more
+        raise error(f"{what} coordinates must be numbers, got {x!r}") from None
+    if not -1e-12 <= v <= hi + 1e-12:
+        raise error(f"{what} coordinate {v} outside [0, {hi}]")
+    return v
 
 
 def _stack_rows(points, width: int) -> np.ndarray:
@@ -266,6 +281,13 @@ def as_integer(value) -> int | None:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     return int(value) if isinstance(value, (float, np.floating)) and value.is_integer() else None
+
+
+def as_real(value) -> float | None:
+    """`value` as a float if it is a Python or numpy integer or float, else None (a bool or
+    a string): the rule of every real parameter; the constructor checks its range."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return float(value) if real else None
 
 
 def sn_k(k: float, t):
@@ -405,59 +427,6 @@ def _layered_count(space, eps: float) -> int:
     return sum(math.prod(_layer_count(cov, *part) for part in parts) for _, parts in layers)
 
 
-def sphere_distance(u, v, radius: float = 1.0) -> float:
-    """Great-circle distance radius * arccos(<u, v>) between unit vectors of one length."""
-    return _great_circle(u, v, np.shape(u), radius)
-
-
-def _great_circle(u, v, shape: tuple, radius: float) -> float:
-    """`sphere_distance` of two points that must both have `shape`."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    for name, w in (("u", u), ("v", v)):
-        if w.shape != shape:
-            raise DomainError(f"sphere point {name} must have shape {shape}, got {w.shape}")
-        nrm = vector_norm(w)
-        if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
-            raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
-    if not radius > 0.0:
-        raise DomainError(f"sphere radius must be positive, got {radius}")
-    return radius * clamped_arccos(float(np.dot(u, v)))
-
-
-def interval_distance(s: float, t: float, length: float) -> float:
-    """|s - t| with a domain check against [0, length]."""
-    try:
-        for name, x in (("s", s), ("t", t)):
-            if not (-1e-12 <= x <= length + 1e-12):
-                raise DomainError(f"interval coordinate {name} = {x} outside [0, {length}]")
-        s, t = float(s), float(t)
-    except TypeError:  # a value that is no number, or no 0-d array
-        raise DomainError(f"interval coordinates must be numbers, got {s!r} and {t!r}") from None
-    return abs(s - t)
-
-
-def join_distance(p, q, left_metric, right_metric) -> float:
-    """`_join_law` between join points, the factor distances clamped at pi
-    before taking cosines so a sloppy base metric cannot push the law of
-    cosines outside its domain."""
-    try:
-        x1, t1, y1 = p
-        x2, t2, y2 = q
-    except (TypeError, ValueError):
-        raise DomainError("join points must be tuples of 3 coordinates") from None
-    try:
-        for name, t in (("t1", t1), ("t2", t2)):
-            if not (-1e-12 <= t <= HALF_PI + 1e-12):
-                raise DomainError(f"join latitude {name} = {t} outside [0, pi/2]")
-        t1, t2 = float(t1), float(t2)
-    except TypeError:  # a latitude that is no number, or no 0-d array
-        raise DomainError(f"join latitudes must be numbers, got {t1!r} and {t2!r}") from None
-    dl = min(float(left_metric(x1, x2)), PI)
-    dr = min(float(right_metric(y1, y2)), PI)
-    return _join_law(t1, t2, math.cos(dl), math.cos(dr))
-
-
 def _join_law(t0, t1, cl, cr):
     """arccos(cos t0 cos t1 cl + sin t0 sin t1 cr): the join distance between latitudes t0, t1
     whose factor distances have cosines cl, cr.  On `math` or numpy as `_cone_law`."""
@@ -465,47 +434,8 @@ def _join_law(t0, t1, cl, cr):
     return clamped_arccos(xp.cos(t0) * xp.cos(t1) * cl + xp.sin(t0) * xp.sin(t1) * cr)
 
 
-def cone_distance(k: float, p, q, base_metric, r0: float) -> float:
-    """Law-of-cosines distance in the curvature-k cone with cap r0."""
-    if not (math.isfinite(k) and math.isfinite(r0)):
-        raise DomainError(f"cone curvature and cap must be finite, got k={k}, r0={r0}")
-    _check_cone_cap(k, r0)
-    return _radial_distance(k, p, q, base_metric, r0, "cone", "radial coordinate")
-
-
 # The k < 0 cone law's cosh(s t0) cosh(s t1), s = sqrt(-k), overflows past s t = 355.
 HYPERBOLIC_CAP = 350.0
-
-
-def _check_cone_cap(k: float, r0: float):
-    s = math.sqrt(abs(k))
-    if (k > 0.0 and r0 > HALF_PI / s + 1e-12) or (k < 0.0 and s * r0 > HYPERBOLIC_CAP):
-        raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k)) for k > 0 and "
-                                f"sqrt(-k)*r0 <= {HYPERBOLIC_CAP:g} for k < 0, got r0={r0}")
-
-
-def suspension_distance(p, q, base_metric) -> float:
-    """Suspension distance: the k = 1 cone law in the colatitudes, which lie in [0, pi]."""
-    return _radial_distance(1.0, p, q, base_metric, PI, "suspension", "colatitude")
-
-
-def _radial_distance(k: float, p, q, base_metric, top: float, kind: str, what: str) -> float:
-    """`_cone_law` between points (t, y) of a `kind` with t (its `what`) in [0, top],
-    the base distance clamped at pi."""
-    try:
-        t0, y0 = p
-        t1, y1 = q
-    except (TypeError, ValueError):
-        raise DomainError(f"{kind} points must be tuples of 2 coordinates") from None
-    try:
-        for t in (t0, t1):
-            if not (-1e-12 <= t <= top + 1e-12):
-                raise DomainError(f"{kind} {what} {t} outside [0, {top}]")
-        t0, t1 = float(t0), float(t1)
-    except TypeError:  # a radial coordinate that is no number, or no 0-d array
-        raise DomainError(f"{kind} {what}s must be numbers, got {t0!r} and {t1!r}") from None
-    theta = min(float(base_metric(y0, y1)), PI)
-    return _cone_law(k, t0, t1, math.cos(theta))
 
 
 def _cone_law(k: float, t0, t1, ctheta):
@@ -521,14 +451,6 @@ def _cone_law(k: float, t0, t1, ctheta):
         return math.sqrt(max(v, 0.0)) if xp is math else np.sqrt(np.maximum(v, 0.0))
     c = xp.cosh(s * t0) * xp.cosh(s * t1) - xp.sinh(s * t0) * xp.sinh(s * t1) * ctheta
     return clamped_arccosh(c) / s
-
-
-def quotient_distance(base_metric, action, x, y) -> float:
-    """min over group elements g of d(x, g y)."""
-    elements = getattr(action, "elements", None)
-    if not elements:
-        raise ConstructionError("quotient distance requires a nonempty group element list")
-    return min(float(base_metric(x, g.apply_point(y))) for g in elements)
 
 
 @dataclass
@@ -641,13 +563,13 @@ class Sphere(SpaceDescriptor):
     _json = "sphere", ("dim", "radius")
 
     def __post_init__(self):
-        dim = as_integer(self.dim)
+        dim, radius = as_integer(self.dim), as_real(self.radius)
         if dim is None or dim < 0:
             raise ConstructionError(f"sphere dimension must be an integer >= 0, got {self.dim!r}")
-        if not 0.0 < self.radius < math.inf:
-            raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius}")
+        if radius is None or not 0.0 < radius < math.inf:
+            raise ConstructionError(f"sphere radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def ambient_dim(self) -> int:
@@ -670,7 +592,16 @@ class Sphere(SpaceDescriptor):
             )
 
     def distance(self, p, q) -> float:
-        return _great_circle(p, q, (self.dim + 1,), self.radius)
+        """radius * arccos(<p, q>) between unit vectors of the ambient dimension."""
+        u, v = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        shape = (self.dim + 1,)
+        for name, w in (("u", u), ("v", v)):
+            if w.shape != shape:
+                raise DomainError(f"sphere point {name} must have shape {shape}, got {w.shape}")
+            nrm = vector_norm(w)
+            if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
+                raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
+        return self.radius * clamped_arccos(float(np.dot(u, v)))
 
     def pack(self, points):
         return _stack_rows(points, self.ambient_dim)
@@ -757,9 +688,10 @@ class Interval(SpaceDescriptor):
     _json = "interval", ("length",)
 
     def __post_init__(self):
-        if not (0.0 < self.length <= PI + 1e-12):
-            raise ConstructionError(f"interval length must lie in (0, pi], got {self.length}")
-        object.__setattr__(self, "length", float(min(self.length, PI)))
+        length = as_real(self.length)
+        if length is None or not 0.0 < length <= PI + 1e-12:
+            raise ConstructionError(f"interval length must lie in (0, pi], got {self.length!r}")
+        object.__setattr__(self, "length", min(length, PI))
 
     def has_boundary(self) -> bool:
         return True
@@ -768,7 +700,7 @@ class Interval(SpaceDescriptor):
         return self.length
 
     def distance(self, p, q) -> float:
-        return interval_distance(p, q, self.length)
+        return abs(_value(p, self.length, "interval") - _value(q, self.length, "interval"))
 
     def pack(self, points):
         return _float_leaf(points)
@@ -821,10 +753,10 @@ class Ellipsoid(SpaceDescriptor):
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not 0.0 < v < math.inf:
+            v = as_real(getattr(self, name))
+            if v is None or not 0.0 < v < math.inf:
                 raise ConstructionError(
-                    f"ellipsoid semi-axis {name} must be positive and finite, got {v}"
+                    f"ellipsoid semi-axis {name} must be positive and finite, got {getattr(self, name)!r}"
                 )
             object.__setattr__(self, name, v)
 
@@ -890,7 +822,16 @@ class Join(SpaceDescriptor):
         return self.left.has_boundary() or self.right.has_boundary()
 
     def distance(self, p, q) -> float:
-        return join_distance(p, q, self.left.distance, self.right.distance)
+        """`_join_law`, the factor distances clamped at pi before taking cosines."""
+        try:
+            x1, t1, y1 = p
+            x2, t2, y2 = q
+        except (TypeError, ValueError):
+            raise DomainError("join points must be tuples of 3 coordinates") from None
+        t1, t2 = _value(t1, HALF_PI, "join latitude"), _value(t2, HALF_PI, "join latitude")
+        dl = min(self.left.distance(x1, x2), PI)
+        dr = min(self.right.distance(y1, y2), PI)
+        return _join_law(t1, t2, math.cos(dl), math.cos(dr))
 
     def pack(self, points):
         left, t, right = _columns(points, 3)
@@ -1003,6 +944,17 @@ class _OverBase(SpaceDescriptor):
         side = bdry * 0.5 * top * float(w @ sn ** (d - 1)) if bdry else 0.0
         return 0.5 * top * vol * float(w @ sn**d), side + (vol * sn_k(k, top) ** d if self._capped else 0.0)
 
+    def distance(self, p, q) -> float:
+        """`_cone_law` between points (t, y), the base distance clamped at pi."""
+        try:
+            t0, y0 = p
+            t1, y1 = q
+        except (TypeError, ValueError):
+            raise DomainError(f"{type(self).__name__} points must be tuples of 2 coordinates") from None
+        k, top = self._law()
+        t0, t1 = _value(t0, top, self._what), _value(t1, top, self._what)
+        return _cone_law(k, t0, t1, math.cos(min(self.base.distance(y0, y1), PI)))
+
     def pack(self, points):
         radial, base = _columns(points, 2)
         return self._record(_float_leaf(radial), self.base.pack(base))
@@ -1074,13 +1026,17 @@ class Cone(_OverBase):
     _capped = True
 
     def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "r0", float(self.r0))
-        if not math.isfinite(self.k):
-            raise ConstructionError(f"cone curvature k must be finite, got {self.k}")
-        if not 0.0 < self.r0 < math.inf:
-            raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0}")
-        _check_cone_cap(self.k, self.r0)
+        k, r0 = as_real(self.k), as_real(self.r0)
+        if k is None or not math.isfinite(k):
+            raise ConstructionError(f"cone curvature k must be finite, got {self.k!r}")
+        if r0 is None or not 0.0 < r0 < math.inf:
+            raise ConstructionError(f"cone cap r0 must be positive and finite, got {self.r0!r}")
+        s = math.sqrt(abs(k))
+        if (k > 0.0 and r0 > HALF_PI / s + 1e-12) or (k < 0.0 and s * r0 > HYPERBOLIC_CAP):
+            raise ConstructionError(f"cone with k={k} requires r0 <= pi/(2*sqrt(k)) for k > 0 and "
+                                    f"sqrt(-k)*r0 <= {HYPERBOLIC_CAP:g} for k < 0, got r0={r0}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r0", r0)
         _factor(self.base, "cone base").check_cone_base()
 
     def _law(self):
@@ -1097,9 +1053,6 @@ class Cone(_OverBase):
 
     def check_cone_base(self):
         raise UnsupportedConstructionError("iterated cones are not supported")
-
-    def distance(self, p, q) -> float:  # k and r0 were checked when the cone was built
-        return _radial_distance(self.k, p, q, self.base.distance, self.r0, "cone", "radial coordinate")
 
 
 @dataclass(frozen=True)
@@ -1118,9 +1071,6 @@ class Suspension(_OverBase):
 
     def _law(self):
         return 1.0, PI
-
-    def distance(self, p, q) -> float:
-        return suspension_distance(p, q, self.base.distance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1157,7 +1107,7 @@ class Quotient(SpaceDescriptor):
 
     def distance(self, p, q) -> float:
         if _rotation_order(self) is None:
-            return quotient_distance(self.base.distance, self.action, p, q)
+            return quotient_distance(self, p, q)  # by its module name, which a tracer may wrap
         A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
         return float(rotation_quotient_distance(self, A, B, cross=False)[0])
 
@@ -1194,9 +1144,12 @@ class Lens(Join):
         n = as_integer(dim)
         if n is None or n < 2:
             raise ConstructionError(f"lens dimension must be an integer >= 2, got {dim!r}")
-        if not (0.0 < alpha <= PI + 1e-12):
+        a = as_real(alpha)
+        if a is None:
+            raise ConstructionError(f"lens angle must be a number, got {alpha!r}")
+        if not 0.0 < a <= PI + 1e-12:
             raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
-        super().__init__(Sphere(n - 2, 1.0), Interval(float(alpha)))
+        super().__init__(Sphere(n - 2, 1.0), Interval(a))
 
     @property
     def alpha(self) -> float:
@@ -1228,6 +1181,12 @@ def distance(space, p, q) -> float:
     return space.distance(p, q)
 
 
+def quotient_distance(space: Quotient, p, q) -> float:
+    """min over the group elements g of d(p, g q), by the base's scalar `distance`:
+    the element-list loop of a quotient."""
+    return min(space.base.distance(p, g.apply_point(q)) for g in space.action.elements)
+
+
 def points_equal(space, p, q, tol: float = 1e-12) -> bool:
     """Metric equality of points (handles degenerate coordinates)."""
     return distance(space, p, q) <= tol
@@ -1243,11 +1202,6 @@ def pack_points(space, points):
 def validate_point(space, p):
     """Raise DomainError when p violates the descriptor's coordinate domain."""
     pack_points(space, [p])
-
-
-def lens_distance(n: int, alpha: float, p, q) -> float:
-    """Distance in the lens L_alpha^n via its join coordinates."""
-    return distance(Lens(n, alpha), p, q)
 
 
 def double_join(space):

@@ -95,13 +95,11 @@ class TestCyclicApproximation:
         pairs = [(p, q) for p, q in zip(nets.random_points(base, 60, rng),
                                         nets.random_points(base, 60, rng))]
         for m in (8, 16, 32):
-            small = actions.cyclic_approximation(base, m)
-            big = actions.cyclic_approximation(base, 2 * m)
+            small = Quotient(base, actions.cyclic_approximation(base, m))
+            big = Quotient(base, actions.cyclic_approximation(base, 2 * m))
             for x, y in pairs:
-                d_small = spaces.quotient_distance(
-                    lambda a, b: distance(base, a, b), small, x, y
-                )
-                d_big = spaces.quotient_distance(lambda a, b: distance(base, a, b), big, x, y)
+                d_small = spaces.quotient_distance(small, x, y)
+                d_big = spaces.quotient_distance(big, x, y)
                 assert d_big <= d_small + 1e-12
                 assert d_small - d_big <= 2.0 * PI / m + 1e-12
 

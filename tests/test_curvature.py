@@ -16,7 +16,7 @@ import pytest
 from alexgeo import comparison as cmp
 from alexgeo import spaces
 from alexgeo.errors import ConstructionError, DomainError
-from alexgeo.spaces import HALF_PI, PI, ConeCoords, Interval, Join, ModelBall, Sphere, cs_k, md_k, sn_k
+from alexgeo.spaces import HALF_PI, PI, ConeCoords, Interval, Join, ModelBall, Sphere, Suspension, cs_k, md_k, sn_k
 
 CURVATURES = (-1.0, -0.25, 0.0, 1.0, 4.0)
 
@@ -59,7 +59,7 @@ def _law_array(k, ta, tb, ctheta):
 
 
 def _join_math(t1, t2, cl, cr):
-    # `join_distance`'s former inline law, on the factor distances' cosines
+    # the scalar join law as it was written out before `_join_law`, on the factor distances' cosines
     return spaces.clamped_arccos(math.cos(t1) * math.cos(t2) * cl + math.sin(t1) * math.sin(t2) * cr)
 
 
@@ -238,7 +238,7 @@ def test_join_distance_is_its_former_inline_law():
     rng = np.random.default_rng(11)
     space = Join(Sphere(1, 0.75), Interval(1.0))
     for p, q in zip(space.random_points(300, rng), space.random_points(300, rng)):
-        dl = min(spaces.sphere_distance(p[0], q[0], 0.75), PI)
+        dl = min(spaces.distance(Sphere(1, 0.75), p[0], q[0]), PI)
         dr = min(abs(p[2] - q[2]), PI)
         assert space.distance(p, q) == _join_math(p[1], q[1], math.cos(dl), math.cos(dr))
 
@@ -247,9 +247,9 @@ def test_suspension_distance_is_its_former_inline_law():
     rng = np.random.default_rng(8)
     for u1, u2, a in zip(rng.uniform(0, PI, 300), rng.uniform(0, PI, 300), rng.uniform(0, PI, 300)):
         y1, y2 = np.array([1.0, 0.0]), np.array([math.cos(a), math.sin(a)])
-        theta = min(spaces.sphere_distance(y1, y2), PI)
+        theta = min(spaces.distance(Sphere(1, 1.0), y1, y2), PI)
         c = math.cos(u1) * math.cos(u2) + math.sin(u1) * math.sin(u2) * math.cos(theta)
-        got = spaces.suspension_distance((float(u1), y1), (float(u2), y2), spaces.sphere_distance)
+        got = spaces.distance(Suspension(Sphere(1, 1.0)), (float(u1), y1), (float(u2), y2))
         assert got == spaces.clamped_arccos(c)
 
 
@@ -287,7 +287,6 @@ def test_chord_path_matches_its_branches(k):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: spaces.cone_distance(math.nan, (0.1, (1.0, 0.0)), (0.2, (0.0, 1.0)), spaces.sphere_distance, 1.0),
     lambda: cmp.hinge_comparison(math.nan, 0.3, 0.4, 0.5),
     lambda: cmp.model_psi(math.nan, 0.3),
     lambda: cmp.fbar(math.nan, 1.0, 0.2, 0.1, 0.3),
@@ -296,7 +295,7 @@ def test_chord_path_matches_its_branches(k):
     lambda: cmp.model_lambda0(0.0, math.inf),
     lambda: cmp.model_inradius(0.0, math.inf),
     lambda: cmp.riccati_integrate(-1.0, 0.5, math.inf, 0.1),  # with no blow-up it never ended
-], ids=["cone_distance-k", "hinge-k", "model_psi-k", "fbar-k", "model_phi-lambda0", "hinge-side",
+], ids=["hinge-k", "model_psi-k", "fbar-k", "model_phi-lambda0", "hinge-side",
         "model_lambda0-r0", "model_inradius-lambda0", "riccati-r"])
 def test_non_finite_input_is_a_domain_error(call):
     with pytest.raises(DomainError, match="finite"):
@@ -314,8 +313,7 @@ E1, E2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     lambda: spaces.Cone(-1.0, Sphere(1, 1.0), 800.0),
     lambda: spaces.Cone(-4.0, Sphere(1, 1.0), 176.0),  # sqrt(-k) r0 = 352
     lambda: ModelBall(-1.0, 800.0, 2),
-    lambda: spaces.cone_distance(-1.0, (710.0, E1), (710.0, E2), spaces.sphere_distance, 800.0),
-], ids=["cone", "cone-k4", "model-ball", "cone_distance"])
+], ids=["cone", "cone-k4", "model-ball"])
 def test_hyperbolic_cone_past_the_cap_is_a_construction_error(call):
     with pytest.raises(ConstructionError, match="350"):
         call()
@@ -325,7 +323,7 @@ def test_hyperbolic_cone_at_the_cap_stays_finite():
     cone = spaces.Cone(-1.0, Sphere(1, 1.0), spaces.HYPERBOLIC_CAP)
     r = spaces.HYPERBOLIC_CAP
     got = cone.distance((r, E1), (r, -E1))
-    assert got == spaces.cone_distance(-1.0, (r, E1), (r, -E1), spaces.sphere_distance, r)
+    assert got == spaces._cone_law(-1.0, r, r, math.cos(spaces.distance(Sphere(1, 1.0), E1, -E1)))
     assert got == pytest.approx(2.0 * r, rel=1e-12)
     A = spaces.pack_points(cone, [(r, E1), (r, E2)])
     assert np.all(np.isfinite(spaces.cross_distance(cone, A, A)))

@@ -117,8 +117,8 @@ class TestOraclesCanFail:
         assert rec.observed == pytest.approx(1e-9, rel=1e-3)
 
     def test_planted_error_in_scalar_join_distance(self, monkeypatch):
-        join_distance = spaces.join_distance
-        monkeypatch.setattr(spaces, "join_distance", lambda *args: join_distance(*args) + 1e-9)
+        join_distance = spaces.Join.distance
+        monkeypatch.setattr(spaces.Join, "distance", lambda self, p, q: join_distance(self, p, q) + 1e-9)
         rec = _record("join_reassoc", "circle join vs round 3-sphere")
         assert not rec.passed
         assert rec.observed == pytest.approx(1e-9, rel=1e-3)

@@ -163,6 +163,17 @@ class TestBudget:
         with pytest.raises(DomainError, match="budget"):
             epsilon_net(Sphere(2, 1.0), 0.1, 1, budget=budget, allow_degrade=True)
 
+    def test_ellipsoid_over_budget_reports_required(self):
+        with pytest.raises(CapacityError, match="ellipsoid net needs about 521 points") as err:
+            epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.05, 42, budget=50)
+        assert (err.value.required, err.value.budget) == (521, 50)
+
+    def test_degrade_that_cannot_fit_gives_up(self):
+        # an interval grid has at least 2 points, so no coarsening fits budget 1
+        with pytest.raises(CapacityError, match="could not fit") as err:
+            epsilon_net(Interval(1.0), 0.1, 42, budget=1, allow_degrade=True)
+        assert (err.value.required, err.value.budget) == (2, 1)
+
 
 def _digest_grid_cases():
     """`net_cases()` of tools/records_digest.py, the nets whose bytes it digests,
@@ -606,6 +617,13 @@ class TestEllipsoid:
     def test_same_point(self):
         p = np.array([0.6, 0.0, 0.0])
         assert nets.ellipsoid_distance(p, p, 0.6, 1.0 / 3.0, 0.25) == pytest.approx(0.0, abs=1e-9)
+
+    def test_scalar_distance_is_the_engine_at_its_defaults(self):
+        a, b, c = 0.6, 1.0 / 3.0, 0.25
+        p, q = np.array([a, 0.0, 0.0]), np.array([0.0, b, 0.0])
+        d = spaces.distance(Ellipsoid(a, b, c), p, q)
+        assert d == nets.ellipsoid_distance(p, q, a, b, c, epsilon=0.05, seed=42)
+        assert 0.0 < d < PI
 
     def test_off_surface_rejected(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -242,6 +243,31 @@ class TestStoredValues:
     def test_integral_values_load(self):
         assert serialize.space_from_json({"kind": "sphere", "dim": 2.0, "radius": 1}) == Sphere(2, 1.0)
         assert serialize.space_from_json({"kind": "lens", "dim": 3.0, "alpha": 1}) == Lens(3, 1.0)
+        assert serialize.space_from_json({"kind": "interval", "length": 1}) == Interval(1.0)
+        assert serialize.space_from_json({"kind": "ellipsoid", "a": 1, "b": 1, "c": 1}) == Ellipsoid(1.0, 1.0, 1.0)
+        assert serialize.space_from_json({"kind": "model_ball", "k": 1, "r0": 1, "dim": 2}) == ModelBall(1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("payload, value", [
+        ({"kind": "sphere", "dim": 2, "radius": True}, True),
+        ({"kind": "interval", "length": True}, True),
+        ({"kind": "ellipsoid", "a": "0.7", "b": 0.5, "c": 0.25}, "0.7"),
+        ({"kind": "ellipsoid", "a": 0.7, "b": True, "c": 0.25}, True),
+        ({"kind": "ellipsoid", "a": 0.7, "b": 0.5, "c": "0.25"}, "0.25"),
+        ({"kind": "cone", "k": "1", "base": {"kind": "sphere", "dim": 1}, "r0": 1.0}, "1"),
+        ({"kind": "cone", "k": 1.0, "base": {"kind": "sphere", "dim": 1}, "r0": "1"}, "1"),
+        ({"kind": "model_ball", "k": True, "r0": 1.0, "dim": 2}, True),
+        ({"kind": "model_ball", "k": 1.0, "r0": True, "dim": 2}, True),
+        ({"kind": "lens", "dim": 3, "alpha": True}, True),
+    ], ids=["sphere-radius", "interval-length", "ellipsoid-a", "ellipsoid-b", "ellipsoid-c", "cone-k", "cone-r0",
+            "model_ball-k", "model_ball-r0", "lens-alpha"])
+    def test_real_field_that_is_no_number(self, tmp_path, capsys, payload, value):
+        # `float()` would read "1" as 1.0, and a bool passes a range test as 1
+        with pytest.raises(ConstructionError, match=f"got {re.escape(repr(value))}"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_radius_defaults_and_unknown_keys_are_ignored(self):
         space = serialize.space_from_json({"kind": "sphere", "dim": 1, "colour": "red"})
@@ -419,6 +445,18 @@ class TestReadNetValidation:
         _, csv = stored
         _edit_meta(csv, lambda m: m.__setitem__(key, value(m[key])))
         with pytest.raises(ConstructionError, match="n and seed must be integers"):
+            serialize.read_net(csv)
+        assert cli.main(["invariants", "--net", str(csv)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("epsilon", "0.3"), ("epsilon", True), ("epsilon_effective", "0.3"), ("epsilon_effective", True),
+    ], ids=["epsilon-string", "epsilon-bool", "effective-string", "effective-bool"])
+    def test_resolution_that_is_no_number(self, stored, capsys, key, value):
+        # `float()` would read "0.3" as 0.3 and true as 1.0
+        _, csv = stored
+        _edit_meta(csv, lambda m: m.__setitem__(key, value))
+        with pytest.raises(ConstructionError, match="epsilon and epsilon_effective must be numbers"):
             serialize.read_net(csv)
         assert cli.main(["invariants", "--net", str(csv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -609,6 +647,14 @@ class TestBadNetFiles:
     def test_missing_descriptor(self, tmp_path, capsys):
         self._exits_2(capsys, ["construct", "--space", str(tmp_path / "nope.json"),
                                "--out", str(tmp_path / "net.csv")], "cannot read descriptor")
+
+    @pytest.mark.parametrize("text, match", [("{not json", "is not valid JSON"), ('["sphere"]', "is not a JSON object")],
+                             ids=["not-json", "json-list"])
+    def test_descriptor_that_is_no_json_object(self, tmp_path, capsys, text, match):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        self._exits_2(capsys, ["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")],
+                      f"descriptor {bad} {match}")
 
 
 LENS, BALL = Lens(3, 1.0), ModelBall(1.0, 1.0, 2)

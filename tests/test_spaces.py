@@ -18,16 +18,10 @@ from alexgeo.spaces import (
     Quotient,
     Sphere,
     Suspension,
-    cone_distance,
     distance,
     double_join,
-    interval_distance,
-    join_distance,
-    lens_distance,
     points_equal,
     self_distance_matrix,
-    sphere_distance,
-    suspension_distance,
     track_clamping,
     validate_point,
 )
@@ -43,41 +37,41 @@ def _rand_unit(rng, d):
 
 class TestSphereDistance:
     def test_antipodal(self):
-        assert sphere_distance(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 1.0) == pytest.approx(PI)
+        assert distance(Sphere(1, 1.0), np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == pytest.approx(PI)
 
     def test_identity(self):
         u = np.array([0.6, 0.8])
-        assert sphere_distance(u, u, 0.5) == 0.0
+        assert distance(Sphere(1, 0.5), u, u) == 0.0
 
     def test_quarter_arc_half_radius(self):
         # arccos(0) * (1/2) from the chord/angle relation
-        d = sphere_distance(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 0.5)
+        d = distance(Sphere(2, 0.5), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
         assert d == pytest.approx(PI / 4.0, abs=1e-15)
 
     def test_non_unit_rejected_with_vector_in_message(self):
         with pytest.raises(DomainError, match="0.5"):
-            sphere_distance(np.array([0.5, 0.0]), np.array([1.0, 0.0]))
+            distance(Sphere(1, 1.0), np.array([0.5, 0.0]), np.array([1.0, 0.0]))
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            d = sphere_distance(_rand_unit(rng, 4), _rand_unit(rng, 4), 0.75)
+            d = distance(Sphere(3, 0.75), _rand_unit(rng, 4), _rand_unit(rng, 4))
             assert 0.0 <= d <= PI * 0.75 + 1e-15
 
 
 class TestIntervalDistance:
     def test_endpoints(self):
-        assert interval_distance(0.0, PI, PI) == pytest.approx(PI)
+        assert distance(Interval(PI), 0.0, PI) == pytest.approx(PI)
 
     def test_same_point(self):
-        assert interval_distance(0.3, 0.3, PI) == 0.0
+        assert distance(Interval(PI), 0.3, 0.3) == 0.0
 
     def test_absolute_difference(self):
-        assert interval_distance(0.1, 0.9, PI) == pytest.approx(0.8)
+        assert distance(Interval(PI), 0.1, 0.9) == pytest.approx(0.8)
 
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
-            interval_distance(-0.5, 0.1, 1.0)
+            distance(Interval(1.0), -0.5, 0.1)
 
 
 class TestJoinDistance:
@@ -87,14 +81,13 @@ class TestJoinDistance:
             u, v = _rand_unit(rng, 2), _rand_unit(rng, 2)
             p = (u, 0.0, 0.5)
             q = (v, 0.0, 0.9)
-            d = join_distance(p, q, lambda a, b: sphere_distance(a, b, 1.0),
-                              lambda a, b: abs(a - b))
-            assert d == pytest.approx(sphere_distance(u, v), abs=1e-12)
+            d = distance(Join(Sphere(1, 1.0), Interval(1.0)), p, q)
+            assert d == pytest.approx(distance(Sphere(1, 1.0), u, v), abs=1e-12)
 
     def test_orthogonal_factors(self):
         p = (np.array([1.0, 0.0]), 0.0, 0.2)
         q = (np.array([-1.0, 0.0]), HALF_PI, 0.9)
-        d = join_distance(p, q, lambda a, b: sphere_distance(a, b, 1.0), lambda a, b: abs(a - b))
+        d = distance(Join(Sphere(1, 1.0), Interval(1.0)), p, q)
         assert d == pytest.approx(HALF_PI, abs=1e-15)
 
     def test_circle_join_matches_three_sphere(self):
@@ -113,8 +106,7 @@ class TestJoinDistance:
 
     def test_bad_latitude(self):
         with pytest.raises(DomainError):
-            join_distance((0.0, 2.0, 0.0), (0.0, 0.1, 0.0), lambda a, b: abs(a - b),
-                          lambda a, b: abs(a - b))
+            distance(Join(Interval(1.0), Interval(1.0)), (0.0, 2.0, 0.0), (0.0, 0.1, 0.0))
 
 
 class TestConeDistance:
@@ -123,32 +115,28 @@ class TestConeDistance:
         for _ in range(20):
             y0, y1 = _rand_unit(rng, 2), _rand_unit(rng, 2)
             for k in (-1.0, 0.0, 1.0):
-                d = cone_distance(k, (0.0, y0), (0.7, y1),
-                                  lambda a, b: sphere_distance(a, b, 1.0), 1.0 if k <= 0 else 1.2)
+                d = distance(Cone(k, Sphere(1, 1.0), 1.0 if k <= 0 else 1.2), (0.0, y0), (0.7, y1))
                 assert d == pytest.approx(0.7, abs=1e-12)
 
     def test_flat_cone_degenerates_to_line(self):
         y0, y1 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        d = cone_distance(0.0, (1.0, y0), (1.0, y1), lambda a, b: sphere_distance(a, b, 1.0), 2.0)
+        d = distance(Cone(0.0, Sphere(1, 1.0), 2.0), (1.0, y0), (1.0, y1))
         assert d == pytest.approx(2.0, abs=1e-12)
 
     def test_spherical_cone_is_join_with_point(self):
-        # C_1(S^2(1))(pi/2) against the join formula with a single-point factor,
-        # matching latitudes via tau = pi/2 - t
+        # C_1(S^2(1))(pi/2) against the join formula with a single-point factor
+        # (one point of S^0), matching latitudes via tau = pi/2 - t
         rng = np.random.default_rng(4)
         base = Sphere(2, 1.0)
         cone = Cone(1.0, base, HALF_PI)
+        join = Join(base, Sphere(0, 1.0))
+        pole = np.array([1.0])
         worst = 0.0
         for _ in range(5000):
             t0, t1 = rng.uniform(0.0, HALF_PI, 2)
             y0, y1 = _rand_unit(rng, 3), _rand_unit(rng, 3)
             d_cone = distance(cone, (t0, y0), (t1, y1))
-            d_join = join_distance(
-                (y0, HALF_PI - t0, None),
-                (y1, HALF_PI - t1, None),
-                lambda a, b: sphere_distance(a, b, 1.0),
-                lambda a, b: 0.0,
-            )
+            d_join = distance(join, (y0, HALF_PI - t0, pole), (y1, HALF_PI - t1, pole))
             worst = max(worst, abs(d_cone - d_join))
         assert worst <= 1e-12
 
@@ -156,17 +144,16 @@ class TestConeDistance:
         with pytest.raises(ConstructionError):
             Cone(1.0, Sphere(1, 1.0), 2.0)
         with pytest.raises(DomainError):
-            cone_distance(1.0, (0.1, np.array([1.0, 0.0])), (3.0, np.array([1.0, 0.0])),
-                          lambda a, b: sphere_distance(a, b, 1.0), 1.5)
+            distance(Cone(1.0, Sphere(1, 1.0), 1.5), (0.1, np.array([1.0, 0.0])), (3.0, np.array([1.0, 0.0])))
 
 
 class TestSuspensionDistance:
     def test_pole_to_pole(self):
-        d = suspension_distance((0.0, 0.1), (PI, 0.9), lambda a, b: abs(a - b))
+        d = distance(Suspension(Interval(1.0)), (0.0, 0.1), (PI, 0.9))
         assert d == pytest.approx(PI, abs=1e-15)
 
     def test_equator_matches_base_up_to_pi(self):
-        d = suspension_distance((HALF_PI, 0.1), (HALF_PI, 0.9), lambda a, b: abs(a - b))
+        d = distance(Suspension(Interval(1.0)), (HALF_PI, 0.1), (HALF_PI, 0.9))
         assert d == pytest.approx(0.8, abs=1e-12)
 
     def test_circle_suspension_matches_two_sphere(self):
@@ -236,7 +223,7 @@ class TestLensDistance:
         with pytest.raises(DomainError):
             Lens(3, -0.2)
         with pytest.raises(DomainError):
-            lens_distance(3, 4.0, None, None)
+            Lens(3, 4.0)
 
 
 class TestQuotientDistance:
@@ -369,6 +356,12 @@ class TestValidation:
     def test_model_ball_cap(self):
         with pytest.raises(ConstructionError):
             ModelBall(1.0, 2.0, 2)
+
+    def test_real_parameter_rule(self):
+        for value in (2, 2.5, np.int64(2), np.float32(0.5), math.inf):
+            assert spaces.as_real(value) == float(value) and type(spaces.as_real(value)) is float
+        for value in (True, np.bool_(True), "1", None, [1.0], np.array([1.0]), 1j):
+            assert spaces.as_real(value) is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -509,18 +502,21 @@ class TestSharedDomainCheck:
         with pytest.raises(DomainError, match="must be numbers"):
             distance(space, p, q)
 
-    @pytest.mark.parametrize("space, p, q", [
-        (Interval(1.0), np.array([0.5]), 0.2),
-        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), (E1, np.array([0.5]), E1), (E1, 0.5, E1)),
-        (CAP, (0.5, E1), (np.array([0.5]), E1)),
-        (Suspension(Sphere(1, 1.0)), (np.array([0.5]), E1), (0.5, E1)),
+    @pytest.mark.parametrize("space, points", [
+        (Interval(1.0), lambda a: (a, 0.2)),
+        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), lambda a: ((E1, a, E1), (E1, 0.5, E1))),
+        (CAP, lambda a: ((0.5, E1), (a, E1))),
+        (Suspension(Sphere(1, 1.0)), lambda a: ((a, E1), (0.5, E1))),
     ], ids=["interval", "join-latitude", "cone-radial", "suspension-colatitude"])
-    def test_scalar_distance_on_a_one_element_array(self, space, p, q):
-        # numpy compares a one-element array as a number but will not convert it to one
-        with pytest.raises(DomainError, match="must be numbers"):
-            distance(space, p, q)
-        with pytest.raises(DomainError, match="must be numbers"):
-            distance(space, q, p)
+    def test_scalar_distance_on_a_one_element_array(self, space, points):
+        # numpy compares a one-element array as a number but will not convert it to one;
+        # a longer one must be converted before any range comparison, which would raise a bare ValueError
+        for value in (np.array([0.5]), np.array([0.5, 0.6])):
+            p, q = points(value)
+            with pytest.raises(DomainError, match="must be numbers"):
+                distance(space, p, q)
+            with pytest.raises(DomainError, match="must be numbers"):
+                distance(space, q, p)
 
     @pytest.mark.parametrize("bad", [[0.6, 0.8, 0.1], [math.nan, 0.0, 0.0]], ids=["non-unit", "nan"])
     def test_many_sphere_rows_fail_as_the_first_bad_row_alone(self, bad):

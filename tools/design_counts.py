@@ -1,5 +1,5 @@
 """Print the design numbers of `src/alexgeo/*.py`: lines, lines holding
-`isinstance`, and curvature-dispatch lines.
+`isinstance`, curvature-dispatch lines, and the size of the public API.
 
 Usage, from the repository root:
 
@@ -7,12 +7,14 @@ Usage, from the repository root:
 
 It takes no options.  Each module gets one line with its line count, the
 number of its lines that contain `isinstance`, and the number of its lines
-that split on the curvature k (`k == 0.0`, `k == 1.0` or `elif k`); the last
-line is the total.
+that split on the curvature k (`k == 0.0`, `k == 1.0` or `elif k`); then
+comes the total, and last the number of names `alexgeo/__init__.py`
+imports, which is the package's public API.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -31,6 +33,9 @@ def main():
         total_k += k_hits
         print(f"{path.name:16} {len(lines):5} lines  {hits:4} isinstance  {k_hits:3} k-dispatch")
     print(f"{'total':16} {total_lines:5} lines  {total_isinstance:4} isinstance  {total_k:3} k-dispatch")
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    names = sum(len(node.names) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)))
+    print(f"{'api':16} {names:5} names imported by __init__.py")
 
 
 if __name__ == "__main__":
