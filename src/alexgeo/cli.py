@@ -3,7 +3,7 @@
 Subcommands:
   construct   build an epsilon-net from a descriptor JSON and export it
   invariants  radius/diameter/soul/edge/spine report for a stored net
-  verify      run one audit family (metric | curvature | convexity | trace)
+  verify      run one audit family (metric | curvature | replay | convexity | trace)
   example     run catalogue entries and emit machine-readable reports
 
 Exit code is 0 iff every check in the invoked scope passes.
@@ -82,7 +82,7 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    need = {"metric": "net", "curvature": "net", "convexity": "space"}.get(args.check)
+    need = {"metric": "net", "curvature": "net", "replay": "net", "convexity": "space"}.get(args.check)
     if need and getattr(args, need) is None:
         raise PreconditionError(f"verify --check {args.check} needs --{need}")
     if args.check in ("metric", "curvature"):
@@ -96,6 +96,10 @@ def _cmd_verify(args) -> int:
             found = f"excess={audit.excess:.3e} quadruples={audit.n_quadruples}"
         ok = audit.passed
         found = f"n={audit.n_points} {found} witness={audit.witness} exhaustive={audit.exhaustive}"
+    elif args.check == "replay":
+        net, source = serialize.load_net(args.net)
+        ok = source == "replay"
+        found = f"n={net.n} loaded by {source}"
     elif args.check == "convexity":
         space = _read_descriptor(args.space)
         rep = cmp.convexity_check(space, args.lambda0, probes=args.probes, seed=args.seed)
@@ -192,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_invariants)
 
     v = sub.add_parser("verify", help="run one audit family")
-    v.add_argument("--check", required=True, choices=["metric", "curvature", "convexity", "trace"])
-    v.add_argument("--net", help="net CSV (metric and curvature checks)")
+    v.add_argument("--check", required=True, choices=["metric", "curvature", "replay", "convexity", "trace"])
+    v.add_argument("--net", help="net CSV (metric, curvature and replay checks)")
     v.add_argument("--space", help="descriptor JSON (convexity check)")
     v.add_argument("--lambda0", type=float, default=1.0)
     v.add_argument("--probes", type=int, default=1000)

@@ -9,18 +9,32 @@ boundary flags, coordinates, and the sha256 digests of the CSV file and of
 the matrix buffer).  Serialization is byte-stable: identical inputs produce
 identical bytes.
 
+The CSV holds the bytes ``np.savetxt(D, delimiter=",", fmt="%.17g")``
+writes, produced by numpy a block of rows at a time (`_csv_bytes`).  An
+entry x with 1e-4 <= |x| < 1e16 has its 17 significant digits computed
+exactly: with E its decimal exponent and p = 10**(16 - E), an exact double,
+Dekker's two-product splits |x| * p into hi + lo with no rounding, and
+hi >= 2**53 is an even integer, so hi + rint(lo) is the round-half-even
+integer Python's correctly rounded conversion gives.  %g writes such an
+entry in fixed notation (-4 <= E < 17), with trailing zeros and a bare
+point stripped.  Every other entry (0, -0, NaN, +-inf, |x| < 1e-4 or
+>= 1e16) is formatted by Python's ``b"%.17g" % x``, as `np.savetxt`
+formats every entry.
+
 A stored net loads by replay when it can: the sidecar determines the
 matrix, so `read_net` rebuilds it through `nets.grid_net` when the CSV
 still hashes to its stored digest, and keeps the rebuilt matrix only if
 it hashes to the stored matrix digest.  Otherwise (an edited CSV, a
 sidecar without digests, an ellipsoid net, a last-bit difference from
-another BLAS) it parses the CSV.  The sidecar is trusted as its
+another BLAS) it parses the CSV; `load_net` also says which path it took
+and why.  The sidecar is trusted as its
 coordinates already are; a sidecar whose digests were rewritten by hand
 is not detected.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -34,7 +48,7 @@ from . import actions as actions_mod
 from . import nets as nets_mod
 from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
-from .spaces import KINDS, Ellipsoid, Quotient, as_integer, as_real, coords_len
+from .spaces import KINDS, Ellipsoid, Quotient, as_integer, as_real, coords_len, row_block
 
 
 def space_to_json(space) -> dict:
@@ -136,18 +150,156 @@ def net_to_bytes(net: FiniteNet) -> bytes:
 def write_net(net: FiniteNet, csv_path) -> Path:
     """Write the distance matrix as CSV and the metadata JSON alongside it.
 
-    The CSV is ``np.savetxt(net.dist, delimiter=",", fmt="%.17g")``.  The
-    sidecar holds `net_metadata` plus a ``digests`` object: the sha256 of
-    the CSV file and of the matrix's buffer, which let `read_net` rebuild
-    the matrix instead of parsing the text.
+    The CSV is byte for byte ``np.savetxt(net.dist, delimiter=",",
+    fmt="%.17g")``, written by `_csv_bytes` in blocks of `spaces.row_block`
+    / 8 rows, so its temporaries stay at a few MB; see the module docstring
+    for why its digits are exact.  The sidecar holds `net_metadata` plus a
+    ``digests`` object: the sha256 of the CSV bytes, hashed as they are
+    written, and of the matrix's buffer, which let `read_net` rebuild the
+    matrix instead of parsing the text.
     """
     csv_path = Path(csv_path)
-    np.savetxt(csv_path, net.dist, delimiter=",", fmt="%.17g")
+    D = net.dist
+    step = max(1, row_block(D.shape[1]) // 8)
+    csv_sha256 = hashlib.sha256()
+    with open(csv_path, "wb") as f:
+        for s in range(0, D.shape[0], step):
+            text = _csv_bytes(D[s:s + step])
+            f.write(text)
+            csv_sha256.update(text)
     meta = net_metadata(net)
-    meta["digests"] = {"csv_sha256": _file_sha256(csv_path), "matrix_sha256": _matrix_sha256(net.dist)}
+    meta["digests"] = {"csv_sha256": csv_sha256.hexdigest(), "matrix_sha256": _matrix_sha256(D)}
     meta_path = _meta_path(csv_path)
     meta_path.write_text(stable_dumps(meta) + "\n")
     return meta_path
+
+
+# The CSV writer.  A cell is one entry's text and its separator, at most 24 + 1
+# bytes ("-2.2250738585072014e-308,"); _KEEP[L] keeps a cell's first L + 1 bytes.
+_CELL = 25
+_CELL_BYTES = np.dtype((np.void, _CELL))
+_KEEP = (np.arange(_CELL) <= np.arange(_CELL)[:, None]).view(_CELL_BYTES).ravel()
+_DIGIT_BYTES = np.dtype((np.void, 20))  # five "%04d" words: 3 pad bytes, then 17 digits
+_POW10 = 10.0 ** np.arange(23)          # 10**k is an exact double up to k = 22
+_LAYOUTS = 2 * 21                       # layout 2 * (E + 4) + sign for E in [-4, 16]; Python's is _LAYOUTS
+
+
+@functools.cache
+def _digit_groups():
+    """``b"%04d" % g`` for g in 0..9999 as uint32 words, and each g's count of trailing zeros."""
+    text = b"".join(b"%04d" % g for g in range(10_000))
+    chars = np.frombuffer(text, np.uint8).reshape(-1, 4)
+    trailing = np.argmax(chars[:, ::-1] != ord("0"), axis=1)
+    trailing[0] = 4
+    return np.frombuffer(text, np.uint32), trailing
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(a, E):
+    """N = round-half-even(a * 10**(16 - E)) and whether that exact product is below 10**16.
+
+    Dekker's two-product gives a * p = hi + lo exactly.  Where the product
+    is at least 10**16 > 2**53, hi is an even integer, so hi + rint(lo)
+    rounds the exact value half to even.
+    """
+    p = _POW10[16 - E]
+    hi = a * p
+    ah, al = _split(a)
+    ph, pl = _split(p)
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    return N, (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+
+
+def _fixed_cells(digits, e: int, negative: bool) -> np.ndarray:
+    """Cells of the 17 digits in each row of `digits` at decimal exponent e, in
+    %f layout, unstripped: "0.00ddd..." for e < 0, the point after digit e otherwise."""
+    head = b"-" * negative + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+    k = len(head)
+    cells = np.empty((digits.shape[0], _CELL), np.uint8)
+    cells[:, :k] = np.frombuffer(head, np.uint8)
+    if e < 0:
+        cells[:, k:k + 17] = digits
+    else:
+        cells[:, k:k + e + 1] = digits[:, :e + 1]
+        cells[:, k + e + 1] = ord(".")
+        cells[:, k + e + 2:k + 18] = digits[:, e + 1:]
+    return cells
+
+
+def _csv_bytes(block: np.ndarray) -> bytes:
+    """The rows of `block` as ``np.savetxt(fmt="%.17g", delimiter=",")`` writes them.
+
+    An entry x with 1e-4 <= |x| < 1e16 is written by numpy.  Its exponent E
+    starts at floor(log10 |x|) and moves by one while the exact product
+    |x| * 10**(16 - E) lies below 10**16 or rounds above 10**17, so that
+    N = `_scaled` |x| holds its 17 significant digits; N = 10**17, a carry,
+    is 10**16 at E + 1.  The digits are read four at a time from
+    `_digit_groups`, each (sign, E) group is laid out by `_fixed_cells`, and
+    each cell's length cuts the fraction's trailing zeros, and a point with
+    no fraction, before one boolean mask packs the cells.  Python formats
+    every other entry.
+    """
+    ncol = block.shape[1]
+    x = np.asarray(block, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a[~fixed] = 1.0  # a stand-in; these cells are overwritten below
+    E = np.floor(np.log10(a)).astype(np.int64)
+    N, under = _scaled(a, E)
+    off = np.flatnonzero(under | (N > 10**17))
+    while off.size:  # log10 rounded across a power of ten: one step corrects it
+        E[off] += np.where(under[off], -1, 1)
+        N[off], under[off] = _scaled(a[off], E[off])
+        off = off[under[off] | (N[off] > 10**17)]
+    carry = N == 10**17  # a product within 1/2 of 10**17 rounds up to the next exponent
+    E[carry] += 1
+    N[carry] = 10**16
+
+    groups, trailing = _digit_groups()
+    # x - (x // d) * d, since numpy's `%` by a constant is several times slower than `//`
+    lead = N // 10**16
+    rest = N - lead * 10**16
+    hi = rest // 10**8
+    lo = rest - hi * 10**8
+    g0, g2 = hi // 10**4, lo // 10**4
+    g = (g0, hi - g0 * 10**4, g2, lo - g2 * 10**4)
+    words = np.empty((x.size, 5), np.uint32)
+    words[:, 0] = groups[lead]
+    for i in range(4):
+        words[:, i + 1] = groups[g[i]]
+    zeros = trailing[g[3]] + (g[3] == 0) * (
+        trailing[g[2]] + (g[2] == 0) * (trailing[g[1]] + (g[1] == 0) * trailing[g[0]]))
+    negative = np.signbit(x)
+    fraction = np.maximum(16 - E - zeros, 0)
+    length = negative + np.maximum(E, 0) + 1 + fraction + (fraction > 0)
+
+    # cells and digit rows move as void items, one memcpy each rather than byte by byte
+    cells = np.empty((x.size, _CELL), np.uint8)
+    cell_rows = cells.view(_CELL_BYTES).ravel()
+    digit_rows = words.view(_DIGIT_BYTES).ravel()
+    layout = np.where(fixed, 2 * (E + 4) + negative, _LAYOUTS)
+    for c in np.flatnonzero(np.bincount(layout, minlength=_LAYOUTS + 1)[:_LAYOUTS]):
+        at = np.flatnonzero(layout == c)
+        digits = digit_rows[at].view(np.uint8).reshape(-1, 20)[:, 3:]
+        cell_rows[at] = _fixed_cells(digits, int(c) // 2 - 4, bool(c % 2)).view(_CELL_BYTES).ravel()
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        texts = [b"%.17g" % v for v in x[other].tolist()]
+        cells[other, :_CELL - 1] = np.frombuffer(
+            b"".join(t.ljust(_CELL - 1) for t in texts), np.uint8).reshape(-1, _CELL - 1)
+        length[other] = [len(t) for t in texts]
+
+    ends = np.arange(0, cells.size, _CELL) + length
+    cells.ravel()[ends] = ord(",")
+    cells.ravel()[ends[ncol - 1::ncol]] = ord("\n")
+    return cells[_KEEP[length].view(bool).reshape(-1, _CELL)].tobytes()
 
 
 def read_net(csv_path) -> FiniteNet:
@@ -171,6 +323,12 @@ def read_net(csv_path) -> FiniteNet:
     A missing or unreadable file is a ConstructionError, and so is an
     ``epsilon`` or ``epsilon_effective`` that is no number (`spaces.as_real`).
     """
+    return load_net(csv_path)[0]
+
+
+def load_net(csv_path) -> tuple[FiniteNet, str]:
+    """The net `read_net` loads, and how its matrix was obtained: ``"replay"``, or
+    ``"parse: "`` and why the replay was not taken or not kept (``verify --check replay``)."""
     csv_path = Path(csv_path)
     meta = read_json(_meta_path(csv_path), "net metadata")
     with json_fields("net metadata"):
@@ -195,11 +353,9 @@ def read_net(csv_path) -> FiniteNet:
     if n_coords != n:
         raise ConstructionError(f"net metadata has {n_coords} coordinates for n = {n}")
     try:
-        D = None
-        if digests is not None and coords is not None and not isinstance(space, Ellipsoid):
-            D = _replay(space, epsilon_effective, coords, is_boundary, csv_path, *digests)
+        D, source = _replay(space, epsilon_effective, coords, is_boundary, csv_path, digests)
         if D is None:
-            D = _parse_matrix(csv_path)
+            D, source = _parse_matrix(csv_path), f"parse: {source}"
     except OSError as exc:
         raise ConstructionError(f"cannot read net matrix {csv_path}: {exc.strerror or exc}") from None
     if D.shape != (n, n):
@@ -207,7 +363,7 @@ def read_net(csv_path) -> FiniteNet:
     if not np.all(np.isfinite(D)):
         raise ConstructionError(f"net matrix {csv_path} has non-finite entries")
     return FiniteNet(space, coords, is_boundary, D, epsilon, epsilon_effective, seed,
-                     dict(meta.get("meta", {})))
+                     dict(meta.get("meta", {}))), source
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -228,28 +384,33 @@ def _matrix_sha256(D: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(D, dtype=np.float64)).hexdigest()
 
 
-def _replay(space, eff, coords, is_boundary, csv_path, csv_sha256, matrix_sha256):
-    """The stored matrix rebuilt by `nets.grid_net(space, eff)`, or None if it does not reproduce.
+def _replay(space, eff, coords, is_boundary, csv_path, digests):
+    """The stored matrix rebuilt by `nets.grid_net(space, eff)` and ``"replay"``, or None
+    and why it was not rebuilt or does not reproduce.
 
-    The grid is built only when its closed-form count fits the n stored
-    points (a quotient's grid holds at most one copy per group element of
-    each kept point), and only when the CSV on disk is the one the
-    digests were taken of.
+    Only a sidecar with digests and coordinates replays, and not an
+    ellipsoid's.  The grid is built only when its closed-form count fits
+    the n stored points (a quotient's grid holds at most one copy per group
+    element of each kept point), and only when the CSV on disk is the one
+    the digests were taken of.
     """
+    if digests is None or coords is None:
+        return None, f"the sidecar has no {'digests' if digests is None else 'coordinates'}"
+    if isinstance(space, Ellipsoid):
+        return None, "an ellipsoid net depends on an engine budget the sidecar does not store"
+    csv_sha256, matrix_sha256 = digests
     n = coords_len(coords)
     order = len(space.action.elements) if isinstance(space, Quotient) else 1
     if not (math.isfinite(eff) and eff > 0.0 and n <= space.net_count(eff) <= order * n):
-        return None
+        return None, f"the grid at epsilon_effective {eff!r} does not fit n = {n}"
     if _file_sha256(csv_path) != csv_sha256:
-        return None
+        return None, "the CSV does not hash to its stored digest"
     grid_coords, flags, D = nets_mod.grid_net(space, eff)
-    if (
-        np.array_equal(flags, is_boundary)
-        and _same_bits(grid_coords, coords)
-        and _matrix_sha256(D) == matrix_sha256
-    ):
-        return D
-    return None
+    if not (np.array_equal(flags, is_boundary) and _same_bits(grid_coords, coords)):
+        return None, "the rebuilt coordinates or boundary flags differ from the stored ones"
+    if _matrix_sha256(D) != matrix_sha256:
+        return None, "the rebuilt matrix does not hash to its stored digest"
+    return D, "replay"
 
 
 def _same_bits(a, b) -> bool:

@@ -250,7 +250,10 @@ def _value(x, hi: float, what: str, error=DomainError) -> float:
 
 def _stack_rows(points, width: int) -> np.ndarray:
     """Vector points as the rows of one array; no points give a (0, width) array."""
-    rows = [np.asarray(p, dtype=float) for p in points]
+    try:
+        rows = [np.asarray(p, dtype=float) for p in points]
+    except (TypeError, ValueError) as exc:  # a string, or a ragged sequence
+        raise DomainError(f"vector points must be sequences of numbers: {exc}") from None
     if len({r.shape for r in rows}) > 1:
         raise DomainError(f"points of one factor differ in shape: {sorted({r.shape for r in rows})}")
     return np.asarray(rows, dtype=float) if rows else np.empty((0, width))
@@ -593,7 +596,10 @@ class Sphere(SpaceDescriptor):
 
     def distance(self, p, q) -> float:
         """radius * arccos(<p, q>) between unit vectors of the ambient dimension."""
-        u, v = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        try:
+            u, v = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        except (TypeError, ValueError) as exc:  # a string, or a ragged sequence
+            raise DomainError(f"sphere points must be sequences of numbers: {exc}") from None
         shape = (self.dim + 1,)
         for name, w in (("u", u), ("v", v)):
             if w.shape != shape:
@@ -1148,7 +1154,7 @@ class Lens(Join):
         if a is None:
             raise ConstructionError(f"lens angle must be a number, got {alpha!r}")
         if not 0.0 < a <= PI + 1e-12:
-            raise DomainError(f"lens angle must lie in (0, pi], got {alpha}")
+            raise ConstructionError(f"lens angle must lie in (0, pi], got {alpha}")
         super().__init__(Sphere(n - 2, 1.0), Interval(a))
 
     @property

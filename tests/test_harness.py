@@ -279,13 +279,13 @@ class TestCli:
 
     def test_verify_checks_and_options(self, capsys):
         parser = cli.build_parser()
-        for check in ("metric", "curvature", "convexity", "trace"):
+        for check in ("metric", "curvature", "replay", "convexity", "trace"):
             assert parser.parse_args(["verify", "--check", check]).check == check
         for argv in (["--check", "hinge"], ["--check", "metric", "--hinges", "5"],
                      ["--check", "metric", "--epsilon", "0.1"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(["verify"] + argv)
-        assert "--check {metric,curvature,convexity,trace}" in capsys.readouterr().err
+        assert "--check {metric,curvature,replay,convexity,trace}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["--check", "metric"],

@@ -1,10 +1,12 @@
 """Descriptor JSON: stored generators, old element-list files, malformed payloads,
 the text each kind writes and the stored values its constructor rejects;
 stored nets whose matrix and metadata disagree; nets loaded by replay and by
-parsing; bad net files at the CLI; the CLI's fixed mmap threshold."""
+parsing, and `verify --check replay`; the CSV writer's bytes against
+`np.savetxt`; bad net files at the CLI; the CLI's fixed mmap threshold."""
 
 import ctypes
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,9 +17,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import alexgeo
-from alexgeo import actions, cli, harness, nets, serialize
+from alexgeo import actions, cli, harness, nets, serialize, spaces
 from alexgeo.errors import ConstructionError
 from alexgeo.spaces import (
     PI,
@@ -268,6 +273,17 @@ class TestStoredValues:
         bad.write_text(json.dumps(payload))
         assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("alpha", [4.0, 0.0, -0.2], ids=["above-pi", "zero", "negative"])
+    def test_lens_angle_out_of_range(self, tmp_path, capsys, alpha):
+        # a bad angle fails as every other bad field does, not as a point outside a domain
+        payload = {"kind": "lens", "dim": 3, "alpha": alpha}
+        with pytest.raises(ConstructionError, match=r"lens angle must lie in \(0, pi\]"):
+            serialize.space_from_json(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert cli.main(["construct", "--space", str(bad), "--out", str(tmp_path / "net.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: lens angle")
 
     def test_radius_defaults_and_unknown_keys_are_ignored(self):
         space = serialize.space_from_json({"kind": "sphere", "dim": 1, "colour": "red"})
@@ -606,6 +622,152 @@ class TestReplay:
             "matrix_sha256": hashlib.sha256(net.dist.tobytes()).hexdigest(),
         }
         assert "digests" not in serialize.net_metadata(net)
+
+
+class TestVerifyReplay:
+    """`alexgeo verify --check replay` says whether a stored net reloads by replay."""
+
+    @pytest.fixture()
+    def csv(self, tmp_path):
+        csv = tmp_path / "net.csv"
+        serialize.write_net(nets.epsilon_net(Suspension(Sphere(1, 1.0)), 0.2, 42), csv)
+        return csv
+
+    def _verify(self, csv, capsys):
+        rc = cli.main(["verify", "--check", "replay", "--net", str(csv)])
+        return rc, capsys.readouterr().out.strip()
+
+    def test_fresh_file_replays(self, csv, capsys, loadtxt_calls):
+        rc, out = self._verify(csv, capsys)
+        assert (rc, out) == (0, f"[verify:replay] n={serialize.read_net(csv).n} loaded by replay -> PASS")
+        assert loadtxt_calls[0] == 0
+
+    def test_edited_csv_is_parsed(self, csv, capsys, loadtxt_calls):
+        D = np.loadtxt(csv, delimiter=",")
+        D[1, 2] = 0.125
+        np.savetxt(csv, D, delimiter=",", fmt="%.17g")
+        rc, out = self._verify(csv, capsys)
+        assert rc == 1
+        assert out.endswith("loaded by parse: the CSV does not hash to its stored digest -> FAIL")
+        assert loadtxt_calls[0] == 2
+
+    def test_sidecar_without_digests_is_parsed(self, csv, capsys):
+        _edit_meta(csv, lambda m: m.pop("digests"))
+        rc, out = self._verify(csv, capsys)
+        assert rc == 1
+        assert out.endswith("loaded by parse: the sidecar has no digests -> FAIL")
+
+    def test_source_is_the_path_read_net_takes(self, csv, loadtxt_calls):
+        _edit_meta(csv, lambda m: m["digests"].__setitem__("matrix_sha256", "0" * 64))
+        net, source = serialize.load_net(csv)
+        assert source == "parse: the rebuilt matrix does not hash to its stored digest"
+        assert loadtxt_calls[0] == 1
+        assert net.dist.tobytes() == serialize.read_net(csv).dist.tobytes()
+
+    def test_needs_a_net(self, capsys):
+        assert cli.main(["verify", "--check", "replay"]) == 2
+        assert "needs --net" in capsys.readouterr().err
+
+
+def _savetxt_bytes(D) -> bytes:
+    out = io.BytesIO()
+    np.savetxt(out, D, delimiter=",", fmt="%.17g")
+    return out.getvalue()
+
+
+def _power_of_ten_neighbours(k_lo, k_hi):
+    p = np.array([float(f"1e{k}") for k in range(k_lo, k_hi + 1)])
+    return np.stack([np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)], axis=1)
+
+
+class TestCsvWriter:
+    """`serialize._csv_bytes`, the writer of every net CSV, gives the bytes of
+    ``np.savetxt(fmt="%.17g", delimiter=",")``: fixed-notation entries by the
+    exact numpy path, the rest by Python's own formatting."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+    def test_any_matrix(self, D):
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(26).integers(0, 2**64, 100_000, dtype=np.uint64)
+        D = bits.view(np.float64).reshape(-1, 100)
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    def test_every_fixed_exponent(self):
+        # magnitudes 1e-7..1e18 with both signs, so every (sign, exponent) layout runs
+        rng = np.random.default_rng(26)
+        D = 10.0 ** rng.uniform(-7.0, 18.0, (1000, 100)) * rng.choice([-1.0, 1.0], (1000, 100))
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    def test_short_decimals(self):
+        # trailing zeros to strip, and integers that lose their point
+        rng = np.random.default_rng(26)
+        scale = 10.0 ** rng.integers(0, 6, (500, 40))
+        D = np.rint(rng.uniform(-1e5, 1e5, (500, 40)) * scale) / scale
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        D = _power_of_ten_neighbours(-6, 18)
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+        assert serialize._csv_bytes(-D) == _savetxt_bytes(-D)
+
+    def test_ends_of_the_fixed_range(self):
+        D = np.array([[0.0, -0.0, 1e-4, -1e-4, 1e16, -1e16, np.nextafter(1e-4, 0.0),
+                       np.nextafter(1e16, 0.0), np.nan, np.inf, -np.inf, 5e-324]])
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    @pytest.mark.parametrize("D", [
+        np.array([[0.5]]),
+        np.array([[0.0]]),
+        np.array([[-3.0]]),
+        np.array([[0.1, 2.5, 1e-5, 0.0, 3.141592653589793, 12.0, -7e-3]]),
+    ], ids=["1x1", "1x1-zero", "1x1-negative", "one-row"])
+    def test_small_shapes(self, D):
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    def test_negative_and_tiny_entries(self):
+        rng = np.random.default_rng(26)
+        D = rng.normal(size=(60, 50)) * 10.0 ** rng.integers(-9, 3, (60, 50))
+        assert (D < 0).any() and (np.abs(D) < 1e-4).any()
+        assert serialize._csv_bytes(D) == _savetxt_bytes(D)
+
+    @pytest.mark.parametrize("space, epsilon", [
+        (Sphere(2, 0.5), 0.3),
+        (Interval(1.0), 0.05),
+        (Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.2),
+        (Join(Interval(PI), Interval(PI)), 0.3),
+        (Cone(-1.0, Sphere(1, 1.0), 1.0), 0.2),
+        (Suspension(Sphere(1, 1.0)), 0.2),
+        (_cyclic(Sphere(3, 1.0), 8), 0.3),
+        (Lens(3, 1.0), 0.3),
+        (ModelBall(1.0, PI / 4, 3), 0.2),
+    ], ids=["sphere", "interval", "ellipsoid", "join", "cone", "suspension", "quotient", "lens",
+            "model_ball"])
+    def test_one_net_per_kind(self, tmp_path, space, epsilon):
+        net = nets.epsilon_net(space, epsilon, 1)
+        csv = tmp_path / "net.csv"
+        serialize.write_net(net, csv)
+        assert csv.read_bytes() == _savetxt_bytes(net.dist)
+
+    def test_written_in_blocks_and_hashed_as_written(self, tmp_path, monkeypatch):
+        net = nets.epsilon_net(Lens(3, 1.0), 0.3, 1)
+        assert net.n > spaces.row_block(net.n) // 8  # more rows than one block
+        blocks = []
+        csv_bytes = serialize._csv_bytes
+        monkeypatch.setattr(serialize, "_csv_bytes", lambda block: blocks.append(block.shape) or csv_bytes(block))
+
+        def refuse(path):
+            raise AssertionError("write_net read its CSV back")
+
+        monkeypatch.setattr(serialize, "_file_sha256", refuse)
+        csv = tmp_path / "net.csv"
+        meta_path = serialize.write_net(net, csv)
+        assert len(blocks) > 1 and sum(rows for rows, _ in blocks) == net.n
+        assert json.loads(meta_path.read_text())["digests"]["csv_sha256"] == \
+            hashlib.sha256(csv.read_bytes()).hexdigest()
 
 
 class TestBadNetFiles:

@@ -220,9 +220,9 @@ class TestLensDistance:
         assert worst <= 1e-12
 
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstructionError, match="lens angle must lie in"):
             Lens(3, -0.2)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConstructionError, match="lens angle must lie in"):
             Lens(3, 4.0)
 
 
@@ -501,6 +501,18 @@ class TestSharedDomainCheck:
     def test_scalar_distance_on_a_coordinate_that_is_no_number(self, space, p, q):
         with pytest.raises(DomainError, match="must be numbers"):
             distance(space, p, q)
+
+    @pytest.mark.parametrize("point", [["a", "b"], [[1.0, 0.0], [0.0]], {"x": 1.0}],
+                             ids=["strings", "ragged", "dict"])
+    def test_sphere_point_that_is_no_vector_of_numbers(self, point):
+        with pytest.raises(DomainError, match="sphere points must be sequences of numbers"):
+            distance(Sphere(1, 1.0), point, np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="sphere points must be sequences of numbers"):
+            distance(Sphere(1, 1.0), np.array([1.0, 0.0]), point)
+        with pytest.raises(DomainError, match="vector points must be sequences of numbers"):
+            spaces.pack_points(Sphere(1, 1.0), [np.array([1.0, 0.0]), point])
+        with pytest.raises(DomainError, match="vector points must be sequences of numbers"):
+            validate_point(Join(Sphere(1, 1.0), Interval(1.0)), (point, 0.5, 0.5))
 
     @pytest.mark.parametrize("space, points", [
         (Interval(1.0), lambda a: (a, 0.2)),
