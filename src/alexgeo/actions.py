@@ -244,26 +244,54 @@ class GroupAction:
         return {"name": self.name, "order": self.order, "generators": gens}
 
     @cached_property
-    def rotation_order(self) -> int | None:
-        """m if this is the Z_m that `cyclic_approximation` builds, on unit-radius factors.
+    def cyclic_order(self) -> int | None:
+        """m if this is the Z_m that `cyclic_approximation(space, m)` builds, else None.
 
-        Such an action admits the closed-form orbit minimum of
-        `spaces.rotation_quotient_distance`.  The single generator must equal
-        the cyclic generator for (space, m) bit for bit; anything else
-        (other radii, reflections, hand-built lists) returns None.  The
-        rotated tree (the base of a root cone of any k, else the whole space)
-        must be `gram_embeddable`: unit spheres and k = 1 cones keep the
-        rotated cosine term affine.
+        The single generator must equal the cyclic generator for (space, m)
+        bit for bit; anything else (reflections, other rotations, hand-built
+        lists of more than two elements) returns None.
         """
         m = self.order
-        moved = self.space.base if isinstance(self.space, Cone) else self.space
-        if len(self.generators) != 1 or m < 2 or not moved.gram_embeddable():
+        if len(self.generators) != 1 or m < 2:
             return None
         try:
             gen = _cyclic_generator(self.space, m)
         except ConstructionError:
             return None
         return m if gen.to_json() == self.generators[0].to_json() else None
+
+    @cached_property
+    def rotation_order(self) -> int | None:
+        """`cyclic_order` on unit-radius factors, else None.
+
+        Such an action admits the closed-form orbit minimum of
+        `spaces.rotation_quotient_distance`.  The rotated tree (the base of a
+        root cone of any k, else the whole space) must be `gram_embeddable`:
+        unit spheres and k = 1 cones keep the rotated cosine term affine.
+        """
+        moved = self.space.base if isinstance(self.space, Cone) else self.space
+        return self.cyclic_order if moved.gram_embeddable() else None
+
+    @cached_property
+    def lattice_order(self) -> int | None:
+        """`cyclic_order` m if element k is the generator's k-th power, else None.
+
+        Each element must equal, bit for bit, the generator composed with the
+        element before it, as `group_from_generators` closes a single
+        generator, so element k rotates by k * 2 pi / m.  Scalar
+        `spaces.Quotient.distance` then reads the elements nearest a pair's
+        phase (where the base has one) by their index.  A list in another
+        order, or with other elements, returns None.
+        """
+        m = self.cyclic_order
+        if m is None:
+            return None
+        power = Identity()
+        for g in self.elements:
+            if g.to_json() != power.to_json():
+                return None
+            power = compose(self.generators[0], power)
+        return m
 
 
 def group_from_generators(space, generators, name: str = "") -> GroupAction:

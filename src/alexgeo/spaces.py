@@ -44,8 +44,9 @@ Gram product where ``gram_operands`` has one, else ``formula``),
 ``formula(A, B, cross)`` (the per-factor laws), ``gram_embeddable()``,
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
-and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)``; and its
-JSON, ``to_json()``, from the tag and fields each kind declares as ``_json``.
+and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)`` and, for one
+scalar pair, ``rotation_phase(p, q)``; and its JSON, ``to_json()``, from the
+tag and fields each kind declares as ``_json``.
 The module functions (`distance`, `pack_points`, `cross_distance`,
 `boundary_distances`, ...) call these methods.  Joins, cones, suspensions and
 quotients accept only descriptors as factors.
@@ -60,7 +61,11 @@ and one arccos.  A quotient of such a tree by an element list takes the
 largest product over the group, then one arccos.  Any other tree (a sphere
 factor of radius other than 1, a cone with k != 1, a quotient used as a
 factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
-scalar `distance` always evaluates factor by factor.
+scalar `distance` always evaluates factor by factor.  On a Z_m rotation
+quotient with no closed form (a circle or Hopf factor of radius other than 1,
+under cones and suspensions), scalar `distance` evaluates only the three
+elements nearest the pair's ``rotation_phase``, where a rounding bound shows
+that they hold the element loop's minimum.
 
 Packed coordinates.  `pack_points` turns a list of points into packed
 coordinates, one entry per point along the first axis.  A leaf is an
@@ -100,6 +105,7 @@ the inverse of the cone's boundary law, goes through ``_arcmd_k``.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
@@ -203,6 +209,7 @@ def clamped_arccosh(x):
 # ---------------------------------------------------------------------------
 
 _UNIT_TOL = 1e-12
+_EPS = 2.0**-52  # the spacing of floats at 1
 
 
 def vector_norm(v) -> float:
@@ -238,11 +245,11 @@ def _check_values(leaf, hi: float, what: str, error):
 def _value(x, hi: float, what: str, error=DomainError) -> float:
     """One scalar coordinate as a float in [0, hi] (to within 1e-12; NaN fails), else `error`:
     the value rule of every interval value, join latitude, cone radial coordinate and
-    suspension colatitude, for scalar `distance` and, by `_check_values`, for packed leaves."""
-    try:
-        v = float(x)
-    except (TypeError, ValueError):  # no number, or an array of one value or more
-        raise error(f"{what} coordinates must be numbers, got {x!r}") from None
+    suspension colatitude, for scalar `distance` and, by `_check_values`, for packed leaves.
+    A number is what `as_real` reads as one: a bool, a string or an array is not."""
+    v = x if type(x) is float else as_real(x)  # a float, the common case, skips as_real's tests
+    if v is None:
+        raise error(f"{what} coordinates must be numbers, got {x!r}")
     if not -1e-12 <= v <= hi + 1e-12:
         raise error(f"{what} coordinate {v} outside [0, {hi}]")
     return v
@@ -271,11 +278,15 @@ def _columns(points, k: int) -> list:
 
 
 def _float_leaf(values) -> np.ndarray:
-    """Scalar coordinates as a 1-D float array; a value that is no number is a DomainError."""
-    try:
-        return np.asarray([float(x) for x in values], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"scalar coordinates must be numbers: {exc}") from None
+    """Scalar coordinates as a 1-D float array; a value that is no number (a bool, a
+    string or an array, by `as_real`'s rule) is a DomainError."""
+    reals = []
+    for x in values:
+        v = as_real(x)
+        if v is None:
+            raise DomainError(f"scalar coordinates must be numbers, got {x!r}")
+        reals.append(v)
+    return np.asarray(reals, dtype=float)
 
 
 def as_integer(value) -> int | None:
@@ -521,6 +532,13 @@ class SpaceDescriptor:
         """d(., boundary) of packed points in closed form; +inf on a space without boundary."""
         return np.full(coords_len(coords), math.inf)
 
+    def rotation_phase(self, p, q):
+        """H = sum_j conj(x_j) y_j over the complex coordinates of the sphere a Z_m
+        rotation turns, for points p, q whose distance after rotating q by theta
+        falls as theta nears -arg H; None where no such sphere is read (joins and
+        the rest) or the pair is not valid points (`distance` then reports it)."""
+        return None
+
     def volumes(self) -> tuple:
         """(vol X, vol of the boundary of X), each in its own dimension."""
         raise UnsupportedConstructionError(f"no closed-form volume for {type(self).__name__}")
@@ -608,6 +626,22 @@ class Sphere(SpaceDescriptor):
             if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
         return self.radius * clamped_arccos(float(np.dot(u, v)))
+
+    def rotation_phase(self, p, q):
+        # <x, g y> = Re(e^{i theta} H) for the rotation g by theta of every
+        # complex coordinate, and the distance is radius * arccos of it
+        try:
+            x, y = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        except (TypeError, ValueError):
+            return None
+        n = self.ambient_dim
+        if n % 2 or x.shape != (n,) or y.shape != (n,):
+            return None
+        if not (abs(vector_norm(x) - 1.0) <= _UNIT_TOL and abs(vector_norm(y) - 1.0) <= _UNIT_TOL):
+            return None  # `distance` rejects the pair, and the loop reports it
+        a, b = x.tolist(), y.tolist()
+        return complex(sum(a[j] * b[j] + a[j + 1] * b[j + 1] for j in range(0, n, 2)),
+                       sum(a[j] * b[j + 1] - a[j + 1] * b[j] for j in range(0, n, 2)))
 
     def pack(self, points):
         return _stack_rows(points, self.ambient_dim)
@@ -961,6 +995,14 @@ class _OverBase(SpaceDescriptor):
         t0, t1 = _value(t0, top, self._what), _value(t1, top, self._what)
         return _cone_law(k, t0, t1, math.cos(min(self.base.distance(y0, y1), PI)))
 
+    def rotation_phase(self, p, q):
+        # at any k the law of cosines grows with the base distance
+        try:
+            (_, y0), (_, y1) = p, q
+        except (TypeError, ValueError):
+            return None
+        return self.base.rotation_phase(y0, y1)
+
     def pack(self, points):
         radial, base = _columns(points, 2)
         return self._record(_float_leaf(radial), self.base.pack(base))
@@ -1112,10 +1154,27 @@ class Quotient(SpaceDescriptor):
     net_count = _as_base("net_count")
 
     def distance(self, p, q) -> float:
-        if _rotation_order(self) is None:
+        """The closed form of a Z_m rotation quotient; else the element loop's
+        minimum, over the three elements nearest the pair's phase where
+        `_lattice_order` allows, or over every element."""
+        if _rotation_order(self) is not None:
+            A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
+            return float(rotation_quotient_distance(self, A, B, cross=False)[0])
+        m = _lattice_order(self)
+        H = None if m is None else self.base.rotation_phase(p, q)
+        if H is None or not abs(H) * (1.0 - math.cos(2.0 * PI / m)) > 8 * m * _EPS:
             return quotient_distance(self, p, q)  # by its module name, which a tracer may wrap
-        A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
-        return float(rotation_quotient_distance(self, A, B, cross=False)[0])
+        # Element j's cosine <p, g_j q> is Re(e^{i j step} H) to within about
+        # (2 j + 8) ulps: j products of rotations, then one product with q and
+        # one dot.  Elements two or more steps from the nearest, k, are 1.5
+        # steps or more from -arg H, so their cosines lie at least
+        # sqrt(2) |H| (1 - cos step) below the best of k - 1, k and k + 1.
+        # Past the bound above that gap outgrows twice the rounding, and each
+        # later operation of the base law is monotone, so the loop's minimum
+        # is among these three: the same value, bit for bit.
+        k = -round(math.atan2(H.imag, H.real) * (m / (2.0 * PI)))  # half to even, as np.rint
+        elements = self.action.elements
+        return min(self.base.distance(p, elements[j % m].apply_point(q)) for j in (k - 1, k, k + 1))
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return _quotient_cross(self, A, B) if cross else _orbit_minimum(self, A, B, cross=False)
@@ -1189,7 +1248,9 @@ def distance(space, p, q) -> float:
 
 def quotient_distance(space: Quotient, p, q) -> float:
     """min over the group elements g of d(p, g q), by the base's scalar `distance`:
-    the element-list loop of a quotient."""
+    the element-list loop of a quotient.  `Quotient.distance` runs it where no
+    closed form applies and no three elements are known to hold its minimum,
+    and the tests compare both shortcuts against it."""
     return min(space.base.distance(p, g.apply_point(q)) for g in space.action.elements)
 
 
@@ -1376,6 +1437,26 @@ def _rotation_order(space: Quotient):
     return None if m is None or space.action.space != space.base else m
 
 
+def _lattice_order(space: Quotient):
+    """m when scalar `distance` reads the three elements nearest a pair's phase:
+    the action's `lattice_order`, built for this base, with m > 3 (at m <= 3
+    those three are the whole group).  Else None."""
+    m = space.action.lattice_order
+    return None if m is None or m <= 3 or space.action.space != space.base else m
+
+
+@functools.cache
+def _lattice_tables(m: int) -> tuple:
+    """(half, cos, sin): the cosines and sines of the lattice angles j * 2 pi / m,
+    j = -half .. half with half = m // 2 + 1, built once per m and read-only."""
+    half = m // 2 + 1
+    angles = np.arange(-half, half + 1) * (2.0 * PI / m)
+    tables = np.cos(angles), np.sin(angles)
+    for t in tables:
+        t.setflags(write=False)
+    return (half, *tables)
+
+
 def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray:
     """Orbit-minimal distances of a Z_m rotation quotient in one evaluation.
 
@@ -1390,18 +1471,16 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     else:
         C, Hr, Hi = cone.base.rotation_terms(A.base, B.base, cross)
     # C + |H| cos(delta) = C + Re(e^{i theta_k} H) at the lattice angle
-    # theta_k = k * step nearest to -arg H, with cos/sin of theta_k from a table
+    # theta_k = k * 2 pi / m nearest to -arg H, with cos/sin of theta_k from the tables
     m = space.action.rotation_order
-    step = 2.0 * PI / m
-    half = m // 2 + 1
-    angles = np.arange(-half, half + 1) * step
+    half, cos_table, sin_table = _lattice_tables(m)
     k = np.arctan2(Hi, Hr)
-    k *= -1.0 / step
+    k *= -1.0 / (2.0 * PI / m)
     k = np.rint(k, out=k).astype(np.intp)
     k += half
-    best = np.take(np.cos(angles), k)
+    best = np.take(cos_table, k)
     best *= Hr
-    sin_part = np.take(np.sin(angles), k, out=Hr)  # Hr's buffer is free now
+    sin_part = np.take(sin_table, k, out=Hr)  # Hr's buffer is free now
     sin_part *= Hi
     best -= sin_part
     best += C

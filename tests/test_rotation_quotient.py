@@ -78,6 +78,16 @@ def test_net_keeps_the_loops_points(name, m, monkeypatch):
     assert np.all(np.abs(closed.dist - loop.dist)[far] <= tol)
 
 
+def test_lattice_tables_are_shared_and_read_only():
+    # one pair of tables per order serves every call, so no caller may write to them
+    half, cos, sin = spaces._lattice_tables(64)
+    assert spaces._lattice_tables(64)[1] is cos
+    assert not cos.flags.writeable and not sin.flags.writeable
+    with pytest.raises(ValueError):
+        cos[0] = 0.0
+    assert half == 33 and cos.shape == sin.shape == (67,)
+
+
 def test_reloaded_action_keeps_the_closed_form():
     base = Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0))
     Q = serialize.space_from_json(
@@ -86,23 +96,166 @@ def test_reloaded_action_keeps_the_closed_form():
     assert Q.action.rotation_order == 64
 
 
+# Bases a Z_m rotation turns where no closed form applies (circle and Hopf
+# factors of radius other than 1), so scalar `distance` reads the three
+# elements nearest the pair's phase, for m > 3
+LATTICE_BASES = {
+    "cap075": Cone(1.0, Sphere(1, 0.75), HALF_PI),
+    "S1(0.75)": Sphere(1, 0.75),
+    "S1(2)": Sphere(1, 2.0),
+    "cone_k0": Cone(0.0, Sphere(1, 0.75), 1.0),
+    "cone_k-1": Cone(-1.0, Sphere(1, 0.5), 1.0),
+    "suspension_s1(0.5)": Suspension(Sphere(1, 0.5)),
+    "S3(0.5)": Sphere(3, 0.5),
+}
+LATTICE_ORDERS = (2, 3, 4, 8, 64, 256)
+
+
+def _lattice_pairs(base, action, P, R):
+    """The pairs of P and R, then ties: q = p, q half a step from p or from an
+    element's image of p, and the apex or a pole where the base has one."""
+    m = action.order
+    half = actions.cyclic_approximation(base, 2 * m).generators[0]  # rotation by pi / m
+    g = action.elements[m // 3]
+    pairs = list(zip(P, R))
+    pairs += [(p, p) for p in P[:10]]
+    pairs += [(p, half.apply_point(p)) for p in P[:10]]
+    pairs += [(p, half.apply_point(g.apply_point(p))) for p in P[:10]]
+    if not isinstance(base, Sphere):
+        top = PI if isinstance(base, Suspension) else 0.0
+        pairs += [((0.0, p[1]), r) for p, r in zip(P[:10], R[:10])]
+        pairs += [(p, (top, r[1])) for p, r in zip(P[:10], R[:10])]
+    return pairs
+
+
+def _orthogonal_hopf_pair(rng):
+    """Unit x, y in R^4 with y orthogonal to x and to i x, so H = 0 up to rounding."""
+    x = rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    ix = np.array([-x[1], x[0], -x[3], x[2]])
+    y = rng.standard_normal(4)
+    y -= (y @ x) * x
+    y -= (y @ ix) * ix
+    return x, y / np.linalg.norm(y)
+
+
+class TestNearestElements:
+    """Scalar `distance` on a rotation quotient with no closed form against the element loop."""
+
+    @pytest.mark.parametrize("m", LATTICE_ORDERS)
+    @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
+    def test_matches_loop_bit_for_bit(self, name, m):
+        base = LATTICE_BASES[name]
+        action = actions.cyclic_approximation(base, m)
+        assert action.rotation_order is None
+        assert action.lattice_order == m
+        Q = Quotient(base, action)
+        rng = np.random.default_rng(m)
+        P, R = base.random_points(100, rng), base.random_points(100, rng)
+        for p, q in _lattice_pairs(base, action, P, R):
+            assert spaces.distance(Q, p, q) == spaces.quotient_distance(Q, p, q)
+
+    def test_reads_at_most_three_elements(self, monkeypatch):
+        base = LATTICE_BASES["cap075"]
+        Q = Quotient(base, actions.cyclic_approximation(base, 64))
+        calls, loops = [], []
+        law, loop = Cone.distance, spaces.quotient_distance
+        monkeypatch.setattr(Cone, "distance", lambda self, p, q: calls.append(1) or law(self, p, q))
+        monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
+        rng = np.random.default_rng(4)
+        for p, q in zip(base.random_points(50, rng), base.random_points(50, rng)):
+            calls.clear()
+            spaces.distance(Q, p, q)
+            assert len(calls) <= 3
+        assert not loops
+
+    @pytest.mark.parametrize("m", (8, 64, 256))
+    def test_phase_near_zero_takes_the_loop(self, m, monkeypatch):
+        # with H = 0 every element's cosine is rounding noise, so three elements
+        # cannot stand for the loop; a 3-sphere pair can reach that, a circle pair cannot
+        base = LATTICE_BASES["S3(0.5)"]
+        Q = Quotient(base, actions.cyclic_approximation(base, m))
+        loops = []
+        loop = spaces.quotient_distance
+        monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
+        rng = np.random.default_rng(m)
+        for _ in range(100):
+            x, y = _orthogonal_hopf_pair(rng)
+            assert spaces.distance(Q, x, y) == loop(Q, x, y)
+        assert len(loops) == 100
+
+
+def _non_group_cap075():
+    # identity, R, R^2 and R^3 after a reflection: each element moves the
+    # canonical point by its index, yet the list is no group
+    base = LATTICE_BASES["cap075"]
+    cyc = actions.cyclic_approximation(base, 4)
+    flip = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
+    elements = (*cyc.elements[:3], actions.compose(cyc.elements[3], flip))
+    return Quotient(base, actions.GroupAction(base, elements, generators=cyc.generators))
+
+
+def _shuffled_cap075():
+    base = LATTICE_BASES["cap075"]
+    cyc = actions.cyclic_approximation(base, 64)
+    rest = list(cyc.elements[1:])
+    np.random.default_rng(0).shuffle(rest)
+    return Quotient(base, actions.GroupAction(base, (cyc.elements[0], *rest), generators=cyc.generators))
+
+
+def test_reloaded_action_keeps_the_nearest_elements():
+    base = LATTICE_BASES["cap075"]
+    Q = serialize.space_from_json(
+        serialize.space_to_json(Quotient(base, actions.cyclic_approximation(base, 64)))
+    )
+    assert Q.action.lattice_order == 64
+
+
 class TestFallback:
     def test_non_unit_circle_matches_loop_bit_for_bit(self):
         base = Cone(1.0, Sphere(1, 0.75), HALF_PI)
-        action = actions.cyclic_approximation(base, 8)
-        assert action.rotation_order is None
-        Q = Quotient(base, action)
-        rng = np.random.default_rng(3)
-        P = nets.random_points(base, 40, rng)
-        R = nets.random_points(base, 40, rng)
-        for p, r in zip(P, R):
-            assert spaces.distance(Q, p, r) == spaces.quotient_distance(Q, p, r)
-        A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
-        loop_cross = np.min(
-            [spaces.cross_distance(base, A, g.apply(B)) for g in action.elements],
-            axis=0,
-        )
-        assert np.array_equal(spaces.cross_distance(Q, A, B), loop_cross)
+        for m in (8, 64, 256):
+            action = actions.cyclic_approximation(base, m)
+            assert action.rotation_order is None
+            assert action.cyclic_order == action.lattice_order == m
+            Q = Quotient(base, action)
+            rng = np.random.default_rng(3)
+            P = nets.random_points(base, 40, rng)
+            R = nets.random_points(base, 40, rng)
+            for p, r in _lattice_pairs(base, action, P, R):
+                assert spaces.distance(Q, p, r) == spaces.quotient_distance(Q, p, r)
+            A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
+            loop_cross = np.min(
+                [spaces.cross_distance(base, A, g.apply(B)) for g in action.elements],
+                axis=0,
+            )
+            assert np.array_equal(spaces.cross_distance(Q, A, B), loop_cross)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Quotient(Join(Sphere(1, 0.75), Sphere(1, 1.0)),
+                         actions.cyclic_approximation(Join(Sphere(1, 0.75), Sphere(1, 1.0)), 64)),
+        _shuffled_cap075,
+        _non_group_cap075,
+        lambda: Quotient(Sphere(1, 0.75), actions.cyclic_approximation(Sphere(1, 0.5), 64)),
+        lambda: Quotient(LATTICE_BASES["cap075"], actions.cyclic_approximation(LATTICE_BASES["cap075"], 3)),
+    ], ids=["non-unit-join", "shuffled-list", "non-group-list", "another-base", "order-3"])
+    def test_other_actions_take_the_loop(self, make, monkeypatch):
+        Q = make()
+        loops = []
+        loop = spaces.quotient_distance
+        monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
+        rng = np.random.default_rng(5)
+        pairs = list(zip(Q.base.random_points(20, rng), Q.base.random_points(20, rng)))
+        for p, q in pairs:
+            assert spaces.distance(Q, p, q) == loop(Q, p, q)
+        assert len(loops) == len(pairs)
+
+    @pytest.mark.parametrize("make, m", [(_shuffled_cap075, 64), (_non_group_cap075, 4)],
+                             ids=["shuffled-list", "non-group-list"])
+    def test_other_lists_keep_their_cyclic_order(self, make, m):
+        action = make().action
+        assert action.cyclic_order == m
+        assert action.lattice_order is None
 
     @pytest.mark.parametrize(
         "base",

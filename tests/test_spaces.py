@@ -436,6 +436,16 @@ CAP = Cone(1.0, Sphere(1, 1.0), 1.0)
 E1 = np.array([1.0, 0.0])
 
 
+# (space, a -> (p, q)) with the scalar coordinate a in one of the points
+_SCALAR_COORDINATES = [
+    (Interval(1.0), lambda a: (a, 0.2)),
+    (Join(Sphere(1, 1.0), Sphere(1, 1.0)), lambda a: ((E1, a, E1), (E1, 0.5, E1))),
+    (CAP, lambda a: ((0.5, E1), (a, E1))),
+    (Suspension(Sphere(1, 1.0)), lambda a: ((a, E1), (0.5, E1))),
+]
+_SCALAR_COORDINATE_IDS = ["interval", "join-latitude", "cone-radial", "suspension-colatitude"]
+
+
 class TestSharedDomainCheck:
     """`pack_points`, `validate_point` and scalar `distance` reject what the kernels cannot read."""
 
@@ -514,12 +524,7 @@ class TestSharedDomainCheck:
         with pytest.raises(DomainError, match="vector points must be sequences of numbers"):
             validate_point(Join(Sphere(1, 1.0), Interval(1.0)), (point, 0.5, 0.5))
 
-    @pytest.mark.parametrize("space, points", [
-        (Interval(1.0), lambda a: (a, 0.2)),
-        (Join(Sphere(1, 1.0), Sphere(1, 1.0)), lambda a: ((E1, a, E1), (E1, 0.5, E1))),
-        (CAP, lambda a: ((0.5, E1), (a, E1))),
-        (Suspension(Sphere(1, 1.0)), lambda a: ((a, E1), (0.5, E1))),
-    ], ids=["interval", "join-latitude", "cone-radial", "suspension-colatitude"])
+    @pytest.mark.parametrize("space, points", _SCALAR_COORDINATES, ids=_SCALAR_COORDINATE_IDS)
     def test_scalar_distance_on_a_one_element_array(self, space, points):
         # numpy compares a one-element array as a number but will not convert it to one;
         # a longer one must be converted before any range comparison, which would raise a bare ValueError
@@ -529,6 +534,28 @@ class TestSharedDomainCheck:
                 distance(space, p, q)
             with pytest.raises(DomainError, match="must be numbers"):
                 distance(space, q, p)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5"], ids=["bool", "numpy-bool", "string"])
+    @pytest.mark.parametrize("space, points", _SCALAR_COORDINATES, ids=_SCALAR_COORDINATE_IDS)
+    def test_bools_and_strings_are_no_numbers(self, space, points, value):
+        # the rule of `as_real`, which every real parameter follows
+        p, q = points(value)
+        with pytest.raises(DomainError, match="must be numbers"):
+            distance(space, p, q)
+        with pytest.raises(DomainError, match="must be numbers"):
+            distance(space, q, p)
+        with pytest.raises(DomainError, match="must be numbers"):
+            spaces.pack_points(space, [q, p])
+
+    @pytest.mark.parametrize("value", [1, np.int64(0), np.float64(0.5), np.float32(0.5)],
+                             ids=["int", "numpy-int", "numpy-float64", "numpy-float32"])
+    @pytest.mark.parametrize("space, points", _SCALAR_COORDINATES, ids=_SCALAR_COORDINATE_IDS)
+    def test_ints_and_numpy_floats_are_numbers(self, space, points, value):
+        p, q = points(value)
+        p_float, q_float = points(float(value))
+        assert distance(space, p, q) == distance(space, p_float, q_float)
+        assert spaces.coords_flat(spaces.pack_points(space, [p, q])).tolist() == \
+            spaces.coords_flat(spaces.pack_points(space, [p_float, q_float])).tolist()
 
     @pytest.mark.parametrize("bad", [[0.6, 0.8, 0.1], [math.nan, 0.0, 0.0]], ids=["non-unit", "nan"])
     def test_many_sphere_rows_fail_as_the_first_bad_row_alone(self, bad):

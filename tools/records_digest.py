@@ -30,6 +30,10 @@ Each hand-built catalogue quotient (the reflections and pole swaps of
 `space-json` line: the sha256 of its descriptor's stable JSON text, and
 whether `serialize.space_from_json` gives back a quotient with the same
 JSON text and the same elements.
+Each `scalar-quotient` line is the sha256 of the float64 bytes of scalar
+`distance` over 500 seeded pairs on a cyclic quotient: the cone over a
+circle of radius 0.75 at m = 8, 64 and 256 (no closed form applies) and
+S3/Z256 (the closed-form rotation).
 """
 
 from __future__ import annotations
@@ -39,14 +43,20 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from alexgeo import actions, harness, nets, serialize
-from alexgeo.spaces import Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+from alexgeo.spaces import (
+    Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension, distance,
+)
 
 SEEDS = (42, 1, 7)
 DIMS = (2, 3)
 NET_EPSILON = 0.1
 NET_SEED = 1
 AUDIT_RECORD = "metric audit ("
+SCALAR_PAIRS = 500
+SCALAR_SEED = 11
 
 
 def _quotient(base, m):
@@ -83,6 +93,14 @@ def space_cases():
         ("projective_lens_quotient(3, 1)", harness.projective_lens_quotient(3, 1.0)),
         ("spine_example_quotient(True)", harness.spine_example_quotient(True)),
         ("spine_example_quotient(False)", harness.spine_example_quotient(False)),
+    ]
+
+
+def scalar_quotient_cases():
+    """(label, quotient) for every quotient whose scalar distances are digested."""
+    cap075 = Cone(1.0, Sphere(1, 0.75), math.pi / 2)
+    return [(f"Cone(1, S1(0.75), pi/2)/Z{m}", _quotient(cap075, m)) for m in (8, 64, 256)] + [
+        ("S3/Z256", _quotient(Sphere(3, 1.0), 256)),
     ]
 
 
@@ -139,6 +157,14 @@ def space_digest(space) -> tuple:
     return _sha(text.encode()), same
 
 
+def scalar_quotient_digest(space) -> str:
+    """sha256 of scalar `distance` over SCALAR_PAIRS seeded pairs of base points."""
+    rng = np.random.default_rng(SCALAR_SEED)
+    P = space.base.random_points(SCALAR_PAIRS, rng)
+    Q = space.base.random_points(SCALAR_PAIRS, rng)
+    return _sha(np.array([distance(space, p, q) for p, q in zip(P, Q)]).tobytes())
+
+
 def main():
     for seed in SEEDS:
         full, without_audits, per_entry = records_digests(seed)
@@ -158,6 +184,8 @@ def main():
     for label, space in space_cases():
         digest, same = space_digest(space)
         print(f"space-json {label}  {digest}  reload {'equal' if same else 'differs'}")
+    for label, space in scalar_quotient_cases():
+        print(f"scalar-quotient {label}  {scalar_quotient_digest(space)}")
 
 
 if __name__ == "__main__":
