@@ -45,7 +45,9 @@ Gram product where ``gram_operands`` has one, else ``formula``),
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
 and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)`` and, for one
-scalar pair, ``rotation_phase(p, q)``; and its JSON, ``to_json()``, from the
+scalar pair, ``rotation_phase(p, q)``; on a chain of cones and suspensions
+that ends in a sphere, ``leaf_cosines(A, B, cross)`` and the rest of the
+law, ``leaf_law(A, B, c, cross)``; and its JSON, ``to_json()``, from the
 tag and fields each kind declares as ``_json``.
 The module functions (`distance`, `pack_points`, `cross_distance`,
 `boundary_distances`, ...) call these methods.  Joins, cones, suspensions and
@@ -61,7 +63,10 @@ and one arccos.  A quotient of such a tree by an element list takes the
 largest product over the group, then one arccos.  Any other tree (a sphere
 factor of radius other than 1, a cone with k != 1, a quotient used as a
 factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
-scalar `distance` always evaluates factor by factor.  On a Z_m rotation
+scalar `distance` always evaluates factor by factor.  A quotient of a chain
+of cones and suspensions over a sphere of any radius, by elements that keep
+the radial coordinates, takes the largest leaf cosine over the group, then
+the base law once.  On a Z_m rotation
 quotient with no closed form (a circle or Hopf factor of radius other than 1,
 under cones and suspensions), scalar `distance` evaluates only the three
 elements nearest the pair's ``rotation_phase``, where a rounding bound shows
@@ -144,7 +149,11 @@ clamp_stats = _ClampStats()
 
 @contextmanager
 def track_clamping():
-    """Context manager that records the worst arccos/arccosh clamp excess."""
+    """Context manager that records the worst arccos/arccosh clamp excess.
+
+    Where a quotient kernel takes the largest cosine over its group before
+    the law (the Gram product, and `_orbit_minimum`'s sphere-leaf branch),
+    it records the excess of that kept cosine only, not of every element's."""
     clamp_stats.reset()
     clamp_stats.enabled = True
     try:
@@ -539,6 +548,14 @@ class SpaceDescriptor:
         the rest) or the pair is not valid points (`distance` then reports it)."""
         return None
 
+    def leaf_cosines(self, A, B, cross: bool):
+        """A fresh array of the cosines <x, y> of the sphere leaf that ends a
+        chain of cones and suspensions, paired as `formula` pairs A and B;
+        None on any other tree.  Where it is not None, the kind's
+        ``leaf_law(A, B, c, cross)`` is `formula` from these cosines c, and
+        it is non-increasing in c."""
+        return None
+
     def volumes(self) -> tuple:
         """(vol X, vol of the boundary of X), each in its own dimension."""
         raise UnsupportedConstructionError(f"no closed-form volume for {type(self).__name__}")
@@ -662,7 +679,13 @@ class Sphere(SpaceDescriptor):
                 raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
-        return self.radius * clamped_arccos(_inner(np.atleast_2d(A), np.atleast_2d(B), cross))
+        return self.leaf_law(A, B, self.leaf_cosines(A, B, cross), cross)
+
+    def leaf_cosines(self, A, B, cross: bool) -> np.ndarray:
+        return _inner(np.atleast_2d(A), np.atleast_2d(B), cross)
+
+    def leaf_law(self, A, B, c, cross: bool) -> np.ndarray:
+        return self.radius * clamped_arccos(c)
 
     def gram_operands(self, A, B):
         return None  # a bare sphere's formula already is one product
@@ -1012,7 +1035,17 @@ class _OverBase(SpaceDescriptor):
         self.base.check_coords(coords.base, error)
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
-        ctheta = np.cos(np.minimum(self.base.formula(A.base, B.base, cross), PI))
+        return self._radial_law(A, B, self.base.formula(A.base, B.base, cross), cross)
+
+    def leaf_cosines(self, A, B, cross: bool):
+        return self.base.leaf_cosines(A.base, B.base, cross)
+
+    def leaf_law(self, A, B, c, cross: bool) -> np.ndarray:
+        return self._radial_law(A, B, self.base.leaf_law(A.base, B.base, c, cross), cross)
+
+    def _radial_law(self, A, B, d, cross: bool) -> np.ndarray:
+        """`_cone_law` between the radial coordinates of A and B over base distances d, clamped at pi."""
+        ctheta = np.cos(np.minimum(d, PI))
         ta, tb = getattr(A, self._radial), getattr(B, self._radial)
         return _cone_law(self._law()[0], *_pairs(ta, tb, cross), ctheta)
 
@@ -1385,15 +1418,40 @@ def _quotient_cross(space: Quotient, A, B) -> np.ndarray:
 
 
 def _orbit_minimum(space: Quotient, A, B, cross: bool) -> np.ndarray:
-    """min over the group of d(x, g y) by the base's formulas, or a Z_m rotation's closed
-    form: the (len(A), len(B)) matrix when `cross`, else the distances of paired rows.
-    (At a Gram root, `SpaceDescriptor.kernel` takes the product over `gram_operands`.)"""
+    """min over the group of d(x, g y): the (len(A), len(B)) matrix when `cross`, else
+    the distances of paired rows.  (At a Gram root, `SpaceDescriptor.kernel` takes the
+    product over `gram_operands`.)
+
+    A Z_m rotation takes its closed form.  Where every element keeps the radial
+    coordinates (`keeps_radii`) of a base that ends in a sphere leaf
+    (`leaf_cosines`), each element changes only the leaf cosine c_g.  The
+    base law f is non-increasing in c at every step (clip, arccos, times the
+    radius, the clamp at pi, cos, each cone or suspension law with weight
+    sn sn >= 0), and numpy's arccos and cos are monotone in floating point
+    (the tests compare with the loop bit for bit), so min_g f(c_g) is
+    f(max_g c_g): the largest cosine, then the law once, with the loop's
+    bits.  As on the Gram path, clamp tracking then sees the kept cosine
+    only.  Any other base or list runs the base's `formula` per element."""
     if _rotation_order(space) is not None:
         return rotation_quotient_distance(space, A, B, cross=cross)
+    base, elements = space.base, space.action.elements
+    if space.action.keeps_radii:
+        cosines = (base.leaf_cosines(A, g.apply(B), cross) for g in elements)
+        first = next(cosines)
+        if first is not None:
+            return base.leaf_law(A, B, _max_inner(first, cosines), cross)
     best = None
-    for g in space.action.elements:
-        d = space.base.formula(A, g.apply(B), cross)
+    for g in elements:
+        d = base.formula(A, g.apply(B), cross)
         best = d if best is None else np.minimum(best, d, out=best)
+    return best
+
+
+def _max_inner(best: np.ndarray, rest) -> np.ndarray:
+    """The elementwise largest of the inner-product array `best`, which the
+    caller owns and which is written over, and each array of `rest`."""
+    for c in rest:
+        np.maximum(best, c, out=best)
     return best
 
 
@@ -1401,11 +1459,8 @@ def _gram_kernel(EA, columns, cross: bool) -> np.ndarray:
     """arccos of the largest inner product of the rows EA with each column set
     in `columns`: one set for a Gram tree, one per group element for a
     quotient of one."""
-    best = None
-    for EB in columns:
-        c = _inner(EA, EB, cross)
-        best = c if best is None else np.maximum(best, c, out=best)
-    return _arccos_in_place(best)
+    products = (_inner(EA, EB, cross) for EB in columns)
+    return _arccos_in_place(_max_inner(next(products), products))
 
 
 def _latitude_join(t, EL, ER) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""Closed-form orbit minimum of cyclic rotation quotients against the element loop."""
+"""The shortcuts of quotient distances against the element loop: the closed-form
+orbit minimum of cyclic rotations, the three nearest elements of scalar
+`distance`, and the kernel's largest sphere-leaf cosine."""
 
 import math
 
 import numpy as np
 import pytest
 
-from alexgeo import actions, nets, serialize, spaces
+from alexgeo import actions, harness, nets, serialize, spaces
 from alexgeo.spaces import Cone, Join, ModelBall, Quotient, Sphere, Suspension
 
 PI = math.pi
@@ -293,3 +295,182 @@ class TestFallback:
         Q = Quotient(Sphere(1, 0.75), action)
         p, q = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert spaces.distance(Q, p, q) == spaces.quotient_distance(Q, p, q)
+
+
+# ---------------------------------------------------------------------------
+# the sphere-leaf branch of the quotient kernel against a plain element loop
+# ---------------------------------------------------------------------------
+
+
+def _element_loop(space, A, B, cross):
+    """The reference: the base's `formula` per element, folded with np.minimum."""
+    best = None
+    for g in space.action.elements:
+        d = space.base.formula(A, g.apply(B), cross)
+        best = d if best is None else np.minimum(best, d)
+    return best
+
+
+def _reflection(base):
+    """The reflection of the leaf's last coordinate, wrapped in the cone or suspension maps of `base`."""
+    if isinstance(base, Sphere):
+        m = np.eye(base.ambient_dim)
+        m[-1, -1] = -1.0
+        return actions.OrthogonalMap(m)
+    inner = _reflection(base.base)
+    return actions.ConeMap(inner) if isinstance(base, Cone) else actions.SuspensionMap(False, inner)
+
+
+def _antipode(base, point):
+    """`point` with its sphere leaf negated."""
+    return -point if isinstance(base, Sphere) else (point[0], -point[1])
+
+
+def _kernel_pairs(base, action, n, seed):
+    """Packed P, R: n random pairs, then ties: q = p, q = g p for an element g,
+    antipodal leaves, and the apex or both poles where the base has them."""
+    rng = np.random.default_rng(seed)
+    P, R = base.random_points(n, rng), base.random_points(n, rng)
+    g = action.elements[len(action.elements) // 3]
+    head = P[:8]
+    ps, qs = P + head * 3, R + head + [g.apply_point(p) for p in head] + [_antipode(base, p) for p in head]
+    if not isinstance(base, Sphere):
+        for top in (0.0, PI) if isinstance(base, Suspension) else (0.0,):
+            at_top = [(top, p[1]) for p in head]
+            ps += at_top * 2
+            qs += R[:8] + at_top
+    return spaces.pack_points(base, ps), spaces.pack_points(base, qs)
+
+
+# the groups the leaf branch covers: Z_m, {Id, reflection}, and the dihedral
+# group of the Z_8 rotation and the reflection
+LEAF_GROUPS = ("Z2", "Z3", "Z8", "Z64", "Z256", "reflection", "dihedral")
+LEAF_CASES = [(name, label) for name in sorted(LATTICE_BASES) for label in LEAF_GROUPS]
+
+
+def _leaf_quotient(name, label):
+    base = LATTICE_BASES[name]
+    if label == "reflection":
+        action = actions.GroupAction(base, (actions.Identity(), _reflection(base)))
+    elif label == "dihedral":
+        rotation = actions.cyclic_approximation(base, 8).generators[0]
+        action = actions.group_from_generators(base, [rotation, _reflection(base)])
+    else:
+        action = actions.cyclic_approximation(base, int(label[1:]))
+    return Quotient(base, action)
+
+
+def _loop_kernel(monkeypatch):
+    """Route every quotient kernel through the reference loop."""
+    monkeypatch.setattr(spaces, "_orbit_minimum", _element_loop)
+
+
+class TestLeafKernel:
+    """The largest leaf cosine over the group, then the base law once, against the element loop."""
+
+    @pytest.mark.parametrize("name, label", LEAF_CASES)
+    def test_matches_loop_bit_for_bit(self, name, label):
+        Q = _leaf_quotient(name, label)
+        assert Q.action.rotation_order is None and Q.action.keeps_radii
+        A, B = _kernel_pairs(Q.base, Q.action, 40, len(Q.action.elements))
+        assert Q.base.leaf_cosines(A, B, True) is not None
+        assert np.array_equal(spaces.elementwise_distance(Q, A, B), _element_loop(Q, A, B, False))
+        assert np.array_equal(spaces.cross_distance(Q, A, B), _element_loop(Q, A, B, True))
+        assert np.array_equal(spaces.cross_distance(Q, B, A), _element_loop(Q, B, A, True))
+
+    @pytest.mark.parametrize("name, label", LEAF_CASES)
+    def test_self_distance_matrix_matches_loop(self, name, label, monkeypatch):
+        Q = _leaf_quotient(name, label)
+        coords = spaces.coords_concat(_kernel_pairs(Q.base, Q.action, 40, 1))
+        D = spaces.self_distance_matrix(Q, coords, block=16)
+        _loop_kernel(monkeypatch)
+        assert np.array_equal(D, spaces.self_distance_matrix(Q, coords, block=16))
+
+    @pytest.mark.parametrize("name, label, eps", [
+        ("cap075", "Z8", 0.12), ("cap075", "Z64", 0.12), ("cap075", "reflection", 0.12),
+        ("cap075", "dihedral", 0.12), ("S1(0.75)", "Z64", 0.01), ("S3(0.5)", "Z8", 0.2),
+        ("cone_k-1", "Z8", 0.12), ("suspension_s1(0.5)", "Z8", 0.12),
+    ])
+    def test_net_matches_loop(self, name, label, eps, monkeypatch):
+        Q = _leaf_quotient(name, label)
+        net = nets.epsilon_net(Q, eps, 5, budget=NET_BUDGET, allow_degrade=True)
+        _loop_kernel(monkeypatch)
+        loop = nets.epsilon_net(Q, eps, 5, budget=NET_BUDGET, allow_degrade=True)
+        assert net.n == loop.n > 20
+        assert serialize.coords_to_json(net.coords) == serialize.coords_to_json(loop.coords)
+        assert np.array_equal(net.dist, loop.dist)
+
+    def test_applies_the_law_once(self, monkeypatch):
+        base = LATTICE_BASES["cap075"]
+        Q = Quotient(base, actions.cyclic_approximation(base, 64))
+        A, B = _kernel_pairs(base, Q.action, 30, 2)
+        expected = _element_loop(Q, A, B, True)
+        laws = []
+        law = spaces._cone_law
+        monkeypatch.setattr(spaces, "_cone_law", lambda *a: laws.append(1) or law(*a))
+        assert np.array_equal(spaces.cross_distance(Q, A, B), expected)
+        assert len(laws) == 1
+
+    def test_clamp_tracks_the_kept_cosine(self):
+        # a leaf within the 1e-12 unit tolerance pushes <x, x> past 1 at the identity
+        base = LATTICE_BASES["cap075"]
+        Q = Quotient(base, actions.cyclic_approximation(base, 8))
+        C = spaces.pack_points(base, [(1.0, np.array([1.0 + 5e-13, 0.0]))])
+        with spaces.track_clamping() as stats:
+            D = spaces.cross_distance(Q, C, C)
+        assert D[0, 0] == 0.0
+        assert 5e-13 < stats.max_excess <= 2e-12
+
+
+def _pole_swap_quotient():
+    base = LATTICE_BASES["suspension_s1(0.5)"]
+    rotation = actions.cyclic_approximation(base, 8).generators[0]
+    swap = actions.SuspensionMap(True, actions.Identity())
+    return Quotient(base, actions.group_from_generators(base, [rotation, swap]))
+
+
+def _join_quotient():
+    base = Join(Sphere(1, 0.75), Sphere(1, 1.0))
+    return Quotient(base, actions.cyclic_approximation(base, 8))
+
+
+def _interval_leaf_quotient():
+    base = Suspension(spaces.Interval(1.0))
+    return Quotient(base, actions.GroupAction(base, (actions.Identity(),)))
+
+
+@pytest.mark.parametrize("make", [
+    _pole_swap_quotient,
+    lambda: harness.projective_lens_quotient(2, 1.0),
+    _interval_leaf_quotient,
+    _join_quotient,
+], ids=["pole-swap", "projective-lens-2", "interval-leaf", "join-base"])
+def test_other_bases_and_elements_keep_the_loop(make, monkeypatch):
+    # `formula` is the orbit-minimum kernel (an embeddable base's root kernel
+    # is the Gram product, which these quotients keep)
+    Q = make()
+    assert Q.action.rotation_order is None
+    rng = np.random.default_rng(6)
+    A = spaces.pack_points(Q.base, Q.base.random_points(30, rng))
+    B = spaces.pack_points(Q.base, Q.base.random_points(30, rng))
+    expected = _element_loop(Q, A, B, True), _element_loop(Q, A, B, False)
+    calls = []
+    formula = type(Q.base).formula
+    monkeypatch.setattr(type(Q.base), "formula", lambda *a: calls.append(1) or formula(*a))
+    assert np.array_equal(Q.formula(A, B, True), expected[0])
+    assert np.array_equal(Q.formula(A, B, False), expected[1])
+    assert len(calls) == 2 * len(Q.action.elements)
+
+
+def test_nodes_say_whether_they_keep_the_radii():
+    rotation = actions.OrthogonalMap(actions.rotation_matrix(0.5))
+    interval = actions.IntervalReflection(1.0)
+    assert actions.Identity().keeps_radii and rotation.keeps_radii
+    assert actions.ConeMap(rotation).keeps_radii and actions.SuspensionMap(False, rotation).keeps_radii
+    assert actions.JoinMap(rotation, actions.Identity()).keeps_radii
+    assert not interval.keeps_radii
+    assert not actions.SuspensionMap(True, actions.Identity()).keeps_radii
+    assert not actions.SuspensionMap(False, interval).keeps_radii
+    assert not actions.JoinMap(rotation, interval).keeps_radii
+    assert not _pole_swap_quotient().action.keeps_radii
+    assert not harness.projective_lens_quotient(2, 1.0).action.keeps_radii

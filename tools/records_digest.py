@@ -11,9 +11,11 @@ Usage, from the repository root:
 
 It takes no options.  The catalogue is run at seeds 42, 1 and 7; each net
 is built at epsilon 0.1, seed 1.  The nets cover every strategy: grids, the
-ellipsoid's farthest-point net (loaded by parsing its CSV), and cyclic
+ellipsoid's farthest-point net (loaded by parsing its CSV), and
 quotients whose distances take the closed-form rotation (S3/Z8) or read
-the element list (the cone over a circle of radius 0.75).  Per seed it
+the element list: the largest leaf cosine over it, then the base law once,
+on cones and suspensions over a circle of radius other than 1 (Z8, Z64 and
+a reflection group).  Per seed it
 prints two digests: of every record, and of every record but the metric
 audits' records, so a change to the audit alone can show that all other
 records stayed byte-identical.
@@ -63,8 +65,15 @@ def _quotient(base, m):
     return Quotient(base, actions.cyclic_approximation(base, m))
 
 
+def _reflected(cone):
+    """The quotient of a cone over a circle by the circle's reflection."""
+    flip = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
+    return Quotient(cone, actions.GroupAction(cone, (actions.Identity(), flip), name="Z_2"))
+
+
 def net_cases():
     """(label, descriptor) for every net whose bytes are digested."""
+    cap075 = Cone(1.0, Sphere(1, 0.75), math.pi / 2)
     return [
         ("Lens(3, 1)", Lens(3, 1.0)),
         ("ModelBall(1, 1, 3)", ModelBall(1.0, 1.0, 3)),
@@ -82,7 +91,11 @@ def net_cases():
         ("Join(Suspension(I(0.5)), I(1))", Join(Suspension(Interval(0.5)), Interval(1.0))),
         ("projective_lens_quotient(3, 1)", harness.projective_lens_quotient(3, 1.0)),
         ("Ellipsoid(0.7, 1/3, 0.25)", Ellipsoid(0.7, 1.0 / 3.0, 0.25)),
-        ("Cone(1, S1(0.75), pi/2)/Z8", _quotient(Cone(1.0, Sphere(1, 0.75), math.pi / 2), 8)),
+        ("Cone(1, S1(0.75), pi/2)/Z8", _quotient(cap075, 8)),
+        ("Cone(1, S1(0.75), pi/2)/Z64", _quotient(cap075, 64)),
+        ("Cone(-1, S1(0.5), 1)/Z8", _quotient(Cone(-1.0, Sphere(1, 0.5), 1.0), 8)),
+        ("Suspension(S1(0.75))/Z8", _quotient(Suspension(Sphere(1, 0.75)), 8)),
+        ("Cone(1, S1(0.75), pi/2)/{Id, reflection}", _reflected(cap075)),
     ]
 
 
