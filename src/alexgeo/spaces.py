@@ -181,12 +181,15 @@ def _law_xp(a, b, c, d=0.0):
     return math if floats else np
 
 
-def clamped_arccos(x):
-    """arccos with the argument clamped to [-1, 1] (tracked when enabled); NaN stays NaN."""
+def clamped_arccos(x, xp=None):
+    """arccos with the argument clamped to [-1, 1] (tracked when enabled); NaN stays NaN.
+    A number takes `math.acos`, or with xp=np numpy's arccos, as a float: the bits
+    an array's entry gets.  An array takes numpy's."""
     if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(abs(float(x)) - 1.0)
-        return math.acos(max(min(float(x), 1.0), -1.0))  # x first: min and max then keep a NaN
+        x = max(min(float(x), 1.0), -1.0)  # x first: min and max then keep a NaN
+        return float(np.arccos(x)) if xp is np else math.acos(x)
     x = np.asarray(x, dtype=float)
     if clamp_stats.enabled and x.size:
         _record_excess(float(np.max(np.abs(x))) - 1.0)
@@ -201,12 +204,14 @@ def _arccos_in_place(c: np.ndarray) -> np.ndarray:
     return np.arccos(c, out=c)
 
 
-def clamped_arccosh(x):
-    """arccosh with the argument clamped to [1, inf) (tracked when enabled); NaN stays NaN."""
+def clamped_arccosh(x, xp=None):
+    """arccosh with the argument clamped to [1, inf) (tracked when enabled); NaN stays NaN.
+    A number takes `math.acosh`, or with xp=np numpy's arccosh, as `clamped_arccos`."""
     if _xp(x) is math:
         if clamp_stats.enabled:
             _record_excess(1.0 - float(x))
-        return math.acosh(max(float(x), 1.0))
+        x = max(float(x), 1.0)
+        return float(np.arccosh(x)) if xp is np else math.acosh(x)
     x = np.asarray(x, dtype=float)
     if clamp_stats.enabled and x.size:
         _record_excess(1.0 - float(np.min(x)))
@@ -450,30 +455,31 @@ def _layered_count(space, eps: float) -> int:
     return sum(math.prod(_layer_count(cov, *part) for part in parts) for _, parts in layers)
 
 
-def _join_law(t0, t1, cl, cr):
+def _join_law(t0, t1, cl, cr, xp=None):
     """arccos(cos t0 cos t1 cl + sin t0 sin t1 cr): the join distance between latitudes t0, t1
     whose factor distances have cosines cl, cr.  On `math` or numpy as `_cone_law`."""
-    xp = _law_xp(t0, t1, cl, cr)
-    return clamped_arccos(xp.cos(t0) * xp.cos(t1) * cl + xp.sin(t0) * xp.sin(t1) * cr)
+    xp = xp or _law_xp(t0, t1, cl, cr)
+    return clamped_arccos(xp.cos(t0) * xp.cos(t1) * cl + xp.sin(t0) * xp.sin(t1) * cr, xp)
 
 
 # The k < 0 cone law's cosh(s t0) cosh(s t1), s = sqrt(-k), overflows past s t = 355.
 HYPERBOLIC_CAP = 350.0
 
 
-def _cone_law(k: float, t0, t1, ctheta):
+def _cone_law(k: float, t0, t1, ctheta, xp=None):
     """The curvature-k law of cosines: the side opposite the angle with cosine
     `ctheta` between sides t0 and t1.  It runs on `math` when all three are
-    floats, else on numpy, with arrays broadcast against each other."""
+    floats, else on numpy, with arrays broadcast against each other; xp=np
+    takes numpy's functions on floats too, for the bits of an array's entry."""
     s = math.sqrt(abs(k))
     if k > 0.0:  # the join of a point with the base, at latitudes s t0 and s t1
-        return _join_law(s * t0, s * t1, 1.0, ctheta) / s
-    xp = _law_xp(t0, t1, ctheta)
+        return _join_law(s * t0, s * t1, 1.0, ctheta, xp) / s
+    xp = xp or _law_xp(t0, t1, ctheta)
     if k == 0.0:
         v = t0 * t0 + t1 * t1 - 2.0 * (t0 * t1) * ctheta
         return math.sqrt(max(v, 0.0)) if xp is math else np.sqrt(np.maximum(v, 0.0))
     c = xp.cosh(s * t0) * xp.cosh(s * t1) - xp.sinh(s * t0) * xp.sinh(s * t1) * ctheta
-    return clamped_arccosh(c) / s
+    return clamped_arccosh(c, xp) / s
 
 
 @dataclass
@@ -553,7 +559,15 @@ class SpaceDescriptor:
         chain of cones and suspensions, paired as `formula` pairs A and B;
         None on any other tree.  Where it is not None, the kind's
         ``leaf_law(A, B, c, cross)`` is `formula` from these cosines c, and
-        it is non-increasing in c."""
+        it is non-increasing in c.  On one pair of such points the scalar
+        pair is ``leaf_cosine(p, q)`` and ``leaf_distance(p, q, c)``."""
+        return None
+
+    def pair_terms(self, p, q):
+        """`rotation_terms` of the one pair p, q as numbers, with the bits of
+        the kernel's entry: numpy's sums and functions called on floats.
+        None on kinds without them, or where p or q is not a valid point
+        (`pack_points` then reports it)."""
         return None
 
     def volumes(self) -> tuple:
@@ -642,23 +656,53 @@ class Sphere(SpaceDescriptor):
             nrm = vector_norm(w)
             if not abs(nrm - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
-        return self.radius * clamped_arccos(float(np.dot(u, v)))
+        return self.leaf_distance(u, v, float(np.dot(u, v)))
 
-    def rotation_phase(self, p, q):
-        # <x, g y> = Re(e^{i theta} H) for the rotation g by theta of every
-        # complex coordinate, and the distance is radius * arccos of it
+    def leaf_cosine(self, p, q) -> float:
+        """<p, q> of unit vectors, unchecked, as `distance` takes it."""
+        return float(np.dot(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
+
+    def leaf_distance(self, p, q, c) -> float:
+        """radius * arccos(c): the distance of points whose cosine is c."""
+        return self.radius * clamped_arccos(c)
+
+    def _unit_pair(self, p, q, as_array):
+        """(x, y): p and q as float arrays by `as_array`, on which the norms are
+        read, where both are unit vectors and the ambient dimension is even
+        (complex coordinates); else None."""
         try:
-            x, y = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+            x, y = as_array(p, dtype=float), as_array(q, dtype=float)
         except (TypeError, ValueError):
             return None
         n = self.ambient_dim
         if n % 2 or x.shape != (n,) or y.shape != (n,):
             return None
         if not (abs(vector_norm(x) - 1.0) <= _UNIT_TOL and abs(vector_norm(y) - 1.0) <= _UNIT_TOL):
+            return None
+        return x, y
+
+    def rotation_phase(self, p, q):
+        # <x, g y> = Re(e^{i theta} H) for the rotation g by theta of every
+        # complex coordinate, and the distance is radius * arccos of it
+        pair = self._unit_pair(p, q, np.asarray)  # as `distance` reads them
+        if pair is None:
             return None  # `distance` rejects the pair, and the loop reports it
-        a, b = x.tolist(), y.tolist()
+        a, b = pair[0].tolist(), pair[1].tolist()
+        n = self.ambient_dim
         return complex(sum(a[j] * b[j] + a[j + 1] * b[j + 1] for j in range(0, n, 2)),
                        sum(a[j] * b[j + 1] - a[j + 1] * b[j] for j in range(0, n, 2)))
+
+    def pair_terms(self, p, q):
+        # `rotation_terms`' two sums by its own `_inner`, of x against the rows
+        # y and Bi: `np.einsum` orders a contiguous row's sum as a packed
+        # record's (and a strided row's differently)
+        pair = self._unit_pair(p, q, np.ascontiguousarray)
+        if pair is None:
+            return None
+        x, y = pair
+        index, sign = _turn_rows(self.ambient_dim)
+        Hr, Hi = _inner(x[None], y[index] * sign, False).tolist()
+        return 0.0, Hr, Hi
 
     def pack(self, points):
         return _stack_rows(points, self.ambient_dim)
@@ -918,10 +962,20 @@ class Join(SpaceDescriptor):
         return _latitude_join(coords.t, EL, self.right.gram_embedding(coords.right))
 
     def rotation_terms(self, A, B, cross: bool):
-        CL, HrL, HiL = self.left.rotation_terms(A.left, B.left, cross)
-        CR, HrR, HiR = self.right.rotation_terms(A.right, B.right, cross)
-        cc, ss = _trig_pairs(A.t, B.t, cross)
-        return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
+        left = self.left.rotation_terms(A.left, B.left, cross)
+        right = self.right.rotation_terms(A.right, B.right, cross)
+        return _join_terms(*_trig_pairs(A.t, B.t, cross), left, right)
+
+    def pair_terms(self, p, q):
+        try:
+            (x1, t1, y1), (x2, t2, y2) = p, q
+            t1, t2 = _value(t1, HALF_PI, "join latitude"), _value(t2, HALF_PI, "join latitude")
+        except (TypeError, ValueError):  # a DomainError is a ValueError
+            return None
+        left, right = self.left.pair_terms(x1, x2), self.right.pair_terms(y1, y2)
+        if left is None or right is None:
+            return None
+        return _join_terms(*_trig_pairs(t1, t2, False), left, right)
 
     def random_points(self, n: int, rng):
         dl, dr = self.left.dim, self.right.dim  # density: the volume element cos^dl(t) sin^dr(t)
@@ -1009,6 +1063,13 @@ class _OverBase(SpaceDescriptor):
 
     def distance(self, p, q) -> float:
         """`_cone_law` between points (t, y), the base distance clamped at pi."""
+        return self.leaf_distance(p, q, None)
+
+    def leaf_cosine(self, p, q) -> float:
+        return self.base.leaf_cosine(p[1], q[1])
+
+    def leaf_distance(self, p, q, c) -> float:
+        """`distance` where the base's leaf cosine is c; with c None, the base's `distance`."""
         try:
             t0, y0 = p
             t1, y1 = q
@@ -1016,7 +1077,18 @@ class _OverBase(SpaceDescriptor):
             raise DomainError(f"{type(self).__name__} points must be tuples of 2 coordinates") from None
         k, top = self._law()
         t0, t1 = _value(t0, top, self._what), _value(t1, top, self._what)
-        return _cone_law(k, t0, t1, math.cos(min(self.base.distance(y0, y1), PI)))
+        d = self.base.distance(y0, y1) if c is None else self.base.leaf_distance(y0, y1, c)
+        return _cone_law(k, t0, t1, math.cos(min(d, PI)))
+
+    def _radial_pair(self, p, q):
+        """(t0, y0, t1, y1) for points p = (t0, y0) and q = (t1, y1) with valid
+        radial values; else None."""
+        try:
+            (t0, y0), (t1, y1) = p, q
+            top = self._law()[1]
+            return _value(t0, top, self._what), y0, _value(t1, top, self._what), y1
+        except (TypeError, ValueError):  # a DomainError is a ValueError
+            return None
 
     def rotation_phase(self, p, q):
         # at any k the law of cosines grows with the base distance
@@ -1059,9 +1131,13 @@ class _OverBase(SpaceDescriptor):
 
     def rotation_terms(self, A, B, cross: bool):
         # a k = 1 cone (as `gram_embeddable` requires) or a suspension: one law
-        Cb, Hr, Hi = self.base.rotation_terms(A.base, B.base, cross)
-        cc, ss = _trig_pairs(getattr(A, self._radial), getattr(B, self._radial), cross)
-        return cc + ss * Cb, ss * Hr, ss * Hi
+        terms = self.base.rotation_terms(A.base, B.base, cross)
+        return _over_terms(*_trig_pairs(getattr(A, self._radial), getattr(B, self._radial), cross), terms)
+
+    def pair_terms(self, p, q):
+        pair = self._radial_pair(p, q)
+        terms = None if pair is None else self.base.pair_terms(pair[1], pair[3])
+        return None if terms is None else _over_terms(*_trig_pairs(pair[0], pair[2], False), terms)
 
     def canonical_point(self):
         return (0.0, self.base.canonical_point())
@@ -1191,7 +1267,10 @@ class Quotient(SpaceDescriptor):
         minimum, over the three elements nearest the pair's phase where
         `_lattice_order` allows, or over every element."""
         if _rotation_order(self) is not None:
-            A, B = pack_points(self.base, [p]), pack_points(self.base, [q])
+            d = rotation_pair_distance(self, p, q)
+            if d is not None:
+                return d
+            A, B = pack_points(self.base, [p]), pack_points(self.base, [q])  # reports the bad point
             return float(rotation_quotient_distance(self, A, B, cross=False)[0])
         m = _lattice_order(self)
         H = None if m is None else self.base.rotation_phase(p, q)
@@ -1202,12 +1281,14 @@ class Quotient(SpaceDescriptor):
         # one dot.  Elements two or more steps from the nearest, k, are 1.5
         # steps or more from -arg H, so their cosines lie at least
         # sqrt(2) |H| (1 - cos step) below the best of k - 1, k and k + 1.
-        # Past the bound above that gap outgrows twice the rounding, and each
-        # later operation of the base law is monotone, so the loop's minimum
-        # is among these three: the same value, bit for bit.
+        # Past the bound above that gap outgrows twice the rounding, so the
+        # largest cosine of the group is among these three.  The base law is
+        # non-increasing in the leaf cosine (see `_orbit_minimum`), so the
+        # loop's minimum is the law at that cosine: the same value, bit for bit.
         k = -round(math.atan2(H.imag, H.real) * (m / (2.0 * PI)))  # half to even, as np.rint
         elements = self.action.elements
-        return min(self.base.distance(p, elements[j % m].apply_point(q)) for j in (k - 1, k, k + 1))
+        c = max(self.base.leaf_cosine(p, elements[j % m].apply_point(q)) for j in (k - 1, k, k + 1))
+        return self.base.leaf_distance(p, q, c)
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return _quotient_cross(self, A, B) if cross else _orbit_minimum(self, A, B, cross=False)
@@ -1391,6 +1472,19 @@ def _inner(A, B, cross: bool) -> np.ndarray:
     return A @ B.T if cross else np.einsum("ij,ij->i", A, B)
 
 
+@functools.cache
+def _turn_rows(n: int) -> tuple:
+    """(index, sign), read-only: y[index] * sign stacks the row y of length n
+    and the row Bi = (y1, -y0, y3, -y2, ...) of `Sphere.rotation_terms`,
+    bit for bit (a product with 1 or -1 is exact)."""
+    index = np.stack([np.arange(n), np.arange(n) ^ 1])
+    sign = np.ones((2, n))
+    sign[1, 1::2] = -1.0
+    for a in (index, sign):
+        a.setflags(write=False)
+    return index, sign
+
+
 def _trig_pairs(a, b, cross: bool):
     """(cos a cos b, sin a sin b), paired as `_pairs` pairs them."""
     ca, cb = _pairs(np.cos(a), np.cos(b), cross)
@@ -1482,8 +1576,27 @@ def _latitude_join(t, EL, ER) -> np.ndarray:
 # tree is C + Re(e^{i theta} H) = C + |H| cos(theta - psi), and a cone of any
 # k at the root is monotone in its base's term.  Over theta in 2 pi Z / m the
 # best term is C + |H| cos(delta), delta the distance from psi to the lattice.
-# Each descriptor's `rotation_terms` gives its (C, Re H, Im H).
+# Each descriptor's `rotation_terms` gives its (C, Re H, Im H), and its
+# `pair_terms` the same for one pair of points, as numbers.
 # ---------------------------------------------------------------------------
+
+
+def _over_terms(cc, ss, terms):
+    """A k = 1 cone's or a suspension's terms from its base's, at radial weights cc, ss."""
+    C, Hr, Hi = terms
+    return cc + ss * C, ss * Hr, ss * Hi
+
+
+def _join_terms(cc, ss, left, right):
+    """A join's terms from its factors', at latitude weights cc, ss."""
+    (CL, HrL, HiL), (CR, HrR, HiR) = left, right
+    return cc * CL + ss * CR, cc * HrL + ss * HrR, cc * HiL + ss * HiR
+
+
+def _root_cone(base):
+    """`base` if it is a cone, whose base the rotation turns and whose law of
+    any k follows; else None, where the rotation turns all of `base`."""
+    return base if isinstance(base, Cone) else None
 
 
 def _rotation_order(space: Quotient):
@@ -1520,7 +1633,7 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     len(B)) matrix, otherwise the distances of paired rows.
     """
     base = space.base
-    cone = base if isinstance(base, Cone) else None
+    cone = _root_cone(base)
     if cone is None:
         C, Hr, Hi = base.rotation_terms(A, B, cross)
     else:
@@ -1543,6 +1656,30 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
         return clamped_arccos(best)
     np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
     return _cone_law(cone.k, *_pairs(A.t, B.t, cross), best)
+
+
+def rotation_pair_distance(space: Quotient, p, q) -> float | None:
+    """`rotation_quotient_distance` of the one pair p, q, on numbers: each
+    point checked once, then H, the lattice index, the table cosine and the
+    law, with numpy's sums, arctan2, arccos and cone-law functions called on
+    floats, so the value has the kernel's bits.  None where p or q is not a
+    point of the base (`pack_points` then reports it)."""
+    cone = _root_cone(space.base)
+    if cone is None:
+        pair, terms = None, space.base.pair_terms(p, q)
+    else:
+        pair = cone._radial_pair(p, q)
+        terms = None if pair is None else cone.base.pair_terms(pair[1], pair[3])
+    if terms is None:
+        return None
+    C, Hr, Hi = terms
+    m = space.action.rotation_order
+    half, cos_table, sin_table = _lattice_tables(m)
+    k = round(float(np.arctan2(Hi, Hr)) * (-1.0 / (2.0 * PI / m))) + half  # half to even, as np.rint
+    best = cos_table[k] * Hr - sin_table[k] * Hi + C
+    if cone is None:
+        return clamped_arccos(best, np)
+    return float(_cone_law(cone.k, pair[0], pair[2], min(max(float(best), -1.0), 1.0), np))
 
 
 # matrix entries per block of every pass over an n-column matrix: each row

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from alexgeo import actions, harness, nets, serialize, spaces
+from alexgeo.errors import DomainError
 from alexgeo.spaces import Cone, Join, ModelBall, Quotient, Sphere, Suspension
 
 PI = math.pi
@@ -474,3 +475,219 @@ def test_nodes_say_whether_they_keep_the_radii():
     assert not actions.JoinMap(rotation, interval).keeps_radii
     assert not _pole_swap_quotient().action.keeps_radii
     assert not harness.projective_lens_quotient(2, 1.0).action.keeps_radii
+
+
+# ---------------------------------------------------------------------------
+# scalar `distance` on one pair: the closed form on floats, and the three
+# nearest elements with the base law once
+# ---------------------------------------------------------------------------
+
+
+def _one_row(Q, p, q):
+    """The closed form on one-row packed records: `pack_points` checks each point."""
+    A, B = spaces.pack_points(Q.base, [p]), spaces.pack_points(Q.base, [q])
+    return float(spaces.rotation_quotient_distance(Q, A, B, cross=False)[0])
+
+
+def _strided(v):
+    """v as a view with stride 2: einsum sums such a row in another order."""
+    return np.stack([v, v], axis=1)[:, 0]
+
+
+def _pair_cases(base, m):
+    """Seeded pairs, then ties: q = p, q = g p, the leaf antipode and the apex or pole,
+    with some points as lists and some leaves as strided views."""
+    Q = Quotient(base, actions.cyclic_approximation(base, m))
+    rng = np.random.default_rng(m + 1)
+    P, R = base.random_points(60, rng), base.random_points(60, rng)
+    g = Q.action.elements[1]
+    pairs = list(zip(P, R)) + [(p, p) for p in P[:10]] + [(p, g.apply_point(p)) for p in P[:10]]
+    if isinstance(base, Sphere):
+        pairs += [(p, -p) for p in P[:10]]
+        pairs += [(p.tolist(), _strided(r)) for p, r in zip(P[:10], R[:10])]
+        pairs += [(_strided(p), _strided(r)) for p, r in zip(P[10:20], R[10:20])]
+    elif isinstance(base, (Cone, Suspension)):
+        top = PI if isinstance(base, Suspension) else 0.0
+        pairs += [(p, (p[0], -p[1])) for p in P[:10] if isinstance(p[1], np.ndarray)]
+        pairs += [((0.0, p[1]), r) for p, r in zip(P[:10], R[:10])]
+        pairs += [(p, (top, r[1])) for p, r in zip(P[:10], R[:10])]
+        pairs += [((float(p[0]), list(p[1])), r) for p, r in zip(P[:10], R[:10]) if isinstance(p[1], np.ndarray)]
+        pairs += [((p[0], _strided(p[1])), (r[0], _strided(r[1])))
+                  for p, r in zip(P[10:20], R[10:20]) if isinstance(p[1], np.ndarray)]
+    return Q, pairs
+
+
+@pytest.mark.parametrize("m", ORDERS + (256,))
+@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+def test_pair_closed_form_has_the_one_row_bits(name, m):
+    # the one-pair path calls numpy's primitives on floats, in the kernel's order
+    Q, pairs = _pair_cases(ROTATION_BASES[name], m)
+    for p, q in pairs:
+        assert spaces.distance(Q, p, q) == _one_row(Q, p, q)
+
+
+NAN = float("nan")
+E4 = [1.0, 0.0, 0.0, 0.0]
+Y = [1.0, 0.0]
+
+
+def _sphere_bad():
+    return {
+        "non-unit leaf": ([1.0, 1.0, 0.0, 0.0],
+                          "sphere point [1.0, 1.0, 0.0, 0.0] is not a unit vector (|x| = 1.4142135623730951)"),
+        "wrong shape": (E4 + [0.0], "sphere coordinates must be rows of 4 numbers, got shape (1, 5)"),
+        "nested": ([E4], "sphere coordinates must be rows of 4 numbers, got shape (1, 1, 4)"),
+        "scalar": (1.0, "sphere coordinates must be rows of 4 numbers, got shape (1,)"),
+        "NaN": ([NAN, 0.0, 0.0, 0.0], "sphere point [nan, 0.0, 0.0, 0.0] is not a unit vector (|x| = nan)"),
+        "bool": ([True, True, False, False],
+                 "sphere point [1.0, 1.0, 0.0, 0.0] is not a unit vector (|x| = 1.4142135623730951)"),
+        "string": (["a", 0.0, 0.0, 0.0],
+                   "vector points must be sequences of numbers: could not convert string to float: 'a'"),
+        # the rest of this message is numpy's
+        "tuple arity": ((0.5, E4), "vector points must be sequences of numbers: setting an array element"),
+    }
+
+
+def _closed_cone_bad():
+    return {
+        "non-unit leaf": ((0.5, [1.0, 1.0]), "sphere point [1.0, 1.0] is not a unit vector (|x| = 1.4142135623730951)"),
+        "wrong shape": ((0.5, [1.0, 0.0, 0.0]), "sphere coordinates must be rows of 2 numbers, got shape (1, 3)"),
+        "radial above": ((1.5, Y), "cone radial coordinate 1.5 outside [0, 1.0]"),
+        "radial below": ((-0.1, Y), "cone radial coordinate -0.1 outside [0, 1.0]"),
+        "NaN radial": ((NAN, Y), "cone radial coordinate nan outside [0, 1.0]"),
+        "NaN leaf": ((0.5, [NAN, 0.0]), "sphere point [nan, 0.0] is not a unit vector (|x| = nan)"),
+        "bool radial": ((True, Y), "scalar coordinates must be numbers, got True"),
+        "string radial": (("0.5", Y), "scalar coordinates must be numbers, got '0.5'"),
+        "string leaf": ((0.5, ["a", 0.0]),
+                        "vector points must be sequences of numbers: could not convert string to float: 'a'"),
+        "tuple arity 1": ((0.5,), "points of this space must be tuples of 2 coordinates"),
+        "tuple arity 3": ((0.5, Y, 1.0), "points of this space must be tuples of 2 coordinates"),
+        "no tuple": (0.5, "points of this space must be tuples of 2 coordinates"),
+    }
+
+
+def _lattice_cone_bad():
+    # the loop names the point it reads, u = p or v = g q
+    top = "[0, 1.5707963267948966]"
+    return {
+        "non-unit leaf": ((0.5, [1.0, 1.0]), "sphere point {w} = [1.0, 1.0] is not a unit vector (|{w}| = 1.4142135623730951)"),
+        "wrong shape": ((0.5, [1.0, 0.0, 0.0]), "sphere point {w} must have shape (2,), got (3,)"),
+        "radial above": ((HALF_PI + 0.5, Y), f"cone radial coordinate 2.0707963267948966 outside {top}"),
+        "radial below": ((-0.1, Y), f"cone radial coordinate -0.1 outside {top}"),
+        "NaN radial": ((NAN, Y), f"cone radial coordinate nan outside {top}"),
+        "NaN leaf": ((0.5, [NAN, 0.0]), "sphere point {w} = [nan, 0.0] is not a unit vector (|{w}| = nan)"),
+        "bool radial": ((True, Y), "cone radial coordinates must be numbers, got True"),
+        "string radial": (("0.5", Y), "cone radial coordinates must be numbers, got '0.5'"),
+        "string leaf": ((0.5, ["a", 0.0]),
+                        "sphere points must be sequences of numbers: could not convert string to float: 'a'"),
+        "tuple arity 1": ((0.5,), "Cone points must be tuples of 2 coordinates"),
+        "tuple arity 3": ((0.5, Y, 1.0), "Cone points must be tuples of 2 coordinates"),
+        "no tuple": (0.5, "Cone points must be tuples of 2 coordinates"),
+    }
+
+
+# the messages of commit d70947a, where the closed form packed each point
+# and `check_coords` reported it, and the three nearest elements ran `distance`
+ERROR_CASES = {
+    "S3/Z256": (Sphere(3, 1.0), 256, _sphere_bad()),
+    "cap/Z64": (Cone(1.0, Sphere(1, 1.0), 1.0), 64, _closed_cone_bad()),
+    "Cone(-1, S1, 1)/Z8": (Cone(-1.0, Sphere(1, 1.0), 1.0), 8, _closed_cone_bad()),
+    "cap075/Z64": (LATTICE_BASES["cap075"], 64, _lattice_cone_bad()),
+}
+
+
+@pytest.mark.parametrize("side", ("p", "q"))
+@pytest.mark.parametrize("label, case", [(label, case) for label, (_, _, cases) in ERROR_CASES.items()
+                                         for case in cases])
+def test_bad_points_keep_their_errors(label, case, side):
+    base, m, cases = ERROR_CASES[label]
+    bad, message = cases[case]
+    message = message.format(w="u" if side == "p" else "v")
+    Q = Quotient(base, actions.cyclic_approximation(base, m))
+    good = base.canonical_point()
+    p, q = (bad, good) if side == "p" else (good, bad)
+    with pytest.raises(DomainError) as info:
+        spaces.distance(Q, p, q)
+    assert type(info.value) is DomainError
+    assert str(info.value).startswith(message)
+    if case != "tuple arity":
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+def test_pair_closed_form_tracks_clamps_as_the_one_row_kernel(name):
+    # q = p (a cosine at 1), the leaf antipode (at -1) and the apex or a pole, at m = 8
+    base = ROTATION_BASES[name]
+    Q, pairs = _pair_cases(base, 8)
+    ties = pairs[60:70] + pairs[80:]
+    assert len(ties) >= 10
+    for p, q in ties:
+        with spaces.track_clamping() as stats:
+            spaces.distance(Q, p, q)
+            scalar = stats.count, stats.max_excess
+        with spaces.track_clamping() as stats:
+            _one_row(Q, p, q)
+        assert scalar == (stats.count, stats.max_excess)
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+def test_pair_closed_form_packs_nothing(name, monkeypatch):
+    base = ROTATION_BASES[name]
+    Q = Quotient(base, actions.cyclic_approximation(base, 64))
+    calls = []
+    for fn in ("pack_points", "rotation_quotient_distance", "quotient_distance"):
+        orig = getattr(spaces, fn)
+        monkeypatch.setattr(spaces, fn, lambda *a, _f=orig: calls.append(1) or _f(*a))
+    rng = np.random.default_rng(2)
+    for p, q in zip(base.random_points(20, rng), base.random_points(20, rng)):
+        spaces.distance(Q, p, q)
+    assert not calls
+
+
+@pytest.mark.parametrize("name", ["cap075", "cone_k0", "cone_k-1", "suspension_s1(0.5)"])
+def test_nearest_elements_apply_the_law_once(name, monkeypatch):
+    base = LATTICE_BASES[name]
+    Q = Quotient(base, actions.cyclic_approximation(base, 64))
+    laws, loops = [], []
+    law, loop = spaces._cone_law, spaces.quotient_distance
+    monkeypatch.setattr(spaces, "_cone_law", lambda *a: laws.append(1) or law(*a))
+    monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
+    rng = np.random.default_rng(8)
+    for p, q in zip(base.random_points(20, rng), base.random_points(20, rng)):
+        laws.clear()
+        spaces.distance(Q, p, q)
+        assert len(laws) == 1
+    assert not loops
+
+
+def test_nearest_elements_on_a_sphere_take_one_arccos(monkeypatch):
+    base = LATTICE_BASES["S1(0.75)"]
+    Q = Quotient(base, actions.cyclic_approximation(base, 64))
+    calls = []
+    arccos = spaces.clamped_arccos
+    monkeypatch.setattr(spaces, "clamped_arccos", lambda *a: calls.append(1) or arccos(*a))
+    rng = np.random.default_rng(9)
+    for p, q in zip(base.random_points(20, rng), base.random_points(20, rng)):
+        calls.clear()
+        spaces.distance(Q, p, q)
+        assert len(calls) == 1
+
+
+def _reflected_cap075():
+    base = LATTICE_BASES["cap075"]
+    flip = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
+    return Quotient(base, actions.GroupAction(base, (actions.Identity(), flip)))
+
+
+@pytest.mark.parametrize("make", [_join_quotient, _reflected_cap075, _shuffled_cap075],
+                         ids=["join", "reflection", "hand-built-list"])
+def test_other_quotients_call_the_loop_once_per_query(make, monkeypatch):
+    Q = make()
+    loops = []
+    loop = spaces.quotient_distance
+    monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
+    rng = np.random.default_rng(10)
+    pairs = list(zip(Q.base.random_points(15, rng), Q.base.random_points(15, rng)))
+    for p, q in pairs:
+        assert spaces.distance(Q, p, q) == loop(Q, p, q)
+    assert len(loops) == len(pairs)

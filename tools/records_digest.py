@@ -34,8 +34,10 @@ whether `serialize.space_from_json` gives back a quotient with the same
 JSON text and the same elements.
 Each `scalar-quotient` line is the sha256 of the float64 bytes of scalar
 `distance` over 500 seeded pairs on a cyclic quotient: the cone over a
-circle of radius 0.75 at m = 8, 64 and 256 (no closed form applies) and
-S3/Z256 (the closed-form rotation).
+circle of radius 0.75 at m = 8, 64 and 256 (no closed form applies: the
+three elements nearest the pair's phase), and the closed-form rotation on
+every kind of root it takes: S3/Z256, S1/Z64, cones of k = 1, 0 and -1
+over the unit circle, a suspension and a join.
 """
 
 from __future__ import annotations
@@ -112,8 +114,15 @@ def space_cases():
 def scalar_quotient_cases():
     """(label, quotient) for every quotient whose scalar distances are digested."""
     cap075 = Cone(1.0, Sphere(1, 0.75), math.pi / 2)
+    cap = Cone(1.0, Sphere(1, 1.0), 1.0)
     return [(f"Cone(1, S1(0.75), pi/2)/Z{m}", _quotient(cap075, m)) for m in (8, 64, 256)] + [
         ("S3/Z256", _quotient(Sphere(3, 1.0), 256)),
+        ("Cone(1, S1, 1)/Z64", _quotient(cap, 64)),
+        ("Cone(0, S1, 1)/Z8", _quotient(Cone(0.0, Sphere(1, 1.0), 1.0), 8)),
+        ("Cone(-1, S1, 1)/Z8", _quotient(Cone(-1.0, Sphere(1, 1.0), 1.0), 8)),
+        ("S1/Z64", _quotient(Sphere(1, 1.0), 64)),
+        ("Suspension(S1)/Z8", _quotient(Suspension(Sphere(1, 1.0)), 8)),
+        ("Join(S3, cap)/Z8", _quotient(Join(Sphere(3, 1.0), cap), 8)),
     ]
 
 
