@@ -59,7 +59,6 @@ from .invariants import (
     invariant_report,
     radius,
     soul,
-    sphere_convex_diameter_check,
     spine_set,
 )
 from .comparison import (
@@ -71,7 +70,6 @@ from .comparison import (
     model_lambda,
     model_phi,
     model_psi,
-    riccati_integrate,
 )
 from .harness import (
     CATALOGUE,

@@ -282,29 +282,20 @@ class GroupAction:
 
     @cached_property
     def rotation_order(self) -> int | None:
-        """`cyclic_order` on unit-radius factors, else None.
+        """`cyclic_order` m where the quotient has a closed form, else None: the
+        one gate of `spaces.rotation_quotient_distance` and its one-pair form.
 
-        Such an action admits the closed-form orbit minimum of
-        `spaces.rotation_quotient_distance`.  The rotated tree (the base of a
-        root cone of any k, else the whole space) must be `gram_embeddable`:
-        unit spheres and k = 1 cones keep the rotated cosine term affine.
-        """
-        moved = self.space.base if isinstance(self.space, Cone) else self.space
-        return self.cyclic_order if moved.gram_embeddable() else None
-
-    @cached_property
-    def lattice_order(self) -> int | None:
-        """`cyclic_order` m if element k is the generator's k-th power, else None.
-
-        Each element must equal, bit for bit, the generator composed with the
-        element before it, as `group_from_generators` closes a single
-        generator, so element k rotates by k * 2 pi / m.  Scalar
-        `spaces.Quotient.distance` then reads the elements nearest a pair's
-        phase (where the base has one) by their index.  A list in another
-        order, or with other elements, returns None.
+        The space must admit one (`spaces.rotation_closed_form`: unit factors
+        under any root, or a chain of cones of any k and suspensions over a
+        sphere of any radius), and each element must equal, bit for bit, the
+        generator composed with the element before it, as
+        `group_from_generators` closes a single generator, so the list is the
+        group the closed form minimises over.  A list in another order, or
+        with other elements, returns None and keeps the element loop.  The
+        check costs m compositions, once per action.
         """
         m = self.cyclic_order
-        if m is None:
+        if m is None or not spaces.rotation_closed_form(self.space):
             return None
         power = Identity()
         for g in self.elements:

@@ -1,4 +1,4 @@
-"""Model convexity functions, Riccati integration, and comparison audits.
+"""Model convexity functions and comparison audits.
 
 The model triple (k, lambda0, r0) describes the constant-curvature ball
 whose boundary has shape-operator eigenvalue -lambda0 for the inward
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import embeddings, spaces
-from .errors import ConstructionError, DomainError, PreconditionError, SingularityError
+from .errors import ConstructionError, DomainError, PreconditionError
 from .spaces import (
     Cone,
     ConeCoords,
@@ -160,43 +160,6 @@ def model_phi_prime(k: float, lambda0: float, r):
 def model_psi(k: float, t):
     """psi = md_k, solving psi'' + k psi = 1, psi(0) = psi'(0) = 0."""
     return _closed_form(lambda t: md_k(k, t), t, k=k)
-
-
-def riccati_integrate(k: float, lambda0: float, r: float, step: float) -> float:
-    """Fixed-step RK4 for lam' = -k - lam^2 from lam(0) = -lambda0 up to r.
-
-    Raises SingularityError when |lam| exceeds 1e6; the reported blow-up
-    location tracks the focal radius to within a few steps.
-    """
-    _check_finite(k=k, lambda0=lambda0, r=r, step=step)
-    if not step > 0.0:
-        raise DomainError(f"step must be positive, got {step}")
-    if r < 0.0:
-        raise DomainError(f"r must be nonnegative, got {r}")
-
-    def f(lam):
-        return -k - lam * lam
-
-    lam = -float(lambda0)
-    s = 0.0
-    while s < r - 1e-15:
-        h = min(step, r - s)
-        # stiffness guard: refine the step as the solution steepens toward
-        # the focal blow-up so the fourth-order error bound keeps holding
-        n_sub = max(1, min(128, math.ceil(h * (1.0 + lam * lam) / 0.1)))
-        hs = h / n_sub
-        for _ in range(n_sub):
-            k1 = f(lam)
-            k2 = f(lam + 0.5 * hs * k1)
-            k3 = f(lam + 0.5 * hs * k2)
-            k4 = f(lam + hs * k3)
-            lam = lam + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += h
-        if abs(lam) > 1e6:
-            raise SingularityError(
-                f"Riccati blow-up near r = {s:.6f} (|lambda| > 1e6)", location=s
-            )
-    return lam
 
 
 def fbar(k: float, lambda0: float, f0: float, fdot0: float, t):

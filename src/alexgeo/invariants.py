@@ -19,7 +19,7 @@ import numpy as np
 from . import spaces
 from .errors import PreconditionError
 from .nets import FiniteNet
-from .spaces import PI, HALF_PI, Sphere, clamped_arccos
+from .spaces import HALF_PI
 
 
 def _per_row(D, rows, cols, reduce) -> np.ndarray:
@@ -188,74 +188,6 @@ def boundary_volume(space) -> float:
     if not space.has_boundary():
         raise PreconditionError(f"{type(space).__name__} has no boundary")
     return bdry
-
-
-# ---------------------------------------------------------------------------
-# convex-subset diameter check on sphere nets
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConvexDiameterResult:
-    radius_A: float
-    diameter_A: float
-    applicable: bool   # radius precondition rad A >= pi/2 - tol held
-    passed: bool       # diameter >= pi - 2*tol whenever applicable
-    note: str = ""
-
-
-def sphere_convex_diameter_check(net: FiniteNet, A, tol: float, *, midpoint_pairs: int = 200,
-                                 seed: int = 5) -> ConvexDiameterResult:
-    """On a sphere net: closed convex A with rad A >= pi/2 must have diam A = pi.
-
-    Convexity is verified approximately by sampling geodesic midpoints of
-    member pairs and requiring each to be within 2*eps of A.  If the radius
-    precondition fails the check is skipped (reported, not an error).
-    """
-    if not isinstance(net.space, Sphere):
-        raise PreconditionError("convex diameter check runs on sphere nets")
-    A = np.asarray(A, dtype=int)
-    if A.size < 2:
-        raise PreconditionError("need at least two indices")
-    pts = np.asarray(net.coords)[A]
-    r = net.space.radius
-    rng = np.random.default_rng(seed)
-    eps = net.epsilon_effective
-    for _ in range(midpoint_pairs):
-        i, j = rng.integers(0, A.size, 2)
-        u, v = pts[i], pts[j]
-        s = u + v
-        nrm = float(np.linalg.norm(s))
-        if nrm < 1e-6:
-            continue  # antipodal: every midpoint choice is fine
-        mid = s / nrm
-        # the midpoint of near-antipodal pairs amplifies the net's own
-        # off-set error by ~2/|u+v|; widen the slack accordingly
-        slack = tol + 2.0 * eps * (1.0 + 2.0 / nrm)
-        gap = r * float(np.min(clamped_arccos(pts @ mid)))
-        if gap > slack:
-            raise PreconditionError(
-                f"midpoint of members {int(A[i])},{int(A[j])} is {gap:.4f} from A; "
-                f"subset fails the convexity spot-check"
-            )
-    sub = net.dist[np.ix_(A, A)]
-    rad_A = float(sub.max(axis=1).min())
-    diam_A = float(sub.max())
-    applicable = rad_A >= HALF_PI - tol
-    if not applicable:
-        return ConvexDiameterResult(
-            radius_A=rad_A,
-            diameter_A=diam_A,
-            applicable=False,
-            passed=True,
-            note="radius precondition rad A >= pi/2 fails; diameter claim not applicable",
-        )
-    return ConvexDiameterResult(
-        radius_A=rad_A,
-        diameter_A=diam_A,
-        applicable=True,
-        passed=diam_A >= PI - 2.0 * tol,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -584,20 +584,3 @@ def nearest_index(net: FiniteNet, point) -> int:
     pk = spaces.pack_points(net.space, [point])
     d = cross_distance(net.space, pk, net.coords)[0]
     return int(np.argmin(d))
-
-
-def graph_geodesic(net: FiniteNet, i: int, j: int, knn: int = 12) -> float:
-    """Shortest-path length between net nodes through the k-NN graph.
-
-    Edges carry the closed-form distances of the descriptor; this is an
-    independent length-structure oracle for the global formulas.
-    """
-    D = net.dist
-    n = D.shape[0]
-    k = min(knn + 1, n)
-    nbr = np.argsort(D, axis=1)[:, 1:k]
-    rows = np.repeat(np.arange(n), nbr.shape[1])
-    cols = nbr.ravel()
-    graph = csr_matrix((D[rows, cols], (rows, cols)), shape=(n, n))
-    dist = shortest_path(graph, method="D", directed=False, indices=[i])[0]
-    return float(dist[j])

@@ -45,10 +45,12 @@ Gram product where ``gram_operands`` has one, else ``formula``),
 ``gram_embedding(coords)``, ``gram_operands(A, B)`` (what a Gram root's
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
 and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)`` and, for one
-scalar pair, ``rotation_phase(p, q)``; on a chain of cones and suspensions
-that ends in a sphere, ``leaf_cosines(A, B, cross)`` and the rest of the
-law, ``leaf_law(A, B, c, cross)``; and its JSON, ``to_json()``, from the
-tag and fields each kind declares as ``_json``.
+scalar pair, ``pair_terms(p, q)``; on a chain of cones and suspensions that
+ends in a sphere, ``leaf_cosines(A, B, cross)``, the sphere leaf's terms
+``leaf_terms(A, B, cross)`` and ``leaf_pair_terms(p, q)``, and the rest of
+the law, ``leaf_law(A, B, c, cross)`` and, for one pair,
+``leaf_distance(p, q, c)``; and its JSON, ``to_json()``, from the tag and
+fields each kind declares as ``_json``.
 The module functions (`distance`, `pack_points`, `cross_distance`,
 `boundary_distances`, ...) call these methods.  Joins, cones, suspensions and
 quotients accept only descriptors as factors.
@@ -63,14 +65,12 @@ and one arccos.  A quotient of such a tree by an element list takes the
 largest product over the group, then one arccos.  Any other tree (a sphere
 factor of radius other than 1, a cone with k != 1, a quotient used as a
 factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
-scalar `distance` always evaluates factor by factor.  A quotient of a chain
-of cones and suspensions over a sphere of any radius, by elements that keep
-the radial coordinates, takes the largest leaf cosine over the group, then
-the base law once.  On a Z_m rotation
-quotient with no closed form (a circle or Hopf factor of radius other than 1,
-under cones and suspensions), scalar `distance` evaluates only the three
-elements nearest the pair's ``rotation_phase``, where a rounding bound shows
-that they hold the element loop's minimum.
+scalar `distance` evaluates factor by factor.  A Z_m rotation quotient of
+such a tree, or of a chain of cones and suspensions over a sphere of any
+radius, takes its closed form, in the kernel and in scalar `distance` (see
+`rotation_quotient_distance`).  A quotient of such a chain by other
+elements that keep the radial coordinates (reflections, dihedral groups)
+takes the largest leaf cosine over the group, then the base law once.
 
 Packed coordinates.  `pack_points` turns a list of points into packed
 coordinates, one entry per point along the first axis.  A leaf is an
@@ -223,7 +223,6 @@ def clamped_arccosh(x, xp=None):
 # ---------------------------------------------------------------------------
 
 _UNIT_TOL = 1e-12
-_EPS = 2.0**-52  # the spacing of floats at 1
 
 
 def vector_norm(v) -> float:
@@ -547,20 +546,20 @@ class SpaceDescriptor:
         """d(., boundary) of packed points in closed form; +inf on a space without boundary."""
         return np.full(coords_len(coords), math.inf)
 
-    def rotation_phase(self, p, q):
-        """H = sum_j conj(x_j) y_j over the complex coordinates of the sphere a Z_m
-        rotation turns, for points p, q whose distance after rotating q by theta
-        falls as theta nears -arg H; None where no such sphere is read (joins and
-        the rest) or the pair is not valid points (`distance` then reports it)."""
-        return None
-
     def leaf_cosines(self, A, B, cross: bool):
         """A fresh array of the cosines <x, y> of the sphere leaf that ends a
         chain of cones and suspensions, paired as `formula` pairs A and B;
         None on any other tree.  Where it is not None, the kind's
         ``leaf_law(A, B, c, cross)`` is `formula` from these cosines c, and
-        it is non-increasing in c.  On one pair of such points the scalar
-        pair is ``leaf_cosine(p, q)`` and ``leaf_distance(p, q, c)``."""
+        it is non-increasing in c; ``leaf_distance(p, q, c)`` is the law of
+        one pair, and ``leaf_terms(A, B, cross)`` and ``leaf_pair_terms(p, q)``
+        are the leaf's `rotation_terms` and `pair_terms`."""
+        return None
+
+    def leaf_terms(self, A, B, cross: bool):
+        return None
+
+    def leaf_pair_terms(self, p, q):
         return None
 
     def pair_terms(self, p, q):
@@ -658,20 +657,18 @@ class Sphere(SpaceDescriptor):
                 raise DomainError(f"sphere point {name} = {w.tolist()} is not a unit vector (|{name}| = {nrm!r})")
         return self.leaf_distance(u, v, float(np.dot(u, v)))
 
-    def leaf_cosine(self, p, q) -> float:
-        """<p, q> of unit vectors, unchecked, as `distance` takes it."""
-        return float(np.dot(np.asarray(p, dtype=float), np.asarray(q, dtype=float)))
+    def leaf_distance(self, p, q, c, xp=None) -> float:
+        """radius * arccos(c): the distance of points whose cosine is c; with
+        xp=np, by numpy's arccos, for the bits of `leaf_law`'s entry."""
+        return self.radius * clamped_arccos(c, xp)
 
-    def leaf_distance(self, p, q, c) -> float:
-        """radius * arccos(c): the distance of points whose cosine is c."""
-        return self.radius * clamped_arccos(c)
-
-    def _unit_pair(self, p, q, as_array):
-        """(x, y): p and q as float arrays by `as_array`, on which the norms are
-        read, where both are unit vectors and the ambient dimension is even
-        (complex coordinates); else None."""
+    def pair_terms(self, p, q):
+        # `rotation_terms`' two sums by its own `_inner`, of x against the rows
+        # y and Bi: `np.einsum` orders a contiguous row's sum as a packed
+        # record's (and a strided row's differently).  None unless p and q are
+        # unit vectors of an even ambient dimension (complex coordinates).
         try:
-            x, y = as_array(p, dtype=float), as_array(q, dtype=float)
+            x, y = np.ascontiguousarray(p, dtype=float), np.ascontiguousarray(q, dtype=float)
         except (TypeError, ValueError):
             return None
         n = self.ambient_dim
@@ -679,30 +676,11 @@ class Sphere(SpaceDescriptor):
             return None
         if not (abs(vector_norm(x) - 1.0) <= _UNIT_TOL and abs(vector_norm(y) - 1.0) <= _UNIT_TOL):
             return None
-        return x, y
-
-    def rotation_phase(self, p, q):
-        # <x, g y> = Re(e^{i theta} H) for the rotation g by theta of every
-        # complex coordinate, and the distance is radius * arccos of it
-        pair = self._unit_pair(p, q, np.asarray)  # as `distance` reads them
-        if pair is None:
-            return None  # `distance` rejects the pair, and the loop reports it
-        a, b = pair[0].tolist(), pair[1].tolist()
-        n = self.ambient_dim
-        return complex(sum(a[j] * b[j] + a[j + 1] * b[j + 1] for j in range(0, n, 2)),
-                       sum(a[j] * b[j + 1] - a[j + 1] * b[j] for j in range(0, n, 2)))
-
-    def pair_terms(self, p, q):
-        # `rotation_terms`' two sums by its own `_inner`, of x against the rows
-        # y and Bi: `np.einsum` orders a contiguous row's sum as a packed
-        # record's (and a strided row's differently)
-        pair = self._unit_pair(p, q, np.ascontiguousarray)
-        if pair is None:
-            return None
-        x, y = pair
-        index, sign = _turn_rows(self.ambient_dim)
+        index, sign = _turn_rows(n)
         Hr, Hi = _inner(x[None], y[index] * sign, False).tolist()
         return 0.0, Hr, Hi
+
+    leaf_pair_terms = pair_terms  # a sphere is its own leaf
 
     def pack(self, points):
         return _stack_rows(points, self.ambient_dim)
@@ -746,6 +724,8 @@ class Sphere(SpaceDescriptor):
         Bi[:, 0::2] = B2[:, 1::2]
         Bi[:, 1::2] = -B2[:, 0::2]
         return 0.0, _inner(A2, B2, cross), _inner(A2, Bi, cross)
+
+    leaf_terms = rotation_terms
 
     def random_points(self, n: int, rng):
         v = rng.standard_normal((n, self.ambient_dim))
@@ -1065,11 +1045,10 @@ class _OverBase(SpaceDescriptor):
         """`_cone_law` between points (t, y), the base distance clamped at pi."""
         return self.leaf_distance(p, q, None)
 
-    def leaf_cosine(self, p, q) -> float:
-        return self.base.leaf_cosine(p[1], q[1])
-
-    def leaf_distance(self, p, q, c) -> float:
-        """`distance` where the base's leaf cosine is c; with c None, the base's `distance`."""
+    def leaf_distance(self, p, q, c, xp=None) -> float:
+        """`distance` where the base's leaf cosine is c; with c None, the base's
+        `distance`.  xp=np takes numpy's functions on floats, for the bits of
+        `leaf_law`'s entry."""
         try:
             t0, y0 = p
             t1, y1 = q
@@ -1077,8 +1056,8 @@ class _OverBase(SpaceDescriptor):
             raise DomainError(f"{type(self).__name__} points must be tuples of 2 coordinates") from None
         k, top = self._law()
         t0, t1 = _value(t0, top, self._what), _value(t1, top, self._what)
-        d = self.base.distance(y0, y1) if c is None else self.base.leaf_distance(y0, y1, c)
-        return _cone_law(k, t0, t1, math.cos(min(d, PI)))
+        d = self.base.distance(y0, y1) if c is None else self.base.leaf_distance(y0, y1, c, xp)
+        return _cone_law(k, t0, t1, (xp or math).cos(min(d, PI)), xp)
 
     def _radial_pair(self, p, q):
         """(t0, y0, t1, y1) for points p = (t0, y0) and q = (t1, y1) with valid
@@ -1089,14 +1068,6 @@ class _OverBase(SpaceDescriptor):
             return _value(t0, top, self._what), y0, _value(t1, top, self._what), y1
         except (TypeError, ValueError):  # a DomainError is a ValueError
             return None
-
-    def rotation_phase(self, p, q):
-        # at any k the law of cosines grows with the base distance
-        try:
-            (_, y0), (_, y1) = p, q
-        except (TypeError, ValueError):
-            return None
-        return self.base.rotation_phase(y0, y1)
 
     def pack(self, points):
         radial, base = _columns(points, 2)
@@ -1114,6 +1085,13 @@ class _OverBase(SpaceDescriptor):
 
     def leaf_law(self, A, B, c, cross: bool) -> np.ndarray:
         return self._radial_law(A, B, self.base.leaf_law(A.base, B.base, c, cross), cross)
+
+    def leaf_terms(self, A, B, cross: bool):
+        return self.base.leaf_terms(A.base, B.base, cross)
+
+    def leaf_pair_terms(self, p, q):
+        pair = self._radial_pair(p, q)
+        return None if pair is None else self.base.leaf_pair_terms(pair[1], pair[3])
 
     def _radial_law(self, A, B, d, cross: bool) -> np.ndarray:
         """`_cone_law` between the radial coordinates of A and B over base distances d, clamped at pi."""
@@ -1263,32 +1241,17 @@ class Quotient(SpaceDescriptor):
     net_count = _as_base("net_count")
 
     def distance(self, p, q) -> float:
-        """The closed form of a Z_m rotation quotient; else the element loop's
-        minimum, over the three elements nearest the pair's phase where
-        `_lattice_order` allows, or over every element."""
-        if _rotation_order(self) is not None:
-            d = rotation_pair_distance(self, p, q)
-            if d is not None:
-                return d
-            A, B = pack_points(self.base, [p]), pack_points(self.base, [q])  # reports the bad point
-            return float(rotation_quotient_distance(self, A, B, cross=False)[0])
-        m = _lattice_order(self)
-        H = None if m is None else self.base.rotation_phase(p, q)
-        if H is None or not abs(H) * (1.0 - math.cos(2.0 * PI / m)) > 8 * m * _EPS:
+        """The closed form of a Z_m rotation quotient on the one pair
+        (`rotation_pair_distance`), with the one-row kernel's bits; a bad
+        point is reported by `pack_points`.  Any other quotient takes the
+        element loop, `quotient_distance`."""
+        if _rotation_order(self) is None:
             return quotient_distance(self, p, q)  # by its module name, which a tracer may wrap
-        # Element j's cosine <p, g_j q> is Re(e^{i j step} H) to within about
-        # (2 j + 8) ulps: j products of rotations, then one product with q and
-        # one dot.  Elements two or more steps from the nearest, k, are 1.5
-        # steps or more from -arg H, so their cosines lie at least
-        # sqrt(2) |H| (1 - cos step) below the best of k - 1, k and k + 1.
-        # Past the bound above that gap outgrows twice the rounding, so the
-        # largest cosine of the group is among these three.  The base law is
-        # non-increasing in the leaf cosine (see `_orbit_minimum`), so the
-        # loop's minimum is the law at that cosine: the same value, bit for bit.
-        k = -round(math.atan2(H.imag, H.real) * (m / (2.0 * PI)))  # half to even, as np.rint
-        elements = self.action.elements
-        c = max(self.base.leaf_cosine(p, elements[j % m].apply_point(q)) for j in (k - 1, k, k + 1))
-        return self.base.leaf_distance(p, q, c)
+        d = rotation_pair_distance(self, p, q)
+        if d is not None:
+            return d
+        A, B = pack_points(self.base, [p]), pack_points(self.base, [q])  # reports the bad point
+        return float(rotation_quotient_distance(self, A, B, cross=False)[0])
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return _quotient_cross(self, A, B) if cross else _orbit_minimum(self, A, B, cross=False)
@@ -1363,8 +1326,7 @@ def distance(space, p, q) -> float:
 def quotient_distance(space: Quotient, p, q) -> float:
     """min over the group elements g of d(p, g q), by the base's scalar `distance`:
     the element-list loop of a quotient.  `Quotient.distance` runs it where no
-    closed form applies and no three elements are known to hold its minimum,
-    and the tests compare both shortcuts against it."""
+    closed form applies, and the tests compare the closed form against it."""
     return min(space.base.distance(p, g.apply_point(q)) for g in space.action.elements)
 
 
@@ -1516,8 +1478,9 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool) -> np.ndarray:
     the distances of paired rows.  (At a Gram root, `SpaceDescriptor.kernel` takes the
     product over `gram_operands`.)
 
-    A Z_m rotation takes its closed form.  Where every element keeps the radial
-    coordinates (`keeps_radii`) of a base that ends in a sphere leaf
+    A Z_m rotation takes its closed form (`rotation_quotient_distance`).  Where
+    every element of another group (a reflection, a dihedral group) keeps the
+    radial coordinates (`keeps_radii`) of a base that ends in a sphere leaf
     (`leaf_cosines`), each element changes only the leaf cosine c_g.  The
     base law f is non-increasing in c at every step (clip, arccos, times the
     radius, the clamp at pi, cos, each cone or suspension law with weight
@@ -1569,15 +1532,19 @@ def _latitude_join(t, EL, ER) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # closed-form orbit minimum for cyclic rotation actions
 #
-# Rotating the unit circle S^1, or S^3 by the Hopf phase, by theta turns
-# <x, g y> into Re(e^{i theta} H), H = sum_k conj(x_k) y_k over the complex
-# coordinates.  Joins, k = 1 cones and suspensions mix the cosines of their
-# factors linearly with nonnegative weights, so the cosine term of the whole
-# tree is C + Re(e^{i theta} H) = C + |H| cos(theta - psi), and a cone of any
-# k at the root is monotone in its base's term.  Over theta in 2 pi Z / m the
-# best term is C + |H| cos(delta), delta the distance from psi to the lattice.
-# Each descriptor's `rotation_terms` gives its (C, Re H, Im H), and its
-# `pair_terms` the same for one pair of points, as numbers.
+# Rotating a circle S^1, or S^3 by the Hopf phase, by theta turns the leaf
+# cosine <x, g y> into Re(e^{i theta} H), H = sum_k conj(x_k) y_k over the
+# complex coordinates, at any radius.  Over a unit tree, joins, k = 1 cones
+# and suspensions mix the cosines of their factors linearly with nonnegative
+# weights, so the cosine term of the whole tree is C + Re(e^{i theta} H) =
+# C + |H| cos(theta - psi), and a cone of any k at the root is monotone in
+# its base's term.  Over a chain of cones (any k) and suspensions ending in a
+# sphere of any radius, the law is non-increasing in the leaf cosine (see
+# `_orbit_minimum`), so C = 0 and H are the leaf's.  Either way, over theta
+# in 2 pi Z / m the best term is C + |H| cos(delta), delta the distance from
+# psi to the lattice.  Each descriptor's `rotation_terms` gives its
+# (C, Re H, Im H), its `pair_terms` the same for one pair of points, as
+# numbers, and `leaf_terms` and `leaf_pair_terms` those of its sphere leaf.
 # ---------------------------------------------------------------------------
 
 
@@ -1599,18 +1566,27 @@ def _root_cone(base):
     return base if isinstance(base, Cone) else None
 
 
+def _unit_rotation(base) -> bool:
+    """Whether the tree a rotation turns (the base of a root cone, else all
+    of `base`) is `gram_embeddable`, so its cosine term is affine in the
+    leaf's: the closed form of unit factors.  Else it is the leaf's."""
+    cone = _root_cone(base)
+    return (base if cone is None else cone.base).gram_embeddable()
+
+
+def rotation_closed_form(base) -> bool:
+    """Whether a Z_m rotation of `base` has a closed-form orbit minimum: its
+    turned tree is a unit one, or `base` is a chain of cones and suspensions
+    over a sphere, which answers `leaf_pair_terms`.  A join with a factor of
+    radius other than 1 has neither."""
+    c = base.canonical_point()
+    return _unit_rotation(base) or base.leaf_pair_terms(c, c) is not None
+
+
 def _rotation_order(space: Quotient):
     """m when the quotient's action is a closed-form Z_m rotation, else None."""
     m = space.action.rotation_order
     return None if m is None or space.action.space != space.base else m
-
-
-def _lattice_order(space: Quotient):
-    """m when scalar `distance` reads the three elements nearest a pair's phase:
-    the action's `lattice_order`, built for this base, with m > 3 (at m <= 3
-    those three are the whole group).  Else None."""
-    m = space.action.lattice_order
-    return None if m is None or m <= 3 or space.action.space != space.base else m
 
 
 @functools.cache
@@ -1625,23 +1601,15 @@ def _lattice_tables(m: int) -> tuple:
     return (half, *tables)
 
 
-def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray:
-    """Orbit-minimal distances of a Z_m rotation quotient in one evaluation.
-
-    The quotient's action must have a `rotation_order` (see
-    `actions.GroupAction.rotation_order`).  `cross` gives the (len(A),
-    len(B)) matrix, otherwise the distances of paired rows.
-    """
-    base = space.base
-    cone = _root_cone(base)
-    if cone is None:
-        C, Hr, Hi = base.rotation_terms(A, B, cross)
-    else:
-        C, Hr, Hi = cone.base.rotation_terms(A.base, B.base, cross)
-    # C + |H| cos(delta) = C + Re(e^{i theta_k} H) at the lattice angle
-    # theta_k = k * 2 pi / m nearest to -arg H, with cos/sin of theta_k from the tables
-    m = space.action.rotation_order
+def _lattice_cosine(m: int, C, Hr, Hi):
+    """C + |H| cos(delta) = C + Re(e^{i theta_k} H) at the lattice angle
+    theta_k = k * 2 pi / m nearest to -arg H, with cos/sin of theta_k from the
+    tables.  On arrays it writes over Hr's buffer; on the numbers of one pair
+    it calls numpy's arctan2 on floats, for an array entry's bits."""
     half, cos_table, sin_table = _lattice_tables(m)
+    if _xp(Hr) is math:
+        k = round(float(np.arctan2(Hi, Hr)) * (-1.0 / (2.0 * PI / m))) + half  # half to even, as np.rint
+        return cos_table[k] * Hr - sin_table[k] * Hi + C
     k = np.arctan2(Hi, Hr)
     k *= -1.0 / (2.0 * PI / m)
     k = np.rint(k, out=k).astype(np.intp)
@@ -1652,8 +1620,26 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
     sin_part *= Hi
     best -= sin_part
     best += C
+    return best
+
+
+def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray:
+    """Orbit-minimal distances of a Z_m rotation quotient in one evaluation.
+
+    The quotient's action must have a `rotation_order` (see
+    `actions.GroupAction.rotation_order`).  `cross` gives the (len(A),
+    len(B)) matrix, otherwise the distances of paired rows.  On unit factors
+    the lattice cosine of the turned tree goes to the root cone's law, or to
+    arccos; over a sphere leaf of another radius, the leaf's lattice cosine
+    goes to the base's `leaf_law`, once.
+    """
+    base, m = space.base, space.action.rotation_order
+    if not _unit_rotation(base):
+        return base.leaf_law(A, B, _lattice_cosine(m, *base.leaf_terms(A, B, cross)), cross)
+    cone = _root_cone(base)
     if cone is None:
-        return clamped_arccos(best)
+        return clamped_arccos(_lattice_cosine(m, *base.rotation_terms(A, B, cross)))
+    best = _lattice_cosine(m, *cone.base.rotation_terms(A.base, B.base, cross))
     np.minimum(np.maximum(best, -1.0, out=best), 1.0, out=best)  # a cosine, as the cone law expects
     return _cone_law(cone.k, *_pairs(A.t, B.t, cross), best)
 
@@ -1661,25 +1647,23 @@ def rotation_quotient_distance(space: Quotient, A, B, cross: bool) -> np.ndarray
 def rotation_pair_distance(space: Quotient, p, q) -> float | None:
     """`rotation_quotient_distance` of the one pair p, q, on numbers: each
     point checked once, then H, the lattice index, the table cosine and the
-    law, with numpy's sums, arctan2, arccos and cone-law functions called on
+    law, with numpy's sums, arctan2, arccos and law functions called on
     floats, so the value has the kernel's bits.  None where p or q is not a
     point of the base (`pack_points` then reports it)."""
-    cone = _root_cone(space.base)
+    base, m = space.base, space.action.rotation_order
+    if not _unit_rotation(base):
+        terms = base.leaf_pair_terms(p, q)
+        return None if terms is None else float(base.leaf_distance(p, q, _lattice_cosine(m, *terms), np))
+    cone = _root_cone(base)
     if cone is None:
-        pair, terms = None, space.base.pair_terms(p, q)
-    else:
-        pair = cone._radial_pair(p, q)
-        terms = None if pair is None else cone.base.pair_terms(pair[1], pair[3])
+        terms = base.pair_terms(p, q)
+        return None if terms is None else clamped_arccos(_lattice_cosine(m, *terms), np)
+    pair = cone._radial_pair(p, q)
+    terms = None if pair is None else cone.base.pair_terms(pair[1], pair[3])
     if terms is None:
         return None
-    C, Hr, Hi = terms
-    m = space.action.rotation_order
-    half, cos_table, sin_table = _lattice_tables(m)
-    k = round(float(np.arctan2(Hi, Hr)) * (-1.0 / (2.0 * PI / m))) + half  # half to even, as np.rint
-    best = cos_table[k] * Hr - sin_table[k] * Hi + C
-    if cone is None:
-        return clamped_arccos(best, np)
-    return float(_cone_law(cone.k, pair[0], pair[2], min(max(float(best), -1.0), 1.0), np))
+    best = float(_lattice_cosine(m, *terms))
+    return float(_cone_law(cone.k, pair[0], pair[2], min(max(best, -1.0), 1.0), np))
 
 
 # matrix entries per block of every pass over an n-column matrix: each row

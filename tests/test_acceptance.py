@@ -24,6 +24,7 @@ from alexgeo.spaces import (
     Sphere,
     Suspension,
 )
+from test_comparison import riccati_integrate
 
 PI = math.pi
 HALF_PI = math.pi / 2.0
@@ -136,7 +137,7 @@ def test_criterion_6_closed_form_identities():
             for r in np.linspace(0.05 * r0, 0.8 * r0, 28):
                 worst_riccati = max(
                     worst_riccati,
-                    abs(cmp.riccati_integrate(k, lam0, float(r), 1e-3)
+                    abs(riccati_integrate(k, lam0, float(r), 1e-3)
                         - cmp.model_lambda(k, lam0, float(r))),
                 )
                 count += 1

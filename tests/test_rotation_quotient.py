@@ -1,6 +1,6 @@
 """The shortcuts of quotient distances against the element loop: the closed-form
-orbit minimum of cyclic rotations, the three nearest elements of scalar
-`distance`, and the kernel's largest sphere-leaf cosine."""
+orbit minimum of cyclic rotations, in the kernel and in scalar `distance`, and
+the kernel's largest sphere-leaf cosine for other groups."""
 
 import math
 
@@ -15,7 +15,7 @@ PI = math.pi
 HALF_PI = math.pi / 2.0
 ULP = 2.0**-52
 
-ROTATION_BASES = {
+UNIT_BASES = {
     "S1": Sphere(1, 1.0),
     "S3": Sphere(3, 1.0),
     "cone_k1": Cone(1.0, Sphere(1, 1.0), 1.0),
@@ -25,9 +25,26 @@ ROTATION_BASES = {
     "join_s3_cap": Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0)),
     "suspension_s1": Suspension(Sphere(1, 1.0)),
 }
+# chains of cones and suspensions over a circle or Hopf sphere of radius other
+# than 1: the closed form over the sphere leaf, then the base's leaf law
+LEAF_BASES = {
+    "cap075": Cone(1.0, Sphere(1, 0.75), HALF_PI),
+    "S1(0.75)": Sphere(1, 0.75),
+    "S1(2)": Sphere(1, 2.0),
+    "cone_k0(0.75)": Cone(0.0, Sphere(1, 0.75), 1.0),
+    "cone_k-1(0.5)": Cone(-1.0, Sphere(1, 0.5), 1.0),
+    "suspension_s1(0.5)": Suspension(Sphere(1, 0.5)),
+    "suspension_cap075": Suspension(Cone(1.0, Sphere(1, 0.75), 1.0)),
+    "S3(0.5)": Sphere(3, 0.5),
+}
+ROTATION_BASES = {**UNIT_BASES, **LEAF_BASES}
 ORDERS = (2, 3, 8, 64)
-# nets of 200-600 points; the join's grid grows fast below epsilon 1
-NET_EPSILON = {"S1": 0.01, "S3": 0.35, "join_s3_cap": 1.0, "suspension_s1": 0.15}
+LEAF_ORDERS = (2, 3, 8, 64, 256)
+ROTATION_CASES = ([(name, m) for name in sorted(UNIT_BASES) for m in ORDERS]
+                  + [(name, m) for name in sorted(LEAF_BASES) for m in LEAF_ORDERS])
+# nets of 60-600 points; the join's grid grows fast below epsilon 1
+NET_EPSILON = {"S1": 0.01, "S3": 0.35, "join_s3_cap": 1.0, "suspension_s1": 0.15, "S1(0.75)": 0.01,
+               "S1(2)": 0.02, "S3(0.5)": 0.2, "suspension_s1(0.5)": 0.12, "suspension_cap075": 0.3}
 NET_BUDGET = 600
 
 
@@ -37,8 +54,38 @@ def _tolerance(m, d):
     return 1e-10 + m * ULP / d
 
 
-@pytest.mark.parametrize("m", ORDERS)
-@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+def _tie_pairs(base, action, P):
+    """Ties of the lattice: q = p, q half a step from p or from an element's
+    image of p, the apex or a pole where the base has one, and on a 3-sphere
+    pairs with H = 0 up to rounding, where every element is as good."""
+    m = action.order
+    half = actions.cyclic_approximation(base, 2 * m).generators[0]  # rotation by pi / m
+    g = action.elements[m // 3]
+    pairs = [(p, p) for p in P[:10]]
+    pairs += [(p, half.apply_point(p)) for p in P[:10]]
+    pairs += [(p, half.apply_point(g.apply_point(p))) for p in P[:10]]
+    if isinstance(base, Sphere) and base.dim == 3:
+        rng = np.random.default_rng(m)
+        pairs += [_orthogonal_hopf_pair(rng) for _ in range(10)]
+    elif not isinstance(base, (Sphere, Join)):
+        top = PI if isinstance(base, Suspension) else 0.0
+        pairs += [((0.0, p[1]), q) for p, q in zip(P[:10], P[10:20])]
+        pairs += [(p, (top, q[1])) for p, q in zip(P[:10], P[10:20])]
+    return pairs
+
+
+def _orthogonal_hopf_pair(rng):
+    """Unit x, y in R^4 with y orthogonal to x and to i x, so H = 0 up to rounding."""
+    x = rng.standard_normal(4)
+    x /= np.linalg.norm(x)
+    ix = np.array([-x[1], x[0], -x[3], x[2]])
+    y = rng.standard_normal(4)
+    y -= (y @ x) * x
+    y -= (y @ ix) * ix
+    return x, y / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("name, m", ROTATION_CASES)
 def test_closed_form_matches_loop(name, m):
     base = ROTATION_BASES[name]
     action = actions.cyclic_approximation(base, m)
@@ -47,6 +94,8 @@ def test_closed_form_matches_loop(name, m):
     rng = np.random.default_rng(m)
     P = nets.random_points(base, 60, rng)
     R = nets.random_points(base, 60, rng)
+    pairs = list(zip(P, R)) + _tie_pairs(base, action, P)
+    P, R = [p for p, _ in pairs], [r for _, r in pairs]
     loop = np.array([spaces.quotient_distance(Q, p, r) for p, r in zip(P, R)])
     scalar = np.array([spaces.distance(Q, p, r) for p, r in zip(P, R)])
     A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
@@ -65,8 +114,7 @@ def test_closed_form_matches_loop(name, m):
     assert np.all(np.abs(cross - loop_cross)[far] <= _tolerance(m, loop_cross[far]))
 
 
-@pytest.mark.parametrize("m", ORDERS)
-@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+@pytest.mark.parametrize("name, m", ROTATION_CASES)
 def test_net_keeps_the_loops_points(name, m, monkeypatch):
     base = ROTATION_BASES[name]
     Q = Quotient(base, actions.cyclic_approximation(base, m))
@@ -91,157 +139,52 @@ def test_lattice_tables_are_shared_and_read_only():
     assert half == 33 and cos.shape == sin.shape == (67,)
 
 
-def test_reloaded_action_keeps_the_closed_form():
-    base = Join(Sphere(3, 1.0), Cone(1.0, Sphere(1, 1.0), 1.0))
+@pytest.mark.parametrize("name", ["join_s3_cap", "cap075"])
+def test_reloaded_action_keeps_the_closed_form(name):
+    base = ROTATION_BASES[name]
     Q = serialize.space_from_json(
         serialize.space_to_json(Quotient(base, actions.cyclic_approximation(base, 64)))
     )
     assert Q.action.rotation_order == 64
 
 
-# Bases a Z_m rotation turns where no closed form applies (circle and Hopf
-# factors of radius other than 1), so scalar `distance` reads the three
-# elements nearest the pair's phase, for m > 3
-LATTICE_BASES = {
-    "cap075": Cone(1.0, Sphere(1, 0.75), HALF_PI),
-    "S1(0.75)": Sphere(1, 0.75),
-    "S1(2)": Sphere(1, 2.0),
-    "cone_k0": Cone(0.0, Sphere(1, 0.75), 1.0),
-    "cone_k-1": Cone(-1.0, Sphere(1, 0.5), 1.0),
-    "suspension_s1(0.5)": Suspension(Sphere(1, 0.5)),
-    "S3(0.5)": Sphere(3, 0.5),
-}
-LATTICE_ORDERS = (2, 3, 4, 8, 64, 256)
-
-
-def _lattice_pairs(base, action, P, R):
-    """The pairs of P and R, then ties: q = p, q half a step from p or from an
-    element's image of p, and the apex or a pole where the base has one."""
-    m = action.order
-    half = actions.cyclic_approximation(base, 2 * m).generators[0]  # rotation by pi / m
-    g = action.elements[m // 3]
-    pairs = list(zip(P, R))
-    pairs += [(p, p) for p in P[:10]]
-    pairs += [(p, half.apply_point(p)) for p in P[:10]]
-    pairs += [(p, half.apply_point(g.apply_point(p))) for p in P[:10]]
-    if not isinstance(base, Sphere):
-        top = PI if isinstance(base, Suspension) else 0.0
-        pairs += [((0.0, p[1]), r) for p, r in zip(P[:10], R[:10])]
-        pairs += [(p, (top, r[1])) for p, r in zip(P[:10], R[:10])]
-    return pairs
-
-
-def _orthogonal_hopf_pair(rng):
-    """Unit x, y in R^4 with y orthogonal to x and to i x, so H = 0 up to rounding."""
-    x = rng.standard_normal(4)
-    x /= np.linalg.norm(x)
-    ix = np.array([-x[1], x[0], -x[3], x[2]])
-    y = rng.standard_normal(4)
-    y -= (y @ x) * x
-    y -= (y @ ix) * ix
-    return x, y / np.linalg.norm(y)
-
-
-class TestNearestElements:
-    """Scalar `distance` on a rotation quotient with no closed form against the element loop."""
-
-    @pytest.mark.parametrize("m", LATTICE_ORDERS)
-    @pytest.mark.parametrize("name", sorted(LATTICE_BASES))
-    def test_matches_loop_bit_for_bit(self, name, m):
-        base = LATTICE_BASES[name]
-        action = actions.cyclic_approximation(base, m)
-        assert action.rotation_order is None
-        assert action.lattice_order == m
-        Q = Quotient(base, action)
-        rng = np.random.default_rng(m)
-        P, R = base.random_points(100, rng), base.random_points(100, rng)
-        for p, q in _lattice_pairs(base, action, P, R):
-            assert spaces.distance(Q, p, q) == spaces.quotient_distance(Q, p, q)
-
-    def test_reads_at_most_three_elements(self, monkeypatch):
-        base = LATTICE_BASES["cap075"]
-        Q = Quotient(base, actions.cyclic_approximation(base, 64))
-        calls, loops = [], []
-        law, loop = Cone.distance, spaces.quotient_distance
-        monkeypatch.setattr(Cone, "distance", lambda self, p, q: calls.append(1) or law(self, p, q))
-        monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
-        rng = np.random.default_rng(4)
-        for p, q in zip(base.random_points(50, rng), base.random_points(50, rng)):
-            calls.clear()
-            spaces.distance(Q, p, q)
-            assert len(calls) <= 3
-        assert not loops
-
-    @pytest.mark.parametrize("m", (8, 64, 256))
-    def test_phase_near_zero_takes_the_loop(self, m, monkeypatch):
-        # with H = 0 every element's cosine is rounding noise, so three elements
-        # cannot stand for the loop; a 3-sphere pair can reach that, a circle pair cannot
-        base = LATTICE_BASES["S3(0.5)"]
-        Q = Quotient(base, actions.cyclic_approximation(base, m))
-        loops = []
-        loop = spaces.quotient_distance
-        monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
-        rng = np.random.default_rng(m)
-        for _ in range(100):
-            x, y = _orthogonal_hopf_pair(rng)
-            assert spaces.distance(Q, x, y) == loop(Q, x, y)
-        assert len(loops) == 100
-
-
-def _non_group_cap075():
+def _non_group(base):
     # identity, R, R^2 and R^3 after a reflection: each element moves the
     # canonical point by its index, yet the list is no group
-    base = LATTICE_BASES["cap075"]
     cyc = actions.cyclic_approximation(base, 4)
     flip = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
     elements = (*cyc.elements[:3], actions.compose(cyc.elements[3], flip))
     return Quotient(base, actions.GroupAction(base, elements, generators=cyc.generators))
 
 
-def _shuffled_cap075():
-    base = LATTICE_BASES["cap075"]
+def _shuffled(base):
     cyc = actions.cyclic_approximation(base, 64)
     rest = list(cyc.elements[1:])
     np.random.default_rng(0).shuffle(rest)
     return Quotient(base, actions.GroupAction(base, (cyc.elements[0], *rest), generators=cyc.generators))
 
 
-def test_reloaded_action_keeps_the_nearest_elements():
-    base = LATTICE_BASES["cap075"]
-    Q = serialize.space_from_json(
-        serialize.space_to_json(Quotient(base, actions.cyclic_approximation(base, 64)))
-    )
-    assert Q.action.lattice_order == 64
+def _shuffled_cap075():
+    return _shuffled(LEAF_BASES["cap075"])
+
+
+# lists that keep the cyclic surrogate's generator but are not its powers in
+# order, on a unit cap and on cap075
+OTHER_LISTS = {
+    "shuffled-list": (_shuffled_cap075, 64),
+    "non-group-list": (lambda: _non_group(LEAF_BASES["cap075"]), 4),
+    "unit-shuffled-list": (lambda: _shuffled(UNIT_BASES["cone_k1"]), 64),
+    "unit-non-group-list": (lambda: _non_group(UNIT_BASES["cone_k1"]), 4),
+}
 
 
 class TestFallback:
-    def test_non_unit_circle_matches_loop_bit_for_bit(self):
-        base = Cone(1.0, Sphere(1, 0.75), HALF_PI)
-        for m in (8, 64, 256):
-            action = actions.cyclic_approximation(base, m)
-            assert action.rotation_order is None
-            assert action.cyclic_order == action.lattice_order == m
-            Q = Quotient(base, action)
-            rng = np.random.default_rng(3)
-            P = nets.random_points(base, 40, rng)
-            R = nets.random_points(base, 40, rng)
-            for p, r in _lattice_pairs(base, action, P, R):
-                assert spaces.distance(Q, p, r) == spaces.quotient_distance(Q, p, r)
-            A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
-            loop_cross = np.min(
-                [spaces.cross_distance(base, A, g.apply(B)) for g in action.elements],
-                axis=0,
-            )
-            assert np.array_equal(spaces.cross_distance(Q, A, B), loop_cross)
-
     @pytest.mark.parametrize("make", [
         lambda: Quotient(Join(Sphere(1, 0.75), Sphere(1, 1.0)),
                          actions.cyclic_approximation(Join(Sphere(1, 0.75), Sphere(1, 1.0)), 64)),
-        _shuffled_cap075,
-        _non_group_cap075,
+        *(make for make, _ in OTHER_LISTS.values()),
         lambda: Quotient(Sphere(1, 0.75), actions.cyclic_approximation(Sphere(1, 0.5), 64)),
-        lambda: Quotient(LATTICE_BASES["cap075"], actions.cyclic_approximation(LATTICE_BASES["cap075"], 3)),
-    ], ids=["non-unit-join", "shuffled-list", "non-group-list", "another-base", "order-3"])
+    ], ids=["non-unit-join", *OTHER_LISTS, "another-base"])
     def test_other_actions_take_the_loop(self, make, monkeypatch):
         Q = make()
         loops = []
@@ -253,19 +196,15 @@ class TestFallback:
             assert spaces.distance(Q, p, q) == loop(Q, p, q)
         assert len(loops) == len(pairs)
 
-    @pytest.mark.parametrize("make, m", [(_shuffled_cap075, 64), (_non_group_cap075, 4)],
-                             ids=["shuffled-list", "non-group-list"])
-    def test_other_lists_keep_their_cyclic_order(self, make, m):
+    @pytest.mark.parametrize("label", sorted(OTHER_LISTS))
+    def test_other_lists_keep_their_cyclic_order(self, label):
+        make, m = OTHER_LISTS[label]
         action = make().action
         assert action.cyclic_order == m
-        assert action.lattice_order is None
+        assert action.rotation_order is None
 
-    @pytest.mark.parametrize(
-        "base",
-        [Sphere(1, 0.75), Join(Sphere(1, 0.75), Sphere(1, 1.0)), Suspension(Cone(1.0, Sphere(1, 0.75), 1.0))],
-    )
-    def test_non_unit_factors_fall_back(self, base):
-        assert actions.cyclic_approximation(base, 8).rotation_order is None
+    def test_non_unit_factors_fall_back(self):
+        assert actions.cyclic_approximation(Join(Sphere(1, 0.75), Sphere(1, 1.0)), 8).rotation_order is None
 
     def test_reflection_falls_back(self):
         base = Sphere(1, 1.0)
@@ -299,7 +238,8 @@ class TestFallback:
 
 
 # ---------------------------------------------------------------------------
-# the sphere-leaf branch of the quotient kernel against a plain element loop
+# the sphere-leaf branch of the quotient kernel (groups that keep the radii
+# but are no cyclic rotation) against a plain element loop
 # ---------------------------------------------------------------------------
 
 
@@ -324,7 +264,7 @@ def _reflection(base):
 
 def _antipode(base, point):
     """`point` with its sphere leaf negated."""
-    return -point if isinstance(base, Sphere) else (point[0], -point[1])
+    return -point if isinstance(base, Sphere) else (point[0], _antipode(base.base, point[1]))
 
 
 def _kernel_pairs(base, action, n, seed):
@@ -343,21 +283,21 @@ def _kernel_pairs(base, action, n, seed):
     return spaces.pack_points(base, ps), spaces.pack_points(base, qs)
 
 
-# the groups the leaf branch covers: Z_m, {Id, reflection}, and the dihedral
-# group of the Z_8 rotation and the reflection
-LEAF_GROUPS = ("Z2", "Z3", "Z8", "Z64", "Z256", "reflection", "dihedral")
-LEAF_CASES = [(name, label) for name in sorted(LATTICE_BASES) for label in LEAF_GROUPS]
+# the groups the leaf branch covers: {Id, reflection}, and the groups the
+# Z_m rotation and the reflection generate ("dihedral" at m = 8): dihedral on
+# a circle leaf, of order m^2 on a Hopf leaf, where the reflection turns one
+# complex coordinate only
+LEAF_GROUPS = ("reflection", "dihedral3", "dihedral", "dihedral64")
+LEAF_CASES = [(name, label) for name in sorted(LEAF_BASES) for label in LEAF_GROUPS]
 
 
 def _leaf_quotient(name, label):
-    base = LATTICE_BASES[name]
+    base = LEAF_BASES[name]
     if label == "reflection":
         action = actions.GroupAction(base, (actions.Identity(), _reflection(base)))
-    elif label == "dihedral":
-        rotation = actions.cyclic_approximation(base, 8).generators[0]
-        action = actions.group_from_generators(base, [rotation, _reflection(base)])
     else:
-        action = actions.cyclic_approximation(base, int(label[1:]))
+        rotation = actions.cyclic_approximation(base, int(label[8:] or 8)).generators[0]
+        action = actions.group_from_generators(base, [rotation, _reflection(base)])
     return Quotient(base, action)
 
 
@@ -388,9 +328,9 @@ class TestLeafKernel:
         assert np.array_equal(D, spaces.self_distance_matrix(Q, coords, block=16))
 
     @pytest.mark.parametrize("name, label, eps", [
-        ("cap075", "Z8", 0.12), ("cap075", "Z64", 0.12), ("cap075", "reflection", 0.12),
-        ("cap075", "dihedral", 0.12), ("S1(0.75)", "Z64", 0.01), ("S3(0.5)", "Z8", 0.2),
-        ("cone_k-1", "Z8", 0.12), ("suspension_s1(0.5)", "Z8", 0.12),
+        ("cap075", "dihedral3", 0.12), ("cap075", "dihedral64", 0.12), ("cap075", "reflection", 0.12),
+        ("cap075", "dihedral", 0.12), ("S1(0.75)", "dihedral64", 0.01), ("S3(0.5)", "dihedral", 0.2),
+        ("cone_k-1(0.5)", "dihedral", 0.12), ("suspension_s1(0.5)", "dihedral", 0.12),
     ])
     def test_net_matches_loop(self, name, label, eps, monkeypatch):
         Q = _leaf_quotient(name, label)
@@ -402,9 +342,8 @@ class TestLeafKernel:
         assert np.array_equal(net.dist, loop.dist)
 
     def test_applies_the_law_once(self, monkeypatch):
-        base = LATTICE_BASES["cap075"]
-        Q = Quotient(base, actions.cyclic_approximation(base, 64))
-        A, B = _kernel_pairs(base, Q.action, 30, 2)
+        Q = _leaf_quotient("cap075", "dihedral64")
+        A, B = _kernel_pairs(Q.base, Q.action, 30, 2)
         expected = _element_loop(Q, A, B, True)
         laws = []
         law = spaces._cone_law
@@ -414,9 +353,8 @@ class TestLeafKernel:
 
     def test_clamp_tracks_the_kept_cosine(self):
         # a leaf within the 1e-12 unit tolerance pushes <x, x> past 1 at the identity
-        base = LATTICE_BASES["cap075"]
-        Q = Quotient(base, actions.cyclic_approximation(base, 8))
-        C = spaces.pack_points(base, [(1.0, np.array([1.0 + 5e-13, 0.0]))])
+        Q = _leaf_quotient("cap075", "dihedral")
+        C = spaces.pack_points(Q.base, [(1.0, np.array([1.0 + 5e-13, 0.0]))])
         with spaces.track_clamping() as stats:
             D = spaces.cross_distance(Q, C, C)
         assert D[0, 0] == 0.0
@@ -424,7 +362,7 @@ class TestLeafKernel:
 
 
 def _pole_swap_quotient():
-    base = LATTICE_BASES["suspension_s1(0.5)"]
+    base = LEAF_BASES["suspension_s1(0.5)"]
     rotation = actions.cyclic_approximation(base, 8).generators[0]
     swap = actions.SuspensionMap(True, actions.Identity())
     return Quotient(base, actions.group_from_generators(base, [rotation, swap]))
@@ -478,8 +416,7 @@ def test_nodes_say_whether_they_keep_the_radii():
 
 
 # ---------------------------------------------------------------------------
-# scalar `distance` on one pair: the closed form on floats, and the three
-# nearest elements with the base law once
+# scalar `distance` on one pair: the closed form on floats
 # ---------------------------------------------------------------------------
 
 
@@ -517,8 +454,7 @@ def _pair_cases(base, m):
     return Q, pairs
 
 
-@pytest.mark.parametrize("m", ORDERS + (256,))
-@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
+@pytest.mark.parametrize("name, m", ROTATION_CASES + [(name, 256) for name in sorted(UNIT_BASES)])
 def test_pair_closed_form_has_the_one_row_bits(name, m):
     # the one-pair path calls numpy's primitives on floats, in the kernel's order
     Q, pairs = _pair_cases(ROTATION_BASES[name], m)
@@ -548,13 +484,13 @@ def _sphere_bad():
     }
 
 
-def _closed_cone_bad():
+def _closed_cone_bad(top):
     return {
         "non-unit leaf": ((0.5, [1.0, 1.0]), "sphere point [1.0, 1.0] is not a unit vector (|x| = 1.4142135623730951)"),
         "wrong shape": ((0.5, [1.0, 0.0, 0.0]), "sphere coordinates must be rows of 2 numbers, got shape (1, 3)"),
-        "radial above": ((1.5, Y), "cone radial coordinate 1.5 outside [0, 1.0]"),
-        "radial below": ((-0.1, Y), "cone radial coordinate -0.1 outside [0, 1.0]"),
-        "NaN radial": ((NAN, Y), "cone radial coordinate nan outside [0, 1.0]"),
+        "radial above": ((top + 0.5, Y), f"cone radial coordinate {top + 0.5} outside [0, {top}]"),
+        "radial below": ((-0.1, Y), f"cone radial coordinate -0.1 outside [0, {top}]"),
+        "NaN radial": ((NAN, Y), f"cone radial coordinate nan outside [0, {top}]"),
         "NaN leaf": ((0.5, [NAN, 0.0]), "sphere point [nan, 0.0] is not a unit vector (|x| = nan)"),
         "bool radial": ((True, Y), "scalar coordinates must be numbers, got True"),
         "string radial": (("0.5", Y), "scalar coordinates must be numbers, got '0.5'"),
@@ -566,33 +502,13 @@ def _closed_cone_bad():
     }
 
 
-def _lattice_cone_bad():
-    # the loop names the point it reads, u = p or v = g q
-    top = "[0, 1.5707963267948966]"
-    return {
-        "non-unit leaf": ((0.5, [1.0, 1.0]), "sphere point {w} = [1.0, 1.0] is not a unit vector (|{w}| = 1.4142135623730951)"),
-        "wrong shape": ((0.5, [1.0, 0.0, 0.0]), "sphere point {w} must have shape (2,), got (3,)"),
-        "radial above": ((HALF_PI + 0.5, Y), f"cone radial coordinate 2.0707963267948966 outside {top}"),
-        "radial below": ((-0.1, Y), f"cone radial coordinate -0.1 outside {top}"),
-        "NaN radial": ((NAN, Y), f"cone radial coordinate nan outside {top}"),
-        "NaN leaf": ((0.5, [NAN, 0.0]), "sphere point {w} = [nan, 0.0] is not a unit vector (|{w}| = nan)"),
-        "bool radial": ((True, Y), "cone radial coordinates must be numbers, got True"),
-        "string radial": (("0.5", Y), "cone radial coordinates must be numbers, got '0.5'"),
-        "string leaf": ((0.5, ["a", 0.0]),
-                        "sphere points must be sequences of numbers: could not convert string to float: 'a'"),
-        "tuple arity 1": ((0.5,), "Cone points must be tuples of 2 coordinates"),
-        "tuple arity 3": ((0.5, Y, 1.0), "Cone points must be tuples of 2 coordinates"),
-        "no tuple": (0.5, "Cone points must be tuples of 2 coordinates"),
-    }
-
-
-# the messages of commit d70947a, where the closed form packed each point
-# and `check_coords` reported it, and the three nearest elements ran `distance`
+# the messages of `check_coords`, which reports a bad point of every
+# closed-form quotient
 ERROR_CASES = {
     "S3/Z256": (Sphere(3, 1.0), 256, _sphere_bad()),
-    "cap/Z64": (Cone(1.0, Sphere(1, 1.0), 1.0), 64, _closed_cone_bad()),
-    "Cone(-1, S1, 1)/Z8": (Cone(-1.0, Sphere(1, 1.0), 1.0), 8, _closed_cone_bad()),
-    "cap075/Z64": (LATTICE_BASES["cap075"], 64, _lattice_cone_bad()),
+    "cap/Z64": (Cone(1.0, Sphere(1, 1.0), 1.0), 64, _closed_cone_bad(1.0)),
+    "Cone(-1, S1, 1)/Z8": (Cone(-1.0, Sphere(1, 1.0), 1.0), 8, _closed_cone_bad(1.0)),
+    "cap075/Z64": (LEAF_BASES["cap075"], 64, _closed_cone_bad(HALF_PI)),
 }
 
 
@@ -630,10 +546,10 @@ def test_pair_closed_form_tracks_clamps_as_the_one_row_kernel(name):
         assert scalar == (stats.count, stats.max_excess)
 
 
-@pytest.mark.parametrize("name", sorted(ROTATION_BASES))
-def test_pair_closed_form_packs_nothing(name, monkeypatch):
+@pytest.mark.parametrize("name, m", ROTATION_CASES)
+def test_pair_closed_form_packs_nothing(name, m, monkeypatch):
     base = ROTATION_BASES[name]
-    Q = Quotient(base, actions.cyclic_approximation(base, 64))
+    Q = Quotient(base, actions.cyclic_approximation(base, m))
     calls = []
     for fn in ("pack_points", "rotation_quotient_distance", "quotient_distance"):
         orig = getattr(spaces, fn)
@@ -644,37 +560,31 @@ def test_pair_closed_form_packs_nothing(name, monkeypatch):
     assert not calls
 
 
-@pytest.mark.parametrize("name", ["cap075", "cone_k0", "cone_k-1", "suspension_s1(0.5)"])
-def test_nearest_elements_apply_the_law_once(name, monkeypatch):
-    base = LATTICE_BASES[name]
+@pytest.mark.parametrize("name, law", [
+    ("cap075", "_cone_law"), ("cone_k0(0.75)", "_cone_law"), ("cone_k-1(0.5)", "_cone_law"),
+    ("suspension_s1(0.5)", "_cone_law"), ("S1(0.75)", "clamped_arccos"), ("S3(0.5)", "clamped_arccos"),
+])
+def test_leaf_closed_form_applies_the_law_once(name, law, monkeypatch):
+    # scalar `distance` and the kernel each apply the root's law once, to the lattice cosine
+    base = LEAF_BASES[name]
     Q = Quotient(base, actions.cyclic_approximation(base, 64))
-    laws, loops = [], []
-    law, loop = spaces._cone_law, spaces.quotient_distance
-    monkeypatch.setattr(spaces, "_cone_law", lambda *a: laws.append(1) or law(*a))
-    monkeypatch.setattr(spaces, "quotient_distance", lambda *a: loops.append(1) or loop(*a))
     rng = np.random.default_rng(8)
-    for p, q in zip(base.random_points(20, rng), base.random_points(20, rng)):
-        laws.clear()
-        spaces.distance(Q, p, q)
-        assert len(laws) == 1
-    assert not loops
-
-
-def test_nearest_elements_on_a_sphere_take_one_arccos(monkeypatch):
-    base = LATTICE_BASES["S1(0.75)"]
-    Q = Quotient(base, actions.cyclic_approximation(base, 64))
+    P, R = base.random_points(20, rng), base.random_points(20, rng)
+    A, B = spaces.pack_points(base, P), spaces.pack_points(base, R)
     calls = []
-    arccos = spaces.clamped_arccos
-    monkeypatch.setattr(spaces, "clamped_arccos", lambda *a: calls.append(1) or arccos(*a))
-    rng = np.random.default_rng(9)
-    for p, q in zip(base.random_points(20, rng), base.random_points(20, rng)):
+    orig = getattr(spaces, law)
+    monkeypatch.setattr(spaces, law, lambda *a, **kw: calls.append(1) or orig(*a, **kw))
+    for p, q in zip(P, R):
         calls.clear()
         spaces.distance(Q, p, q)
         assert len(calls) == 1
+    calls.clear()
+    spaces.cross_distance(Q, A, B)
+    assert len(calls) == 1
 
 
 def _reflected_cap075():
-    base = LATTICE_BASES["cap075"]
+    base = LEAF_BASES["cap075"]
     flip = actions.ConeMap(actions.OrthogonalMap(actions.circle_reflection_matrix()))
     return Quotient(base, actions.GroupAction(base, (actions.Identity(), flip)))
 

@@ -11,11 +11,11 @@ Usage, from the repository root:
 
 It takes no options.  The catalogue is run at seeds 42, 1 and 7; each net
 is built at epsilon 0.1, seed 1.  The nets cover every strategy: grids, the
-ellipsoid's farthest-point net (loaded by parsing its CSV), and
-quotients whose distances take the closed-form rotation (S3/Z8) or read
-the element list: the largest leaf cosine over it, then the base law once,
-on cones and suspensions over a circle of radius other than 1 (Z8, Z64 and
-a reflection group).  Per seed it
+ellipsoid's farthest-point net (loaded by parsing its CSV), quotients whose
+distances take the closed-form rotation, over unit factors (S3/Z8) and over
+a circle of radius other than 1 under a cone or a suspension (Z8 and Z64),
+and a quotient that reads its element list (a reflection group): the
+largest leaf cosine over it, then the base law once.  Per seed it
 prints two digests: of every record, and of every record but the metric
 audits' records, so a change to the audit alone can show that all other
 records stayed byte-identical.
@@ -33,11 +33,12 @@ Each hand-built catalogue quotient (the reflections and pole swaps of
 whether `serialize.space_from_json` gives back a quotient with the same
 JSON text and the same elements.
 Each `scalar-quotient` line is the sha256 of the float64 bytes of scalar
-`distance` over 500 seeded pairs on a cyclic quotient: the cone over a
-circle of radius 0.75 at m = 8, 64 and 256 (no closed form applies: the
-three elements nearest the pair's phase), and the closed-form rotation on
-every kind of root it takes: S3/Z256, S1/Z64, cones of k = 1, 0 and -1
-over the unit circle, a suspension and a join.
+`distance` over 500 seeded pairs on a cyclic quotient, one line for every
+kind of root the closed-form rotation takes.  Over a sphere leaf of radius
+other than 1: the cone over a circle of radius 0.75 at m = 8, 64 and 256,
+S1(0.75)/Z64, `Cone(-1, S1(0.5), 1)`/Z8 and `Suspension(S1(0.75))`/Z8.
+Over unit factors: S3/Z256, S1/Z64, cones of k = 1, 0 and -1 over the unit
+circle, a suspension and a join.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def scalar_quotient_cases():
     cap075 = Cone(1.0, Sphere(1, 0.75), math.pi / 2)
     cap = Cone(1.0, Sphere(1, 1.0), 1.0)
     return [(f"Cone(1, S1(0.75), pi/2)/Z{m}", _quotient(cap075, m)) for m in (8, 64, 256)] + [
+        ("S1(0.75)/Z64", _quotient(Sphere(1, 0.75), 64)),
+        ("Cone(-1, S1(0.5), 1)/Z8", _quotient(Cone(-1.0, Sphere(1, 0.5), 1.0), 8)),
+        ("Suspension(S1(0.75))/Z8", _quotient(Suspension(Sphere(1, 0.75)), 8)),
         ("S3/Z256", _quotient(Sphere(3, 1.0), 256)),
         ("Cone(1, S1, 1)/Z64", _quotient(cap, 64)),
         ("Cone(0, S1, 1)/Z8", _quotient(Cone(0.0, Sphere(1, 1.0), 1.0), 8)),
