@@ -45,7 +45,6 @@ from .actions import (
 from .nets import (
     FiniteNet,
     covering_check,
-    ellipsoid_distance,
     epsilon_net,
     random_points,
     verify_curvature,

@@ -5,11 +5,7 @@ maps on sphere factors, the midpoint reflection on intervals, pole swaps on
 suspensions, and componentwise (diagonal) maps on joins and cones.  Each
 node carries its own packed action (`apply`), composition (`after`), JSON
 (`to_json`) and shape test (`fits`), so only `fits` reads the descriptor;
-`Identity()` is the identity of every descriptor.  A node's `keeps_radii`
-says whether it keeps every radial coordinate (cone radius, suspension
-colatitude, join latitude) and moves sphere leaves by orthogonal maps
-only: the identity, orthogonal maps, and cone, join and unflipped
-suspension maps of such nodes.  Whether a node fits its
+`Identity()` is the identity of every descriptor.  Whether a node fits its
 descriptor is checked once, where an action meets one: in `GroupAction`,
 `spaces.Quotient` and `group_from_generators`.  A GroupAction is an
 explicit element list; validation checks the group laws and the isometry
@@ -42,8 +38,6 @@ MAX_ORDER = 4096
 class Identity:
     """The identity of any descriptor."""
 
-    keeps_radii = True
-
     def apply_point(self, p):
         return p
 
@@ -65,7 +59,6 @@ class OrthogonalMap:
     """Orthogonal matrix acting on the unit vectors of a sphere factor."""
 
     matrix: np.ndarray
-    keeps_radii = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -98,7 +91,6 @@ class IntervalReflection:
     """s -> length - s, the reflection about the interval midpoint."""
 
     length: float
-    keeps_radii = False  # it moves an interval leaf
 
     def apply_point(self, p):
         return self.length - float(p)
@@ -123,10 +115,6 @@ class JoinMap:
     left: object
     right: object
 
-    @property
-    def keeps_radii(self) -> bool:
-        return self.left.keeps_radii and self.right.keeps_radii
-
     def apply_point(self, p):
         x, t, y = p
         return (self.left.apply_point(x), t, self.right.apply_point(y))
@@ -149,10 +137,6 @@ class ConeMap:
     """Action on a cone through its base; fixes the radial coordinate."""
 
     base: object
-
-    @property
-    def keeps_radii(self) -> bool:
-        return self.base.keeps_radii
 
     def apply_point(self, p):
         t, y = p
@@ -177,10 +161,6 @@ class SuspensionMap:
 
     flip: bool
     base: object
-
-    @property
-    def keeps_radii(self) -> bool:
-        return not self.flip and self.base.keeps_radii
 
     def apply_point(self, p):
         u, y = p
@@ -303,14 +283,6 @@ class GroupAction:
                 return None
             power = compose(self.generators[0], power)
         return m
-
-    @cached_property
-    def keeps_radii(self) -> bool:
-        """Whether every element keeps every radial coordinate (see the
-        isometry nodes' `keeps_radii`), so on a base that ends in a sphere
-        leaf it changes only the leaf cosine, and `spaces._orbit_minimum`
-        applies the base law once, to the largest cosine over the group."""
-        return all(g.keeps_radii for g in self.elements)
 
 
 def group_from_generators(space, generators, name: str = "") -> GroupAction:

@@ -5,9 +5,9 @@ Strategies are descriptor methods: each kind's ``net_grid(eps, phase)``
 Fibonacci lattice on 2-spheres, a Hopf-coordinate lattice on 3-spheres,
 latitude-layered product grids on joins, cones and suspensions (point
 density follows the volume element), and a quotient's base grid, which
-`epsilon_net` dedupes into orbit points.  Ellipsoid surfaces, which have no
-grid, are subsampled by farthest points here.  Nets are deterministic given
-(space, epsilon, seed) and immutable after construction.
+`epsilon_net` dedupes into orbit points.  A kind without a grid (the
+ellipsoid, a sphere above dimension 3) has no net.  Nets are deterministic
+given (space, epsilon, seed) and immutable after construction.
 
 A grid net's boundary flags are the points where the descriptor's
 closed-form ``boundary_distances`` is at most BOUNDARY_TOL.  A net records
@@ -26,24 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
-from scipy.spatial import cKDTree
 
 from . import spaces
-from .errors import CapacityError, ConstructionError, DomainError, PreconditionError
-from .spaces import (
-    Ellipsoid,
-    PI,
-    Quotient,
-    coords_take,
-    cross_distance,
-    self_distance_matrix,
-    unpack_point,
-)
+from .errors import CapacityError, DomainError, PreconditionError
+from .spaces import PI, Quotient, coords_take, cross_distance, self_distance_matrix, unpack_point
 
 DEFAULT_BUDGET = 5000
 # Quotient net points closer than this are one orbit point.  Orbit copies
@@ -100,150 +89,6 @@ def random_points(space, n: int, rng: np.random.Generator):
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid nets: farthest-point sampling plus a surface graph
-# ---------------------------------------------------------------------------
-
-
-def _ellipsoid_area(e: Ellipsoid) -> float:
-    p = 1.6075  # Thomsen's approximation, ~1% accurate
-    a, b, c = e.a, e.b, e.c
-    return 4.0 * PI * (((a * b) ** p + (a * c) ** p + (b * c) ** p) / 3.0) ** (1.0 / p)
-
-
-def _ellipsoid_candidates(e: Ellipsoid, m: int, rng) -> np.ndarray:
-    v = rng.standard_normal((m, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    pts = v * e.axes
-    extremes = np.array(
-        [
-            [e.a, 0, 0],
-            [-e.a, 0, 0],
-            [0, e.b, 0],
-            [0, -e.b, 0],
-            [0, 0, e.c],
-            [0, 0, -e.c],
-        ]
-    )
-    return np.concatenate([extremes, pts], axis=0)
-
-
-def _farthest_point_sample(cands: np.ndarray, eps: float, budget: int):
-    """Greedy FPS on chord distances until covering <= 0.92*eps or budget hit.
-
-    Squared chords to each pick come from one matrix-vector product,
-    |c|^2 + |c_i|^2 - 2 <c, c_i>, with |c|^2 computed once.  The returned
-    covering radius is the direct chord from the farthest candidate to its
-    nearest pick.
-    """
-    sq = np.einsum("ij,ij->i", cands, cands)
-    chosen = [0]
-    mind2 = np.linalg.norm(cands - cands[0], axis=1) ** 2
-    d2 = np.empty_like(sq)
-    while len(chosen) < budget:
-        i = int(np.argmax(mind2))
-        if math.sqrt(max(float(mind2[i]), 0.0)) <= 0.92 * eps:  # the expansion can round below 0
-            break
-        chosen.append(i)
-        np.dot(cands, cands[i], out=d2)
-        d2 *= -2.0
-        d2 += sq
-        d2 += sq[i]
-        np.minimum(mind2, d2, out=mind2)
-    far = cands[int(np.argmax(mind2))]
-    return np.array(chosen, dtype=int), float(np.min(np.linalg.norm(cands[chosen] - far, axis=1)))
-
-
-def _chord_corrected_weights(e: Ellipsoid, pts: np.ndarray, rows, cols):
-    # arc ~= chord * (1 + (chord*kappa)^2 / 24) with kappa the normal curvature
-    # of the quadric along the chord direction at the midpoint
-    A = 1.0 / e.axes**2
-    pi_, pj = pts[rows], pts[cols]
-    chord_vec = pj - pi_
-    chord = np.linalg.norm(chord_vec, axis=1)
-    mid = 0.5 * (pi_ + pj)
-    grad = mid * A  # ~ normal direction * |A x|
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = chord_vec / np.maximum(chord[:, None], 1e-300)
-        kappa = np.einsum("ij,ij->i", v * A, v) / np.maximum(np.linalg.norm(grad, axis=1), 1e-300)
-    # the correction is meaningful for short chords only; long chords (where
-    # the midpoint may leave the surface) are gated out by the caller
-    kappa = np.minimum(kappa, 1e3)
-    return chord * (1.0 + (chord * kappa) ** 2 / 24.0)
-
-
-class EllipsoidEngine:
-    """Net-backed geodesic engine: k-NN surface graph plus all-pairs Dijkstra."""
-
-    def __init__(self, space: Ellipsoid, epsilon: float, seed: int, budget: int = DEFAULT_BUDGET,
-                 knn: int = 12):
-        self.space = space
-        self.epsilon = epsilon
-        self.seed = seed
-        self.knn = knn
-        rng = np.random.default_rng(seed)
-        target = math.ceil(_ellipsoid_area(space) / (2.2 * epsilon**2)) + 6
-        m = min(60000, max(4000, 30 * target))
-        cands = _ellipsoid_candidates(space, m, rng)
-        chosen, radius = _farthest_point_sample(cands, epsilon, budget)
-        self.points = cands[chosen]
-        self.covering = radius
-        self.tree = cKDTree(self.points)
-        n = self.points.shape[0]
-        k = min(knn + 1, n)
-        _, nbr = self.tree.query(self.points, k=k)
-        rows = np.repeat(np.arange(n), k - 1)
-        cols = nbr[:, 1:].ravel()
-        w = _chord_corrected_weights(space, self.points, rows, cols)
-        graph = csr_matrix((w, (rows, cols)), shape=(n, n))
-        D = shortest_path(graph, method="D", directed=False)
-        if not np.all(np.isfinite(D)):
-            raise ConstructionError(
-                "ellipsoid surface graph is disconnected; increase the point budget or epsilon"
-            )
-        self.dist = np.minimum(D, D.T)
-        np.fill_diagonal(self.dist, 0.0)
-
-    def _attach(self, p):
-        p = np.asarray(p, dtype=float)
-        k = min(self.knn, self.points.shape[0])
-        d, idx = self.tree.query(p, k=k)
-        w = _chord_corrected_weights(
-            self.space, np.vstack([self.points, p[None, :]]),
-            np.full(k, self.points.shape[0]), np.asarray(idx),
-        )
-        return np.asarray(idx), w
-
-    def distance(self, p, q) -> float:
-        spaces.pack_points(self.space, [p, q])
-        ip, wp = self._attach(p)
-        iq, wq = self._attach(q)
-        through = float(np.min(wp[:, None] + self.dist[np.ix_(ip, iq)] + wq[None, :]))
-        direct = float(
-            _chord_corrected_weights(
-                self.space,
-                np.vstack([np.asarray(p, dtype=float), np.asarray(q, dtype=float)]),
-                np.array([0]),
-                np.array([1]),
-            )[0]
-        )
-        if direct <= 3.0 * self.covering:
-            return min(through, direct)
-        return through
-
-
-@cache
-def ellipsoid_engine(space: Ellipsoid, epsilon: float, seed: int, budget: int) -> EllipsoidEngine:
-    """The engine of (space, epsilon, seed, budget), built once per process."""
-    return EllipsoidEngine(space, epsilon, seed, budget)
-
-
-def ellipsoid_distance(p, q, a: float, b: float, c: float, epsilon: float = 0.05,
-                       seed: int = 42) -> float:
-    """Intrinsic surface distance via the graph geodesic engine, accurate to O(epsilon)."""
-    return ellipsoid_engine(Ellipsoid(a, b, c), epsilon, seed, DEFAULT_BUDGET).distance(p, q)
-
-
-# ---------------------------------------------------------------------------
 # the net builder
 # ---------------------------------------------------------------------------
 
@@ -266,45 +111,31 @@ def epsilon_net(space, epsilon: float, seed: int, *, budget: int = DEFAULT_BUDGE
             f"epsilon {epsilon} is not below the diameter bound {space.diameter_bound()}"
         )
 
-    if isinstance(space, Ellipsoid):
-        eng = ellipsoid_engine(space, epsilon, seed, budget)
-        n = eng.points.shape[0]
-        if eng.covering > 1.05 * epsilon and not allow_degrade:
-            required = math.ceil(n * (eng.covering / epsilon) ** 2)
+    eff = float(epsilon)
+    n = space.net_count(eff)
+    if n > budget:
+        if not allow_degrade:
             raise CapacityError(
-                f"ellipsoid net needs about {required} points for epsilon={epsilon}, "
-                f"budget is {budget}",
-                required=required,
+                f"net for {type(space).__name__} at epsilon={epsilon} needs {n} points, "
+                f"budget is {budget}; pass allow_degrade=True to coarsen",
+                required=n,
                 budget=budget,
             )
-        coords, flags, D = eng.points, np.zeros(n, dtype=bool), eng.dist
-        eff, meta = max(epsilon, eng.covering), {"strategy": "fps+graph", "knn": eng.knn}
-    else:
-        eff = float(epsilon)
-        n = space.net_count(eff)
-        if n > budget:
-            if not allow_degrade:
-                raise CapacityError(
-                    f"net for {type(space).__name__} at epsilon={epsilon} needs {n} points, "
-                    f"budget is {budget}; pass allow_degrade=True to coarsen",
-                    required=n,
-                    budget=budget,
-                )
-            dim = max(1, space.dim)
-            for _ in range(24):
-                eff *= 1.03 * (n / budget) ** (1.0 / dim)
-                n = space.net_count(eff)
-                if n <= budget:
-                    break
-            else:
-                raise CapacityError(
-                    f"could not fit a net for {type(space).__name__} within budget {budget}",
-                    required=n,
-                    budget=budget,
-                )
-        coords, flags, D = grid_net(space, eff)
-        meta = {"strategy": type(space).__name__.lower()}
-    return FiniteNet(space, coords, flags, D, float(epsilon), eff, seed, meta)
+        dim = max(1, space.dim)
+        for _ in range(24):
+            eff *= 1.03 * (n / budget) ** (1.0 / dim)
+            n = space.net_count(eff)
+            if n <= budget:
+                break
+        else:
+            raise CapacityError(
+                f"could not fit a net for {type(space).__name__} within budget {budget}",
+                required=n,
+                budget=budget,
+            )
+    coords, flags, D = grid_net(space, eff)
+    return FiniteNet(space, coords, flags, D, float(epsilon), eff, seed,
+                     {"strategy": type(space).__name__.lower()})
 
 
 def grid_net(space, eff: float):
@@ -561,12 +392,7 @@ def _model_angles(x, d) -> np.ndarray:
 def covering_check(net: FiniteNet, n_probes: int = 10_000, seed: int = 1234) -> float:
     """Spot-check the covering radius with random probes; returns the worst gap."""
     rng = np.random.default_rng(seed)
-    probes = random_points(net.space, n_probes, rng)
-    if isinstance(net.space, Ellipsoid):
-        P = np.asarray(probes)
-        d, _ = cKDTree(np.asarray(net.coords)).query(P)
-        return float(np.max(d))
-    pk = spaces.pack_points(net.space, probes)
+    pk = spaces.pack_points(net.space, random_points(net.space, n_probes, rng))
     worst = 0.0
     block = spaces.row_block(net.n)
     for start in range(0, n_probes, block):
@@ -578,9 +404,6 @@ def covering_check(net: FiniteNet, n_probes: int = 10_000, seed: int = 1234) -> 
 
 def nearest_index(net: FiniteNet, point) -> int:
     """Index of the net point closest to `point` (lowest index on ties)."""
-    if isinstance(net.space, Ellipsoid):
-        _, i = cKDTree(np.asarray(net.coords)).query(np.asarray(point, dtype=float))
-        return int(i)
     pk = spaces.pack_points(net.space, [point])
     d = cross_distance(net.space, pk, net.coords)[0]
     return int(np.argmin(d))

@@ -25,8 +25,8 @@ A stored net loads by replay when it can: the sidecar determines the
 matrix, so `read_net` rebuilds it through `nets.grid_net` when the CSV
 still hashes to its stored digest, and keeps the rebuilt matrix only if
 it hashes to the stored matrix digest.  Otherwise (an edited CSV, a
-sidecar without digests, an ellipsoid net, a last-bit difference from
-another BLAS) it parses the CSV; `load_net` also says which path it took
+sidecar without digests, a last-bit difference from another BLAS) it
+parses the CSV; `load_net` also says which path it took
 and why.  The sidecar is trusted as its
 coordinates already are; a sidecar whose digests were rewritten by hand
 is not detected.
@@ -48,7 +48,7 @@ from . import actions as actions_mod
 from . import nets as nets_mod
 from .errors import ConstructionError, json_fields
 from .nets import FiniteNet
-from .spaces import KINDS, Ellipsoid, Quotient, as_integer, as_real, coords_len, row_block
+from .spaces import KINDS, Quotient, as_integer, as_real, coords_len, row_block
 
 
 def space_to_json(space) -> dict:
@@ -307,10 +307,9 @@ def read_net(csv_path) -> FiniteNet:
 
     The sidecar is read and checked first: its descriptor, coordinates,
     ``n`` and flag count.  The matrix is then replayed when the sidecar
-    has digests and coordinates, the space has a grid (not an
-    `Ellipsoid`, whose engine depends on a budget the sidecar does not
-    store) whose count fits ``n``, and the CSV's sha256 equals the stored
-    one: `nets.grid_net` rebuilds it at the stored ``epsilon_effective``.  The replay is kept
+    has digests and coordinates, the space's grid count fits ``n``, and
+    the CSV's sha256 equals the stored one: `nets.grid_net` rebuilds it at
+    the stored ``epsilon_effective``.  The replay is kept
     only if its coordinates and flags are bit-equal to the stored ones and
     its buffer's sha256 equals the stored matrix digest.  Otherwise the
     CSV is parsed, as for files written before digests were stored.  Both
@@ -320,8 +319,10 @@ def read_net(csv_path) -> FiniteNet:
     The sidecar is authoritative, as its coordinates already are: an edit
     to the CSV is caught by its digest and sends the load to the parse
     path; a sidecar whose digests were rewritten by hand is not detected.
-    A missing or unreadable file is a ConstructionError, and so is an
-    ``epsilon`` or ``epsilon_effective`` that is no number (`spaces.as_real`).
+    A missing or unreadable file is a ConstructionError, and so are an
+    ``epsilon`` or ``epsilon_effective`` that is no number (`spaces.as_real`)
+    and a sidecar with digests and coordinates whose space has no grid (the
+    ellipsoid, which has no net).
     """
     return load_net(csv_path)[0]
 
@@ -388,16 +389,13 @@ def _replay(space, eff, coords, is_boundary, csv_path, digests):
     """The stored matrix rebuilt by `nets.grid_net(space, eff)` and ``"replay"``, or None
     and why it was not rebuilt or does not reproduce.
 
-    Only a sidecar with digests and coordinates replays, and not an
-    ellipsoid's.  The grid is built only when its closed-form count fits
-    the n stored points (a quotient's grid holds at most one copy per group
-    element of each kept point), and only when the CSV on disk is the one
-    the digests were taken of.
+    Only a sidecar with digests and coordinates replays.  The grid is built
+    only when its closed-form count fits the n stored points (a quotient's
+    grid holds at most one copy per group element of each kept point), and
+    only when the CSV on disk is the one the digests were taken of.
     """
     if digests is None or coords is None:
         return None, f"the sidecar has no {'digests' if digests is None else 'coordinates'}"
-    if isinstance(space, Ellipsoid):
-        return None, "an ellipsoid net depends on an engine budget the sidecar does not store"
     csv_sha256, matrix_sha256 = digests
     n = coords_len(coords)
     order = len(space.action.elements) if isinstance(space, Quotient) else 1

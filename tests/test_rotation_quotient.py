@@ -283,8 +283,8 @@ def _kernel_pairs(base, action, n, seed):
     return spaces.pack_points(base, ps), spaces.pack_points(base, qs)
 
 
-# the groups the leaf branch covers: {Id, reflection}, and the groups the
-# Z_m rotation and the reflection generate ("dihedral" at m = 8): dihedral on
+# groups that are no Z_m rotation over the leaf bases: {Id, reflection}, and
+# the groups the Z_m rotation and the reflection generate ("dihedral" at m = 8): dihedral on
 # a circle leaf, of order m^2 on a Hopf leaf, where the reflection turns one
 # complex coordinate only
 LEAF_GROUPS = ("reflection", "dihedral3", "dihedral", "dihedral64")
@@ -307,14 +307,13 @@ def _loop_kernel(monkeypatch):
 
 
 class TestLeafKernel:
-    """The largest leaf cosine over the group, then the base law once, against the element loop."""
+    """Reflection and dihedral quotients of the leaf bases: the kernel against the element loop."""
 
     @pytest.mark.parametrize("name, label", LEAF_CASES)
     def test_matches_loop_bit_for_bit(self, name, label):
         Q = _leaf_quotient(name, label)
-        assert Q.action.rotation_order is None and Q.action.keeps_radii
+        assert Q.action.rotation_order is None
         A, B = _kernel_pairs(Q.base, Q.action, 40, len(Q.action.elements))
-        assert Q.base.leaf_cosines(A, B, True) is not None
         assert np.array_equal(spaces.elementwise_distance(Q, A, B), _element_loop(Q, A, B, False))
         assert np.array_equal(spaces.cross_distance(Q, A, B), _element_loop(Q, A, B, True))
         assert np.array_equal(spaces.cross_distance(Q, B, A), _element_loop(Q, B, A, True))
@@ -340,25 +339,6 @@ class TestLeafKernel:
         assert net.n == loop.n > 20
         assert serialize.coords_to_json(net.coords) == serialize.coords_to_json(loop.coords)
         assert np.array_equal(net.dist, loop.dist)
-
-    def test_applies_the_law_once(self, monkeypatch):
-        Q = _leaf_quotient("cap075", "dihedral64")
-        A, B = _kernel_pairs(Q.base, Q.action, 30, 2)
-        expected = _element_loop(Q, A, B, True)
-        laws = []
-        law = spaces._cone_law
-        monkeypatch.setattr(spaces, "_cone_law", lambda *a: laws.append(1) or law(*a))
-        assert np.array_equal(spaces.cross_distance(Q, A, B), expected)
-        assert len(laws) == 1
-
-    def test_clamp_tracks_the_kept_cosine(self):
-        # a leaf within the 1e-12 unit tolerance pushes <x, x> past 1 at the identity
-        Q = _leaf_quotient("cap075", "dihedral")
-        C = spaces.pack_points(Q.base, [(1.0, np.array([1.0 + 5e-13, 0.0]))])
-        with spaces.track_clamping() as stats:
-            D = spaces.cross_distance(Q, C, C)
-        assert D[0, 0] == 0.0
-        assert 5e-13 < stats.max_excess <= 2e-12
 
 
 def _pole_swap_quotient():
@@ -399,20 +379,6 @@ def test_other_bases_and_elements_keep_the_loop(make, monkeypatch):
     assert np.array_equal(Q.formula(A, B, True), expected[0])
     assert np.array_equal(Q.formula(A, B, False), expected[1])
     assert len(calls) == 2 * len(Q.action.elements)
-
-
-def test_nodes_say_whether_they_keep_the_radii():
-    rotation = actions.OrthogonalMap(actions.rotation_matrix(0.5))
-    interval = actions.IntervalReflection(1.0)
-    assert actions.Identity().keeps_radii and rotation.keeps_radii
-    assert actions.ConeMap(rotation).keeps_radii and actions.SuspensionMap(False, rotation).keeps_radii
-    assert actions.JoinMap(rotation, actions.Identity()).keeps_radii
-    assert not interval.keeps_radii
-    assert not actions.SuspensionMap(True, actions.Identity()).keeps_radii
-    assert not actions.SuspensionMap(False, interval).keeps_radii
-    assert not actions.JoinMap(rotation, interval).keeps_radii
-    assert not _pole_swap_quotient().action.keeps_radii
-    assert not harness.projective_lens_quotient(2, 1.0).action.keeps_radii
 
 
 # ---------------------------------------------------------------------------

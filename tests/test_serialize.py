@@ -581,21 +581,24 @@ class TestReplay:
         assert loadtxt_calls[0] == 1
         assert loaded.dist.tobytes() == net.dist.tobytes()
 
-    def test_ellipsoid_net_is_parsed(self, tmp_path, loadtxt_calls):
-        net = nets.epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42)
+    def test_ellipsoid_sidecar_fails_at_the_count(self, tmp_path, loadtxt_calls):
+        # no net of an ellipsoid is built; a stored one stops at its no-grid count
+        E = Ellipsoid(0.7, 1.0 / 3.0, 0.25)
+        coords = E.pack([E.canonical_point(), -E.canonical_point()])
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
         csv = tmp_path / "net.csv"
-        serialize.write_net(net, csv)
-        loaded = serialize.read_net(csv)
-        assert loadtxt_calls[0] == 1
-        assert serialize.net_to_bytes(loaded) == serialize.net_to_bytes(net)
+        serialize.write_net(nets.FiniteNet(E, coords, np.zeros(2, dtype=bool), D, 0.15, 0.15, 42), csv)
+        with pytest.raises(ConstructionError, match="no net grid for Ellipsoid"):
+            serialize.read_net(csv)
+        assert loadtxt_calls[0] == 0
 
-    @pytest.mark.parametrize("space, epsilon, parsed", [
-        (Suspension(Sphere(1, 1.0)), 0.2, 0),
-        (Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 1),
-    ], ids=["replay", "parse-ellipsoid"])
-    def test_loaded_net_is_read_only(self, tmp_path, loadtxt_calls, space, epsilon, parsed):
-        csv = tmp_path / "net.csv"
-        serialize.write_net(nets.epsilon_net(space, epsilon, 42), csv)
+    @pytest.mark.parametrize("edit, parsed", [
+        (lambda m: None, 0),
+        (lambda m: m.pop("digests"), 1),
+    ], ids=["replay", "parse"])
+    def test_loaded_net_is_read_only(self, stored, loadtxt_calls, edit, parsed):
+        _, csv = stored
+        _edit_meta(csv, edit)
         loaded = serialize.read_net(csv)
         assert loadtxt_calls[0] == parsed
         eccentricity = loaded.eccentricity.copy()
@@ -608,8 +611,7 @@ class TestReplay:
     @pytest.mark.parametrize("make", [
         lambda: nets.epsilon_net(Lens(2, 1.0), 0.3, 42),
         lambda: nets.epsilon_net(_cyclic(Sphere(3, 1.0), 8), 0.3, 42),
-        lambda: nets.epsilon_net(Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.15, 42),
-    ], ids=["plain", "quotient", "ellipsoid"])
+    ], ids=["plain", "quotient"])
     def test_csv_bytes_are_savetxt_and_digested(self, tmp_path, make):
         net = make()
         csv, ref = tmp_path / "net.csv", tmp_path / "ref.csv"
@@ -737,15 +739,13 @@ class TestCsvWriter:
     @pytest.mark.parametrize("space, epsilon", [
         (Sphere(2, 0.5), 0.3),
         (Interval(1.0), 0.05),
-        (Ellipsoid(0.7, 1.0 / 3.0, 0.25), 0.2),
         (Join(Interval(PI), Interval(PI)), 0.3),
         (Cone(-1.0, Sphere(1, 1.0), 1.0), 0.2),
         (Suspension(Sphere(1, 1.0)), 0.2),
         (_cyclic(Sphere(3, 1.0), 8), 0.3),
         (Lens(3, 1.0), 0.3),
         (ModelBall(1.0, PI / 4, 3), 0.2),
-    ], ids=["sphere", "interval", "ellipsoid", "join", "cone", "suspension", "quotient", "lens",
-            "model_ball"])
+    ], ids=["sphere", "interval", "join", "cone", "suspension", "quotient", "lens", "model_ball"])
     def test_one_net_per_kind(self, tmp_path, space, epsilon):
         net = nets.epsilon_net(space, epsilon, 1)
         csv = tmp_path / "net.csv"

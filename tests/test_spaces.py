@@ -372,6 +372,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             validate_point(e, np.array([0.7, 0.0, 0.0]))
 
+    def test_ellipsoid_distance_is_unsupported(self):
+        a, b, c = 0.7, 1.0 / 3.0, 0.25
+        with pytest.raises(UnsupportedConstructionError, match="no closed-form distance"):
+            distance(Ellipsoid(a, b, c), np.array([a, 0.0, 0.0]), np.array([-a, 0.0, 0.0]))
+
     def test_model_ball_cap(self):
         with pytest.raises(ConstructionError):
             ModelBall(1.0, 2.0, 2)
