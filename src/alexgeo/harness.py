@@ -223,7 +223,11 @@ def half_perimeter(a: float, c: float) -> float:
     2^(n-1) c_n^2) / M(a0, b0): the arithmetic-geometric mean form of the complete
     elliptic integral of the second kind (Abramowitz & Stegun 17.6), with a0 >= b0
     the semi-axes, c0^2 = a0^2 - b0^2 and c_(n+1) = (a_n - b_n)/2.  The sum stops
-    at the first term that no longer changes it, and M is read off that step."""
+    at the first term that no longer changes it, and M is read off that step.
+    A semi-axis that is not positive and finite is a ConstructionError (a NaN
+    would never stop the sum)."""
+    if not (0.0 < a < math.inf and 0.0 < c < math.inf):
+        raise ConstructionError(f"ellipse semi-axes must be positive and finite, got {a!r} and {c!r}")
     x, y = max(a, c), min(a, c)
     top, weight, total = x * x, 0.5, 0.5 * (x - y) * (x + y)
     while True:
@@ -240,12 +244,13 @@ def solve_ellipse_parameter(b: float = 1.0 / 3.0, c: float = 0.25, tol: float = 
 
     The bracket is (b, c/b): below c/b the surface keeps curvature >= 1
     (the minimum sits at the flattest poles), and the half-perimeter is
-    monotone in a.  A failed sign check at the ends raises.
+    monotone in a.  A failed sign check at the ends raises, and so does a
+    semi-axis b or c that is not positive and finite (`half_perimeter`).
     """
     if not tol > 0.0:
         raise PreconditionError("tolerance must be positive")
+    f_lo = half_perimeter(b, c) - HALF_PI  # checks b and c before c / b
     lo, hi = b, c / b
-    f_lo = half_perimeter(lo, c) - HALF_PI
     f_hi = half_perimeter(hi, c) - HALF_PI
     if not (f_lo < 0.0 < f_hi):
         raise ConstructionError(f"bisection bracket ({lo:.6f}, {hi:.6f}) does not straddle pi/2: "

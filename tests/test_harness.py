@@ -58,6 +58,15 @@ class TestEllipseSolver:
         with pytest.raises(ConstructionError):
             solve_ellipse_parameter(b=0.7, c=0.69)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0 / 3.0, math.nan, math.inf])
+    def test_bad_semi_axis_raises(self, bad):
+        # at b = 0 the bracket end c/b divided by zero; below 0 the bisection
+        # returned a negative a*; a NaN would never stop the mean's sum
+        for call in (lambda: half_perimeter(bad, 0.25), lambda: half_perimeter(0.25, bad),
+                     lambda: solve_ellipse_parameter(b=bad), lambda: solve_ellipse_parameter(c=bad)):
+            with pytest.raises(ConstructionError, match="semi-axes must be positive and finite"):
+                call()
+
 
 class TestReports:
     def test_unknown_id_rejected_lists_catalogue(self):
