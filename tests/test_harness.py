@@ -10,6 +10,7 @@ import types
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ellipe
 
 from alexgeo import cli, harness, invariants, nets, serialize, spaces
@@ -44,6 +45,41 @@ class TestEllipseSolver:
             assert half_perimeter(a, 0.25) == pytest.approx(want, abs=1e-15)
             assert half_perimeter(0.25, a) == half_perimeter(a, 0.25)
 
+    @pytest.mark.parametrize("a", [1.0 / 3.0, 0.5, A_STAR_ORACLE, 0.75], ids=["b", "mid", "a_star", "c_over_b"])
+    def test_half_perimeter_matches_arc_length_quadrature(self, a):
+        # the arc length integral of (a cos t, c sin t) over half a turn, an oracle
+        # that shares no step with the arithmetic-geometric mean
+        want, err = quad(lambda t: math.hypot(a * math.sin(t), 0.25 * math.cos(t)), 0.0, PI,
+                         epsabs=1e-13, epsrel=1e-13)
+        assert half_perimeter(a, 0.25) == pytest.approx(want, abs=err)
+
+    def test_half_perimeter_is_homogeneous(self):
+        for t in (1e-3, 0.5, 7.0, 1e3):
+            for a in (1.0 / 3.0, A_STAR_ORACLE, 2.0):
+                assert half_perimeter(t * a, t * 0.25) == pytest.approx(t * half_perimeter(a, 0.25), rel=4e-16)
+
+    def test_half_perimeter_between_classical_bounds(self):
+        # pi (x + y) / 2 <= half perimeter <= pi sqrt((x^2 + y^2) / 2), equal on circles;
+        # the flat limit 2x is below both
+        rng = np.random.default_rng(3)
+        for x, y in rng.uniform(1e-3, 2.0, size=(200, 2)).tolist():
+            h = half_perimeter(x, y)
+            assert max(2.0 * max(x, y), PI * (x + y) / 2.0) <= h * (1.0 + 1e-15)
+            assert h <= PI * math.sqrt((x * x + y * y) / 2.0) * (1.0 + 1e-15)
+
+    def test_half_perimeter_increases_across_the_bracket(self):
+        # the bisection takes the half perimeter to be increasing in a on (b, c/b)
+        values = [half_perimeter(a, 0.25) for a in np.linspace(1.0 / 3.0, 0.75, 2001).tolist()]
+        assert all(lo < hi for lo, hi in zip(values, values[1:]))
+
+    def test_half_perimeter_flat_limit(self):
+        # a needle ellipse: the sum still stops, at twice the long semi-axis.  The
+        # excess over 2a is below an ulp here; what is left is a0^2 - sum cancelling
+        # down to about M(a0, b0), some 1e-3 of a0 at b0/a0 = 1e-300
+        for ratio in (1e-8, 1e-12, 1e-300):
+            assert half_perimeter(1.0, ratio) == pytest.approx(2.0, rel=1e-12)
+            assert half_perimeter(ratio, 3.0) == pytest.approx(6.0, rel=1e-12)
+
     def test_bracket_straddles_target(self):
         assert half_perimeter(1.0 / 3.0, 0.25) < HALF_PI < half_perimeter(0.75, 0.25)
 
@@ -66,6 +102,37 @@ class TestEllipseSolver:
                      lambda: solve_ellipse_parameter(b=bad), lambda: solve_ellipse_parameter(c=bad)):
             with pytest.raises(ConstructionError, match="semi-axes must be positive and finite"):
                 call()
+
+
+class TestTipDistanceProvenance:
+    """The steps of ex3_3's tip-distance provenance, checked on the tuned ellipsoid."""
+
+    E = spaces.Ellipsoid(A_STAR_ORACLE, 1.0 / 3.0, 0.25)
+
+    @staticmethod
+    def project(points):
+        # P(x, y, z) = (x, sqrt(y^2 + z^2))
+        points = np.asarray(points)
+        return np.column_stack([points[:, 0], np.hypot(points[:, 1], points[:, 2])])
+
+    def test_projection_is_one_lipschitz(self):
+        rng = np.random.default_rng(11)
+        P, Q = (np.asarray(self.E.random_points(2000, rng)) for _ in range(2))
+        moved = np.linalg.norm(self.project(P) - self.project(Q), axis=1)
+        assert np.all(moved <= np.linalg.norm(P - Q, axis=1) * (1.0 + 1e-15))
+
+    def test_projection_lands_above_the_arch(self):
+        # with b >= c, x^2/a^2 + (y^2 + z^2)/c^2 >= 1 on the surface
+        X = self.project(self.E.random_points(2000, np.random.default_rng(12)))
+        assert np.all((X[:, 0] / self.E.a) ** 2 + (X[:, 1] / self.E.c) ** 2 >= 1.0 - 1e-12)
+
+    def test_the_xz_cross_section_joins_the_tips_on_the_surface(self):
+        t = np.linspace(0.0, PI, 257)
+        arch = np.column_stack([self.E.a * np.cos(t), np.zeros_like(t), self.E.c * np.sin(t)])
+        self.E.check_coords(arch)
+        steps = np.linalg.norm(np.diff(arch, axis=0), axis=1).sum()
+        # the inscribed polygon falls short of the arch length by O(1/n^2)
+        assert steps < half_perimeter(self.E.a, self.E.c) < steps + 1e-5
 
 
 class TestReports:
